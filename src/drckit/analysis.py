@@ -140,42 +140,27 @@ def margins_by_category(margins: Sequence[RelationMargin]
     return categories
 
 
+def _parse_lexicon(text: str, source: str) -> ConnectiveLexicon:
+    entries = set()
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            entries.add(line.lower())
+    if not entries:
+        raise ValueError(f"empty connective lexicon: {source}")
+    return ConnectiveLexicon(entries=frozenset(entries), source=source)
+
+
 def load_connective_lexicon(path: Path | str) -> ConnectiveLexicon:
     """One connective per line, '#' comments allowed; lowercased, deduped."""
     path = Path(path)
-    entries = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        entries.add(line.lower())
-    if not entries:
-        raise ValueError(f"empty connective lexicon: {path}")
-    return ConnectiveLexicon(entries=frozenset(entries), source=str(path))
+    return _parse_lexicon(path.read_text(encoding="utf-8"), str(path))
 
 
 def default_lexicon() -> ConnectiveLexicon:
     """The lexicon shipped with the package."""
     text = (resources.files("drckit.data") / "connectives.txt").read_text("utf-8")
-    entries = {
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    }
-    return ConnectiveLexicon(entries=frozenset(entries), source="builtin")
-
-
-def first_connective_token(text: str) -> str:
-    """First whitespace token after lowercasing and punctuation stripping.
-
-    Tokens that are pure punctuation (an opening bracket, a quote) are
-    skipped, so "( CC )" yields "cc".
-    """
-    for token in text.lower().split():
-        token = token.strip(_PUNCT)
-        if token:
-            return token
-    return ""
+    return _parse_lexicon(text, "builtin")
 
 
 def _normalized_tokens(text: str, limit: int = 4) -> list[str]:
@@ -187,6 +172,16 @@ def _normalized_tokens(text: str, limit: int = 4) -> list[str]:
         if len(tokens) >= limit:
             break
     return tokens
+
+
+def first_connective_token(text: str) -> str:
+    """First whitespace token after lowercasing and punctuation stripping.
+
+    Tokens that are pure punctuation (an opening bracket, a quote) are
+    skipped, so "( CC )" yields "cc".
+    """
+    tokens = _normalized_tokens(text, 1)
+    return tokens[0] if tokens else ""
 
 
 def _matches(arg2_text: str, lexicon: ConnectiveLexicon, multiword: bool) -> bool:

@@ -8,9 +8,11 @@ analyze, experiment.  Exit codes: 0 success, 1 data or validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .analysis import (
@@ -26,7 +28,6 @@ from .analysis import (
 from .config import (
     BackendSpec,
     ConfigError,
-    ExperimentConfig,
     RunManifest,
     load_experiment_config,
 )
@@ -51,6 +52,8 @@ from .evaluation import (
     write_report_tsv,
 )
 from .inference import (
+    BASELINE_KINDS,
+    PredictionSet,
     import_predictions,
     predict_baseline,
     train_baseline,
@@ -169,18 +172,38 @@ def cmd_variants(args) -> int:
     return EXIT_OK
 
 
-def _endpoint_config_from_args(args) -> EndpointConfig:
-    if not args.base_url:
-        raise ConfigError("endpoint backend requires --base-url")
+def _endpoint_config(options: dict) -> EndpointConfig:
+    """Endpoint settings from a backend's config options, or from the
+    ``infer`` arguments, whose names match the config keys."""
+    if not options.get("base_url"):
+        raise ConfigError("endpoint backend requires base_url (--base-url)")
     return EndpointConfig(
-        base_url=args.base_url,
-        model_name=args.model,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        parallelism=args.parallelism,
-        auth_env=args.auth_env,
-        backoff=args.backoff,
+        base_url=options["base_url"],
+        model_name=options.get("model", "gpt-4"),
+        timeout=float(options.get("timeout", 30.0)),
+        max_retries=int(options.get("max_retries", 3)),
+        parallelism=int(options.get("parallelism", 1)),
+        auth_env=options.get("auth_env", "DRCKIT_API_TOKEN"),
+        backoff=float(options.get("backoff", 1.0)),
     )
+
+
+def _predictor(kind: str, options: dict, train_ds: VariantDataset,
+               eval_ds: VariantDataset, condition: str, log_dir: Path
+               ) -> Callable[[int], PredictionSet]:
+    """Seed -> PredictionSet for a baseline or endpoint condition.
+
+    A baseline is fit on the first call only: the model does not depend on
+    the seed.
+    """
+    if kind in BASELINE_KINDS:
+        fit = functools.cache(lambda: train_baseline(train_ds, kind))
+        return lambda seed: predict_baseline(fit(), eval_ds, condition,
+                                             run_id=seed)
+    endpoint_cfg = _endpoint_config(options)
+    return lambda seed: run_endpoint_inference(
+        eval_ds, train_ds, endpoint_cfg, seed,
+        log_dir / f"{condition}.run{seed}.log.jsonl", condition)
 
 
 def cmd_infer(args) -> int:
@@ -193,15 +216,10 @@ def cmd_infer(args) -> int:
     condition = args.condition or f"{dataset.scheme.tag}+{args.backend}"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    predict = _predictor(args.backend, vars(args), train, dataset, condition,
+                         out_dir / "logs")
     for seed in args.seeds:
-        if args.backend in ("majority", "cue"):
-            model = train_baseline(train, args.backend)
-            preds = predict_baseline(model, dataset, condition, run_id=seed)
-        else:
-            config = _endpoint_config_from_args(args)
-            log_path = out_dir / "logs" / f"{condition}.run{seed}.log.jsonl"
-            preds = run_endpoint_inference(dataset, train, config, seed,
-                                           log_path, condition)
+        preds = predict(seed)
         path = out_dir / f"{condition}.run{seed}.jsonl"
         write_predictions(preds, path)
         print(f"wrote {path} ({preds.unparsed_count} unparsed)")
@@ -290,55 +308,19 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _predictions_for_backend(backend: BackendSpec, scheme: ContextScheme,
-                             cfg: ExperimentConfig, train_ds, eval_ds,
-                             out_dir: Path, manifest: RunManifest) -> dict[int, Path]:
-    condition = f"{scheme.tag}+{backend.tag}"
-    pred_dir = out_dir / "predictions"
-    pred_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[int, Path] = {}
-    if backend.kind == "import":
-        runs = backend.options["runs"].get(scheme.tag)
-        if runs is None:
-            raise ConfigError(f"import backend {backend.tag!r} has no runs "
-                              f"for scheme {scheme.tag}")
-        if len(runs) != len(cfg.seeds):
-            raise ConfigError(f"import backend {backend.tag!r}: {len(runs)} "
-                              f"files for {len(cfg.seeds)} seeds")
-        for seed, source in zip(cfg.seeds, runs):
-            preds = import_predictions(source, eval_ds, condition=condition,
-                                       run_id=seed)
-            path = pred_dir / f"{condition}.run{seed}.jsonl"
-            write_predictions(preds, path)
-            paths[seed] = path
-        return paths
-    for seed in cfg.seeds:
-        stage = f"predict:{condition}:{seed}"
-        path = pred_dir / f"{condition}.run{seed}.jsonl"
-        if manifest.is_fresh(stage):
-            manifest.record(stage, [path], reused=True)
-            paths[seed] = path
-            continue
-        if backend.kind in ("majority", "cue"):
-            model = train_baseline(train_ds, backend.kind)
-            preds = predict_baseline(model, eval_ds, condition, run_id=seed)
-        else:
-            endpoint_cfg = EndpointConfig(
-                base_url=backend.options["base_url"],
-                model_name=backend.options.get("model", "gpt-4"),
-                timeout=float(backend.options.get("timeout", 30.0)),
-                max_retries=int(backend.options.get("max_retries", 3)),
-                parallelism=int(backend.options.get("parallelism", 1)),
-                auth_env=backend.options.get("auth_env", "DRCKIT_API_TOKEN"),
-                backoff=float(backend.options.get("backoff", 1.0)),
-            )
-            log_path = out_dir / "logs" / f"{condition}.run{seed}.log.jsonl"
-            preds = run_endpoint_inference(eval_ds, train_ds, endpoint_cfg,
-                                           seed, log_path, condition)
-        write_predictions(preds, path)
-        manifest.record(stage, [path])
-        paths[seed] = path
-    return paths
+def _import_predictor(backend: BackendSpec, scheme: ContextScheme,
+                      seeds: tuple[int, ...], eval_ds: VariantDataset,
+                      condition: str) -> Callable[[int], PredictionSet]:
+    runs = backend.options["runs"].get(scheme.tag)
+    if runs is None:
+        raise ConfigError(f"import backend {backend.tag!r} has no runs "
+                          f"for scheme {scheme.tag}")
+    if len(runs) != len(seeds):
+        raise ConfigError(f"import backend {backend.tag!r}: {len(runs)} "
+                          f"files for {len(seeds)} seeds")
+    sources = dict(zip(seeds, runs))
+    return lambda seed: import_predictions(sources[seed], eval_ds,
+                                           condition=condition, run_id=seed)
 
 
 def cmd_experiment(args) -> int:
@@ -374,25 +356,47 @@ def cmd_experiment(args) -> int:
                 manifest.record(stage, [path])
             datasets[(scheme.tag, split)] = dataset
 
+    lexicon = (load_connective_lexicon(cfg.lexicon) if cfg.lexicon
+               else default_lexicon())
+    pred_dir = out_dir / "predictions"
     report_dir = out_dir / "reports"
+    pred_dir.mkdir(parents=True, exist_ok=True)
     report_dir.mkdir(parents=True, exist_ok=True)
+    has_default = any(s.kind == "default" for s in cfg.schemes)
     aggregates = []
-    scores: dict[tuple[str, str], list[float]] = {}
-    predictions: dict[tuple[str, str], dict[int, Path]] = {}
-    conditions: dict[tuple[str, str], str] = {}
+    comparisons = []
     for backend in cfg.backends:
+        # Prediction sets of this backend by scheme tag and seed: scored and
+        # paired in memory; the files are outputs only.
+        runs: dict[str, dict[int, PredictionSet]] = {}
+        scores: dict[str, list[float]] = {}
         for scheme in cfg.schemes:
             train_ds = datasets[(scheme.tag, cfg.train_split)]
             eval_ds = datasets[(scheme.tag, cfg.eval_split)]
             condition = f"{scheme.tag}+{backend.tag}"
-            conditions[(backend.tag, scheme.tag)] = condition
-            paths = _predictions_for_backend(backend, scheme, cfg, train_ds,
-                                             eval_ds, out_dir, manifest)
-            predictions[(backend.tag, scheme.tag)] = paths
+            # Imported runs are re-read from their sources on every run.
+            reusable = backend.kind != "import"
+            if reusable:
+                predict = _predictor(backend.kind, backend.options, train_ds,
+                                     eval_ds, condition, out_dir / "logs")
+            else:
+                predict = _import_predictor(backend, scheme, cfg.seeds,
+                                            eval_ds, condition)
+            preds_by_seed = runs[scheme.tag] = {}
             reports = []
             for seed in cfg.seeds:
-                preds = import_predictions(paths[seed], eval_ds,
-                                           condition=condition, run_id=seed)
+                stage = f"predict:{condition}:{seed}"
+                path = pred_dir / f"{condition}.run{seed}.jsonl"
+                if reusable and manifest.is_fresh(stage):
+                    preds = import_predictions(path, eval_ds,
+                                               condition=condition, run_id=seed)
+                    manifest.record(stage, [path], reused=True)
+                else:
+                    preds = predict(seed)
+                    write_predictions(preds, path)
+                    if reusable:
+                        manifest.record(stage, [path])
+                preds_by_seed[seed] = preds
                 report = score(eval_ds, preds)
                 write_report_json(report,
                                   report_dir / f"{condition}.run{seed}.report.json")
@@ -401,32 +405,39 @@ def cmd_experiment(args) -> int:
                 reports.append(report)
             agg = aggregate_runs(reports)
             aggregates.append(agg)
-            scores[(backend.tag, scheme.tag)] = list(agg.per_run_scores)
+            scores[scheme.tag] = list(agg.per_run_scores)
             print(f"{condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
                   f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
 
-    comparisons = []
-    has_default = any(s.kind == "default" for s in cfg.schemes)
-    for backend in cfg.backends:
         if not has_default:
-            break
+            continue
+        eval_default = datasets[("default", cfg.eval_split)]
         for scheme in cfg.schemes:
             if scheme.kind == "default":
                 continue
             comparisons.append(wilcoxon_signed_rank(
-                scores[(backend.tag, scheme.tag)],
-                scores[(backend.tag, "default")],
-                comparison=(conditions[(backend.tag, scheme.tag)],
-                            conditions[(backend.tag, "default")]),
-            ))
+                scores[scheme.tag], scores["default"],
+                comparison=(f"{scheme.tag}+{backend.tag}",
+                            f"default+{backend.tag}")))
+            outcomes = []
+            for seed in cfg.seeds:
+                outcomes.extend(pair_outcomes(eval_default,
+                                              runs["default"][seed],
+                                              runs[scheme.tag][seed],
+                                              run_id=seed))
+            margins = relation_margins(outcomes, num_runs=len(cfg.seeds))
+            categories = margins_by_category(margins)
+            match_report = connective_match_rate(eval_default.instances,
+                                                 categories, lexicon)
+            pair_dir = out_dir / "analysis" / \
+                f"{backend.tag}.default-vs-{scheme.tag}"
+            pair_dir.mkdir(parents=True, exist_ok=True)
+            write_margins_tsv(margins, pair_dir / "margins.tsv")
+            write_connective_report_tsv(match_report, pair_dir / "connectives.tsv")
+
+    # load_experiment_config has checked bonferroni_m against the comparisons.
     significance = {}
     if comparisons:
-        if cfg.bonferroni_m is None:
-            raise ConfigError("bonferroni_m is required when the experiment "
-                              "compares schemes")
-        if cfg.bonferroni_m < len(comparisons):
-            raise ConfigError(f"bonferroni_m = {cfg.bonferroni_m} is smaller "
-                              f"than the {len(comparisons)} comparisons")
         adjusted = bonferroni(comparisons, cfg.bonferroni_m, cfg.alpha)
         sig_lines = ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted\tsignificant"]
         for result in adjusted:
@@ -438,34 +449,6 @@ def cmd_experiment(args) -> int:
                 f"\t{result.significant}")
         (out_dir / "significance.tsv").write_text("\n".join(sig_lines) + "\n",
                                                   encoding="utf-8")
-
-    lexicon = (load_connective_lexicon(cfg.lexicon) if cfg.lexicon
-               else default_lexicon())
-    analysis_dir = out_dir / "analysis"
-    for backend in cfg.backends:
-        if not has_default:
-            break
-        eval_default = datasets[("default", cfg.eval_split)]
-        for scheme in cfg.schemes:
-            if scheme.kind == "default":
-                continue
-            outcomes = []
-            for seed in cfg.seeds:
-                preds_a = import_predictions(
-                    predictions[(backend.tag, "default")][seed], eval_default)
-                preds_b = import_predictions(
-                    predictions[(backend.tag, scheme.tag)][seed],
-                    datasets[(scheme.tag, cfg.eval_split)])
-                outcomes.extend(pair_outcomes(eval_default, preds_a, preds_b,
-                                              run_id=seed))
-            margins = relation_margins(outcomes, num_runs=len(cfg.seeds))
-            categories = margins_by_category(margins)
-            match_report = connective_match_rate(eval_default.instances,
-                                                 categories, lexicon)
-            pair_dir = analysis_dir / f"{backend.tag}.default-vs-{scheme.tag}"
-            pair_dir.mkdir(parents=True, exist_ok=True)
-            write_margins_tsv(margins, pair_dir / "margins.tsv")
-            write_connective_report_tsv(match_report, pair_dir / "connectives.tsv")
 
     table = format_results_table(aggregates, significance)
     (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")

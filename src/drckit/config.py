@@ -144,6 +144,16 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         bonferroni_m = int(bonferroni_m)
         if bonferroni_m < 1:
             raise ConfigError(f"{path}: bonferroni_m must be >= 1")
+    # Every non-default scheme is compared against default, per backend.
+    comparisons = 0
+    if any(s.kind == "default" for s in schemes):
+        comparisons = len(backends) * sum(s.kind != "default" for s in schemes)
+    if comparisons and bonferroni_m is None:
+        raise ConfigError(f"{path}: bonferroni_m is required when the "
+                          "experiment compares schemes")
+    if comparisons and bonferroni_m < comparisons:
+        raise ConfigError(f"{path}: bonferroni_m = {bonferroni_m} is smaller "
+                          f"than the {comparisons} comparisons")
 
     return ExperimentConfig(
         corpus_name=corpus.get("name", corpus_dir.name),

@@ -1,9 +1,10 @@
 """Chat-completion client: concurrent requests, retries, resumable runs.
 
-Requests go to ``<base_url>/chat/completions`` with a single user message
-holding the prompt; the reply text is read from the first choice.  Every
-completed instance is appended to a results log keyed by instance_id, so a
-rerun after a crash or abort only requests what is still missing.
+Requests go to ``<base_url>/chat/completions`` at temperature 0 with a
+single user message holding the prompt; the reply text is read from the
+first choice.  Every completed instance is appended to a results log keyed
+by instance_id, so a rerun after a crash or abort only requests what is
+still missing.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class EndpointAuthError(EndpointError):
 class EndpointConfig:
     base_url: str
     model_name: str
-    temperature: float = 0.0
     timeout: float = 30.0
     max_retries: int = 3
     parallelism: int = 1
@@ -54,8 +54,6 @@ class EndpointConfig:
     backoff: float = 1.0  # seconds, doubles per retry
 
     def __post_init__(self):
-        if self.temperature != 0.0:
-            raise ValueError("temperature is fixed at 0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
@@ -74,7 +72,7 @@ def request_completion(config: EndpointConfig, prompt: str,
     url = config.base_url.rstrip("/") + "/chat/completions"
     payload = {
         "model": config.model_name,
-        "temperature": config.temperature,
+        "temperature": 0.0,
         "messages": [{"role": "user", "content": prompt}],
     }
     post = (session or requests).post

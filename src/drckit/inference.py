@@ -215,10 +215,13 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
 
     The file must cover the dataset exactly: unknown or missing instance
     ids are errors.  Labels outside the inventory are kept (they will score
-    as wrong) but logged as a warning.
+    as wrong) but logged as a warning.  Records are keyed by the dataset's
+    own id strings and inventory labels map to the inventory's own strings,
+    so a loaded set shares them instead of holding copies.
     """
     path = Path(path)
-    dataset_ids = set(dataset.instance_ids())
+    dataset_ids = {i: i for i in dataset.instance_ids()}
+    known = {lbl: lbl for lbl in (*dataset.label_inventory, UNPARSED)}
     records: dict[str, str] = {}
     file_condition: str | None = None
     file_run: int | None = None
@@ -226,12 +229,14 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
         if not line.strip():
             continue
         rec = json.loads(line)
-        instance_id = rec["instance_id"]
-        if instance_id not in dataset_ids:
-            raise ValueError(f"{path}:{lineno}: unknown instance_id {instance_id!r}")
+        instance_id = dataset_ids.get(rec["instance_id"])
+        if instance_id is None:
+            raise ValueError(f"{path}:{lineno}: unknown instance_id "
+                             f"{rec['instance_id']!r}")
         if instance_id in records:
             raise ValueError(f"{path}:{lineno}: duplicate instance_id {instance_id!r}")
-        records[instance_id] = rec["predicted_label"]
+        label = rec["predicted_label"]
+        records[instance_id] = known.get(label, label)
         if "condition" in rec:
             if file_condition is not None and rec["condition"] != file_condition:
                 raise ValueError(f"{path}:{lineno}: mixed conditions in file")
@@ -240,12 +245,11 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
             if file_run is not None and rec["run_id"] != file_run:
                 raise ValueError(f"{path}:{lineno}: mixed run_ids in file")
             file_run = int(rec["run_id"])
-    missing = sorted(dataset_ids - set(records))
+    missing = sorted(dataset_ids.keys() - records.keys())
     if missing:
         shown = ", ".join(missing[:5])
         raise ValueError(f"{path}: missing prediction(s) for {len(missing)} "
                          f"instance(s): {shown}")
-    known = set(dataset.label_inventory) | {UNPARSED}
     strange = sorted({lbl for lbl in records.values() if lbl not in known})
     if strange:
         log.warning("%s: %d label(s) outside the inventory "

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from drckit.analysis import (
@@ -163,6 +165,19 @@ def test_default_lexicon_has_core_entries():
     lexicon = default_lexicon()
     for connective in ("because", "without", "although"):
         assert connective in lexicon
+
+
+def test_default_lexicon_parses_like_a_lexicon_file():
+    packaged = resources.files("drckit.data") / "connectives.txt"
+    with resources.as_file(packaged) as path:
+        from_file = load_connective_lexicon(path)
+    assert default_lexicon().entries == from_file.entries
+
+
+def test_lexicon_indented_comment_is_not_an_entry(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("because\n   # indented comment\n", encoding="utf-8")
+    assert load_connective_lexicon(path).entries == frozenset({"because"})
 
 
 @pytest.mark.parametrize("text, token", [

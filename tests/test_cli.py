@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from drckit import cli
 from drckit.cli import main
 
 from conftest import chain_records, disambiguation_split, write_corpus_dir, write_doc
@@ -246,6 +247,42 @@ def test_experiment_missing_bonferroni_m_exits_2(small_corpus_dir, tmp_path,
     path.write_text(json.dumps(config), encoding="utf-8")
     assert run_cli("experiment", "--config", path) == 2
     assert "bonferroni_m" in capsys.readouterr().err
+
+
+def test_experiment_too_small_bonferroni_m_exits_2_before_any_work(
+        small_corpus_dir, tmp_path, capsys):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}],
+                               schemes=("default", "AD1", "OR1"), m=1)
+    assert run_cli("experiment", "--config", config) == 2
+    assert "bonferroni_m" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
+                                                     tmp_path, monkeypatch):
+    calls = {"import_predictions": 0, "train_baseline": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted("import_predictions")
+    counted("train_baseline")
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], m=1)
+    assert run_cli("experiment", "--config", config) == 0
+    # cold: one fit per scheme, no prediction file read back
+    assert calls == {"import_predictions": 0, "train_baseline": 2}
+    calls.update(import_predictions=0, train_baseline=0)
+    assert run_cli("experiment", "--config", config) == 0
+    # warm: each reused prediction file (2 schemes x 10 seeds) read once
+    assert calls == {"import_predictions": 20, "train_baseline": 0}
 
 
 def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,

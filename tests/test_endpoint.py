@@ -63,7 +63,9 @@ class MockChatServer:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # A short poll keeps shutdown() from waiting out the 0.5 s default.
         self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.05},
                                        daemon=True)
 
     def __enter__(self):
@@ -277,11 +279,6 @@ def test_unreachable_endpoint_raises(tmp_path):
         run_endpoint_inference(test, train, config, seed=1,
                                log_path=tmp_path / "run.log.jsonl",
                                condition="default+mock")
-
-
-def test_temperature_is_pinned():
-    with pytest.raises(ValueError, match="temperature"):
-        EndpointConfig(base_url="http://x", model_name="m", temperature=0.7)
 
 
 def test_parallelism_must_be_positive():

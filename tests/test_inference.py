@@ -277,6 +277,19 @@ def test_predictions_file_round_trip(tmp_path):
     assert again.run_id == 3
 
 
+def test_import_shares_dataset_strings(tmp_path):
+    # Loaded sets stay alive through a whole experiment; their keys and
+    # labels must be the dataset's own strings, not per-file copies.
+    dataset = make_test_dataset()
+    path = tmp_path / "preds.jsonl"
+    write_predictions(PredictionSet("c", 0, dataset.gold_labels()), path)
+    preds = import_predictions(path, dataset)
+    ids = {id(i) for i in dataset.instance_ids()}
+    labels = {id(lbl) for lbl in dataset.label_inventory}
+    assert all(id(i) in ids for i in preds.records)
+    assert all(id(lbl) in labels for lbl in preds.records.values())
+
+
 def test_import_missing_instance_lists_id(tmp_path):
     dataset = make_test_dataset()
     records = dataset.gold_labels()
