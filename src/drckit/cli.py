@@ -12,7 +12,7 @@ import functools
 import logging
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from . import __version__
 from .analysis import (
@@ -76,6 +76,8 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_CONFIG = 2
 EXIT_ENDPOINT = 3
+
+T = TypeVar("T")
 
 
 def _detect_splits(corpus_dir: Path) -> list[str]:
@@ -252,19 +254,33 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _pair_by_run_id(runs_a: list[tuple[int, T]], runs_b: list[tuple[int, T]]
+                    ) -> list[tuple[int, T, T]]:
+    """(run_id, a, b) per run id; raise unless A and B pair one to one."""
+    by_id_a, by_id_b = dict(runs_a), dict(runs_b)
+    for name, runs, by_id in (("A", runs_a, by_id_a), ("B", runs_b, by_id_b)):
+        if len(by_id) != len(runs):
+            raise ValueError(f"duplicate run ids in set {name}: "
+                             f"{sorted(run_id for run_id, _ in runs)}")
+    if by_id_a.keys() != by_id_b.keys():
+        raise ValueError(f"runs do not pair by run id: A has {sorted(by_id_a)}, "
+                         f"B has {sorted(by_id_b)}")
+    return [(run_id, by_id_a[run_id], by_id_b[run_id]) for run_id in sorted(by_id_a)]
+
+
 def cmd_compare(args) -> int:
     def read_scores(paths):
-        triples = sorted(read_report_scores(p) for p in paths)
+        triples = [read_report_scores(p) for p in paths]
         conditions = {t[0] for t in triples}
         if len(conditions) != 1:
             raise ValueError(f"mixed conditions in report set: {sorted(conditions)}")
-        return conditions.pop(), [t[2] for t in triples]
+        return conditions.pop(), [(run_id, f1) for _, run_id, f1 in triples]
 
-    cond_a, scores_a = read_scores(args.reports_a)
-    cond_b, scores_b = read_scores(args.reports_b)
-    if len(scores_a) != len(scores_b):
-        raise ValueError("report sets must pair run for run")
-    result = wilcoxon_signed_rank(scores_a, scores_b, comparison=(cond_a, cond_b))
+    cond_a, runs_a = read_scores(args.reports_a)
+    cond_b, runs_b = read_scores(args.reports_b)
+    pairs = _pair_by_run_id(runs_a, runs_b)
+    result = wilcoxon_signed_rank([a for _, a, _ in pairs], [b for _, _, b in pairs],
+                                  comparison=(cond_a, cond_b))
     [result] = bonferroni([result], m=args.m, alpha=args.alpha)
     print(f"{cond_a} vs {cond_b}: n={result.n_pairs} "
           f"(effective {result.n_effective}), W+={result.w_plus:g}, "
@@ -276,19 +292,17 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze(args) -> int:
     dataset = read_variant_dataset(args.dataset)
-    if len(args.preds_a) != len(args.preds_b):
-        raise ValueError("need the same number of A and B prediction files")
     lexicon = (load_connective_lexicon(args.lexicon) if args.lexicon
                else default_lexicon())
-    outcomes = []
-    for run_index, (path_a, path_b) in enumerate(zip(sorted(args.preds_a),
-                                                     sorted(args.preds_b))):
-        preds_a = import_predictions(path_a, dataset)
-        preds_b = import_predictions(path_b, dataset)
-        run_id = preds_b.run_id if preds_b.run_id else run_index
-        outcomes.extend(pair_outcomes(dataset, preds_a, preds_b, run_id))
-    num_runs = len(args.preds_a)
-    margins = relation_margins(outcomes, num_runs,
+
+    def read_runs(paths):
+        return [(p.run_id, p) for p in
+                (import_predictions(path, dataset) for path in paths)]
+
+    pairs = _pair_by_run_id(read_runs(args.preds_a), read_runs(args.preds_b))
+    outcomes = [outcome for run_id, preds_a, preds_b in pairs
+                for outcome in pair_outcomes(dataset, preds_a, preds_b, run_id)]
+    margins = relation_margins(outcomes, len(pairs),
                                normalizer=args.margin_normalizer)
     categories = margins_by_category(margins)
     match_report = connective_match_rate(dataset.instances, categories, lexicon,

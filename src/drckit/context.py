@@ -151,11 +151,9 @@ def select_context(tree: DiscourseTree, instance: RelationInstance,
 
 def _preceding_sentences(tree: DiscourseTree, edu_id: int, n: int) -> list[str]:
     arg_sentence = tree.edu(edu_id).sentence_index
-    sentences: dict[int, list[str]] = {}
-    for e in tree.real_edus:
-        sentences.setdefault(e.sentence_index, []).append(e.text)
+    sentences = tree.sentence_texts
     picked = range(max(0, arg_sentence - n), arg_sentence)
-    return [" ".join(sentences[i]) for i in picked if i in sentences]
+    return [sentences[i] for i in picked if i in sentences]
 
 
 def render_instance(instance: RelationInstance, fragments: Sequence[str],

@@ -108,13 +108,29 @@ def request_completion(config: EndpointConfig, prompt: str,
 
 
 def _load_results_log(path: Path) -> dict[str, str]:
+    """Completed instances of a results log, by instance_id.
+
+    A crash can cut the final line off mid-write.  That unterminated line is
+    dropped and the file truncated back to its last newline, so the next
+    append starts a fresh line; a malformed line before it still raises.
+    """
     done: dict[str, str] = {}
     if not path.exists():
         return done
-    for line in path.read_text(encoding="utf-8").splitlines():
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        log.warning("%s: dropping a torn final line of %d bytes",
+                    path, len(data) - complete)
+        with open(path, "r+b") as f:
+            f.truncate(complete)
+    for lineno, line in enumerate(data[:complete].decode("utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
         done[rec["instance_id"]] = rec["predicted_label"]
     return done
 

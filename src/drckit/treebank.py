@@ -13,6 +13,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -74,7 +75,11 @@ class EDU:
 
 @dataclass(frozen=True)
 class DiscourseTree:
-    """A single document: EDUs in document order, linked into a tree."""
+    """A single document: EDUs in document order, linked into a tree.
+
+    ``validate_tree`` requires ids contiguous from 0 in ascending order, so
+    an EDU's id is its position in ``edus`` and ``edu`` looks it up by index.
+    """
 
     doc_id: str
     edus: tuple[EDU, ...]
@@ -83,14 +88,21 @@ class DiscourseTree:
         object.__setattr__(self, "edus", tuple(self.edus))
 
     def edu(self, edu_id: int) -> EDU:
-        for e in self.edus:
-            if e.id == edu_id:
-                return e
+        if 0 <= edu_id < len(self.edus) and self.edus[edu_id].id == edu_id:
+            return self.edus[edu_id]
         raise ValueError(f"{self.doc_id}: unknown EDU id {edu_id}")
 
     @property
     def real_edus(self) -> tuple[EDU, ...]:
         return tuple(e for e in self.edus if not e.is_root)
+
+    @cached_property
+    def sentence_texts(self) -> dict[int, str]:
+        """Joined text of the real EDUs of each sentence, by sentence index."""
+        sentences: dict[int, list[str]] = {}
+        for e in self.real_edus:
+            sentences.setdefault(e.sentence_index, []).append(e.text)
+        return {i: " ".join(texts) for i, texts in sentences.items()}
 
 
 @dataclass(frozen=True)
@@ -337,12 +349,11 @@ def extract_instances(tree: DiscourseTree) -> list[RelationInstance]:
     The edge to the virtual ROOT yields no instance, so a legal tree with
     n real EDUs produces exactly n - 1 instances, ordered by dependent id.
     """
-    by_id = {e.id: e for e in tree.edus}
     instances = []
-    for e in sorted(tree.real_edus, key=lambda e: e.id):
+    for e in tree.real_edus:
         if e.head_id == ROOT_ID or e.head_id == ROOT_HEAD:
             continue
-        head = by_id[e.head_id]
+        head = tree.edu(e.head_id)
         instances.append(RelationInstance(
             instance_id=make_instance_id(tree.doc_id, e.id),
             doc_id=tree.doc_id,
@@ -363,18 +374,13 @@ def ancestors(tree: DiscourseTree, edu_id: int, max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    by_id = {e.id: e for e in tree.edus}
-    if edu_id not in by_id:
-        raise ValueError(f"{tree.doc_id}: unknown EDU id {edu_id}")
     out: list[int] = []
-    node = by_id[edu_id].head_id
-    steps = 0
+    node = tree.edu(edu_id).head_id
     while node != ROOT_HEAD and node != ROOT_ID and len(out) < max_n:
-        if node not in by_id or steps > len(tree.edus):
+        if not 0 <= node < len(tree.edus) or len(out) > len(tree.edus):
             raise ValueError(f"{tree.doc_id}: broken head chain from id {edu_id}")
         out.append(node)
-        node = by_id[node].head_id
-        steps += 1
+        node = tree.edu(node).head_id
     return out
 
 
@@ -390,11 +396,10 @@ def dependency_distance_stats(corpus: Corpus) -> DistanceStats:
     edu_hist: Counter[int] = Counter()
     sent_hist: Counter[int] = Counter()
     for tree in corpus.trees:
-        by_id = {e.id: e for e in tree.edus}
         for inst in extract_instances(tree):
             edu_hist[inst.arg2_edu_id - inst.arg1_edu_id] += 1
-            head = by_id[inst.arg1_edu_id]
-            dep = by_id[inst.arg2_edu_id]
+            head = tree.edu(inst.arg1_edu_id)
+            dep = tree.edu(inst.arg2_edu_id)
             sent_hist[abs(head.sentence_index - dep.sentence_index)] += 1
     return DistanceStats(edu=_gap_stats(edu_hist), sentence=_gap_stats(sent_hist))
 

@@ -7,6 +7,8 @@ import pytest
 
 from drckit import cli
 from drckit.cli import main
+from drckit.context import read_variant_dataset
+from drckit.inference import PredictionSet, write_predictions
 
 from conftest import chain_records, disambiguation_split, write_corpus_dir, write_doc
 
@@ -160,6 +162,62 @@ def test_infer_evaluate_compare_analyze_flow(small_corpus_dir, tmp_path, capsys)
     assert (analysis / "connectives.tsv").exists()
     margins = (analysis / "margins.tsv").read_text(encoding="utf-8")
     assert "winning" in margins
+
+
+def test_analyze_pairs_runs_by_run_id(small_corpus_dir, tmp_path, capsys):
+    dataset = tmp_path / "default.test.jsonl"
+    assert run_cli("variants", small_corpus_dir, "--scheme", "default",
+                   "--split", "test", "--out", dataset) == 0
+    gold = read_variant_dataset(dataset).gold_labels()
+    wrong = {i: "contrast" if g == "condition" else "condition"
+             for i, g in gold.items()}
+    # Run 1 is right everywhere and run 2 wrong everywhere, on both sides,
+    # so pairing by run id ties every instance.  The A file names sort
+    # against the run ids, so pairing by file position would not.
+    files = {"a-x.jsonl": ("A", 2, wrong), "a-y.jsonl": ("A", 1, gold),
+             "b-1.jsonl": ("B", 1, gold), "b-2.jsonl": ("B", 2, wrong),
+             "b-3.jsonl": ("B", 3, wrong)}
+    for name, (condition, run_id, records) in files.items():
+        write_predictions(PredictionSet(condition, run_id, records),
+                          tmp_path / name)
+    capsys.readouterr()
+    code = run_cli("analyze", "--dataset", dataset,
+                   "--preds-a", tmp_path / "a-x.jsonl", tmp_path / "a-y.jsonl",
+                   "--preds-b", tmp_path / "b-1.jsonl", tmp_path / "b-2.jsonl",
+                   "--out", tmp_path / "analysis")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "condition: delta=0 (tied; 0W/0L/6T)" in out
+    assert "contrast: delta=0 (tied; 0W/0L/6T)" in out
+
+    code = run_cli("analyze", "--dataset", dataset,
+                   "--preds-a", tmp_path / "a-x.jsonl", tmp_path / "a-y.jsonl",
+                   "--preds-b", tmp_path / "b-1.jsonl", tmp_path / "b-3.jsonl",
+                   "--out", tmp_path / "analysis")
+    assert code == 1
+    assert "A has [1, 2], B has [1, 3]" in capsys.readouterr().err
+
+
+def test_compare_pairs_reports_by_run_id(tmp_path, capsys):
+    def reports(condition, scores):
+        paths = []
+        for run_id, f1 in scores.items():
+            path = tmp_path / f"{condition}-{run_id}.report.json"
+            path.write_text(json.dumps({"condition": condition, "run_id": run_id,
+                                        "macro_f1": f1}), encoding="utf-8")
+            paths.append(path)
+        return paths
+
+    a = reports("A", {0: 0.5, 1: 0.6, 2: 0.7, 3: 0.8, 4: 0.9})
+    b = reports("B", {0: 0.4, 1: 0.5, 2: 0.6, 3: 0.7, 4: 0.8})
+    c = reports("C", {0: 0.4, 1: 0.5, 2: 0.6, 3: 0.7, 5: 0.8})
+    assert run_cli("compare", "--reports-a", *reversed(a),
+                   "--reports-b", *b, "--m", "1") == 0
+    assert "A vs B: n=5 (effective 5), W+=15" in capsys.readouterr().out
+    assert run_cli("compare", "--reports-a", *a, "--reports-b", *c,
+                   "--m", "1") == 1
+    assert "A has [0, 1, 2, 3, 4], B has [0, 1, 2, 3, 5]" in \
+        capsys.readouterr().err
 
 
 def test_experiment_end_to_end(small_corpus_dir, tmp_path, capsys):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drckit.context import (
     ContextScheme,
@@ -11,9 +14,9 @@ from drckit.context import (
     select_context,
     write_variant_dataset,
 )
-from drckit.treebank import ancestors, extract_instances
+from drckit.treebank import Corpus, ancestors, extract_instances
 
-from conftest import chain_records, synthetic_corpus, tree_from
+from conftest import RELATIONS, WORDS, chain_records, synthetic_corpus, tree_from
 from oracles import path_to_root, preceding_sentences
 
 OR1 = ContextScheme("oracle", 1)
@@ -246,3 +249,62 @@ def test_dataset_file_fields(tmp_path):
     assert record["scheme"] == "AD1"
     ids = [json.loads(l)["instance_id"] for l in lines]
     assert ids == sorted(ids)
+
+
+# Sentence ends with and without closing quotes or brackets, and clause
+# ends that do not close a sentence.
+ENDINGS = (".", "!", "?", ".\"", "!”", "?’", ".»", ".)", ".]", ".}", ".\")",
+           ",", ";", ":", "\"", ")")
+
+
+@st.composite
+def legal_records(draw):
+    """A random legal document of 1-300 EDUs, as conftest.synthetic_records."""
+    n_real = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    order = list(range(1, n_real + 1))
+    rng.shuffle(order)
+    attached = [order[0]]
+    parents = {order[0]: 0}
+    for node in order[1:]:
+        parents[node] = rng.choice(attached)
+        attached.append(node)
+    records = [(0, -1, "null", "ROOT")]
+    for i in range(1, n_real + 1):
+        text = " ".join(rng.sample(WORDS, rng.randint(2, 5)))
+        text += " " + rng.choice(ENDINGS)
+        relation = "ROOT" if parents[i] == 0 else rng.choice(RELATIONS)
+        records.append((i, parents[i], relation, text))
+    return records
+
+
+def oracle_context(records, arg1_edu_id, scheme):
+    if scheme.kind == "add":
+        return preceding_sentences(records, arg1_edu_id, scheme.n)
+    texts = {rec[0]: rec[3].strip() for rec in records}
+    return [texts[i] for i in
+            reversed(path_to_root(records, arg1_edu_id)[:scheme.n])]
+
+
+SCHEMES = [ContextScheme(kind, n) for kind in ("add", "oracle")
+           for n in range(1, 5)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(legal_records())
+def test_context_matches_oracles_on_random_trees(records):
+    """select_context and build_variant_dataset agree with the oracles."""
+    corpus = Corpus("prop", "test", (tree_from(records, "prop"),))
+    tree = corpus.trees[0]
+    instances = extract_instances(tree)
+    for scheme in SCHEMES:
+        dataset = build_variant_dataset(corpus, scheme)
+        assert [r.instance_id for r in dataset.instances] == \
+            [i.instance_id for i in instances]
+        # Dependents of one head share its context; ask the oracle once.
+        oracle = {head: oracle_context(records, head, scheme)
+                  for head in {i.arg1_edu_id for i in instances}}
+        for rendered, inst in zip(dataset.instances, instances):
+            expected = oracle[inst.arg1_edu_id]
+            assert select_context(tree, inst, scheme) == expected
+            assert rendered.context_text == " ".join(expected)

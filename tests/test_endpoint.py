@@ -229,6 +229,44 @@ def test_resume_skips_completed_instances(tmp_path):
     assert again.records == preds.records
 
 
+def test_resume_drops_torn_final_log_line(tmp_path):
+    test, train = fixture_datasets(n=6)
+    log_path = tmp_path / "run.log.jsonl"
+    lines = [json.dumps({"instance_id": inst.instance_id,
+                         "predicted_label": inst.gold_label,
+                         "raw": "prefilled"}, ensure_ascii=False) + "\n"
+             for inst in test.instances[:4]]
+    # A crash cut the fourth record off mid-write.
+    log_path.write_text("".join(lines[:3]) + lines[3][:25], encoding="utf-8")
+    with MockChatServer(gold_echo_behavior(test)) as server:
+        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
+                                       log_path=log_path,
+                                       condition="default+mock")
+        requested = sorted(ARG2_RE.search(p["messages"][0]["content"]
+                                          .splitlines()[-1]).group(1)
+                           for p in server.payloads)
+    assert requested == sorted(i.arg2_text for i in test.instances[3:])
+    assert preds.records == test.gold_labels()
+    persisted = log_path.read_text(encoding="utf-8").splitlines()
+    assert persisted[:3] == [line.rstrip("\n") for line in lines[:3]]
+    assert sorted(json.loads(line)["instance_id"] for line in persisted) == \
+        sorted(test.instance_ids())
+
+
+def test_resume_rejects_malformed_middle_log_line(tmp_path):
+    test, train = fixture_datasets(n=3)
+    log_path = tmp_path / "run.log.jsonl"
+    record = json.dumps({"instance_id": test.instances[0].instance_id,
+                         "predicted_label": "condition", "raw": "x"})
+    log_path.write_text('{"instance_id": "t:0\n' + record + "\n",
+                        encoding="utf-8")
+    with pytest.raises(ValueError, match="run.log.jsonl:1: malformed record"):
+        run_endpoint_inference(test, train,
+                               EndpointConfig(base_url="http://127.0.0.1:9",
+                                              model_name="m"),
+                               seed=1, log_path=log_path, condition="c")
+
+
 def test_abort_persists_partial_state_then_resumes(tmp_path):
     test, train = fixture_datasets(n=5)
     gold = gold_echo_behavior(test)

@@ -161,6 +161,28 @@ def test_ancestors_unknown_id():
         ancestors(tree, 9, 1)
 
 
+def test_edu_lookup_out_of_range():
+    tree = tree_from(chain_records(3), "chain")
+    for bad in (-1, len(tree.edus)):
+        with pytest.raises(ValueError, match=f"unknown EDU id {bad}"):
+            tree.edu(bad)
+
+
+def test_edu_lookup_needs_id_at_its_position():
+    tree = DiscourseTree("gap", (EDU(0, "ROOT", -1, "null"),
+                                 EDU(2, "two .", 0, "ROOT")))
+    with pytest.raises(ValueError, match="unknown EDU id 1"):
+        tree.edu(1)
+    with pytest.raises(ValueError, match="unknown EDU id 2"):
+        tree.edu(2)
+
+
+def test_ancestors_negative_id_does_not_wrap():
+    tree = tree_from(chain_records(3), "chain")
+    with pytest.raises(ValueError, match="unknown EDU id -1"):
+        ancestors(tree, -1, 1)
+
+
 def test_ancestors_prefix_property():
     corpus, _ = synthetic_corpus(seed=3, n_docs=20)
     for tree in corpus.trees:
