@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .context import RenderedInstance
 from .inference import PredictionSet
 
 WIN = "win"
@@ -52,7 +53,6 @@ class RelationMargin:
 @dataclass(frozen=True)
 class ConnectiveLexicon:
     entries: frozenset[str]
-    source: str = ""
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -68,23 +68,15 @@ class CategoryMatch:
 @dataclass(frozen=True)
 class ConnectiveMatchReport:
     by_category: dict[str, CategoryMatch]
-    level: str = "instance"
 
 
-def _gold_map(gold) -> Mapping[str, str]:
-    if hasattr(gold, "gold_labels"):
-        return gold.gold_labels()
-    return gold
-
-
-def pair_outcomes(gold, preds_a: PredictionSet, preds_b: PredictionSet,
-                  run_id: int) -> list[PairedOutcome]:
+def pair_outcomes(labels: Mapping[str, str], preds_a: PredictionSet,
+                  preds_b: PredictionSet, run_id: int) -> list[PairedOutcome]:
     """One outcome per instance for a single paired run.
 
-    ``gold`` is a VariantDataset or a mapping instance_id -> gold label;
+    ``labels`` maps instance_id -> gold label (``VariantDataset.gold_labels``);
     both prediction sets must cover it exactly.
     """
-    labels = _gold_map(gold)
     for name, preds in (("A", preds_a), ("B", preds_b)):
         if set(preds.records) != set(labels):
             raise ValueError(f"predictions {name} do not cover the gold instances")
@@ -148,7 +140,7 @@ def _parse_lexicon(text: str, source: str) -> ConnectiveLexicon:
             entries.add(line.lower())
     if not entries:
         raise ValueError(f"empty connective lexicon: {source}")
-    return ConnectiveLexicon(entries=frozenset(entries), source=source)
+    return ConnectiveLexicon(entries=frozenset(entries))
 
 
 def load_connective_lexicon(path: Path | str) -> ConnectiveLexicon:
@@ -194,11 +186,7 @@ def _matches(arg2_text: str, lexicon: ConnectiveLexicon, multiword: bool) -> boo
     return first_connective_token(arg2_text) in lexicon
 
 
-def _arg2_text(instance) -> str:
-    return getattr(instance, "arg2_text", None) or instance.arg2
-
-
-def connective_match_rate(instances: Iterable,
+def connective_match_rate(instances: Iterable[RenderedInstance],
                           relation_categories: Mapping[str, Sequence[str]],
                           lexicon: ConnectiveLexicon,
                           level: str = "instance",
@@ -222,7 +210,7 @@ def connective_match_rate(instances: Iterable,
         category = relation_to_category.get(inst.gold_label)
         if category is None:
             continue
-        hit = _matches(_arg2_text(inst), lexicon, multiword)
+        hit = _matches(inst.arg2_text, lexicon, multiword)
         per_relation.setdefault(inst.gold_label, []).append(1 if hit else 0)
 
     by_category = {}
@@ -237,7 +225,7 @@ def connective_match_rate(instances: Iterable,
             percentage = sum(rates) / len(rates) if rates else 0.0
         by_category[category] = CategoryMatch(matched=matched, total=total,
                                               percentage=percentage)
-    return ConnectiveMatchReport(by_category=by_category, level=level)
+    return ConnectiveMatchReport(by_category=by_category)
 
 
 def write_margins_tsv(margins: Sequence[RelationMargin], path: Path | str) -> None:

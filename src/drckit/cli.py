@@ -11,11 +11,15 @@ import argparse
 import functools
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import __version__
 from .analysis import (
+    ConnectiveLexicon,
+    ConnectiveMatchReport,
+    RelationMargin,
     connective_match_rate,
     default_lexicon,
     load_connective_lexicon,
@@ -29,6 +33,7 @@ from .config import (
     BackendSpec,
     ConfigError,
     RunManifest,
+    endpoint_config,
     load_experiment_config,
 )
 from .context import (
@@ -39,7 +44,7 @@ from .context import (
     read_variant_dataset,
     write_variant_dataset,
 )
-from .endpoint import EndpointConfig, EndpointError, run_endpoint_inference
+from .endpoint import EndpointError, run_endpoint_inference
 from .evaluation import (
     EvalReport,
     aggregate_runs,
@@ -174,22 +179,6 @@ def cmd_variants(args) -> int:
     return EXIT_OK
 
 
-def _endpoint_config(options: dict) -> EndpointConfig:
-    """Endpoint settings from a backend's config options, or from the
-    ``infer`` arguments, whose names match the config keys."""
-    if not options.get("base_url"):
-        raise ConfigError("endpoint backend requires base_url (--base-url)")
-    return EndpointConfig(
-        base_url=options["base_url"],
-        model_name=options.get("model", "gpt-4"),
-        timeout=float(options.get("timeout", 30.0)),
-        max_retries=int(options.get("max_retries", 3)),
-        parallelism=int(options.get("parallelism", 1)),
-        auth_env=options.get("auth_env", "DRCKIT_API_TOKEN"),
-        backoff=float(options.get("backoff", 1.0)),
-    )
-
-
 def _predictor(kind: str, options: dict, train_ds: VariantDataset,
                eval_ds: VariantDataset, condition: str, log_dir: Path
                ) -> Callable[[int], PredictionSet]:
@@ -202,7 +191,7 @@ def _predictor(kind: str, options: dict, train_ds: VariantDataset,
         fit = functools.cache(lambda: train_baseline(train_ds, kind))
         return lambda seed: predict_baseline(fit(), eval_ds, condition,
                                              run_id=seed)
-    endpoint_cfg = _endpoint_config(options)
+    endpoint_cfg = endpoint_config(options)
     return lambda seed: run_endpoint_inference(
         eval_ds, train_ds, endpoint_cfg, seed,
         log_dir / f"{condition}.run{seed}.log.jsonl", condition)
@@ -211,10 +200,7 @@ def _predictor(kind: str, options: dict, train_ds: VariantDataset,
 def cmd_infer(args) -> int:
     dataset = read_variant_dataset(args.dataset)
     train = read_variant_dataset(args.train)
-    dataset = VariantDataset(
-        corpus_name=dataset.corpus_name, scheme=dataset.scheme,
-        split=dataset.split, instances=dataset.instances,
-        label_inventory=train.label_inventory)
+    dataset = replace(dataset, label_inventory=train.label_inventory)
     condition = args.condition or f"{dataset.scheme.tag}+{args.backend}"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,6 +214,15 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
+def _score_run(dataset: VariantDataset, preds: PredictionSet,
+               report_dir: Path, stem: str) -> EvalReport:
+    """Score one run and write ``<stem>.report.json`` and ``.report.tsv``."""
+    report = score(dataset, preds)
+    write_report_json(report, report_dir / f"{stem}.report.json")
+    write_report_tsv(report, report_dir / f"{stem}.report.tsv")
+    return report
+
+
 def cmd_evaluate(args) -> int:
     dataset = read_variant_dataset(args.dataset)
     out_dir = Path(args.out)
@@ -235,10 +230,7 @@ def cmd_evaluate(args) -> int:
     reports = []
     for pred_path in args.predictions:
         preds = import_predictions(pred_path, dataset)
-        report = score(dataset, preds)
-        stem = Path(pred_path).stem
-        write_report_json(report, out_dir / f"{stem}.report.json")
-        write_report_tsv(report, out_dir / f"{stem}.report.tsv")
+        report = _score_run(dataset, preds, out_dir, Path(pred_path).stem)
         print(f"{report.condition} run {report.run_id}: "
               f"macro-F1 {report.macro_f1:.4f}, accuracy {report.accuracy:.4f}")
         reports.append(report)
@@ -268,6 +260,31 @@ def _pair_by_run_id(runs_a: list[tuple[int, T]], runs_b: list[tuple[int, T]]
     return [(run_id, by_id_a[run_id], by_id_b[run_id]) for run_id in sorted(by_id_a)]
 
 
+def _lexicon(path: Path | str | None) -> ConnectiveLexicon:
+    return load_connective_lexicon(path) if path else default_lexicon()
+
+
+def _analyze_pair(dataset: VariantDataset, runs_a: list[tuple[int, PredictionSet]],
+                  runs_b: list[tuple[int, PredictionSet]], lexicon: ConnectiveLexicon,
+                  out_dir: Path, normalizer: str = "runs", level: str = "instance",
+                  multiword: bool = False
+                  ) -> tuple[list[RelationMargin], ConnectiveMatchReport]:
+    """Pair A and B runs by run id, then write ``margins.tsv`` and
+    ``connectives.tsv`` of B against A under ``out_dir``."""
+    pairs = _pair_by_run_id(runs_a, runs_b)
+    gold = dataset.gold_labels()
+    outcomes = [outcome for run_id, preds_a, preds_b in pairs
+                for outcome in pair_outcomes(gold, preds_a, preds_b, run_id)]
+    margins = relation_margins(outcomes, len(pairs), normalizer=normalizer)
+    match_report = connective_match_rate(dataset.instances,
+                                         margins_by_category(margins), lexicon,
+                                         level=level, multiword=multiword)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_margins_tsv(margins, out_dir / "margins.tsv")
+    write_connective_report_tsv(match_report, out_dir / "connectives.tsv")
+    return margins, match_report
+
+
 def cmd_compare(args) -> int:
     def read_scores(paths):
         triples = [read_report_scores(p) for p in paths]
@@ -292,26 +309,15 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze(args) -> int:
     dataset = read_variant_dataset(args.dataset)
-    lexicon = (load_connective_lexicon(args.lexicon) if args.lexicon
-               else default_lexicon())
+    lexicon = _lexicon(args.lexicon)
 
     def read_runs(paths):
         return [(p.run_id, p) for p in
                 (import_predictions(path, dataset) for path in paths)]
 
-    pairs = _pair_by_run_id(read_runs(args.preds_a), read_runs(args.preds_b))
-    outcomes = [outcome for run_id, preds_a, preds_b in pairs
-                for outcome in pair_outcomes(dataset, preds_a, preds_b, run_id)]
-    margins = relation_margins(outcomes, len(pairs),
-                               normalizer=args.margin_normalizer)
-    categories = margins_by_category(margins)
-    match_report = connective_match_rate(dataset.instances, categories, lexicon,
-                                         level=args.level,
-                                         multiword=args.multiword)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_margins_tsv(margins, out_dir / "margins.tsv")
-    write_connective_report_tsv(match_report, out_dir / "connectives.tsv")
+    margins, match_report = _analyze_pair(
+        dataset, read_runs(args.preds_a), read_runs(args.preds_b), lexicon,
+        Path(args.out), args.margin_normalizer, args.level, args.multiword)
     for m in margins:
         print(f"{m.relation}: delta={m.delta:g} ({m.category}; "
               f"{m.wins}W/{m.losses}L/{m.ties}T)")
@@ -344,10 +350,8 @@ def cmd_experiment(args) -> int:
     manifest = RunManifest.load_or_create(out_dir / "manifest.json",
                                           cfg.config_hash(), __version__)
 
-    train_corpus = load_corpus(cfg.corpus_dir, cfg.train_split,
-                               cfg.corpus_name, cfg.converter)
-    eval_corpus = load_corpus(cfg.corpus_dir, cfg.eval_split,
-                              cfg.corpus_name, cfg.converter)
+    train_corpus = load_corpus(cfg.corpus_dir, cfg.train_split, cfg.corpus_name)
+    eval_corpus = load_corpus(cfg.corpus_dir, cfg.eval_split, cfg.corpus_name)
     inventory = corpus_label_inventory(train_corpus)
     print(f"ingested {cfg.corpus_name}: "
           f"{cfg.train_split} {count_instances(train_corpus)} instances, "
@@ -370,19 +374,17 @@ def cmd_experiment(args) -> int:
                 manifest.record(stage, [path])
             datasets[(scheme.tag, split)] = dataset
 
-    lexicon = (load_connective_lexicon(cfg.lexicon) if cfg.lexicon
-               else default_lexicon())
+    lexicon = _lexicon(cfg.lexicon)
     pred_dir = out_dir / "predictions"
     report_dir = out_dir / "reports"
     pred_dir.mkdir(parents=True, exist_ok=True)
     report_dir.mkdir(parents=True, exist_ok=True)
-    has_default = any(s.kind == "default" for s in cfg.schemes)
     aggregates = []
     comparisons = []
     for backend in cfg.backends:
-        # Prediction sets of this backend by scheme tag and seed: scored and
+        # (run id, prediction set) of this backend by scheme tag: scored and
         # paired in memory; the files are outputs only.
-        runs: dict[str, dict[int, PredictionSet]] = {}
+        runs: dict[str, list[tuple[int, PredictionSet]]] = {}
         scores: dict[str, list[float]] = {}
         for scheme in cfg.schemes:
             train_ds = datasets[(scheme.tag, cfg.train_split)]
@@ -396,7 +398,7 @@ def cmd_experiment(args) -> int:
             else:
                 predict = _import_predictor(backend, scheme, cfg.seeds,
                                             eval_ds, condition)
-            preds_by_seed = runs[scheme.tag] = {}
+            runs[scheme.tag] = []
             reports = []
             for seed in cfg.seeds:
                 stage = f"predict:{condition}:{seed}"
@@ -410,22 +412,17 @@ def cmd_experiment(args) -> int:
                     write_predictions(preds, path)
                     if reusable:
                         manifest.record(stage, [path])
-                preds_by_seed[seed] = preds
-                report = score(eval_ds, preds)
-                write_report_json(report,
-                                  report_dir / f"{condition}.run{seed}.report.json")
-                write_report_tsv(report,
-                                 report_dir / f"{condition}.run{seed}.report.tsv")
-                reports.append(report)
+                runs[scheme.tag].append((preds.run_id, preds))
+                reports.append(_score_run(eval_ds, preds, report_dir,
+                                          f"{condition}.run{seed}"))
             agg = aggregate_runs(reports)
             aggregates.append(agg)
             scores[scheme.tag] = list(agg.per_run_scores)
             print(f"{condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
                   f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
 
-        if not has_default:
+        if "default" not in runs:
             continue
-        eval_default = datasets[("default", cfg.eval_split)]
         for scheme in cfg.schemes:
             if scheme.kind == "default":
                 continue
@@ -433,21 +430,10 @@ def cmd_experiment(args) -> int:
                 scores[scheme.tag], scores["default"],
                 comparison=(f"{scheme.tag}+{backend.tag}",
                             f"default+{backend.tag}")))
-            outcomes = []
-            for seed in cfg.seeds:
-                outcomes.extend(pair_outcomes(eval_default,
-                                              runs["default"][seed],
-                                              runs[scheme.tag][seed],
-                                              run_id=seed))
-            margins = relation_margins(outcomes, num_runs=len(cfg.seeds))
-            categories = margins_by_category(margins)
-            match_report = connective_match_rate(eval_default.instances,
-                                                 categories, lexicon)
-            pair_dir = out_dir / "analysis" / \
-                f"{backend.tag}.default-vs-{scheme.tag}"
-            pair_dir.mkdir(parents=True, exist_ok=True)
-            write_margins_tsv(margins, pair_dir / "margins.tsv")
-            write_connective_report_tsv(match_report, pair_dir / "connectives.tsv")
+            _analyze_pair(datasets[("default", cfg.eval_split)],
+                          runs["default"], runs[scheme.tag], lexicon,
+                          out_dir / "analysis" /
+                          f"{backend.tag}.default-vs-{scheme.tag}")
 
     # load_experiment_config has checked bonferroni_m against the comparisons.
     significance = {}

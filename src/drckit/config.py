@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .context import ContextScheme
+from .endpoint import EndpointConfig
 
 SCHEMA_VERSION = 1
 
@@ -45,11 +46,29 @@ class ExperimentConfig:
     bonferroni_m: int | None = None
     alpha: float = 0.05
     lexicon: Path | None = None
-    converter: str = "scidtb"
     raw_text: str = field(default="", compare=False)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()
+
+
+def endpoint_config(options: dict) -> EndpointConfig:
+    """Endpoint settings from an endpoint backend's options, or from the
+    ``infer`` arguments, whose names match the config keys."""
+    if not options.get("base_url"):
+        raise ConfigError("endpoint backend requires base_url (--base-url)")
+    try:
+        return EndpointConfig(
+            base_url=options["base_url"],
+            model_name=options.get("model", "gpt-4"),
+            timeout=float(options.get("timeout", 30.0)),
+            max_retries=int(options.get("max_retries", 3)),
+            parallelism=int(options.get("parallelism", 1)),
+            auth_env=options.get("auth_env", "DRCKIT_API_TOKEN"),
+            backoff=float(options.get("backoff", 1.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad endpoint option: {exc}") from exc
 
 
 def _backend_from_dict(payload: dict, index: int) -> BackendSpec:
@@ -58,8 +77,8 @@ def _backend_from_dict(payload: dict, index: int) -> BackendSpec:
         raise ConfigError(f"backends[{index}]: unknown kind {kind!r}")
     options = {k: v for k, v in payload.items() if k not in ("kind", "tag")}
     default_tag = options.get("model", kind) if kind == "endpoint" else kind
-    if kind == "endpoint" and "base_url" not in options:
-        raise ConfigError(f"backends[{index}]: endpoint backend needs base_url")
+    if kind == "endpoint":
+        endpoint_config(options)  # a missing or bad option is a ConfigError
     if kind == "import" and not isinstance(options.get("runs"), dict):
         raise ConfigError(f"backends[{index}]: import backend needs a "
                           '"runs" map of scheme tag -> prediction files')
@@ -106,14 +125,19 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         raise ConfigError(f"{path}: at least one scheme required")
 
     seeds = payload["seeds"]
+    # Exact type checks: JSON true/false load as bool, a subclass of int.
     if not isinstance(seeds, list) or not seeds \
-            or not all(isinstance(s, int) for s in seeds):
+            or not all(type(s) is int for s in seeds):
         raise ConfigError(f"{path}: seeds must be a non-empty list of integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{path}: duplicate seeds")
 
+    if not isinstance(payload["backends"], list):
+        raise ConfigError(f"{path}: backends must be a list")
     backends = []
     for i, entry in enumerate(payload["backends"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: backends[{i}] must be an object")
         backend = _backend_from_dict(entry, i)
         if backend.kind == "import":
             resolved: dict[str, list[str]] = {}
@@ -138,10 +162,13 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         if not lexicon.is_file():
             raise ConfigError(f"{path}: lexicon file does not exist: {lexicon}")
 
-    alpha = float(payload.get("alpha", 0.05))
+    alpha = payload.get("alpha", 0.05)
+    if type(alpha) not in (int, float):
+        raise ConfigError(f"{path}: alpha must be a number")
     bonferroni_m = payload.get("bonferroni_m")
     if bonferroni_m is not None:
-        bonferroni_m = int(bonferroni_m)
+        if type(bonferroni_m) is not int:
+            raise ConfigError(f"{path}: bonferroni_m must be an integer")
         if bonferroni_m < 1:
             raise ConfigError(f"{path}: bonferroni_m must be >= 1")
     # Every non-default scheme is compared against default, per backend.
@@ -165,9 +192,8 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         train_split=payload.get("train_split", "train"),
         eval_split=payload.get("eval_split", "test"),
         bonferroni_m=bonferroni_m,
-        alpha=alpha,
+        alpha=float(alpha),
         lexicon=lexicon,
-        converter=payload.get("converter", "scidtb"),
         raw_text=raw_text,
     )
 

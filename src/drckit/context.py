@@ -67,9 +67,6 @@ class ContextScheme:
         return cls("oracle", int(m.group(3) or 1))
 
 
-DEFAULT_SCHEME = ContextScheme("default")
-
-
 @dataclass(frozen=True)
 class RenderedInstance:
     """A classification item with its context already selected."""
@@ -81,7 +78,6 @@ class RenderedInstance:
     gold_label: str
     scheme: ContextScheme
     split: str
-    connective: str = "none"
 
     @property
     def model_input(self) -> str:
@@ -167,7 +163,6 @@ def render_instance(instance: RelationInstance, fragments: Sequence[str],
         gold_label=instance.gold_label,
         scheme=scheme,
         split=split,
-        connective=instance.connective,
     )
 
 
@@ -209,12 +204,11 @@ def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
     """Write the line-delimited dataset file consumed by inference.
 
     One JSON record per instance with fields {instance_id, context, arg1,
-    arg2, label, scheme, split}, UTF-8, sorted by instance_id.  A
-    non-default connective is carried in an optional extra field.
+    arg2, label, scheme, split}, UTF-8, sorted by instance_id.
     """
     lines = []
     for inst in sorted(dataset.instances, key=lambda i: i.instance_id):
-        record = {
+        lines.append(json.dumps({
             "instance_id": inst.instance_id,
             "context": inst.context_text,
             "arg1": inst.arg1_text,
@@ -222,11 +216,14 @@ def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
             "label": inst.gold_label,
             "scheme": inst.scheme.tag,
             "split": inst.split,
-        }
-        if inst.connective != "none":
-            record["connective"] = inst.connective
-        lines.append(json.dumps(record, ensure_ascii=False))
+        }, ensure_ascii=False))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def malformed_record(path: Path, lineno: int, exc: Exception) -> ValueError:
+    """The error for a JSONL line whose decoding or field lookup raised ``exc``."""
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"{path}:{lineno}: malformed record: {detail}")
 
 
 def read_variant_dataset(path: Path | str, corpus_name: str = "",
@@ -246,23 +243,22 @@ def read_variant_dataset(path: Path | str, corpus_name: str = "",
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        rec_scheme = ContextScheme.parse(rec["scheme"])
+            instance = RenderedInstance(
+                instance_id=rec["instance_id"],
+                context_text=rec["context"],
+                arg1_text=rec["arg1"],
+                arg2_text=rec["arg2"],
+                gold_label=rec["label"],
+                scheme=ContextScheme.parse(rec["scheme"]),
+                split=rec["split"],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise malformed_record(path, lineno, exc) from exc
         if scheme is None:
-            scheme, split = rec_scheme, rec["split"]
-        elif rec_scheme != scheme or rec["split"] != split:
+            scheme, split = instance.scheme, instance.split
+        elif instance.scheme != scheme or instance.split != split:
             raise ValueError(f"{path}:{lineno}: mixed scheme or split")
-        instances.append(RenderedInstance(
-            instance_id=rec["instance_id"],
-            context_text=rec["context"],
-            arg1_text=rec["arg1"],
-            arg2_text=rec["arg2"],
-            gold_label=rec["label"],
-            scheme=rec_scheme,
-            split=rec["split"],
-            connective=rec.get("connective", "none"),
-        ))
+        instances.append(instance)
     if scheme is None:
         raise ValueError(f"{path}: empty dataset file")
     if label_inventory is None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import requests
 
-from .context import RenderedInstance, VariantDataset
+from .context import RenderedInstance, VariantDataset, malformed_record
 from .inference import (
     PredictionSet,
     PromptSpec,
@@ -129,9 +129,10 @@ def _load_results_log(path: Path) -> dict[str, str]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        done[rec["instance_id"]] = rec["predicted_label"]
+            instance_id, label = rec["instance_id"], rec["predicted_label"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise malformed_record(path, lineno, exc) from exc
+        done[instance_id] = label
     return done
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .context import RenderedInstance, VariantDataset
+from .context import RenderedInstance, VariantDataset, malformed_record
 
 log = logging.getLogger(__name__)
 
@@ -29,11 +29,10 @@ BASELINE_KINDS = ("majority", "cue")
 
 @dataclass(frozen=True)
 class ICLExample:
-    """One in-context example line: two passages, a connective, the label."""
+    """One in-context example line: two passages and the label."""
 
     arg1: str
     arg2: str
-    connective: str
     label: str
 
 
@@ -44,7 +43,6 @@ class PromptSpec:
     label_inventory: tuple[str, ...]
     icl_examples: tuple[ICLExample, ...]
     target: RenderedInstance
-    connective_token: str = "none"
 
     def __post_init__(self):
         example_labels = [ex.label for ex in self.icl_examples]
@@ -86,15 +84,15 @@ def sample_icl_examples(train_dataset: VariantDataset, seed: int
         examples.append(ICLExample(
             arg1=pick.model_input,
             arg2=pick.arg2_text,
-            connective=pick.connective,
             label=label,
         ))
     return tuple(examples)
 
 
-def _example_line(arg1: str, arg2: str, connective: str, slot: str) -> str:
+def _example_line(arg1: str, arg2: str, slot: str) -> str:
+    # No treebank annotates a connective, so the slot always reads <none>.
     return (f"Passage 1: <{arg1}>, Passage 2: <{arg2}>, "
-            f"connective: <{connective}> | {slot}")
+            f"connective: <none> | {slot}")
 
 
 def build_prompt(spec: PromptSpec) -> str:
@@ -110,13 +108,12 @@ def build_prompt(spec: PromptSpec) -> str:
     lines = [
         "Replace the MASK token (a discourse relation) by selecting only one "
         f"of the following labels: [ {labels}] Examples: "
-        + _example_line(first.arg1, first.arg2, first.connective, first.label)
+        + _example_line(first.arg1, first.arg2, first.label)
     ]
     for ex in spec.icl_examples[1:]:
-        lines.append(_example_line(ex.arg1, ex.arg2, ex.connective, ex.label))
-    connective = spec.target.connective or spec.connective_token
+        lines.append(_example_line(ex.arg1, ex.arg2, ex.label))
     lines.append(_example_line(spec.target.model_input, spec.target.arg2_text,
-                               connective, "[MASK]"))
+                               "[MASK]"))
     return "\n".join(lines)
 
 
@@ -228,14 +225,16 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        instance_id = dataset_ids.get(rec["instance_id"])
+        try:
+            rec = json.loads(line)
+            raw_id, label = rec["instance_id"], rec["predicted_label"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise malformed_record(path, lineno, exc) from exc
+        instance_id = dataset_ids.get(raw_id)
         if instance_id is None:
-            raise ValueError(f"{path}:{lineno}: unknown instance_id "
-                             f"{rec['instance_id']!r}")
+            raise ValueError(f"{path}:{lineno}: unknown instance_id {raw_id!r}")
         if instance_id in records:
             raise ValueError(f"{path}:{lineno}: duplicate instance_id {instance_id!r}")
-        label = rec["predicted_label"]
         records[instance_id] = known.get(label, label)
         if "condition" in rec:
             if file_condition is not None and rec["condition"] != file_condition:

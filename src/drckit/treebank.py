@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ROOT_ID = 0
 ROOT_HEAD = -1
@@ -23,8 +23,6 @@ ROOT_RELATION = "null"
 
 #: File suffixes scanned when loading a corpus split directory.
 DOCUMENT_SUFFIXES = (".dep", ".json", ".txt")
-
-DEFAULT_CONNECTIVE = "none"
 
 
 class TreebankError(Exception):
@@ -132,7 +130,6 @@ class RelationInstance:
     arg1_edu_id: int
     arg2_edu_id: int
     gold_label: str
-    connective: str = DEFAULT_CONNECTIVE
 
 
 @dataclass(frozen=True)
@@ -420,34 +417,14 @@ def count_instances(corpus: Corpus) -> int:
     return sum(len(extract_instances(t)) for t in corpus.trees)
 
 
-# Converters normalize foreign serializations into the canonical model.
-# The canonical (SciDTB-style) reader ships by default; other treebank
-# front-ends register themselves here.
-Converter = Callable[[bytes, str], DiscourseTree]
-
-_CONVERTERS: dict[str, Converter] = {"scidtb": parse_tree_document}
-
-
-def register_converter(name: str, fn: Converter) -> None:
-    _CONVERTERS[name] = fn
-
-
-def get_converter(name: str) -> Converter:
-    try:
-        return _CONVERTERS[name]
-    except KeyError:
-        raise ValueError(f"unknown converter {name!r}; "
-                         f"known: {sorted(_CONVERTERS)}") from None
-
-
 def iter_document_files(split_dir: Path) -> Iterator[Path]:
     for path in sorted(split_dir.iterdir()):
         if path.is_file() and path.suffix in DOCUMENT_SUFFIXES:
             yield path
 
 
-def load_split(corpus_dir: Path | str, split: str, name: str | None = None,
-               converter: str = "scidtb") -> tuple[Corpus, list[Violation]]:
+def load_split(corpus_dir: Path | str, split: str, name: str | None = None
+               ) -> tuple[Corpus, list[Violation]]:
     """Scan ``<corpus_dir>/<split>/`` and parse every document file.
 
     Returns the corpus of successfully parsed trees together with the
@@ -458,7 +435,6 @@ def load_split(corpus_dir: Path | str, split: str, name: str | None = None,
     split_dir = corpus_dir / split
     if not split_dir.is_dir():
         raise TreebankError(f"split directory not found: {split_dir}")
-    parse = get_converter(converter)
     trees = []
     violations: list[Violation] = []
     seen_docs = set()
@@ -470,7 +446,7 @@ def load_split(corpus_dir: Path | str, split: str, name: str | None = None,
             continue
         seen_docs.add(doc_id)
         try:
-            trees.append(parse(path.read_bytes(), doc_id))
+            trees.append(parse_tree_document(path.read_bytes(), doc_id))
         except TreeValidationError as exc:
             violations.extend(exc.violations)
         except TreeParseError as exc:
@@ -478,10 +454,10 @@ def load_split(corpus_dir: Path | str, split: str, name: str | None = None,
     return Corpus(name or corpus_dir.name, split, tuple(trees)), violations
 
 
-def load_corpus(corpus_dir: Path | str, split: str, name: str | None = None,
-                converter: str = "scidtb") -> Corpus:
+def load_corpus(corpus_dir: Path | str, split: str, name: str | None = None
+                ) -> Corpus:
     """Strict variant of load_split: raise CorpusError on any violation."""
-    corpus, violations = load_split(corpus_dir, split, name, converter)
+    corpus, violations = load_split(corpus_dir, split, name)
     if violations:
         raise CorpusError(
             f"{corpus.name}/{split}: {len(violations)} violation(s)", violations)

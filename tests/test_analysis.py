@@ -55,7 +55,7 @@ def test_pair_outcomes_requires_coverage():
 def test_pair_outcomes_accepts_dataset():
     instances = (RenderedInstance("i1", "", "a", "b", "cause", DEFAULT, "test"),)
     dataset = VariantDataset("c", DEFAULT, "test", instances, ("cause",))
-    outcomes = pair_outcomes(dataset, predictions({"i1": "joint"}),
+    outcomes = pair_outcomes(dataset.gold_labels(), predictions({"i1": "joint"}),
                              predictions({"i1": "cause"}), run_id=2)
     assert outcomes[0].outcome == WIN
     assert outcomes[0].run_id == 2

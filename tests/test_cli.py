@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -284,11 +287,31 @@ def test_experiment_import_backend(small_corpus_dir, tmp_path):
     assert "default+plm" in table and "OR1+plm" in table
 
 
-def test_experiment_bad_config_exits_2(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{\"schema_version\": 99}", encoding="utf-8")
+ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
+
+
+@pytest.mark.parametrize("override", [
+    {"schema_version": 99},
+    {"backends": ["cue"]},
+    {"backends": "cue"},
+    {"alpha": "x"},
+    {"bonferroni_m": "x"},
+    {"bonferroni_m": 1.5},
+    {"seeds": [True, False]},
+    {"backends": [{**ENDPOINT, "parallelism": 0}]},
+    {"backends": [{**ENDPOINT, "timeout": "x"}]},
+], ids=["schema_version", "backend_not_object", "backends_not_list",
+        "alpha_not_number", "bonferroni_m_not_number", "bonferroni_m_float",
+        "bool_seeds", "endpoint_parallelism_0", "endpoint_timeout_not_number"])
+def test_experiment_bad_config_exits_2(small_corpus_dir, tmp_path, capsys,
+                                       override):
+    path = experiment_config(tmp_path, small_corpus_dir,
+                             backends=[{"kind": "cue"}])
+    config = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**config, **override}), encoding="utf-8")
     assert run_cli("experiment", "--config", path) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_missing_bonferroni_m_exits_2(small_corpus_dir, tmp_path,
@@ -341,6 +364,44 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
     assert run_cli("experiment", "--config", config) == 0
     # warm: each reused prediction file (2 schemes x 10 seeds) read once
     assert calls == {"import_predictions": 20, "train_baseline": 0}
+
+
+def test_subcommands_reproduce_experiment_outputs(small_corpus_dir, tmp_path):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], m=1)
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    variants, preds = out / "variants", out / "predictions"
+    for scheme in ("default", "OR1"):
+        assert run_cli("evaluate",
+                       "--dataset", variants / f"disamb.{scheme}.test.jsonl",
+                       "--predictions", *preds.glob(f"{scheme}+cue.*.jsonl"),
+                       "--out", tmp_path / "reports") == 0
+    assert run_cli("analyze", "--dataset", variants / "disamb.default.test.jsonl",
+                   "--preds-a", *preds.glob("default+cue.*.jsonl"),
+                   "--preds-b", *preds.glob("OR1+cue.*.jsonl"),
+                   "--out", tmp_path / "analysis") == 0
+
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    assert len(files(out / "reports")) == 2 * 10 * 2
+    assert files(tmp_path / "reports") == files(out / "reports")
+    assert files(tmp_path / "analysis") == \
+        files(out / "analysis" / "cue.default-vs-OR1")
+
+
+def test_traced_benchmark_finds_every_hook(tmp_path):
+    # A renamed stage function would leave the traced benchmark blind to
+    # its layer.  The tracer rebinds drckit functions for the life of its
+    # process, so it runs in a child process.
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    subprocess.run([sys.executable, root / "perfbench" / "traced_cli.py",
+                    spans, "--version"], cwd=root, check=True,
+                   capture_output=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert json.loads(spans.read_text(encoding="utf-8"))["missing"] == []
 
 
 def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,

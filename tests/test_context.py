@@ -229,6 +229,27 @@ def test_dataset_file_round_trip(tmp_path):
     assert again.split == dataset.split
 
 
+@pytest.mark.parametrize("drop, detail", [
+    ("scheme", "missing field 'scheme'"),
+    ("label", "missing field 'label'"),
+    (None, "Expecting"),
+], ids=["missing_scheme", "missing_label", "not_json"])
+def test_dataset_file_malformed_record_names_path_and_line(tmp_path, drop,
+                                                          detail):
+    import json
+    corpus, _ = synthetic_corpus(seed=30, n_docs=3)
+    path = tmp_path / "variant.jsonl"
+    write_variant_dataset(build_variant_dataset(corpus, OR1), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    lines[2] = json.dumps({k: v for k, v in record.items() if k != drop}) \
+        if drop else lines[2][:-1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=rf"variant\.jsonl:3: malformed record: {detail}"):
+        read_variant_dataset(path)
+
+
 def test_dataset_file_deterministic(tmp_path):
     corpus, _ = synthetic_corpus(seed=28, n_docs=8)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -267,6 +267,19 @@ def test_resume_rejects_malformed_middle_log_line(tmp_path):
                                seed=1, log_path=log_path, condition="c")
 
 
+def test_resume_rejects_log_record_without_label(tmp_path):
+    test, train = fixture_datasets(n=3)
+    log_path = tmp_path / "run.log.jsonl"
+    log_path.write_text(json.dumps({"instance_id": test.instances[0].instance_id,
+                                    "raw": "x"}) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="run.log.jsonl:1: malformed record: "
+                                         "missing field 'predicted_label'"):
+        run_endpoint_inference(test, train,
+                               EndpointConfig(base_url="http://127.0.0.1:9",
+                                              model_name="m"),
+                               seed=1, log_path=log_path, condition="c")
+
+
 def test_abort_persists_partial_state_then_resumes(tmp_path):
     test, train = fixture_datasets(n=5)
     gold = gold_echo_behavior(test)

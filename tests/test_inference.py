@@ -42,18 +42,18 @@ def dataset_of(instances, inventory=None, scheme=DEFAULT, split="train"):
 
 TWO_LABEL_EXAMPLES = (
     ICLExample("we evaluate on two treebanks",
-               "without tuning any hyperparameters .", "none", "condition"),
+               "without tuning any hyperparameters .", "condition"),
     ICLExample("the approach is simple",
-               "but coverage drops on long documents .", "none", "contrast"),
+               "but coverage drops on long documents .", "contrast"),
 )
 
 THREE_LABEL_EXAMPLES = (
     ICLExample("the authors argue",
-               "that context matters for classification .", "none", "attribution"),
+               "that context matters for classification .", "attribution"),
     ICLExample("parsing has a long history",
-               "early systems used hand written rules .", "none", "background"),
+               "early systems used hand written rules .", "background"),
     ICLExample("we release the corpus",
-               "and provide evaluation scripts .", "none", "elab-addition"),
+               "and provide evaluation scripts .", "elab-addition"),
 )
 
 
@@ -288,6 +288,23 @@ def test_import_shares_dataset_strings(tmp_path):
     labels = {id(lbl) for lbl in dataset.label_inventory}
     assert all(id(i) in ids for i in preds.records)
     assert all(id(lbl) in labels for lbl in preds.records.values())
+
+
+@pytest.mark.parametrize("bad_line, detail", [
+    ('{"instance_id": "t:001", "condition": "c"}', "missing field 'predicted_label'"),
+    ('{"instance_id": "t:001", ', "Expecting"),
+    ('["t:001", "joint"]', ""),
+], ids=["missing_field", "not_json", "not_object"])
+def test_import_malformed_record_names_path_and_line(tmp_path, bad_line, detail):
+    dataset = make_test_dataset()
+    path = tmp_path / "preds.jsonl"
+    write_predictions(PredictionSet("c", 0, dataset.gold_labels()), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = bad_line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=rf"preds\.jsonl:2: malformed record: {detail}"):
+        import_predictions(path, dataset)
 
 
 def test_import_missing_instance_lists_id(tmp_path):

@@ -129,7 +129,6 @@ def test_extract_instances_chain():
     assert instances[0].arg2 == "unit 2 ."
     assert instances[0].gold_label == "elaboration"
     assert instances[0].instance_id == "chain:002"
-    assert instances[0].connective == "none"
 
 
 def test_instance_count_tracks_real_edus():
