@@ -343,38 +343,55 @@ def _import_predictor(backend: BackendSpec, scheme: ContextScheme,
                                            condition=condition, run_id=seed)
 
 
+class _LoadOnMiss(dict):
+    """Values by key: a stage that runs puts its result in, and the output
+    of a reused stage is loaded by ``load(*key)`` only when a stage that
+    runs asks for it."""
+
+    def __init__(self, load: Callable[..., object]):
+        super().__init__()
+        self.load = load
+
+    def __missing__(self, key):
+        value = self[key] = self.load(*key)
+        return value
+
+
 def cmd_experiment(args) -> int:
     cfg = load_experiment_config(args.config)
     out_dir = cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.load_or_create(out_dir / "manifest.json",
-                                          cfg.config_hash(), __version__)
 
     train_corpus = load_corpus(cfg.corpus_dir, cfg.train_split, cfg.corpus_name)
     eval_corpus = load_corpus(cfg.corpus_dir, cfg.eval_split, cfg.corpus_name)
+    manifest = RunManifest.load_or_create(out_dir / "manifest.json",
+                                          cfg.run_key(__version__), __version__)
     inventory = corpus_label_inventory(train_corpus)
     print(f"ingested {cfg.corpus_name}: "
           f"{cfg.train_split} {count_instances(train_corpus)} instances, "
           f"{cfg.eval_split} {count_instances(eval_corpus)} instances")
 
-    datasets: dict[tuple[str, str], VariantDataset] = {}
+    def variant_path(tag: str, split: str) -> Path:
+        return out_dir / "variants" / f"{cfg.corpus_name}.{tag}.{split}.jsonl"
+
+    # Variant datasets by (scheme tag, split).
+    datasets = _LoadOnMiss(lambda tag, split: read_variant_dataset(
+        variant_path(tag, split), cfg.corpus_name, inventory))
     for scheme in cfg.schemes:
         for split, corpus in ((cfg.train_split, train_corpus),
                               (cfg.eval_split, eval_corpus)):
             stage = f"variants:{scheme.tag}:{split}"
-            path = out_dir / "variants" / \
-                f"{cfg.corpus_name}.{scheme.tag}.{split}.jsonl"
-            if manifest.is_fresh(stage):
-                dataset = read_variant_dataset(path, cfg.corpus_name, inventory)
-                manifest.record(stage, [path], reused=True)
-            else:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                dataset = build_variant_dataset(corpus, scheme, inventory)
-                write_variant_dataset(dataset, path)
-                manifest.record(stage, [path])
+            path = variant_path(scheme.tag, split)
+            if manifest.reuse(stage, [path]):
+                continue
+            path.parent.mkdir(parents=True, exist_ok=True)
+            dataset = build_variant_dataset(corpus, scheme, inventory)
+            write_variant_dataset(dataset, path)
+            manifest.record(stage, [path])
             datasets[(scheme.tag, split)] = dataset
 
-    lexicon = _lexicon(cfg.lexicon)
+    lexicon = functools.cache(lambda: _lexicon(cfg.lexicon))
+    lexicon_key = cfg.lexicon_key()
     pred_dir = out_dir / "predictions"
     report_dir = out_dir / "reports"
     pred_dir.mkdir(parents=True, exist_ok=True)
@@ -382,46 +399,61 @@ def cmd_experiment(args) -> int:
     aggregates = []
     comparisons = []
     for backend in cfg.backends:
-        # (run id, prediction set) of this backend by scheme tag: scored and
-        # paired in memory; the files are outputs only.
-        runs: dict[str, list[tuple[int, PredictionSet]]] = {}
-        scores: dict[str, list[float]] = {}
+        # Imported runs are read from their sources on every run.
+        reusable = backend.kind != "import"
+        # Prediction sets of this backend by (scheme tag, seed).
+        preds = _LoadOnMiss(lambda tag, seed: import_predictions(
+            pred_dir / f"{tag}+{backend.tag}.run{seed}.jsonl",
+            datasets[(tag, cfg.eval_split)], condition=f"{tag}+{backend.tag}",
+            run_id=seed))
+
+        def runs_of(tag: str) -> list[tuple[int, PredictionSet]]:
+            return [(p.run_id, p) for p in
+                    (preds[(tag, seed)] for seed in cfg.seeds)]
+
+        scores: dict[str, tuple[float, ...]] = {}
         for scheme in cfg.schemes:
-            train_ds = datasets[(scheme.tag, cfg.train_split)]
-            eval_ds = datasets[(scheme.tag, cfg.eval_split)]
             condition = f"{scheme.tag}+{backend.tag}"
-            # Imported runs are re-read from their sources on every run.
-            reusable = backend.kind != "import"
-            if reusable:
-                predict = _predictor(backend.kind, backend.options, train_ds,
-                                     eval_ds, condition, out_dir / "logs")
-            else:
-                predict = _import_predictor(backend, scheme, cfg.seeds,
-                                            eval_ds, condition)
-            runs[scheme.tag] = []
-            reports = []
+            eval_stage = f"variants:{scheme.tag}:{cfg.eval_split}"
+
+            @functools.cache
+            def predictor() -> Callable[[int], PredictionSet]:
+                eval_ds = datasets[(scheme.tag, cfg.eval_split)]
+                if not reusable:
+                    return _import_predictor(backend, scheme, cfg.seeds,
+                                             eval_ds, condition)
+                return _predictor(backend.kind, backend.options,
+                                  datasets[(scheme.tag, cfg.train_split)],
+                                  eval_ds, condition, out_dir / "logs")
+
+            runs = []
             for seed in cfg.seeds:
                 stage = f"predict:{condition}:{seed}"
                 path = pred_dir / f"{condition}.run{seed}.jsonl"
-                if reusable and manifest.is_fresh(stage):
-                    preds = import_predictions(path, eval_ds,
-                                               condition=condition, run_id=seed)
-                    manifest.record(stage, [path], reused=True)
-                else:
-                    preds = predict(seed)
-                    write_predictions(preds, path)
+                if not (reusable and manifest.reuse(stage, [path])):
+                    preds[(scheme.tag, seed)] = predictor()(seed)
+                    write_predictions(preds[(scheme.tag, seed)], path)
                     if reusable:
                         manifest.record(stage, [path])
-                runs[scheme.tag].append((preds.run_id, preds))
-                reports.append(_score_run(eval_ds, preds, report_dir,
-                                          f"{condition}.run{seed}"))
-            agg = aggregate_runs(reports)
+
+                score_stage = f"score:{condition}:{seed}"
+                stem = f"{condition}.run{seed}"
+                reports = [report_dir / f"{stem}.report.json",
+                           report_dir / f"{stem}.report.tsv"]
+                if manifest.reuse(score_stage, reports, [stage, eval_stage]):
+                    runs.append(read_report_scores(reports[0]))
+                else:
+                    runs.append(_score_run(datasets[(scheme.tag, cfg.eval_split)],
+                                           preds[(scheme.tag, seed)],
+                                           report_dir, stem))
+                    manifest.record(score_stage, reports)
+            agg = aggregate_runs(runs)
             aggregates.append(agg)
-            scores[scheme.tag] = list(agg.per_run_scores)
+            scores[scheme.tag] = agg.per_run_scores
             print(f"{condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
                   f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
 
-        if "default" not in runs:
+        if "default" not in scores:
             continue
         for scheme in cfg.schemes:
             if scheme.kind == "default":
@@ -430,10 +462,20 @@ def cmd_experiment(args) -> int:
                 scores[scheme.tag], scores["default"],
                 comparison=(f"{scheme.tag}+{backend.tag}",
                             f"default+{backend.tag}")))
+            stage = f"analysis:{backend.tag}:default-vs-{scheme.tag}"
+            analysis_dir = out_dir / "analysis" / \
+                f"{backend.tag}.default-vs-{scheme.tag}"
+            outputs = [analysis_dir / "margins.tsv",
+                       analysis_dir / "connectives.tsv"]
+            inputs = [f"variants:default:{cfg.eval_split}"] + [
+                f"predict:{tag}+{backend.tag}:{seed}"
+                for tag in ("default", scheme.tag) for seed in cfg.seeds]
+            if manifest.reuse(stage, outputs, inputs, lexicon_key):
+                continue
             _analyze_pair(datasets[("default", cfg.eval_split)],
-                          runs["default"], runs[scheme.tag], lexicon,
-                          out_dir / "analysis" /
-                          f"{backend.tag}.default-vs-{scheme.tag}")
+                          runs_of("default"), runs_of(scheme.tag), lexicon(),
+                          analysis_dir)
+            manifest.record(stage, outputs, key=lexicon_key)
 
     # load_experiment_config has checked bonferroni_m against the comparisons.
     significance = {}

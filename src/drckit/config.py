@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -11,6 +13,9 @@ from typing import Sequence
 
 from .context import ContextScheme
 from .endpoint import EndpointConfig
+from .treebank import iter_document_files
+
+log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -48,8 +53,31 @@ class ExperimentConfig:
     lexicon: Path | None = None
     raw_text: str = field(default="", compare=False)
 
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()
+    def run_key(self, tool_version: str) -> str:
+        """Digest of what every stage depends on: the tool version, the
+        config text, and the name and bytes of each document of the train
+        and eval splits."""
+        digest = hashlib.sha256()
+
+        def add(part: bytes) -> None:
+            # Length-prefixed, so no two different inputs give one stream.
+            digest.update(len(part).to_bytes(8, "big"))
+            digest.update(part)
+
+        add(tool_version.encode("utf-8"))
+        add(self.raw_text.encode("utf-8"))
+        for split in (self.train_split, self.eval_split):
+            for path in iter_document_files(self.corpus_dir / split):
+                add(f"{split}/{path.name}".encode("utf-8"))
+                add(path.read_bytes())
+        return digest.hexdigest()
+
+    def lexicon_key(self) -> str:
+        """Digest of the lexicon file, which only the analysis stages read
+        ("" for the packaged lexicon, which the tool version covers)."""
+        if self.lexicon is None:
+            return ""
+        return hashlib.sha256(self.lexicon.read_bytes()).hexdigest()
 
 
 def endpoint_config(options: dict) -> EndpointConfig:
@@ -86,6 +114,16 @@ def _backend_from_dict(payload: dict, index: int) -> BackendSpec:
                        options=options)
 
 
+def _string(payload: dict, key: str, where: str, default: str | None = None
+            ) -> str:
+    """``payload[key]``, or ``default`` when absent; a ConfigError unless a
+    string."""
+    value = payload.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: {key} must be a string")
+    return value
+
+
 def load_experiment_config(path: Path | str) -> ExperimentConfig:
     """Load and validate a declarative experiment configuration.
 
@@ -113,10 +151,17 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
     corpus = payload["corpus"]
     if not isinstance(corpus, dict) or "dir" not in corpus:
         raise ConfigError(f'{path}: "corpus" needs at least a "dir" entry')
-    corpus_dir = (path.parent / corpus["dir"]).resolve()
+    corpus_dir = (path.parent / _string(corpus, "dir", f"{path}: corpus")).resolve()
+    corpus_name = _string(corpus, "name", f"{path}: corpus", corpus_dir.name)
+    out_dir = _string(payload, "out_dir", str(path))
+    train_split = _string(payload, "train_split", str(path), "train")
+    eval_split = _string(payload, "eval_split", str(path), "test")
     if not corpus_dir.is_dir():
         raise ConfigError(f"{path}: corpus dir does not exist: {corpus_dir}")
 
+    if not isinstance(payload["schemes"], list) \
+            or not all(isinstance(s, str) for s in payload["schemes"]):
+        raise ConfigError(f"{path}: schemes must be a list of scheme names")
     try:
         schemes = tuple(ContextScheme.parse(s) for s in payload["schemes"])
     except ValueError as exc:
@@ -142,6 +187,10 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         if backend.kind == "import":
             resolved: dict[str, list[str]] = {}
             for scheme_tag, files in backend.options["runs"].items():
+                if not isinstance(files, list) \
+                        or not all(isinstance(f, str) for f in files):
+                    raise ConfigError(f"{path}: backends[{i}] runs of "
+                                      f"{scheme_tag} must be a list of files")
                 resolved[scheme_tag] = []
                 for f in files:
                     ref = (path.parent / f).resolve()
@@ -158,7 +207,7 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
 
     lexicon = payload.get("lexicon")
     if lexicon is not None:
-        lexicon = (path.parent / lexicon).resolve()
+        lexicon = (path.parent / _string(payload, "lexicon", str(path))).resolve()
         if not lexicon.is_file():
             raise ConfigError(f"{path}: lexicon file does not exist: {lexicon}")
 
@@ -183,14 +232,14 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
                           f"than the {comparisons} comparisons")
 
     return ExperimentConfig(
-        corpus_name=corpus.get("name", corpus_dir.name),
+        corpus_name=corpus_name,
         corpus_dir=corpus_dir,
         schemes=schemes,
         backends=backends,
         seeds=tuple(seeds),
-        out_dir=(path.parent / payload["out_dir"]).resolve(),
-        train_split=payload.get("train_split", "train"),
-        eval_split=payload.get("eval_split", "test"),
+        out_dir=(path.parent / out_dir).resolve(),
+        train_split=train_split,
+        eval_split=eval_split,
         bonferroni_m=bonferroni_m,
         alpha=float(alpha),
         lexicon=lexicon,
@@ -201,47 +250,86 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
 class RunManifest:
     """Tracks which pipeline stages already produced their outputs.
 
-    A stage is reusable when the manifest was written for the same config
-    hash and every recorded output file still exists.
+    A stage is reusable when the manifest was written under the same run
+    key (see ``ExperimentConfig.run_key``), the stage was recorded with the
+    same stage key, every recorded output file still exists, and every
+    stage it reads from was itself reused in this run.
     """
 
-    def __init__(self, path: Path, config_hash: str, tool_version: str):
+    def __init__(self, path: Path, run_key: str, tool_version: str):
         self.path = path
-        self.config_hash = config_hash
+        self.run_key = run_key
         self.tool_version = tool_version
         self.stages: dict[str, dict] = {}
+        self.reused: set[str] = set()  # stages reused in this run
 
     @classmethod
-    def load_or_create(cls, path: Path | str, config_hash: str,
+    def load_or_create(cls, path: Path | str, run_key: str,
                        tool_version: str) -> "RunManifest":
-        path = Path(path)
-        manifest = cls(path, config_hash, tool_version)
-        if path.exists():
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("config_hash") == config_hash:
-                manifest.stages = payload.get("stages", {})
+        """The manifest at ``path``; one without stages when the file is
+        missing, does not parse (a torn write) or has another run key."""
+        manifest = cls(Path(path), run_key, tool_version)
+        try:
+            payload = json.loads(manifest.path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return manifest
+        except ValueError as exc:  # not UTF-8, or not JSON
+            log.warning("%s does not parse, so every stage runs again: %s",
+                        manifest.path, exc)
+            return manifest
+        stages = payload.get("stages") if isinstance(payload, dict) else None
+        if not isinstance(stages, dict) \
+                or not all(isinstance(e, dict) for e in stages.values()):
+            log.warning("%s is not a run manifest, so every stage runs again",
+                        manifest.path)
+        elif payload.get("run_key") == run_key:
+            manifest.stages = stages
         return manifest
 
-    def is_fresh(self, stage: str) -> bool:
+    def reuse(self, stage: str, outputs: Sequence[Path | str],
+              inputs: Sequence[str] = (), key: str = "") -> bool:
+        """Record ``stage`` as reused and return True if it is fresh: the
+        manifest has it under the same stage ``key`` (a digest of an input
+        only it reads), its outputs exist, and every stage in ``inputs``,
+        those it reads from, was reused in this run."""
         entry = self.stages.get(stage)
-        if not entry:
+        if not entry or entry.get("key", "") != key \
+                or not self.reused.issuperset(inputs) \
+                or not all(Path(p).exists() for p in entry.get("outputs", [])):
             return False
-        return all(Path(p).exists() for p in entry.get("outputs", []))
+        self.record(stage, outputs, reused=True, key=key)
+        return True
 
     def record(self, stage: str, outputs: Sequence[Path | str],
-               reused: bool = False) -> None:
+               reused: bool = False, key: str = "") -> None:
+        """Record a stage that ran, or was reused; a reused stage keeps the
+        time it was first completed."""
+        completed_at = self.stages.get(stage, {}).get("completed_at")
+        if not (reused and completed_at):
+            completed_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         self.stages[stage] = {
             "outputs": [str(p) for p in outputs],
-            "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "completed_at": completed_at,
             "reused": reused,
         }
+        if key:
+            self.stages[stage]["key"] = key
+        if reused:
+            self.reused.add(stage)
 
     def save(self) -> None:
+        """Write the manifest to a temporary file, flush it to disk and
+        rename it into place, so a crash leaves the old manifest or the
+        new one, never a torn one."""
         payload = {
-            "config_hash": self.config_hash,
+            "run_key": self.run_key,
             "tool_version": self.tool_version,
             "stages": self.stages,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as sink:
+            sink.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            sink.flush()
+            os.fsync(sink.fileno())
+        os.replace(tmp, self.path)

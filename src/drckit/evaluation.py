@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import mean, stdev
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .context import VariantDataset
 from .inference import PredictionSet
@@ -62,6 +62,14 @@ class EvalReport:
     accuracy: float
     n: int
     confusion: ConfusionMatrix
+
+
+class RunScore(NamedTuple):
+    """What aggregation and significance testing need of one scored run."""
+
+    condition: str
+    run_id: int
+    macro_f1: float
 
 
 @dataclass(frozen=True)
@@ -141,8 +149,9 @@ def score(dataset: VariantDataset, predictions: PredictionSet) -> EvalReport:
     )
 
 
-def aggregate_runs(reports: Sequence[EvalReport]) -> RunAggregate:
-    """Mean and sample standard deviation of macro-F1 across runs."""
+def aggregate_runs(reports: Sequence[EvalReport | RunScore]) -> RunAggregate:
+    """Mean and sample standard deviation of macro-F1 across runs, from
+    reports or from the scores read back out of report files."""
     if not reports:
         raise ValueError("need at least one report")
     conditions = {r.condition for r in reports}
@@ -284,10 +293,13 @@ def write_report_json(report: EvalReport, path: Path | str) -> None:
         encoding="utf-8")
 
 
-def read_report_scores(path: Path | str) -> tuple[str, int, float]:
-    """Pull (condition, run_id, macro_f1) back out of a report file."""
+def read_report_scores(path: Path | str) -> RunScore:
+    """Pull (condition, run_id, macro_f1) back out of a report file.
+
+    JSON floats round-trip exactly, so the score equals the one scored."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return payload["condition"], int(payload["run_id"]), float(payload["macro_f1"])
+    return RunScore(payload["condition"], int(payload["run_id"]),
+                    float(payload["macro_f1"]))
 
 
 def write_report_tsv(report: EvalReport, path: Path | str) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from drckit import cli
+from drckit import cli, config as config_module
 from drckit.cli import main
+from drckit.config import RunManifest
 from drckit.context import read_variant_dataset
 from drckit.inference import PredictionSet, write_predictions
 
@@ -300,9 +302,21 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     {"seeds": [True, False]},
     {"backends": [{**ENDPOINT, "parallelism": 0}]},
     {"backends": [{**ENDPOINT, "timeout": "x"}]},
+    {"schemes": [1]},
+    {"schemes": "default"},
+    {"backends": [{"kind": "import", "runs": {"default": 7}}]},
+    {"corpus": {"dir": 1}},
+    {"out_dir": 1},
+    {"train_split": 1},
+    {"eval_split": ["test"]},
+    {"lexicon": 1},
 ], ids=["schema_version", "backend_not_object", "backends_not_list",
         "alpha_not_number", "bonferroni_m_not_number", "bonferroni_m_float",
-        "bool_seeds", "endpoint_parallelism_0", "endpoint_timeout_not_number"])
+        "bool_seeds", "endpoint_parallelism_0", "endpoint_timeout_not_number",
+        "scheme_not_string", "schemes_not_list", "import_runs_not_list",
+        "corpus_dir_not_string", "out_dir_not_string",
+        "train_split_not_string", "eval_split_not_string",
+        "lexicon_not_string"])
 def test_experiment_bad_config_exits_2(small_corpus_dir, tmp_path, capsys,
                                        override):
     path = experiment_config(tmp_path, small_corpus_dir,
@@ -343,7 +357,8 @@ def test_experiment_too_small_bonferroni_m_exits_2_before_any_work(
 
 def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
                                                      tmp_path, monkeypatch):
-    calls = {"import_predictions": 0, "train_baseline": 0}
+    calls = {"import_predictions": 0, "train_baseline": 0,
+             "read_variant_dataset": 0}
 
     def counted(name):
         original = getattr(cli, name)
@@ -355,15 +370,180 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
 
     counted("import_predictions")
     counted("train_baseline")
+    counted("read_variant_dataset")
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], m=1)
     assert run_cli("experiment", "--config", config) == 0
-    # cold: one fit per scheme, no prediction file read back
-    assert calls == {"import_predictions": 0, "train_baseline": 2}
+    # cold: one fit per scheme, no prediction or variant file read back
+    assert calls == {"import_predictions": 0, "train_baseline": 2,
+                     "read_variant_dataset": 0}
     calls.update(import_predictions=0, train_baseline=0)
     assert run_cli("experiment", "--config", config) == 0
-    # warm: each reused prediction file (2 schemes x 10 seeds) read once
-    assert calls == {"import_predictions": 20, "train_baseline": 0}
+    # warm: every stage is reused, so no stage reads an input
+    assert calls == {"import_predictions": 0, "train_baseline": 0,
+                     "read_variant_dataset": 0}
+
+
+def outputs(out_dir: Path) -> dict[str, bytes]:
+    """Every output file's bytes by relative path, less the manifest."""
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes()
+            for p in sorted(out_dir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def stages_run(out_dir: Path) -> list[str]:
+    """The stages the last run did not reuse."""
+    stages = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    return sorted(name for name, entry in stages["stages"].items()
+                  if not entry["reused"])
+
+
+def patch_config(path: Path, **keys) -> Path:
+    config = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**config, **keys}), encoding="utf-8")
+    return path
+
+
+def relabel_first_test_document(corpus_dir: Path) -> None:
+    doc = sorted((corpus_dir / "test").glob("*.dep"))[0]
+    payload = json.loads(doc.read_text(encoding="utf-8"))
+    edu = payload["root"][-1]
+    edu["relation"] = "contrast" if edu["relation"] == "condition" else "condition"
+    doc.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def test_experiment_rerun_after_corpus_edit_matches_fresh_run(
+        small_corpus_dir, tmp_path):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2, 3])
+    assert run_cli("experiment", "--config", config) == 0
+    cold = outputs(tmp_path / "out")
+    relabel_first_test_document(small_corpus_dir)
+    assert run_cli("experiment", "--config", config) == 0
+    (tmp_path / "fresh").mkdir()
+    fresh = experiment_config(tmp_path / "fresh", small_corpus_dir,
+                              backends=[{"kind": "cue"}], seeds=[1, 2, 3])
+    assert run_cli("experiment", "--config", fresh) == 0
+    assert outputs(tmp_path / "out") == outputs(tmp_path / "fresh" / "out")
+    assert outputs(tmp_path / "out") != cold
+
+
+def test_experiment_rerun_under_another_tool_version_recomputes(
+        small_corpus_dir, tmp_path, monkeypatch):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1])
+    assert run_cli("experiment", "--config", config) == 0
+    monkeypatch.setattr(cli, "__version__", "0+another")
+    assert run_cli("experiment", "--config", config) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert stages["tool_version"] == "0+another"
+    assert len(stages_run(tmp_path / "out")) == len(stages["stages"]) > 0
+
+
+def test_experiment_torn_manifest_recomputes_every_stage(
+        small_corpus_dir, tmp_path, caplog):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold = outputs(out)
+    manifest = out / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:500])
+    with caplog.at_level(logging.WARNING):
+        assert run_cli("experiment", "--config", config) == 0
+    assert str(manifest) in caplog.text
+    stages = json.loads(manifest.read_text(encoding="utf-8"))["stages"]
+    assert len(stages_run(out)) == len(stages) > 0
+    assert outputs(out) == cold
+
+
+def test_manifest_save_leaves_old_manifest_if_interrupted(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "manifest.json"
+    manifest = RunManifest(path, "key", "1.0")
+    manifest.record("first", [])
+    manifest.save()
+    saved = path.read_bytes()
+    manifest.record("second", [])
+
+    def crash(*args):
+        raise OSError("crashed before the rename")
+    monkeypatch.setattr(config_module.os, "replace", crash)
+    with pytest.raises(OSError):
+        manifest.save()
+    assert path.read_bytes() == saved
+
+
+def test_manifest_reuse_keeps_first_completed_at(tmp_path):
+    first = "2000-01-01T00:00:00Z"
+    manifest = RunManifest(tmp_path / "manifest.json", "key", "1.0")
+    manifest.stages = {
+        "stage": {"outputs": [], "completed_at": first, "reused": False}}
+    manifest.record("stage", [], reused=True)
+    assert manifest.stages["stage"]["completed_at"] == first
+    manifest.record("stage", [])
+    assert manifest.stages["stage"]["completed_at"] != first
+
+
+@pytest.mark.parametrize("edit, rerun", [
+    (lambda out, lexicon:
+        (out / "predictions" / "OR1+cue.run2.jsonl").unlink(),
+     ["analysis:cue:default-vs-OR1", "predict:OR1+cue:2", "score:OR1+cue:2"]),
+    (lambda out, lexicon:
+        (out / "reports" / "OR1+cue.run2.report.json").unlink(),
+     ["score:OR1+cue:2"]),
+    (lambda out, lexicon: lexicon.write_text("because\n", encoding="utf-8"),
+     ["analysis:cue:default-vs-AD1", "analysis:cue:default-vs-OR1"]),
+], ids=["prediction_deleted", "report_deleted", "lexicon_edited"])
+def test_experiment_rerun_redoes_only_stale_stages(small_corpus_dir, tmp_path,
+                                                   monkeypatch, edit, rerun):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("without\n", encoding="utf-8")
+
+    def config(directory):
+        directory.mkdir(exist_ok=True)
+        return patch_config(experiment_config(
+            directory, small_corpus_dir, backends=[{"kind": "cue"}],
+            schemes=("default", "AD1", "OR1"), seeds=[1, 2, 3], m=2),
+            lexicon=str(lexicon))
+
+    warm = config(tmp_path)
+    assert run_cli("experiment", "--config", warm) == 0
+    edit(tmp_path / "out", lexicon)
+    assert run_cli("experiment", "--config", warm) == 0
+    assert stages_run(tmp_path / "out") == rerun
+    assert run_cli("experiment", "--config", config(tmp_path / "fresh")) == 0
+    assert outputs(tmp_path / "out") == outputs(tmp_path / "fresh" / "out")
+
+
+def test_experiment_rescores_edited_import_source(small_corpus_dir, tmp_path):
+    (tmp_path / "cue").mkdir()
+    cue = experiment_config(tmp_path / "cue", small_corpus_dir,
+                            backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", cue) == 0
+    runs = {scheme: [str(tmp_path / "cue" / "out" / "predictions" /
+                         f"{scheme}+cue.run{seed}.jsonl") for seed in (1, 2)]
+            for scheme in ("default", "OR1")}
+    config = experiment_config(
+        tmp_path, small_corpus_dir, seeds=[1, 2],
+        backends=[{"kind": "import", "tag": "plm", "runs": runs}])
+    assert run_cli("experiment", "--config", config) == 0
+    before = outputs(tmp_path / "out")
+
+    source = Path(runs["OR1"][0])
+    records = [json.loads(line) for line in source.read_text().splitlines()]
+    write_predictions(PredictionSet("OR1+cue", 1, {
+        r["instance_id"]: "condition" for r in records}), source)
+    assert run_cli("experiment", "--config", config) == 0
+    after = outputs(tmp_path / "out")
+    assert {name for name in after if after[name] != before[name]} >= {
+        "reports/OR1+plm.run1.report.json", "reports/OR1+plm.run1.report.tsv"}
+    (tmp_path / "fresh").mkdir()
+    fresh = experiment_config(
+        tmp_path / "fresh", small_corpus_dir, seeds=[1, 2],
+        backends=[{"kind": "import", "tag": "plm", "runs": runs}])
+    assert run_cli("experiment", "--config", fresh) == 0
+    assert after == outputs(tmp_path / "fresh" / "out")
 
 
 def test_subcommands_reproduce_experiment_outputs(small_corpus_dir, tmp_path):
