@@ -8,7 +8,6 @@ analyze, experiment.  Exit codes: 0 success, 1 data or validation error,
 from __future__ import annotations
 
 import argparse
-import functools
 import logging
 import sys
 from dataclasses import replace
@@ -30,10 +29,11 @@ from .analysis import (
     write_margins_tsv,
 )
 from .config import (
-    BackendSpec,
     ConfigError,
+    Lazy,
     RunManifest,
     endpoint_config,
+    file_key,
     load_experiment_config,
 )
 from .context import (
@@ -47,6 +47,7 @@ from .context import (
 from .endpoint import EndpointError, run_endpoint_inference
 from .evaluation import (
     EvalReport,
+    RunScore,
     aggregate_runs,
     bonferroni,
     format_results_table,
@@ -184,12 +185,11 @@ def _predictor(kind: str, options: dict, train_ds: VariantDataset,
                ) -> Callable[[int], PredictionSet]:
     """Seed -> PredictionSet for a baseline or endpoint condition.
 
-    A baseline is fit on the first call only: the model does not depend on
-    the seed.
+    A baseline is fit here, once: the model does not depend on the seed.
     """
     if kind in BASELINE_KINDS:
-        fit = functools.cache(lambda: train_baseline(train_ds, kind))
-        return lambda seed: predict_baseline(fit(), eval_ds, condition,
+        model = train_baseline(train_ds, kind)
+        return lambda seed: predict_baseline(model, eval_ds, condition,
                                              run_id=seed)
     endpoint_cfg = endpoint_config(options)
     return lambda seed: run_endpoint_inference(
@@ -264,14 +264,15 @@ def _lexicon(path: Path | str | None) -> ConnectiveLexicon:
     return load_connective_lexicon(path) if path else default_lexicon()
 
 
-def _analyze_pair(dataset: VariantDataset, runs_a: list[tuple[int, PredictionSet]],
-                  runs_b: list[tuple[int, PredictionSet]], lexicon: ConnectiveLexicon,
+def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
+                  runs_b: list[PredictionSet], lexicon: ConnectiveLexicon,
                   out_dir: Path, normalizer: str = "runs", level: str = "instance",
                   multiword: bool = False
                   ) -> tuple[list[RelationMargin], ConnectiveMatchReport]:
     """Pair A and B runs by run id, then write ``margins.tsv`` and
     ``connectives.tsv`` of B against A under ``out_dir``."""
-    pairs = _pair_by_run_id(runs_a, runs_b)
+    pairs = _pair_by_run_id([(p.run_id, p) for p in runs_a],
+                            [(p.run_id, p) for p in runs_b])
     gold = dataset.gold_labels()
     outcomes = [outcome for run_id, preds_a, preds_b in pairs
                 for outcome in pair_outcomes(gold, preds_a, preds_b, run_id)]
@@ -312,8 +313,7 @@ def cmd_analyze(args) -> int:
     lexicon = _lexicon(args.lexicon)
 
     def read_runs(paths):
-        return [(p.run_id, p) for p in
-                (import_predictions(path, dataset) for path in paths)]
+        return [import_predictions(path, dataset) for path in paths]
 
     margins, match_report = _analyze_pair(
         dataset, read_runs(args.preds_a), read_runs(args.preds_b), lexicon,
@@ -328,39 +328,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _import_predictor(backend: BackendSpec, scheme: ContextScheme,
-                      seeds: tuple[int, ...], eval_ds: VariantDataset,
-                      condition: str) -> Callable[[int], PredictionSet]:
-    runs = backend.options["runs"].get(scheme.tag)
-    if runs is None:
-        raise ConfigError(f"import backend {backend.tag!r} has no runs "
-                          f"for scheme {scheme.tag}")
-    if len(runs) != len(seeds):
-        raise ConfigError(f"import backend {backend.tag!r}: {len(runs)} "
-                          f"files for {len(seeds)} seeds")
-    sources = dict(zip(seeds, runs))
-    return lambda seed: import_predictions(sources[seed], eval_ds,
-                                           condition=condition, run_id=seed)
-
-
-class _LoadOnMiss(dict):
-    """Values by key: a stage that runs puts its result in, and the output
-    of a reused stage is loaded by ``load(*key)`` only when a stage that
-    runs asks for it."""
-
-    def __init__(self, load: Callable[..., object]):
-        super().__init__()
-        self.load = load
-
-    def __missing__(self, key):
-        value = self[key] = self.load(*key)
-        return value
+def _written(write: Callable[[T, Path], None], value: T, path: Path) -> T:
+    write(value, path)
+    return value
 
 
 def cmd_experiment(args) -> int:
     cfg = load_experiment_config(args.config)
     out_dir = cfg.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    pred_dir = out_dir / "predictions"
+    report_dir = out_dir / "reports"
+    for directory in (out_dir / "variants", pred_dir, report_dir):
+        directory.mkdir(parents=True, exist_ok=True)
 
     train_corpus = load_corpus(cfg.corpus_dir, cfg.train_split, cfg.corpus_name)
     eval_corpus = load_corpus(cfg.corpus_dir, cfg.eval_split, cfg.corpus_name)
@@ -371,111 +350,108 @@ def cmd_experiment(args) -> int:
           f"{cfg.train_split} {count_instances(train_corpus)} instances, "
           f"{cfg.eval_split} {count_instances(eval_corpus)} instances")
 
-    def variant_path(tag: str, split: str) -> Path:
-        return out_dir / "variants" / f"{cfg.corpus_name}.{tag}.{split}.jsonl"
+    lexicon = Lazy(lambda: _lexicon(cfg.lexicon))
+    # Only the analysis stages read the lexicon; the tool version covers the
+    # packaged one.
+    lexicon_key = file_key(cfg.lexicon) if cfg.lexicon else ""
 
-    # Variant datasets by (scheme tag, split).
-    datasets = _LoadOnMiss(lambda tag, split: read_variant_dataset(
-        variant_path(tag, split), cfg.corpus_name, inventory))
-    for scheme in cfg.schemes:
-        for split, corpus in ((cfg.train_split, train_corpus),
-                              (cfg.eval_split, eval_corpus)):
-            stage = f"variants:{scheme.tag}:{split}"
-            path = variant_path(scheme.tag, split)
-            if manifest.reuse(stage, [path]):
-                continue
-            path.parent.mkdir(parents=True, exist_ok=True)
-            dataset = build_variant_dataset(corpus, scheme, inventory)
-            write_variant_dataset(dataset, path)
-            manifest.record(stage, [path])
-            datasets[(scheme.tag, split)] = dataset
+    # Each stage kind, declared once.  A stage's inputs are the stage values
+    # it reads; its key digests an input file that only it reads.
+    def variants_stage(scheme: ContextScheme, split: str,
+                       corpus: Corpus) -> Lazy[VariantDataset]:
+        path = out_dir / "variants" / f"{cfg.corpus_name}.{scheme.tag}.{split}.jsonl"
+        return manifest.stage(
+            f"variants:{scheme.tag}:{split}", [path],
+            run=lambda: _written(write_variant_dataset, build_variant_dataset(
+                corpus, scheme, inventory), path),
+            load=lambda: read_variant_dataset(path, cfg.corpus_name, inventory))
 
-    lexicon = functools.cache(lambda: _lexicon(cfg.lexicon))
-    lexicon_key = cfg.lexicon_key()
-    pred_dir = out_dir / "predictions"
-    report_dir = out_dir / "reports"
-    pred_dir.mkdir(parents=True, exist_ok=True)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    aggregates = []
-    comparisons = []
-    for backend in cfg.backends:
-        # Imported runs are read from their sources on every run.
-        reusable = backend.kind != "import"
-        # Prediction sets of this backend by (scheme tag, seed).
-        preds = _LoadOnMiss(lambda tag, seed: import_predictions(
-            pred_dir / f"{tag}+{backend.tag}.run{seed}.jsonl",
-            datasets[(tag, cfg.eval_split)], condition=f"{tag}+{backend.tag}",
-            run_id=seed))
+    def predict_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
+                      predictor: Lazy[Callable[[int], PredictionSet]],
+                      source: str | None) -> Lazy[PredictionSet]:
+        path = pred_dir / f"{condition}.run{seed}.jsonl"
 
-        def runs_of(tag: str) -> list[tuple[int, PredictionSet]]:
-            return [(p.run_id, p) for p in
-                    (preds[(tag, seed)] for seed in cfg.seeds)]
+        def read(path: Path | str) -> PredictionSet:
+            return import_predictions(path, eval_ds.get(), condition=condition,
+                                      run_id=seed)
+        # An imported run is read from its source, keyed by the source's bytes.
+        return manifest.stage(
+            f"predict:{condition}:{seed}", [path],
+            run=lambda: _written(
+                write_predictions,
+                read(source) if source else predictor.get()(seed), path),
+            load=lambda: read(path), key=file_key(source) if source else "")
 
-        scores: dict[str, tuple[float, ...]] = {}
-        for scheme in cfg.schemes:
-            condition = f"{scheme.tag}+{backend.tag}"
-            eval_stage = f"variants:{scheme.tag}:{cfg.eval_split}"
+    def score_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
+                    preds: Lazy[PredictionSet]) -> Lazy[EvalReport | RunScore]:
+        stem = f"{condition}.run{seed}"
+        reports = [report_dir / f"{stem}.report.json",
+                   report_dir / f"{stem}.report.tsv"]
+        return manifest.stage(
+            f"score:{condition}:{seed}", reports,
+            run=lambda: _score_run(eval_ds.get(), preds.get(), report_dir, stem),
+            load=lambda: read_report_scores(reports[0]),
+            inputs=[preds, eval_ds])
 
-            @functools.cache
-            def predictor() -> Callable[[int], PredictionSet]:
+    def analysis_stage(backend_tag: str, scheme_tag: str,
+                       runs_a: list[Lazy[PredictionSet]],
+                       runs_b: list[Lazy[PredictionSet]]) -> None:
+        analysis_dir = out_dir / "analysis" / f"{backend_tag}.default-vs-{scheme_tag}"
+        eval_ds = datasets[("default", cfg.eval_split)]
+        manifest.stage(
+            f"analysis:{backend_tag}:default-vs-{scheme_tag}",
+            [analysis_dir / "margins.tsv", analysis_dir / "connectives.tsv"],
+            run=lambda: _analyze_pair(
+                eval_ds.get(), [p.get() for p in runs_a],
+                [p.get() for p in runs_b], lexicon.get(), analysis_dir),
+            load=lambda: None,  # nothing reads an analysis back
+            inputs=[eval_ds, *runs_a, *runs_b], key=lexicon_key)
+
+    try:
+        datasets = {(scheme.tag, split): variants_stage(scheme, split, corpus)
+                    for scheme in cfg.schemes
+                    for split, corpus in ((cfg.train_split, train_corpus),
+                                          (cfg.eval_split, eval_corpus))}
+        aggregates = []
+        comparisons = []
+        for backend in cfg.backends:
+            # Prediction stages of this backend by scheme tag, in seed order.
+            preds: dict[str, list[Lazy[PredictionSet]]] = {}
+            scores: dict[str, tuple[float, ...]] = {}
+            for scheme in cfg.schemes:
+                condition = f"{scheme.tag}+{backend.tag}"
+                train_ds = datasets[(scheme.tag, cfg.train_split)]
                 eval_ds = datasets[(scheme.tag, cfg.eval_split)]
-                if not reusable:
-                    return _import_predictor(backend, scheme, cfg.seeds,
-                                             eval_ds, condition)
-                return _predictor(backend.kind, backend.options,
-                                  datasets[(scheme.tag, cfg.train_split)],
-                                  eval_ds, condition, out_dir / "logs")
+                predictor = Lazy(lambda: _predictor(
+                    backend.kind, backend.options, train_ds.get(),
+                    eval_ds.get(), condition, out_dir / "logs"))
+                sources = dict(zip(cfg.seeds, backend.options["runs"][scheme.tag])) \
+                    if backend.kind == "import" else {}
+                preds[scheme.tag] = [
+                    predict_stage(condition, seed, eval_ds, predictor, sources.get(seed))
+                    for seed in cfg.seeds]
+                agg = aggregate_runs([
+                    score_stage(condition, seed, eval_ds, pred).get()
+                    for seed, pred in zip(cfg.seeds, preds[scheme.tag])])
+                aggregates.append(agg)
+                scores[scheme.tag] = agg.per_run_scores
+                print(f"{condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
+                      f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
 
-            runs = []
-            for seed in cfg.seeds:
-                stage = f"predict:{condition}:{seed}"
-                path = pred_dir / f"{condition}.run{seed}.jsonl"
-                if not (reusable and manifest.reuse(stage, [path])):
-                    preds[(scheme.tag, seed)] = predictor()(seed)
-                    write_predictions(preds[(scheme.tag, seed)], path)
-                    if reusable:
-                        manifest.record(stage, [path])
-
-                score_stage = f"score:{condition}:{seed}"
-                stem = f"{condition}.run{seed}"
-                reports = [report_dir / f"{stem}.report.json",
-                           report_dir / f"{stem}.report.tsv"]
-                if manifest.reuse(score_stage, reports, [stage, eval_stage]):
-                    runs.append(read_report_scores(reports[0]))
-                else:
-                    runs.append(_score_run(datasets[(scheme.tag, cfg.eval_split)],
-                                           preds[(scheme.tag, seed)],
-                                           report_dir, stem))
-                    manifest.record(score_stage, reports)
-            agg = aggregate_runs(runs)
-            aggregates.append(agg)
-            scores[scheme.tag] = agg.per_run_scores
-            print(f"{condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
-                  f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
-
-        if "default" not in scores:
-            continue
-        for scheme in cfg.schemes:
-            if scheme.kind == "default":
+            if "default" not in scores:
                 continue
-            comparisons.append(wilcoxon_signed_rank(
-                scores[scheme.tag], scores["default"],
-                comparison=(f"{scheme.tag}+{backend.tag}",
-                            f"default+{backend.tag}")))
-            stage = f"analysis:{backend.tag}:default-vs-{scheme.tag}"
-            analysis_dir = out_dir / "analysis" / \
-                f"{backend.tag}.default-vs-{scheme.tag}"
-            outputs = [analysis_dir / "margins.tsv",
-                       analysis_dir / "connectives.tsv"]
-            inputs = [f"variants:default:{cfg.eval_split}"] + [
-                f"predict:{tag}+{backend.tag}:{seed}"
-                for tag in ("default", scheme.tag) for seed in cfg.seeds]
-            if manifest.reuse(stage, outputs, inputs, lexicon_key):
-                continue
-            _analyze_pair(datasets[("default", cfg.eval_split)],
-                          runs_of("default"), runs_of(scheme.tag), lexicon(),
-                          analysis_dir)
-            manifest.record(stage, outputs, key=lexicon_key)
+            for scheme in cfg.schemes:
+                if scheme.kind == "default":
+                    continue
+                comparisons.append(wilcoxon_signed_rank(
+                    scores[scheme.tag], scores["default"],
+                    comparison=(f"{scheme.tag}+{backend.tag}",
+                                f"default+{backend.tag}")))
+                analysis_stage(backend.tag, scheme.tag, preds["default"],
+                               preds[scheme.tag])
+    finally:
+        # A run cut short keeps the stages it completed.
+        manifest.save()
 
     # load_experiment_config has checked bonferroni_m against the comparisons.
     significance = {}
@@ -495,7 +471,6 @@ def cmd_experiment(args) -> int:
     table = format_results_table(aggregates, significance)
     (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
-    manifest.save()
     return EXIT_OK
 
 

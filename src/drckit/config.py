@@ -9,7 +9,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Generic, Sequence, TypeVar
 
 from .context import ContextScheme
 from .endpoint import EndpointConfig
@@ -20,6 +20,8 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 BACKEND_KINDS = ("majority", "cue", "endpoint", "import")
+
+T = TypeVar("T")
 
 
 class ConfigError(Exception):
@@ -72,12 +74,11 @@ class ExperimentConfig:
                 add(path.read_bytes())
         return digest.hexdigest()
 
-    def lexicon_key(self) -> str:
-        """Digest of the lexicon file, which only the analysis stages read
-        ("" for the packaged lexicon, which the tool version covers)."""
-        if self.lexicon is None:
-            return ""
-        return hashlib.sha256(self.lexicon.read_bytes()).hexdigest()
+
+def file_key(path: Path | str) -> str:
+    """sha256 of a file's bytes: the stage key of an input file that only
+    that stage reads."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def endpoint_config(options: dict) -> EndpointConfig:
@@ -198,6 +199,13 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
                         raise ConfigError(f"{path}: backends[{i}] references "
                                           f"missing prediction file {ref}")
                     resolved[scheme_tag].append(str(ref))
+            for scheme in schemes:
+                n_files = len(resolved.get(scheme.tag, []))
+                if n_files != len(seeds):
+                    raise ConfigError(
+                        f"{path}: import backend {backend.tag!r} needs one "
+                        f"run of {scheme.tag} per seed ({len(seeds)} files), "
+                        f"not {n_files}")
             backend = replace(backend,
                               options={**backend.options, "runs": resolved})
         backends.append(backend)
@@ -247,21 +255,38 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
     )
 
 
+class Lazy(Generic[T]):
+    """A value that ``load()`` makes on first use and then keeps.
+
+    ``reused`` is true for the value of a stage reused in this run.
+    """
+
+    def __init__(self, load: Callable[[], T], reused: bool = False):
+        self._load: Callable[[], T] | None = load
+        self.reused = reused
+
+    def get(self) -> T:
+        if self._load is not None:
+            self._value, self._load = self._load(), None
+        return self._value
+
+
 class RunManifest:
     """Tracks which pipeline stages already produced their outputs.
 
-    A stage is reusable when the manifest was written under the same run
-    key (see ``ExperimentConfig.run_key``), the stage was recorded with the
-    same stage key, every recorded output file still exists, and every
-    stage it reads from was itself reused in this run.
+    ``previous`` holds the stages of the manifest loaded under this run key
+    (see ``ExperimentConfig.run_key``), and ``stages`` those recorded in
+    this run, the only ones ``save`` writes: a run cut short leaves no
+    record of a stage it did not reach, whose outputs may have been made
+    from inputs that have since been made again.
     """
 
     def __init__(self, path: Path, run_key: str, tool_version: str):
         self.path = path
         self.run_key = run_key
         self.tool_version = tool_version
+        self.previous: dict[str, dict] = {}
         self.stages: dict[str, dict] = {}
-        self.reused: set[str] = set()  # stages reused in this run
 
     @classmethod
     def load_or_create(cls, path: Path | str, run_key: str,
@@ -283,44 +308,45 @@ class RunManifest:
             log.warning("%s is not a run manifest, so every stage runs again",
                         manifest.path)
         elif payload.get("run_key") == run_key:
-            manifest.stages = stages
+            manifest.previous = stages
         return manifest
 
-    def reuse(self, stage: str, outputs: Sequence[Path | str],
-              inputs: Sequence[str] = (), key: str = "") -> bool:
-        """Record ``stage`` as reused and return True if it is fresh: the
-        manifest has it under the same stage ``key`` (a digest of an input
-        only it reads), its outputs exist, and every stage in ``inputs``,
-        those it reads from, was reused in this run."""
-        entry = self.stages.get(stage)
-        if not entry or entry.get("key", "") != key \
-                or not self.reused.issuperset(inputs) \
-                or not all(Path(p).exists() for p in entry.get("outputs", [])):
-            return False
-        self.record(stage, outputs, reused=True, key=key)
-        return True
+    def stage(self, name: str, outputs: Sequence[Path | str],
+              run: Callable[[], T], load: Callable[[], T],
+              inputs: Sequence[Lazy] = (), key: str = "") -> Lazy[T]:
+        """Run the stage ``name`` unless it is fresh, record it, and return
+        its value: what ``run()`` returned, or ``load()`` on first use.
 
-    def record(self, stage: str, outputs: Sequence[Path | str],
-               reused: bool = False, key: str = "") -> None:
-        """Record a stage that ran, or was reused; a reused stage keeps the
-        time it was first completed."""
-        completed_at = self.stages.get(stage, {}).get("completed_at")
-        if not (reused and completed_at):
-            completed_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        self.stages[stage] = {
+        A stage is fresh when the loaded manifest has it under the same
+        stage ``key`` (a digest of an input only it reads), the outputs it
+        recorded exist, and every stage value in ``inputs``, those it reads
+        from, was reused in this run.
+        """
+        entry = self.previous.get(name, {})
+        reused = bool(entry) and entry.get("key", "") == key \
+            and all(value.reused for value in inputs) \
+            and all(Path(p).exists() for p in entry.get("outputs", []))
+        if reused:
+            value = Lazy(load, reused=True)
+        else:
+            result = run()
+            value = Lazy(lambda: result)
+        # A reused stage keeps the time it was first completed.
+        completed_at = entry.get("completed_at") if reused else None
+        self.stages[name] = {
             "outputs": [str(p) for p in outputs],
-            "completed_at": completed_at,
+            "completed_at": completed_at
+            or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "reused": reused,
         }
         if key:
-            self.stages[stage]["key"] = key
-        if reused:
-            self.reused.add(stage)
+            self.stages[name]["key"] = key
+        return value
 
     def save(self) -> None:
-        """Write the manifest to a temporary file, flush it to disk and
-        rename it into place, so a crash leaves the old manifest or the
-        new one, never a torn one."""
+        """Write the stages recorded in this run to a temporary file, flush
+        it to disk and rename it into place, so a crash leaves the old
+        manifest or the new one, never a torn one."""
         payload = {
             "run_key": self.run_key,
             "tool_version": self.tool_version,

@@ -67,7 +67,7 @@ def _auth_headers(config: EndpointConfig) -> dict[str, str]:
 
 
 def request_completion(config: EndpointConfig, prompt: str,
-                       session: requests.Session | None = None) -> str:
+                       session: requests.Session) -> str:
     """POST one prompt, retrying retryable failures with backoff."""
     url = config.base_url.rstrip("/") + "/chat/completions"
     payload = {
@@ -75,7 +75,6 @@ def request_completion(config: EndpointConfig, prompt: str,
         "temperature": 0.0,
         "messages": [{"role": "user", "content": prompt}],
     }
-    post = (session or requests).post
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt:
@@ -84,8 +83,8 @@ def request_completion(config: EndpointConfig, prompt: str,
                         attempt, config.max_retries, last_error)
             time.sleep(delay)
         try:
-            resp = post(url, json=payload, headers=_auth_headers(config),
-                        timeout=config.timeout)
+            resp = session.post(url, json=payload, headers=_auth_headers(config),
+                                timeout=config.timeout)
         except requests.RequestException as exc:
             last_error = exc
             continue
@@ -138,18 +137,16 @@ def _load_results_log(path: Path) -> dict[str, str]:
 
 def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDataset,
                            config: EndpointConfig, seed: int, log_path: Path | str,
-                           condition: str, run_id: int | None = None
-                           ) -> PredictionSet:
+                           condition: str) -> PredictionSet:
     """Classify every dataset instance through the endpoint.
 
-    ICL examples are sampled once per run from the training variant.  The
-    results log at ``log_path`` is append-only and the single piece of
+    The seed samples the ICL examples from the training variant and is the
+    run id of the predictions.  The results log at ``log_path`` is append-only and the single piece of
     shared state: instances already present there are not re-requested, and
     on failure the run aborts with everything completed so far persisted.
     """
     if not dataset.instances:
         raise ValueError("dataset is empty")
-    run_id = seed if run_id is None else run_id
     icl = sample_icl_examples(train_dataset, seed)
     log_path = Path(log_path)
     log_path.parent.mkdir(parents=True, exist_ok=True)
@@ -211,4 +208,4 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
 
     records = {inst.instance_id: done[inst.instance_id]
                for inst in dataset.instances}
-    return PredictionSet(condition=condition, run_id=run_id, records=records)
+    return PredictionSet(condition=condition, run_id=seed, records=records)

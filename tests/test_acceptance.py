@@ -338,13 +338,8 @@ def test_c8_prompt_golden_files():
 
 def test_c9_mock_endpoint_inference(tmp_path):
     from drckit.endpoint import EndpointError, run_endpoint_inference
-    from test_endpoint import (
-        ARG2_RE,
-        MockChatServer,
-        config_for,
-        fixture_datasets,
-        gold_echo_behavior,
-    )
+    from conftest import ARG2_RE, MockChatServer, gold_echo_behavior
+    from test_endpoint import config_for, fixture_datasets
 
     with criterion("C9 mock-endpoint"):
         test_ds, train_ds = fixture_datasets(n=8)

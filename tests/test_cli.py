@@ -12,10 +12,18 @@ import pytest
 from drckit import cli, config as config_module
 from drckit.cli import main
 from drckit.config import RunManifest
-from drckit.context import read_variant_dataset
+from drckit.context import ContextScheme, build_variant_dataset, read_variant_dataset
 from drckit.inference import PredictionSet, write_predictions
+from drckit.treebank import load_corpus
 
-from conftest import chain_records, disambiguation_split, write_corpus_dir, write_doc
+from conftest import (
+    MockChatServer,
+    chain_records,
+    disambiguation_split,
+    gold_echo_behavior,
+    write_corpus_dir,
+    write_doc,
+)
 
 
 @pytest.fixture
@@ -310,13 +318,21 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     {"train_split": 1},
     {"eval_split": ["test"]},
     {"lexicon": 1},
+    # The config file itself stands in for a prediction file: it exists.
+    {"backends": [{"kind": "import",
+                   "runs": {"OR1": ["experiment.json"] * 10}}]},
+    {"backends": [{"kind": "import",
+                   "runs": {"default": ["experiment.json"],
+                            "OR1": ["experiment.json"]}}],
+     "seeds": [1, 2]},
 ], ids=["schema_version", "backend_not_object", "backends_not_list",
         "alpha_not_number", "bonferroni_m_not_number", "bonferroni_m_float",
         "bool_seeds", "endpoint_parallelism_0", "endpoint_timeout_not_number",
         "scheme_not_string", "schemes_not_list", "import_runs_not_list",
         "corpus_dir_not_string", "out_dir_not_string",
         "train_split_not_string", "eval_split_not_string",
-        "lexicon_not_string"])
+        "lexicon_not_string", "import_runs_missing_scheme",
+        "import_runs_fewer_than_seeds"])
 def test_experiment_bad_config_exits_2(small_corpus_dir, tmp_path, capsys,
                                        override):
     path = experiment_config(tmp_path, small_corpus_dir,
@@ -457,14 +473,22 @@ def test_experiment_torn_manifest_recomputes_every_stage(
     assert outputs(out) == cold
 
 
+def run_stage(manifest: RunManifest, name: str, key: str = "") -> bool:
+    """Pass ``name`` through ``manifest``; True if it ran."""
+    ran = []
+    manifest.stage(name, [], run=lambda: ran.append(name), load=lambda: None,
+                   key=key)
+    return bool(ran)
+
+
 def test_manifest_save_leaves_old_manifest_if_interrupted(tmp_path,
                                                           monkeypatch):
     path = tmp_path / "manifest.json"
     manifest = RunManifest(path, "key", "1.0")
-    manifest.record("first", [])
+    run_stage(manifest, "first")
     manifest.save()
     saved = path.read_bytes()
-    manifest.record("second", [])
+    run_stage(manifest, "second")
 
     def crash(*args):
         raise OSError("crashed before the rename")
@@ -477,11 +501,11 @@ def test_manifest_save_leaves_old_manifest_if_interrupted(tmp_path,
 def test_manifest_reuse_keeps_first_completed_at(tmp_path):
     first = "2000-01-01T00:00:00Z"
     manifest = RunManifest(tmp_path / "manifest.json", "key", "1.0")
-    manifest.stages = {
+    manifest.previous = {
         "stage": {"outputs": [], "completed_at": first, "reused": False}}
-    manifest.record("stage", [], reused=True)
+    assert not run_stage(manifest, "stage")
     assert manifest.stages["stage"]["completed_at"] == first
-    manifest.record("stage", [])
+    assert run_stage(manifest, "stage", key="changed")
     assert manifest.stages["stage"]["completed_at"] != first
 
 
@@ -516,17 +540,34 @@ def test_experiment_rerun_redoes_only_stale_stages(small_corpus_dir, tmp_path,
     assert outputs(tmp_path / "out") == outputs(tmp_path / "fresh" / "out")
 
 
-def test_experiment_rescores_edited_import_source(small_corpus_dir, tmp_path):
+def import_config(tmp_path: Path, corpus_dir: Path) -> tuple[Path, dict]:
+    """An import-backend config over the runs of a cue experiment, and its
+    ``runs`` map."""
     (tmp_path / "cue").mkdir()
-    cue = experiment_config(tmp_path / "cue", small_corpus_dir,
+    cue = experiment_config(tmp_path / "cue", corpus_dir,
                             backends=[{"kind": "cue"}], seeds=[1, 2])
     assert run_cli("experiment", "--config", cue) == 0
     runs = {scheme: [str(tmp_path / "cue" / "out" / "predictions" /
                          f"{scheme}+cue.run{seed}.jsonl") for seed in (1, 2)]
             for scheme in ("default", "OR1")}
     config = experiment_config(
-        tmp_path, small_corpus_dir, seeds=[1, 2],
+        tmp_path, corpus_dir, seeds=[1, 2],
         backends=[{"kind": "import", "tag": "plm", "runs": runs}])
+    return config, runs
+
+
+def test_experiment_warm_import_rerun_reruns_no_stage(small_corpus_dir,
+                                                      tmp_path):
+    config, _ = import_config(tmp_path, small_corpus_dir)
+    assert run_cli("experiment", "--config", config) == 0
+    cold = outputs(tmp_path / "out")
+    assert run_cli("experiment", "--config", config) == 0
+    assert stages_run(tmp_path / "out") == []
+    assert outputs(tmp_path / "out") == cold
+
+
+def test_experiment_rescores_edited_import_source(small_corpus_dir, tmp_path):
+    config, runs = import_config(tmp_path, small_corpus_dir)
     assert run_cli("experiment", "--config", config) == 0
     before = outputs(tmp_path / "out")
 
@@ -535,6 +576,8 @@ def test_experiment_rescores_edited_import_source(small_corpus_dir, tmp_path):
     write_predictions(PredictionSet("OR1+cue", 1, {
         r["instance_id"]: "condition" for r in records}), source)
     assert run_cli("experiment", "--config", config) == 0
+    assert stages_run(tmp_path / "out") == [
+        "analysis:plm:default-vs-OR1", "predict:OR1+plm:1", "score:OR1+plm:1"]
     after = outputs(tmp_path / "out")
     assert {name for name in after if after[name] != before[name]} >= {
         "reports/OR1+plm.run1.report.json", "reports/OR1+plm.run1.report.tsv"}
@@ -592,6 +635,136 @@ def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,
                    "model": "m", "max_retries": 0, "backoff": 0.001}])
     assert run_cli("experiment", "--config", config) == 3
     assert "endpoint error" in capsys.readouterr().err
+
+
+def test_experiment_abort_saves_completed_stages(small_corpus_dir, tmp_path):
+    dead = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m",
+            "max_retries": 0, "backoff": 0.001}
+    config = experiment_config(tmp_path, small_corpus_dir, seeds=[1], m=2,
+                               backends=[{"kind": "cue"}, dead])
+    assert run_cli("experiment", "--config", config) == 3
+    assert run_cli("experiment", "--config", config) == 3
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text(
+        encoding="utf-8"))["stages"]
+    kept = [name for name in stages
+            if name.startswith("variants:") or "cue" in name]
+    assert len(kept) == 4 + 2 + 2 + 1  # variants, predict, score, analysis
+    assert all(stages[name]["reused"] for name in kept)
+
+
+@pytest.fixture
+def echo_corpus_dir(tmp_path: Path) -> Path:
+    """A corpus whose every dependent EDU has its own text, so a mock can
+    answer each prompt with the gold label of its target."""
+    labels = ("condition", "contrast")
+
+    def docs(split, n):
+        return {f"{split}-{k}": [
+            (0, -1, "null", "ROOT"),
+            (1, 0, "ROOT", f"{split} document {k} opens ."),
+            (2, 1, labels[k % 2], f"{split} {k} second ."),
+            (3, 1, labels[(k + 1) % 2], f"{split} {k} third ."),
+        ] for k in range(n)}
+    return write_corpus_dir(tmp_path / "echo", {"train": docs("train", 4),
+                                                "test": docs("test", 3)})
+
+
+def gold_echo(corpus_dir: Path):
+    """Mock behaviour that names the gold label of each prompt's target, and
+    the number of test instances."""
+    test = build_variant_dataset(load_corpus(corpus_dir, "test"),
+                                 ContextScheme("default"))
+    assert len({inst.arg2_text for inst in test.instances}) == len(test.instances)
+    return gold_echo_behavior(test), len(test.instances)
+
+
+def mock_config(directory: Path, corpus_dir: Path, server: MockChatServer,
+                schemes=("default", "OR1"), seeds=(1, 2)) -> Path:
+    directory.mkdir(exist_ok=True)
+    return experiment_config(
+        directory, corpus_dir, schemes=schemes, seeds=list(seeds),
+        m=len(schemes) - 1,
+        backends=[{"kind": "endpoint", "base_url": server.base_url,
+                   "model": "mock", "max_retries": 0, "backoff": 0.001}])
+
+
+def test_experiment_endpoint_reuses_and_resumes(echo_corpus_dir, tmp_path):
+    gold, n_instances = gold_echo(echo_corpus_dir)
+    total = 2 * 2 * n_instances  # schemes x seeds x instances
+
+    def config(directory, server):
+        return mock_config(directory, echo_corpus_dir, server)
+
+    with MockChatServer(gold) as server:
+        cold = config(tmp_path / "cold", server)
+        assert run_cli("experiment", "--config", cold) == 0
+        assert len(server.payloads) == total
+        cold_outputs = outputs(tmp_path / "cold" / "out")
+        assert run_cli("experiment", "--config", cold) == 0
+        assert len(server.payloads) == total
+        assert outputs(tmp_path / "cold" / "out") == cold_outputs
+
+    answers = n_instances + 2  # the abort falls inside the second run
+    with MockChatServer(lambda payload, index: (401, None) if index >= answers
+                        else gold(payload, index)) as server:
+        resumed = config(tmp_path / "resumed", server)
+        assert run_cli("experiment", "--config", resumed) == 3
+        logs = tmp_path / "resumed" / "out" / "logs"
+        logged = sum(len(p.read_text(encoding="utf-8").splitlines())
+                     for p in logs.iterdir())
+        assert logged == answers
+        server.behavior = gold
+        requested = len(server.payloads)
+        assert run_cli("experiment", "--config", resumed) == 0
+        assert len(server.payloads) - requested == total - logged
+    resumed_outputs = outputs(tmp_path / "resumed" / "out")
+    assert resumed_outputs.keys() == cold_outputs.keys()
+    for name, content in cold_outputs.items():
+        if name.startswith("logs/"):  # a log holds records in completion order
+            assert sorted(resumed_outputs[name].splitlines()) == \
+                sorted(content.splitlines()), name
+        else:
+            assert resumed_outputs[name] == content, name
+
+
+def test_experiment_abort_forgets_stages_it_did_not_reach(echo_corpus_dir,
+                                                           tmp_path):
+    # The rerun of default's predictions completes and the run then aborts
+    # in AD1's, before the analysis of OR1 against default, which reads the
+    # new predictions.  That analysis must not be reused next time.
+    gold, n_instances = gold_echo(echo_corpus_dir)
+    flip = {"condition": "contrast", "contrast": "condition"}
+    first = 0  # the index of the first request after the switch
+
+    def wrong_then_401(payload, index):
+        if index >= first + n_instances:
+            return 401, None
+        answer = gold(payload, index)[1]
+        return 200, f"the answer is {flip[answer.rsplit(' ', 1)[1]]}"
+
+    with MockChatServer(gold) as server:
+        config = mock_config(tmp_path, echo_corpus_dir, server,
+                             schemes=("default", "OR1", "AD1"), seeds=[1])
+        assert run_cli("experiment", "--config", config) == 0
+        out = tmp_path / "out"
+        for condition in ("default+mock", "AD1+mock"):
+            (out / "predictions" / f"{condition}.run1.jsonl").unlink()
+            (out / "logs" / f"{condition}.run1.log.jsonl").unlink()
+        first = len(server.payloads)
+        server.behavior = wrong_then_401
+        assert run_cli("experiment", "--config", config) == 3
+        assert len(server.payloads) == first + n_instances + 1
+        server.behavior = gold
+        assert run_cli("experiment", "--config", config) == 0
+    assert "analysis:mock:default-vs-OR1" in stages_run(out)
+    assert run_cli("analyze",
+                   "--dataset", out / "variants" / "disamb.default.test.jsonl",
+                   "--preds-a", out / "predictions" / "default+mock.run1.jsonl",
+                   "--preds-b", out / "predictions" / "OR1+mock.run1.jsonl",
+                   "--out", tmp_path / "analysis") == 0
+    for name in ("margins.tsv", "connectives.tsv"):
+        assert (tmp_path / "analysis" / name).read_bytes() == \
+            (out / "analysis" / "mock.default-vs-OR1" / name).read_bytes()
 
 
 def test_data_error_exits_1(tmp_path, capsys):

@@ -2,9 +2,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -17,70 +14,9 @@ from drckit.endpoint import (
 from drckit.evaluation import score
 from drckit.inference import UNPARSED
 
+from conftest import ARG2_RE, MockChatServer, gold_echo_behavior
+
 DEFAULT = ContextScheme("default")
-
-ARG2_RE = re.compile(r"Passage 2: <(.*?)>, connective")
-
-
-class MockChatServer:
-    """Scripted chat-completion endpoint for deterministic tests.
-
-    ``behavior(payload, index)`` returns (status, content); content is the
-    assistant text for 200 responses.  Every request payload is recorded.
-    """
-
-    def __init__(self, behavior):
-        self.behavior = behavior
-        self.payloads = []
-        self.headers = []
-        self._lock = threading.Lock()
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length))
-                with outer._lock:
-                    index = len(outer.payloads)
-                    outer.payloads.append(payload)
-                    outer.headers.append(dict(self.headers))
-                status, content = outer.behavior(payload, index)
-                if status != 200:
-                    self.send_response(status)
-                    self.end_headers()
-                    return
-                body = json.dumps({
-                    "choices": [{"message": {"role": "assistant",
-                                             "content": content}}],
-                }).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        # A short poll keeps shutdown() from waiting out the 0.5 s default.
-        self.thread = threading.Thread(target=self.server.serve_forever,
-                                       kwargs={"poll_interval": 0.05},
-                                       daemon=True)
-
-    def __enter__(self):
-        self.thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.server.shutdown()
-        self.server.server_close()
-
-    @property
-    def base_url(self):
-        host, port = self.server.server_address
-        return f"http://{host}:{port}"
-
 
 def fixture_datasets(n=8):
     labels = ["condition", "contrast"]
@@ -98,18 +34,6 @@ def fixture_datasets(n=8):
     test = VariantDataset("fix", DEFAULT, "test", test_instances, inventory)
     train = VariantDataset("fix", DEFAULT, "train", train_instances, inventory)
     return test, train
-
-
-def gold_echo_behavior(dataset):
-    arg2_to_gold = {inst.arg2_text: inst.gold_label
-                    for inst in dataset.instances}
-
-    def behavior(payload, index):
-        prompt = payload["messages"][0]["content"]
-        arg2 = ARG2_RE.search(prompt.splitlines()[-1]).group(1)
-        return 200, f"the answer is {arg2_to_gold[arg2]}"
-
-    return behavior
 
 
 def config_for(server, **overrides):
