@@ -13,6 +13,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from operator import eq, sub
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -70,6 +71,13 @@ class ConnectiveMatchReport:
     by_category: dict[str, CategoryMatch]
 
 
+def _check_coverage(labels: Mapping[str, str], preds_a: PredictionSet,
+                    preds_b: PredictionSet) -> None:
+    for name, preds in (("A", preds_a), ("B", preds_b)):
+        if preds.records.keys() != labels.keys():
+            raise ValueError(f"predictions {name} do not cover the gold instances")
+
+
 def pair_outcomes(labels: Mapping[str, str], preds_a: PredictionSet,
                   preds_b: PredictionSet, run_id: int) -> list[PairedOutcome]:
     """One outcome per instance for a single paired run.
@@ -77,9 +85,7 @@ def pair_outcomes(labels: Mapping[str, str], preds_a: PredictionSet,
     ``labels`` maps instance_id -> gold label (``VariantDataset.gold_labels``);
     both prediction sets must cover it exactly.
     """
-    for name, preds in (("A", preds_a), ("B", preds_b)):
-        if set(preds.records) != set(labels):
-            raise ValueError(f"predictions {name} do not cover the gold instances")
+    _check_coverage(labels, preds_a, preds_b)
     outcomes = []
     for instance_id in sorted(labels):
         gold_label = labels[instance_id]
@@ -95,6 +101,23 @@ def pair_outcomes(labels: Mapping[str, str], preds_a: PredictionSet,
     return outcomes
 
 
+def outcome_counts(labels: Mapping[str, str],
+                   runs: Iterable[tuple[PredictionSet, PredictionSet]]) -> Counter:
+    """(gold label, outcome) -> count over the paired runs (A, B), as
+    ``pair_outcomes`` would give them, without an object per instance."""
+    ids = list(labels)
+    gold = [labels[i] for i in ids]
+    signs: Counter = Counter()
+    for preds_a, preds_b in runs:
+        _check_coverage(labels, preds_a, preds_b)
+        correct_a = map(eq, gold, map(preds_a.records.__getitem__, ids))
+        correct_b = map(eq, gold, map(preds_b.records.__getitem__, ids))
+        # B correct minus A correct: 1 is a win, -1 a loss, 0 a tie.
+        signs.update(zip(gold, map(sub, correct_b, correct_a)))
+    return Counter({(relation, (TIE, WIN, LOSS)[sign]): n
+                    for (relation, sign), n in signs.items()})
+
+
 def relation_margins(outcomes: Iterable[PairedOutcome], num_runs: int,
                      normalizer: str = "runs") -> list[RelationMargin]:
     """Aggregate outcomes from all runs into per-relation margins.
@@ -104,16 +127,20 @@ def relation_margins(outcomes: Iterable[PairedOutcome], num_runs: int,
     margin.  Sorted by absolute delta descending (relation name breaks
     ties), the order the win/loss tables are usually presented in.
     """
+    return margins_from_counts(Counter((o.gold_label, o.outcome) for o in outcomes),
+                               num_runs, normalizer)
+
+
+def margins_from_counts(counts: Counter, num_runs: int,
+                        normalizer: str = "runs") -> list[RelationMargin]:
+    """``relation_margins`` from (gold label, outcome) counts."""
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
     if normalizer not in ("runs", "support"):
         raise ValueError(f"unknown normalizer {normalizer!r}")
-    tallies: dict[str, Counter] = {}
-    for o in outcomes:
-        tallies.setdefault(o.gold_label, Counter())[o.outcome] += 1
     margins = []
-    for relation, tally in tallies.items():
-        wins, losses, ties = tally[WIN], tally[LOSS], tally[TIE]
+    for relation in {relation for relation, _ in counts}:
+        wins, losses, ties = (counts[relation, o] for o in (WIN, LOSS, TIE))
         denominator = num_runs if normalizer == "runs" else wins + losses + ties
         delta = (wins - losses) / denominator
         category = WINNING if delta > 0 else LOSING if delta < 0 else TIED

@@ -23,8 +23,8 @@ from .analysis import (
     default_lexicon,
     load_connective_lexicon,
     margins_by_category,
-    pair_outcomes,
-    relation_margins,
+    margins_from_counts,
+    outcome_counts,
     write_connective_report_tsv,
     write_margins_tsv,
 )
@@ -185,12 +185,13 @@ def _predictor(kind: str, options: dict, train_ds: VariantDataset,
                ) -> Callable[[int], PredictionSet]:
     """Seed -> PredictionSet for a baseline or endpoint condition.
 
-    A baseline is fit here, once: the model does not depend on the seed.
+    A baseline is fit and predicts here, once: its predictions do not depend
+    on the seed, so every seed's set shares one read-only records dict.
     """
     if kind in BASELINE_KINDS:
-        model = train_baseline(train_ds, kind)
-        return lambda seed: predict_baseline(model, eval_ds, condition,
-                                             run_id=seed)
+        records = predict_baseline(train_baseline(train_ds, kind), eval_ds,
+                                   condition).records
+        return lambda seed: PredictionSet(condition, seed, records)
     endpoint_cfg = endpoint_config(options)
     return lambda seed: run_endpoint_inference(
         eval_ds, train_ds, endpoint_cfg, seed,
@@ -273,10 +274,9 @@ def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
     ``connectives.tsv`` of B against A under ``out_dir``."""
     pairs = _pair_by_run_id([(p.run_id, p) for p in runs_a],
                             [(p.run_id, p) for p in runs_b])
-    gold = dataset.gold_labels()
-    outcomes = [outcome for run_id, preds_a, preds_b in pairs
-                for outcome in pair_outcomes(gold, preds_a, preds_b, run_id)]
-    margins = relation_margins(outcomes, len(pairs), normalizer=normalizer)
+    counts = outcome_counts(dataset.gold_labels(),
+                            [(preds_a, preds_b) for _, preds_a, preds_b in pairs])
+    margins = margins_from_counts(counts, len(pairs), normalizer=normalizer)
     match_report = connective_match_rate(dataset.instances,
                                          margins_by_category(margins), lexicon,
                                          level=level, multiword=multiword)
@@ -368,19 +368,22 @@ def cmd_experiment(args) -> int:
 
     def predict_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
                       predictor: Lazy[Callable[[int], PredictionSet]],
-                      source: str | None) -> Lazy[PredictionSet]:
+                      source: str | None, endpoint: bool) -> Lazy[PredictionSet]:
         path = pred_dir / f"{condition}.run{seed}.jsonl"
 
         def read(path: Path | str) -> PredictionSet:
             return import_predictions(path, eval_ds.get(), condition=condition,
                                       run_id=seed)
         # An imported run is read from its source, keyed by the source's bytes.
-        return manifest.stage(
+        preds = manifest.stage(
             f"predict:{condition}:{seed}", [path],
             run=lambda: _written(
                 write_predictions,
                 read(source) if source else predictor.get()(seed), path),
             load=lambda: read(path), key=file_key(source) if source else "")
+        if endpoint and not preds.reused:
+            manifest.save()  # so a killed run keeps the stage it paid for
+        return preds
 
     def score_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
                     preds: Lazy[PredictionSet]) -> Lazy[EvalReport | RunScore]:
@@ -428,7 +431,8 @@ def cmd_experiment(args) -> int:
                 sources = dict(zip(cfg.seeds, backend.options["runs"][scheme.tag])) \
                     if backend.kind == "import" else {}
                 preds[scheme.tag] = [
-                    predict_stage(condition, seed, eval_ds, predictor, sources.get(seed))
+                    predict_stage(condition, seed, eval_ds, predictor,
+                                  sources.get(seed), backend.kind == "endpoint")
                     for seed in cfg.seeds]
                 agg = aggregate_runs([
                     score_stage(condition, seed, eval_ds, pred).get()

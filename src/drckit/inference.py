@@ -26,6 +26,8 @@ UNPARSED = "<UNPARSED>"
 
 BASELINE_KINDS = ("majority", "cue")
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 @dataclass(frozen=True)
 class ICLExample:
@@ -193,15 +195,16 @@ def predict_baseline(model: BaselineModel, dataset: VariantDataset,
 
 
 def write_predictions(predictions: PredictionSet, path: Path | str) -> None:
-    """Write the line-delimited prediction file format."""
-    lines = []
-    for instance_id in sorted(predictions.records):
-        lines.append(json.dumps({
-            "instance_id": instance_id,
-            "predicted_label": predictions.records[instance_id],
-            "condition": predictions.condition,
-            "run_id": predictions.run_id,
-        }, ensure_ascii=False))
+    """Write the line-delimited prediction file format: in id order, one
+    ``json.dumps(record, ensure_ascii=False)`` line per record."""
+    # One shared encoder (json.dumps builds one per call), and the line
+    # tail after the id encoded once per label.
+    rest = (f', "condition": {_encode(predictions.condition)}, '
+            f'"run_id": {_encode(predictions.run_id)}}}')
+    tails = {label: f', "predicted_label": {_encode(label)}{rest}'
+             for label in set(predictions.records.values())}
+    lines = [f'{{"instance_id": {_encode(instance_id)}{tails[label]}'
+             for instance_id, label in sorted(predictions.records.items())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -241,9 +244,13 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
                 raise ValueError(f"{path}:{lineno}: mixed conditions in file")
             file_condition = rec["condition"]
         if "run_id" in rec:
+            # Exact type check: JSON true/false load as bool, a subclass of int.
+            if type(rec["run_id"]) is not int:
+                raise malformed_record(path, lineno, TypeError(
+                    f"run_id {rec['run_id']!r} is not an integer"))
             if file_run is not None and rec["run_id"] != file_run:
                 raise ValueError(f"{path}:{lineno}: mixed run_ids in file")
-            file_run = int(rec["run_id"])
+            file_run = rec["run_id"]
     missing = sorted(dataset_ids.keys() - records.keys())
     if missing:
         shown = ", ".join(missing[:5])

@@ -8,11 +8,24 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drckit import cli, config as config_module
+from drckit.analysis import (
+    default_lexicon,
+    pair_outcomes,
+    relation_margins,
+    write_margins_tsv,
+)
 from drckit.cli import main
 from drckit.config import RunManifest
-from drckit.context import ContextScheme, build_variant_dataset, read_variant_dataset
+from drckit.context import (
+    ContextScheme,
+    RenderedInstance,
+    VariantDataset,
+    build_variant_dataset,
+    read_variant_dataset,
+)
 from drckit.inference import PredictionSet, write_predictions
 from drckit.treebank import load_corpus
 
@@ -211,6 +224,63 @@ def test_analyze_pairs_runs_by_run_id(small_corpus_dir, tmp_path, capsys):
     assert "A has [1, 2], B has [1, 3]" in capsys.readouterr().err
 
 
+LABELS = ("cause", "contrast", "joint")
+
+
+@st.composite
+def paired_runs(draw):
+    """A gold dataset and A and B runs over it, paired by run id."""
+    gold = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=30))
+    instances = tuple(RenderedInstance(f"i{k:02d}", "", "head", "dep", label,
+                                       ContextScheme("default"), "test")
+                      for k, label in enumerate(gold))
+    dataset = VariantDataset("prop", ContextScheme("default"), "test",
+                             instances, LABELS)
+    n_runs = draw(st.integers(1, 4))
+
+    def runs(condition):
+        return [PredictionSet(condition, run_id, {
+            inst.instance_id: draw(st.sampled_from(LABELS)) for inst in instances})
+            for run_id in range(n_runs)]
+    return dataset, runs("A"), runs("B")
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(paired_runs(), st.sampled_from(["runs", "support"]))
+def test_analyze_pair_margins_equal_relation_margins(tmp_path, runs, normalizer):
+    dataset, runs_a, runs_b = runs
+    gold = dataset.gold_labels()
+    expected = relation_margins(
+        [outcome for a, b in zip(runs_a, runs_b)
+         for outcome in pair_outcomes(gold, a, b, a.run_id)],
+        len(runs_a), normalizer=normalizer)
+    margins, _ = cli._analyze_pair(dataset, runs_a, runs_b, default_lexicon(),
+                                   tmp_path / "analysis", normalizer=normalizer)
+    assert margins == expected
+    write_margins_tsv(expected, tmp_path / "expected.tsv")
+    assert (tmp_path / "analysis" / "margins.tsv").read_bytes() == \
+        (tmp_path / "expected.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_analyze_pair_requires_coverage(tmp_path, side):
+    instances = tuple(RenderedInstance(f"i{k}", "", "head", "dep", "cause",
+                                       ContextScheme("default"), "test")
+                      for k in range(3))
+    dataset = VariantDataset("c", ContextScheme("default"), "test", instances,
+                             ("cause",))
+    full = dataset.gold_labels()
+    short = {i: label for i, label in full.items() if i != "i1"}
+    runs = {"A": [PredictionSet("A", 1, full), PredictionSet("A", 2, full)],
+            "B": [PredictionSet("B", 1, full), PredictionSet("B", 2, full)]}
+    runs[side][1] = PredictionSet(side, 2, short)
+    with pytest.raises(ValueError,
+                       match=f"predictions {side} do not cover the gold instances"):
+        cli._analyze_pair(dataset, runs["A"], runs["B"], default_lexicon(),
+                          tmp_path / "analysis")
+
+
 def test_compare_pairs_reports_by_run_id(tmp_path, capsys):
     def reports(condition, scores):
         paths = []
@@ -374,7 +444,7 @@ def test_experiment_too_small_bonferroni_m_exits_2_before_any_work(
 def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
                                                      tmp_path, monkeypatch):
     calls = {"import_predictions": 0, "train_baseline": 0,
-             "read_variant_dataset": 0}
+             "predict_baseline": 0, "read_variant_dataset": 0}
 
     def counted(name):
         original = getattr(cli, name)
@@ -386,18 +456,25 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
 
     counted("import_predictions")
     counted("train_baseline")
+    counted("predict_baseline")
     counted("read_variant_dataset")
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], m=1)
     assert run_cli("experiment", "--config", config) == 0
-    # cold: one fit per scheme, no prediction or variant file read back
+    # cold: one fit and one prediction per scheme, shared by the 10 seeds;
+    # no prediction or variant file read back
     assert calls == {"import_predictions": 0, "train_baseline": 2,
-                     "read_variant_dataset": 0}
-    calls.update(import_predictions=0, train_baseline=0)
+                     "predict_baseline": 2, "read_variant_dataset": 0}
+    calls.update(import_predictions=0, train_baseline=0, predict_baseline=0)
     assert run_cli("experiment", "--config", config) == 0
     # warm: every stage is reused, so no stage reads an input
     assert calls == {"import_predictions": 0, "train_baseline": 0,
-                     "read_variant_dataset": 0}
+                     "predict_baseline": 0, "read_variant_dataset": 0}
+    # every seed's file still carries its own run id
+    for path in sorted((tmp_path / "out" / "predictions").iterdir()):
+        run_ids = {json.loads(line)["run_id"]
+                   for line in path.read_text(encoding="utf-8").splitlines()}
+        assert run_ids == {int(path.name.split(".run")[1].split(".")[0])}, path
 
 
 def outputs(out_dir: Path) -> dict[str, bytes]:
@@ -725,6 +802,27 @@ def test_experiment_endpoint_reuses_and_resumes(echo_corpus_dir, tmp_path):
                 sorted(content.splitlines()), name
         else:
             assert resumed_outputs[name] == content, name
+
+
+def test_experiment_saves_manifest_after_each_endpoint_predict_stage(
+        echo_corpus_dir, tmp_path):
+    # A process killed inside the second condition keeps the first one's
+    # predict stage.
+    gold, n_instances = gold_echo(echo_corpus_dir)
+    manifest = tmp_path / "out" / "manifest.json"
+    seen = {}
+
+    def gold_and_look(payload, index):
+        if index == n_instances:  # the first request of OR1+mock
+            seen["stages"] = json.loads(
+                manifest.read_text(encoding="utf-8"))["stages"]
+        return gold(payload, index)
+
+    with MockChatServer(gold_and_look) as server:
+        config = mock_config(tmp_path, echo_corpus_dir, server, seeds=[1])
+        assert run_cli("experiment", "--config", config) == 0
+    assert "predict:default+mock:1" in seen["stages"]
+    assert "predict:OR1+mock:1" not in seen["stages"]
 
 
 def test_experiment_abort_forgets_stages_it_did_not_reach(echo_corpus_dir,

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import logging
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drckit.context import ContextScheme, RenderedInstance, VariantDataset
 from drckit.inference import (
@@ -275,6 +277,51 @@ def test_predictions_file_round_trip(tmp_path):
     assert again.records == preds.records
     assert again.condition == "default+x"
     assert again.run_id == 3
+
+
+# Characters a JSON encoder escapes or must leave alone under
+# ensure_ascii=False, mixed with any other text.
+TRICKY = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\r", "\t",
+                     "\u2028", "\u2029", "é", "中", "😀"]),
+    st.characters(codec="utf-8")), max_size=12)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.dictionaries(TRICKY, TRICKY, max_size=8),
+       condition=TRICKY,
+       run_id=st.one_of(st.sampled_from([0, 2**63, 10**30]),
+                        st.integers(min_value=0)))
+def test_write_predictions_writes_json_dumps_lines(tmp_path, records, condition,
+                                                   run_id):
+    path = tmp_path / "preds.jsonl"
+    write_predictions(PredictionSet(condition, run_id, records), path)
+    expected = [json.dumps({"instance_id": instance_id,
+                            "predicted_label": records[instance_id],
+                            "condition": condition, "run_id": run_id},
+                           ensure_ascii=False)
+                for instance_id in sorted(records)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("run_id, detail", [
+    ('"1"', "run_id '1' is not an integer"),
+    ("1.5", "run_id 1.5 is not an integer"),
+    ('"abc"', "run_id 'abc' is not an integer"),
+    ("true", "run_id True is not an integer"),
+], ids=["string", "float", "not_a_number", "bool"])
+def test_import_rejects_run_id_that_is_not_an_integer(tmp_path, run_id, detail):
+    # Every line carries the same run_id, so none of them is mixed.
+    dataset = make_test_dataset()
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(
+        f'{{"instance_id": "{instance_id}", "predicted_label": "cause", '
+        f'"run_id": {run_id}}}\n'
+        for instance_id in dataset.instance_ids()), encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=rf"preds\.jsonl:1: malformed record: {detail}"):
+        import_predictions(path, dataset)
 
 
 def test_import_shares_dataset_strings(tmp_path):
