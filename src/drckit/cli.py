@@ -204,9 +204,10 @@ def cmd_infer(args) -> int:
     dataset = replace(dataset, label_inventory=train.label_inventory)
     condition = args.condition or f"{dataset.scheme.tag}+{args.backend}"
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    predict = _predictor(args.backend, vars(args), train, dataset, condition,
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    predict = _predictor(args.backend, given, train, dataset, condition,
                          out_dir / "logs")
+    out_dir.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
         preds = predict(seed)
         path = out_dir / f"{condition}.run{seed}.jsonl"
@@ -530,13 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", nargs="+", type=int, default=[0])
     p.add_argument("--condition")
     p.add_argument("--out", required=True)
+    # Endpoint options; one left out keeps its EndpointConfig default.
     p.add_argument("--base-url")
-    p.add_argument("--model", default="gpt-4")
-    p.add_argument("--auth-env", default="DRCKIT_API_TOKEN")
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--backoff", type=float, default=1.0)
+    p.add_argument("--model")
+    p.add_argument("--auth-env")
+    p.add_argument("--timeout", type=float)
+    p.add_argument("--max-retries", type=int)
+    p.add_argument("--parallelism", type=int)
+    p.add_argument("--backoff", type=float)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score prediction files")

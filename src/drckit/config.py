@@ -5,11 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Generic, Sequence, TypeVar
+from urllib.parse import urlsplit
 
 from .context import ContextScheme
 from .endpoint import EndpointConfig
@@ -81,23 +83,52 @@ def file_key(path: Path | str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _http_url(value) -> bool:
+    """Whether ``value`` is an http or https URL with a host, and a valid
+    port if it names one."""
+    if not isinstance(value, str):
+        return False
+    try:
+        url = urlsplit(value)
+        return url.scheme in ("http", "https") and bool(url.hostname) \
+            and url.port != 0
+    except ValueError:  # a port that is not a number in range
+        return False
+
+
+def _number(value) -> bool:
+    # Exact type check: JSON true/false load as bool, a subclass of int.
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# Endpoint option -> (EndpointConfig field, check, what the value must be).
+# An option left out keeps the field's EndpointConfig default.
+_ENDPOINT_OPTIONS = {
+    "base_url": ("base_url", _http_url, "an http or https URL with a host"),
+    "model": ("model_name", lambda v: isinstance(v, str), "a string"),
+    "auth_env": ("auth_env", lambda v: isinstance(v, str), "a string"),
+    "timeout": ("timeout", lambda v: _number(v) and v > 0, "a number > 0"),
+    "backoff": ("backoff", lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "max_retries": ("max_retries", lambda v: type(v) is int and v >= 0,
+                    "an integer >= 0"),
+    "parallelism": ("parallelism", lambda v: type(v) is int and v >= 1,
+                    "an integer >= 1"),
+}
+
+
 def endpoint_config(options: dict) -> EndpointConfig:
     """Endpoint settings from an endpoint backend's options, or from the
-    ``infer`` arguments, whose names match the config keys."""
+    ``infer`` arguments that were given, whose names match the config keys."""
     if not options.get("base_url"):
         raise ConfigError("endpoint backend requires base_url (--base-url)")
-    try:
-        return EndpointConfig(
-            base_url=options["base_url"],
-            model_name=options.get("model", "gpt-4"),
-            timeout=float(options.get("timeout", 30.0)),
-            max_retries=int(options.get("max_retries", 3)),
-            parallelism=int(options.get("parallelism", 1)),
-            auth_env=options.get("auth_env", "DRCKIT_API_TOKEN"),
-            backoff=float(options.get("backoff", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad endpoint option: {exc}") from exc
+    fields = {}
+    for key, (field_name, valid, what) in _ENDPOINT_OPTIONS.items():
+        if key in options:
+            if not valid(options[key]):
+                raise ConfigError(f"endpoint option {key} must be {what}, "
+                                  f"not {options[key]!r}")
+            fields[field_name] = options[key]
+    return EndpointConfig(**fields)
 
 
 def _backend_from_dict(payload: dict, index: int) -> BackendSpec:

@@ -2,8 +2,9 @@
 
 Requests go to ``<base_url>/chat/completions`` at temperature 0 with a
 single user message holding the prompt; the reply text is read from the
-first choice.  Every completed instance is appended to a results log keyed
-by instance_id, so a rerun after a crash or abort only requests what is
+first choice, over one kept-alive connection per worker thread.  Every
+completed instance is appended to a results log keyed by instance_id, in
+dataset order, so a rerun after a crash or abort only requests what is
 still missing.
 """
 
@@ -14,11 +15,11 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 from .context import RenderedInstance, VariantDataset, malformed_record
 from .inference import (
@@ -39,14 +40,10 @@ class EndpointError(Exception):
     """Endpoint unusable after retries; partial results stay on disk."""
 
 
-class EndpointAuthError(EndpointError):
-    """Authentication rejected; never retried."""
-
-
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str
-    model_name: str
+    model_name: str = "gpt-4"
     timeout: float = 30.0
     max_retries: int = 3
     parallelism: int = 1
@@ -58,50 +55,68 @@ class EndpointConfig:
             raise ValueError("parallelism must be >= 1")
 
 
-def _auth_headers(config: EndpointConfig) -> dict[str, str]:
+def _post(conn: HTTPConnection, path: str, body: bytes,
+          headers: dict[str, str]) -> tuple[int, bytes]:
+    """POST ``body`` and read the whole reply.  A kept-alive connection that
+    the server has dropped is reopened and the request sent once more."""
+    for may_resend in (conn.sock is not None, False):
+        try:
+            conn.request("POST", path, body, headers)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        except ConnectionError:  # RemoteDisconnected is one too
+            conn.close()
+            if not may_resend:
+                raise
+
+
+def request_completion(config: EndpointConfig, prompt: str,
+                       session: threading.local) -> str:
+    """POST one prompt on this thread's ``session.conn``, with retries."""
+    url = config.base_url.rstrip("/") + "/chat/completions"
+    split = urlsplit(url)
+    if not hasattr(session, "conn"):
+        kind = HTTPSConnection if split.scheme == "https" else HTTPConnection
+        session.conn = kind(split.hostname, split.port, timeout=config.timeout)
+    body = json.dumps({
+        "model": config.model_name,
+        "temperature": 0.0,
+        "messages": [{"role": "user", "content": prompt}],
+    }).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(config.auth_env, "") if config.auth_env else ""
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    return headers
-
-
-def request_completion(config: EndpointConfig, prompt: str,
-                       session: requests.Session) -> str:
-    """POST one prompt, retrying retryable failures with backoff."""
-    url = config.base_url.rstrip("/") + "/chat/completions"
-    payload = {
-        "model": config.model_name,
-        "temperature": 0.0,
-        "messages": [{"role": "user", "content": prompt}],
-    }
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt:
-            delay = config.backoff * 2 ** (attempt - 1)
             log.warning("retrying request (attempt %d/%d) after %s",
                         attempt, config.max_retries, last_error)
-            time.sleep(delay)
+            time.sleep(config.backoff * 2 ** (attempt - 1))
         try:
-            resp = session.post(url, json=payload, headers=_auth_headers(config),
-                                timeout=config.timeout)
-        except requests.RequestException as exc:
+            status, data = _post(session.conn, split.path, body, headers)
+        except (OSError, HTTPException) as exc:
+            session.conn.close()
             last_error = exc
             continue
-        if resp.status_code in AUTH_STATUS:
-            raise EndpointAuthError(
-                f"authentication failed ({resp.status_code}) at {url}; "
+        if status in AUTH_STATUS:
+            raise EndpointError(
+                f"authentication failed ({status}) at {url}; "
                 f"token read from ${config.auth_env}")
-        if resp.status_code in RETRYABLE_STATUS:
-            last_error = EndpointError(f"HTTP {resp.status_code} from {url}")
+        if status in RETRYABLE_STATUS:
+            last_error = EndpointError(f"HTTP {status} from {url}")
             continue
-        if resp.status_code != 200:
-            raise EndpointError(f"HTTP {resp.status_code} from {url}: "
-                                f"{resp.text[:200]}")
+        if status != 200:
+            raise EndpointError(f"HTTP {status} from {url}: "
+                                f"{data[:200].decode('utf-8', 'replace')}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise EndpointError(f"malformed completion payload: content "
+                                f"{content!r} is not a string")
+        return content
     raise EndpointError(f"request failed after {config.max_retries} "
                         f"retries: {last_error}")
 
@@ -155,52 +170,52 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
     if done:
         log.info("resuming %s: %d done, %d to go", log_path, len(done), len(todo))
 
-    write_lock = threading.Lock()
-    session = requests.Session()
-    # First hard failure flips the flag; queued work drains without
-    # touching the endpoint again.
+    session = threading.local()  # one kept-alive connection per thread
+    opened: set[HTTPConnection] = set()  # each closed when the run ends
+    # Set by the first hard failure: queued instances then return None.
     stop = threading.Event()
 
-    class _Skipped(Exception):
-        pass
-
-    def classify(inst: RenderedInstance) -> tuple[str, str]:
+    def classify(inst: RenderedInstance) -> str | None:
         if stop.is_set():
-            raise _Skipped()
+            return None
         prompt = build_prompt(PromptSpec(
             label_inventory=dataset.label_inventory,
             icl_examples=icl,
             target=inst,
         ))
         try:
-            return inst.instance_id, request_completion(config, prompt, session)
+            return request_completion(config, prompt, session)
         except EndpointError:
             stop.set()
             raise
+        finally:
+            opened.add(session.conn)
 
     failure: Exception | None = None
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        futures = {pool.submit(classify, inst): inst for inst in todo}
-        with open(log_path, "a", encoding="utf-8") as sink:
-            for future in as_completed(futures):
+    try:
+        with ThreadPoolExecutor(max_workers=config.parallelism) as pool, \
+                open(log_path, "a", encoding="utf-8") as sink:
+            # In submission order: the log follows the dataset, not the replies.
+            futures = [pool.submit(classify, inst) for inst in todo]
+            for inst, future in zip(todo, futures):
                 try:
-                    instance_id, raw = future.result()
-                except (CancelledError, _Skipped):
-                    continue
+                    raw = future.result()
                 except EndpointError as exc:
-                    failure = exc
-                    for pending in futures:
-                        pending.cancel()
+                    failure = failure or exc
+                    continue
+                if raw is None:
                     continue
                 label = parse_llm_output(raw, dataset.label_inventory)
-                with write_lock:
-                    sink.write(json.dumps({
-                        "instance_id": instance_id,
-                        "predicted_label": label,
-                        "raw": raw,
-                    }, ensure_ascii=False) + "\n")
-                    sink.flush()
-                done[instance_id] = label
+                sink.write(json.dumps({
+                    "instance_id": inst.instance_id,
+                    "predicted_label": label,
+                    "raw": raw,
+                }, ensure_ascii=False) + "\n")
+                sink.flush()
+                done[inst.instance_id] = label
+    finally:
+        for conn in opened:
+            conn.close()
     if failure is not None:
         raise EndpointError(
             f"aborted with {len(done)}/{len(dataset.instances)} instances "

@@ -240,6 +240,9 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
             raise ValueError(f"{path}:{lineno}: duplicate instance_id {instance_id!r}")
         records[instance_id] = known.get(label, label)
         if "condition" in rec:
+            if not isinstance(rec["condition"], str):
+                raise malformed_record(path, lineno, TypeError(
+                    f"condition {rec['condition']!r} is not a string"))
             if file_condition is not None and rec["condition"] != file_condition:
                 raise ValueError(f"{path}:{lineno}: mixed conditions in file")
             file_condition = rec["condition"]

@@ -148,20 +148,34 @@ class MockChatServer:
     """Scripted chat-completion endpoint for deterministic tests.
 
     ``behavior(payload, index)`` returns (status, content); content is the
-    assistant text for 200 responses.  Every request payload is recorded.
+    assistant text for 200 responses.  Every answered request's payload is
+    recorded.  With ``drop_reused`` the server speaks HTTP/1.1 keep-alive,
+    answers the first request on each connection and closes the connection,
+    without a reply, when a second request arrives on it (counted in
+    ``dropped``).
     """
 
-    def __init__(self, behavior):
+    def __init__(self, behavior, drop_reused: bool = False):
         self.behavior = behavior
         self.payloads = []
         self.headers = []
+        self.dropped = 0
         self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if drop_reused else "HTTP/1.0"
+            replied = False  # one handler per connection
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length))
+                if drop_reused and self.replied:
+                    with outer._lock:
+                        outer.dropped += 1
+                    self.close_connection = True
+                    return
+                self.replied = True
                 with outer._lock:
                     index = len(outer.payloads)
                     outer.payloads.append(payload)
@@ -169,6 +183,7 @@ class MockChatServer:
                 status, content = outer.behavior(payload, index)
                 if status != 200:
                     self.send_response(status)
+                    self.send_header("Content-Length", "0")
                     self.end_headers()
                     return
                 body = json.dumps({
@@ -208,13 +223,17 @@ class MockChatServer:
 ARG2_RE = re.compile(r"Passage 2: <(.*?)>, connective")
 
 
+def target_arg2(payload: dict) -> str:
+    """The second argument of the target instance of a request payload."""
+    prompt = payload["messages"][0]["content"]
+    return ARG2_RE.search(prompt.splitlines()[-1]).group(1)
+
+
 def gold_echo_behavior(dataset):
     arg2_to_gold = {inst.arg2_text: inst.gold_label
                     for inst in dataset.instances}
 
     def behavior(payload, index):
-        prompt = payload["messages"][0]["content"]
-        arg2 = ARG2_RE.search(prompt.splitlines()[-1]).group(1)
-        return 200, f"the answer is {arg2_to_gold[arg2]}"
+        return 200, f"the answer is {arg2_to_gold[target_arg2(payload)]}"
 
     return behavior

@@ -190,6 +190,36 @@ def test_infer_evaluate_compare_analyze_flow(small_corpus_dir, tmp_path, capsys)
     assert "winning" in margins
 
 
+def infer_endpoint(small_corpus_dir, tmp_path, *options) -> int:
+    """``drckit infer`` with the endpoint backend on the default scheme."""
+    variants = tmp_path / "variants"
+    for split in ("train", "test"):
+        assert run_cli("variants", small_corpus_dir, "--scheme", "default",
+                       "--split", split,
+                       "--out", variants / f"{split}.jsonl") == 0
+    return run_cli("infer", "--dataset", variants / "test.jsonl",
+                   "--train", variants / "train.jsonl", "--backend", "endpoint",
+                   "--out", tmp_path / "preds", *options)
+
+
+def test_infer_base_url_without_scheme_exits_2(small_corpus_dir, tmp_path,
+                                               capsys):
+    assert infer_endpoint(small_corpus_dir, tmp_path,
+                          "--base-url", "127.0.0.1:9") == 2
+    assert "config error: endpoint option base_url" in capsys.readouterr().err
+    assert not (tmp_path / "preds").exists()
+
+
+def test_infer_endpoint_options_default_on_endpoint_config(small_corpus_dir,
+                                                           tmp_path):
+    with MockChatServer(lambda payload, index: (200, "condition")) as server:
+        assert infer_endpoint(small_corpus_dir, tmp_path,
+                              "--base-url", server.base_url) == 0
+        models = {p["model"] for p in server.payloads}
+    assert models == {"gpt-4"}  # EndpointConfig's default model
+    assert len(list((tmp_path / "preds").glob("*.jsonl"))) == 1
+
+
 def test_analyze_pairs_runs_by_run_id(small_corpus_dir, tmp_path, capsys):
     dataset = tmp_path / "default.test.jsonl"
     assert run_cli("variants", small_corpus_dir, "--scheme", "default",
@@ -380,6 +410,19 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     {"seeds": [True, False]},
     {"backends": [{**ENDPOINT, "parallelism": 0}]},
     {"backends": [{**ENDPOINT, "timeout": "x"}]},
+    {"backends": [{**ENDPOINT, "base_url": 5}]},
+    {"backends": [{**ENDPOINT, "base_url": "127.0.0.1:9"}]},
+    {"backends": [{**ENDPOINT, "base_url": "http://"}]},
+    {"backends": [{**ENDPOINT, "base_url": "http://127.0.0.1:x"}]},
+    {"backends": [{**ENDPOINT, "model": 1}]},
+    {"backends": [{**ENDPOINT, "auth_env": ["TOKEN"]}]},
+    {"backends": [{**ENDPOINT, "timeout": True}]},
+    {"backends": [{**ENDPOINT, "timeout": 0}]},
+    {"backends": [{**ENDPOINT, "backoff": -1}]},
+    {"backends": [{**ENDPOINT, "backoff": "x"}]},
+    {"backends": [{**ENDPOINT, "max_retries": True}]},
+    {"backends": [{**ENDPOINT, "max_retries": 1.5}]},
+    {"backends": [{**ENDPOINT, "parallelism": 1.7}]},
     {"schemes": [1]},
     {"schemes": "default"},
     {"backends": [{"kind": "import", "runs": {"default": 7}}]},
@@ -398,6 +441,13 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
 ], ids=["schema_version", "backend_not_object", "backends_not_list",
         "alpha_not_number", "bonferroni_m_not_number", "bonferroni_m_float",
         "bool_seeds", "endpoint_parallelism_0", "endpoint_timeout_not_number",
+        "endpoint_base_url_not_string", "endpoint_base_url_without_scheme",
+        "endpoint_base_url_without_host", "endpoint_base_url_bad_port",
+        "endpoint_model_not_string", "endpoint_auth_env_not_string",
+        "endpoint_timeout_bool", "endpoint_timeout_0",
+        "endpoint_backoff_negative", "endpoint_backoff_not_number",
+        "endpoint_max_retries_bool", "endpoint_max_retries_float",
+        "endpoint_parallelism_float",
         "scheme_not_string", "schemes_not_list", "import_runs_not_list",
         "corpus_dir_not_string", "out_dir_not_string",
         "train_split_not_string", "eval_split_not_string",

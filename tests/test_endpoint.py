@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,7 @@ from drckit.endpoint import (
 from drckit.evaluation import score
 from drckit.inference import UNPARSED
 
-from conftest import ARG2_RE, MockChatServer, gold_echo_behavior
+from conftest import ARG2_RE, MockChatServer, gold_echo_behavior, target_arg2
 
 DEFAULT = ContextScheme("default")
 
@@ -103,6 +108,16 @@ def test_garbage_output_counts_unparsed(tmp_path):
     assert preds.unparsed_count == len(test.instances)
     assert all(v == UNPARSED for v in preds.records.values())
     assert score(test, preds).macro_f1 == 0.0
+
+
+def test_null_content_is_a_malformed_payload(tmp_path):
+    test, train = fixture_datasets(n=1)
+    with MockChatServer(lambda payload, index: (200, None)) as server:
+        with pytest.raises(EndpointError, match="resume") as raised:
+            run_endpoint_inference(test, train, config_for(server), seed=1,
+                                   log_path=tmp_path / "run.log.jsonl",
+                                   condition="default+mock")
+    assert "content None is not a string" in str(raised.value.__cause__)
 
 
 def test_flaky_server_retries_then_succeeds(tmp_path, caplog):
@@ -274,3 +289,63 @@ def test_deterministic_across_runs(tmp_path):
     assert results[0].records == results[1].records
     prompts = [p["messages"][0]["content"] for p in server.payloads]
     assert len(set(prompts)) == len(prompts)
+
+
+def test_dropped_keep_alive_connection_is_reopened(tmp_path):
+    # The server drops each reused connection unanswered; with no retries
+    # left, only the resend on a fresh connection can finish the run.
+    test, train = fixture_datasets(n=6)
+    with MockChatServer(gold_echo_behavior(test), drop_reused=True) as server:
+        preds = run_endpoint_inference(
+            test, train, config_for(server, max_retries=0, parallelism=1),
+            seed=1, log_path=tmp_path / "run.log.jsonl",
+            condition="default+mock")
+        answered = sorted(target_arg2(p) for p in server.payloads)
+        dropped = server.dropped
+    assert preds.records == test.gold_labels()
+    assert answered == sorted(i.arg2_text for i in test.instances)
+    assert dropped == len(test.instances) - 1
+
+
+def test_log_follows_dataset_order(tmp_path):
+    test, train = fixture_datasets(n=6)
+    gold = gold_echo_behavior(test)
+
+    def first_is_slow(payload, index):
+        if target_arg2(payload) == test.instances[0].arg2_text:
+            time.sleep(0.2)
+        return gold(payload, index)
+
+    log_path = tmp_path / "run.log.jsonl"
+    with MockChatServer(first_is_slow) as server:
+        run_endpoint_inference(test, train, config_for(server, parallelism=3),
+                               seed=1, log_path=log_path,
+                               condition="default+mock")
+    logged = [json.loads(line)["instance_id"]
+              for line in log_path.read_text(encoding="utf-8").splitlines()]
+    assert logged == test.instance_ids()
+
+
+def test_https_url_speaks_tls(tmp_path):
+    # A plain-HTTP server cannot complete a TLS handshake, so an https URL
+    # pointed at one fails, and no request reaches the handler.
+    test, train = fixture_datasets(n=1)
+    with MockChatServer(gold_echo_behavior(test)) as server:
+        https_url = server.base_url.replace("http://", "https://", 1)
+        with pytest.raises(EndpointError, match="resume"):
+            run_endpoint_inference(
+                test, train,
+                config_for(server, base_url=https_url, max_retries=0),
+                seed=1, log_path=tmp_path / "run.log.jsonl",
+                condition="default+mock")
+        assert server.payloads == []
+
+
+def test_cli_import_pulls_in_no_http_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, drckit.cli; "
+            "print(sorted({'requests', 'urllib3'} & sys.modules.keys()))")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout.strip() == "[]"

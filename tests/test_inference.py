@@ -341,7 +341,9 @@ def test_import_shares_dataset_strings(tmp_path):
     ('{"instance_id": "t:001", "condition": "c"}', "missing field 'predicted_label'"),
     ('{"instance_id": "t:001", ', "Expecting"),
     ('["t:001", "joint"]', ""),
-], ids=["missing_field", "not_json", "not_object"])
+    ('{"instance_id": "t:001", "predicted_label": "joint", "condition": ["x"]}',
+     r"condition \['x'\] is not a string"),
+], ids=["missing_field", "not_json", "not_object", "condition_not_string"])
 def test_import_malformed_record_names_path_and_line(tmp_path, bad_line, detail):
     dataset = make_test_dataset()
     path = tmp_path / "preds.jsonl"
