@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
 from .treebank import (
+    ROOT_ID,
     Corpus,
     DiscourseTree,
     RelationInstance,
@@ -129,12 +131,17 @@ def select_context(tree: DiscourseTree, instance: RelationInstance,
     if dep.head_id != instance.arg1_edu_id:
         raise ValueError(f"instance {instance.instance_id} is inconsistent "
                          f"with tree {tree.doc_id}")
+    return _fragments(tree, instance.arg1_edu_id, scheme, include_relations)
 
+
+def _fragments(tree: DiscourseTree, arg1_edu_id: int, scheme: ContextScheme,
+               include_relations: bool) -> list[str]:
+    """select_context for an instance known to come from ``tree``."""
     if scheme.kind == "default":
         return []
     if scheme.kind == "add":
-        return _preceding_sentences(tree, instance.arg1_edu_id, scheme.n)
-    ancestor_ids = ancestors(tree, instance.arg1_edu_id, scheme.n)
+        return _preceding_sentences(tree, arg1_edu_id, scheme.n)
+    ancestor_ids = ancestors(tree, arg1_edu_id, scheme.n)
     fragments = []
     for edu_id in reversed(ancestor_ids):
         edu = tree.edu(edu_id)
@@ -168,11 +175,8 @@ def render_instance(instance: RelationInstance, fragments: Sequence[str],
 
 def corpus_label_inventory(corpus: Corpus) -> tuple[str, ...]:
     """Sorted distinct relation labels over all instances of a corpus."""
-    labels = set()
-    for tree in corpus.trees:
-        for inst in extract_instances(tree):
-            labels.add(inst.gold_label)
-    return tuple(sorted(labels))
+    return tuple(sorted({e.relation for tree in corpus.trees
+                         for e in tree.edus if e.head_id > ROOT_ID}))
 
 
 def build_variant_dataset(corpus: Corpus, scheme: ContextScheme,
@@ -189,7 +193,8 @@ def build_variant_dataset(corpus: Corpus, scheme: ContextScheme,
     rendered = []
     for tree in sorted(corpus.trees, key=lambda t: t.doc_id):
         for inst in extract_instances(tree):
-            fragments = select_context(tree, inst, scheme, include_relations)
+            fragments = _fragments(tree, inst.arg1_edu_id, scheme,
+                                   include_relations)
             rendered.append(render_instance(inst, fragments, scheme, corpus.split))
     return VariantDataset(
         corpus_name=corpus.name,
@@ -204,19 +209,16 @@ def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
     """Write the line-delimited dataset file consumed by inference.
 
     One JSON record per instance with fields {instance_id, context, arg1,
-    arg2, label, scheme, split}, UTF-8, sorted by instance_id.
+    arg2, label, scheme, split}, UTF-8, sorted by instance_id: the lines
+    ``json.dumps(record, ensure_ascii=False)`` gives, from its own escaper.
     """
-    lines = []
-    for inst in sorted(dataset.instances, key=lambda i: i.instance_id):
-        lines.append(json.dumps({
-            "instance_id": inst.instance_id,
-            "context": inst.context_text,
-            "arg1": inst.arg1_text,
-            "arg2": inst.arg2_text,
-            "label": inst.gold_label,
-            "scheme": inst.scheme.tag,
-            "split": inst.split,
-        }, ensure_ascii=False))
+    q = encode_basestring
+    tail = (f', "scheme": {q(dataset.scheme.tag)}, '
+            f'"split": {q(dataset.split)}}}')
+    lines = [f'{{"instance_id": {q(i.instance_id)}, "context": '
+             f'{q(i.context_text)}, "arg1": {q(i.arg1_text)}, "arg2": '
+             f'{q(i.arg2_text)}, "label": {q(i.gold_label)}{tail}'
+             for i in sorted(dataset.instances, key=lambda i: i.instance_id)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -17,8 +17,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
 from .context import RenderedInstance, VariantDataset, malformed_record
@@ -29,6 +29,9 @@ from .inference import (
     parse_llm_output,
     sample_icl_examples,
 )
+
+if TYPE_CHECKING:
+    from http.client import HTTPConnection
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +76,9 @@ def _post(conn: HTTPConnection, path: str, body: bytes,
 def request_completion(config: EndpointConfig, prompt: str,
                        session: threading.local) -> str:
     """POST one prompt on this thread's ``session.conn``, with retries."""
+    # Imported per call: http.client pulls in email and ssl, needed only here.
+    from http.client import HTTPConnection, HTTPException, HTTPSConnection
+
     url = config.base_url.rstrip("/") + "/chat/completions"
     split = urlsplit(url)
     if not hasattr(session, "conn"):

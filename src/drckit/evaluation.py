@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import mean, stdev
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .context import VariantDataset
 from .inference import PredictionSet
@@ -94,12 +95,12 @@ class SignificanceResult:
     significant: bool | None = None
 
 
-def confusion_matrix(gold: Sequence[str], predicted: Sequence[str],
+def confusion_matrix(gold: Iterable[str], predicted: Iterable[str],
                      labels: Sequence[str]) -> ConfusionMatrix:
     index = {label: i for i, label in enumerate(labels)}
     rows = [[0] * (len(labels) + 1) for _ in labels]
-    for g, p in zip(gold, predicted):
-        rows[index[g]][index.get(p, len(labels))] += 1
+    for (g, p), n in Counter(zip(gold, predicted)).items():
+        rows[index[g]][index.get(p, len(labels))] += n
     return ConfusionMatrix(labels=tuple(labels),
                            counts=tuple(tuple(row) for row in rows))
 
@@ -111,19 +112,16 @@ def score(dataset: VariantDataset, predictions: PredictionSet) -> EvalReport:
     sorted gold inventory of this split.
     """
     gold_map = dataset.gold_labels()
-    got = set(predictions.records)
-    want = set(gold_map)
-    if got != want:
-        missing = sorted(want - got)[:5]
-        extra = sorted(got - want)[:5]
+    records = predictions.records
+    if records.keys() != gold_map.keys():
+        missing = sorted(gold_map.keys() - records.keys())[:5]
+        extra = sorted(records.keys() - gold_map.keys())[:5]
         raise ValueError(f"predictions do not cover dataset "
                          f"(missing {missing}, extra {extra})")
 
     labels = tuple(sorted(set(gold_map.values())))
-    ids = dataset.instance_ids()
-    gold = [gold_map[i] for i in ids]
-    pred = [predictions.records[i] for i in ids]
-    matrix = confusion_matrix(gold, pred, labels)
+    matrix = confusion_matrix(gold_map.values(), map(records.get, gold_map),
+                              labels)
 
     per_class = {}
     for i, label in enumerate(labels):
@@ -137,7 +135,7 @@ def score(dataset: VariantDataset, predictions: PredictionSet) -> EvalReport:
         per_class[label] = ClassScore(precision, recall, f1, support=tp + fn)
 
     correct = sum(matrix.counts[i][i] for i in range(len(labels)))
-    total = len(ids)
+    total = len(gold_map)
     return EvalReport(
         condition=predictions.condition,
         run_id=predictions.run_id,

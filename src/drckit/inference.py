@@ -13,6 +13,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -148,8 +149,10 @@ class BaselineModel:
 
 
 def _first_token(text: str) -> str:
-    parts = text.lower().split()
-    return parts[0] if parts else ""
+    # Lowercase only the first token: lowercasing makes and removes no
+    # whitespace, so this is text.lower().split()[0].
+    parts = text.split(None, 1)
+    return parts[0].lower() if parts else ""
 
 
 def _cue_key(inst: RenderedInstance) -> tuple[str, ...]:
@@ -197,14 +200,14 @@ def predict_baseline(model: BaselineModel, dataset: VariantDataset,
 def write_predictions(predictions: PredictionSet, path: Path | str) -> None:
     """Write the line-delimited prediction file format: in id order, one
     ``json.dumps(record, ensure_ascii=False)`` line per record."""
-    # One shared encoder (json.dumps builds one per call), and the line
-    # tail after the id encoded once per label.
+    # Ids go through json.dumps's own string escaper, and the line tail
+    # after the id is encoded once per label.
     rest = (f', "condition": {_encode(predictions.condition)}, '
             f'"run_id": {_encode(predictions.run_id)}}}')
     tails = {label: f', "predicted_label": {_encode(label)}{rest}'
              for label in set(predictions.records.values())}
-    lines = [f'{{"instance_id": {_encode(instance_id)}{tails[label]}'
-             for instance_id, label in sorted(predictions.records.items())]
+    lines = [f'{{"instance_id": {encode_basestring(i)}{tails[label]}'
+             for i, label in sorted(predictions.records.items())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

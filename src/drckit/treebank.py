@@ -170,28 +170,29 @@ def ends_sentence(text: str) -> bool:
     return bool(_SENTENCE_END.search(text.rstrip()))
 
 
-def derive_sentence_indices(tree: DiscourseTree) -> DiscourseTree:
-    """Return a copy of ``tree`` with sentence_index filled on every EDU.
+def _sentence_step(index: int, head_id: int, text: str) -> tuple[int, int]:
+    """(this EDU's sentence index, the next EDU's): a sentence ends after an
+    EDU whose text ends with terminal punctuation.  The virtual ROOT takes
+    index 0 and never advances the counter."""
+    if head_id == ROOT_HEAD:
+        return 0, index
+    return index, index + 1 if ends_sentence(text) else index
 
-    A new sentence starts after an EDU whose text ends with terminal
-    punctuation.  The virtual ROOT keeps index 0 and never advances the
-    counter.
-    """
+
+def derive_sentence_indices(tree: DiscourseTree) -> DiscourseTree:
+    """Return a copy of ``tree`` with sentence_index filled on every EDU."""
     index = 0
     edus = []
     for e in tree.edus:
-        if e.is_root:
-            edus.append(replace(e, sentence_index=0))
-            continue
-        edus.append(replace(e, sentence_index=index))
-        if ends_sentence(e.text):
-            index += 1
+        own, index = _sentence_step(index, e.head_id, e.text)
+        edus.append(replace(e, sentence_index=own))
     return DiscourseTree(tree.doc_id, tuple(edus))
 
 
 def make_instance_id(doc_id: str, dependent_id: int) -> str:
-    # Zero padding keeps lexicographic instance_id order aligned with
-    # (doc_id, dependent id) order.
+    # Zero-padded to three digits, which from id 1000 on does not keep string
+    # order aligned with dependent order ("doc:1000" < "doc:101").  Files are
+    # written in id-string order; scoring and pairing do not depend on order.
     return f"{doc_id}:{dependent_id:03d}"
 
 
@@ -221,6 +222,7 @@ def parse_tree_document(data: bytes | str, doc_id: str) -> DiscourseTree:
 
     edus = []
     seen_ids = set()
+    sentence = 0
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise TreeParseError(doc_id, f"record {i} is not an object")
@@ -234,14 +236,16 @@ def parse_tree_document(data: bytes | str, doc_id: str) -> DiscourseTree:
         if rec["id"] in seen_ids:
             raise TreeParseError(doc_id, f"duplicate id {rec['id']}")
         seen_ids.add(rec["id"])
-        edus.append(EDU(id=rec["id"], text=rec["text"].strip(),
-                        head_id=rec["parent"], relation=rec["relation"]))
+        text = rec["text"].strip()
+        own, sentence = _sentence_step(sentence, rec["parent"], text)
+        edus.append(EDU(id=rec["id"], text=text, head_id=rec["parent"],
+                        relation=rec["relation"], sentence_index=own))
 
     tree = DiscourseTree(doc_id, tuple(edus))
     violations = validate_tree(tree)
     if violations:
         raise TreeValidationError(doc_id, violations)
-    return derive_sentence_indices(tree)
+    return tree
 
 
 def serialize_tree_document(tree: DiscourseTree) -> bytes:
@@ -414,7 +418,8 @@ def _gap_stats(hist: Counter) -> GapStats:
 
 
 def count_instances(corpus: Corpus) -> int:
-    return sum(len(extract_instances(t)) for t in corpus.trees)
+    # Every EDU headed by a real EDU is one instance (see extract_instances).
+    return sum(1 for t in corpus.trees for e in t.edus if e.head_id > ROOT_ID)
 
 
 def iter_document_files(split_dir: Path) -> Iterator[Path]:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drckit.context import (
     ContextScheme,
+    RenderedInstance,
+    VariantDataset,
     build_variant_dataset,
     corpus_label_inventory,
     read_variant_dataset,
@@ -14,10 +17,16 @@ from drckit.context import (
     select_context,
     write_variant_dataset,
 )
-from drckit.treebank import Corpus, ancestors, extract_instances
+from drckit.treebank import (
+    Corpus,
+    ancestors,
+    count_instances,
+    extract_instances,
+)
 
 from conftest import RELATIONS, WORDS, chain_records, synthetic_corpus, tree_from
 from oracles import path_to_root, preceding_sentences
+from test_inference import TRICKY
 
 OR1 = ContextScheme("oracle", 1)
 OR2 = ContextScheme("oracle", 2)
@@ -329,3 +338,48 @@ def test_context_matches_oracles_on_random_trees(records):
             expected = oracle[inst.arg1_edu_id]
             assert select_context(tree, inst, scheme) == expected
             assert rendered.context_text == " ".join(expected)
+
+
+def json_dumps_variant_lines(dataset):
+    """The variant file as one json.dumps call per record wrote it."""
+    lines = [json.dumps({
+        "instance_id": inst.instance_id,
+        "context": inst.context_text,
+        "arg1": inst.arg1_text,
+        "arg2": inst.arg2_text,
+        "label": inst.gold_label,
+        "scheme": inst.scheme.tag,
+        "split": inst.split,
+    }, ensure_ascii=False)
+        for inst in sorted(dataset.instances, key=lambda i: i.instance_id)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.dictionaries(TRICKY, st.tuples(
+           st.one_of(st.just(""), TRICKY), TRICKY, TRICKY, TRICKY),
+           max_size=8),
+       scheme=st.sampled_from([DEFAULT, AD1, OR2]),
+       split=TRICKY)
+def test_write_variant_dataset_writes_json_dumps_lines(tmp_path, fields,
+                                                      scheme, split):
+    instances = tuple(
+        RenderedInstance(iid, context, arg1, arg2, label, scheme, split)
+        for iid, (context, arg1, arg2, label) in fields.items())
+    dataset = VariantDataset("prop", scheme, split, instances, ())
+    path = tmp_path / "variant.jsonl"
+    write_variant_dataset(dataset, path)
+    assert path.read_bytes() == json_dumps_variant_lines(dataset)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(legal_records(), min_size=1, max_size=4))
+def test_instance_counts_and_inventory_match_extracted_instances(docs):
+    corpus = Corpus("prop", "test", tuple(
+        tree_from(records, f"prop-{i}") for i, records in enumerate(docs)))
+    instances = [inst for tree in corpus.trees
+                 for inst in extract_instances(tree)]
+    assert count_instances(corpus) == len(instances)
+    assert corpus_label_inventory(corpus) == \
+        tuple(sorted({inst.gold_label for inst in instances}))

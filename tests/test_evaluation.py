@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import random
+import re
+from statistics import mean
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drckit.context import ContextScheme, RenderedInstance, VariantDataset
 from drckit.evaluation import (
+    ClassScore,
+    ConfusionMatrix,
+    EvalReport,
     aggregate_runs,
     bonferroni,
     score,
@@ -83,6 +89,64 @@ def test_score_matches_brute_force_oracle():
         macro, accuracy = brute_force_scores(gold, pred)
         assert report.macro_f1 == pytest.approx(macro, abs=1e-15)
         assert report.accuracy == pytest.approx(accuracy, abs=1e-15)
+
+
+def loop_score(dataset, predictions):
+    """score() as a loop over the dataset's instances, one count at a time."""
+    gold_map = dataset.gold_labels()
+    got, want = set(predictions.records), set(gold_map)
+    if got != want:
+        raise ValueError(f"predictions do not cover dataset "
+                         f"(missing {sorted(want - got)[:5]}, "
+                         f"extra {sorted(got - want)[:5]})")
+    labels = tuple(sorted(set(gold_map.values())))
+    index = {label: i for i, label in enumerate(labels)}
+    rows = [[0] * (len(labels) + 1) for _ in labels]
+    for i in dataset.instance_ids():
+        rows[index[gold_map[i]]][index.get(predictions.records[i],
+                                           len(labels))] += 1
+    per_class = {}
+    for i, label in enumerate(labels):
+        tp = rows[i][i]
+        fp = sum(rows[r][i] for r in range(len(labels)) if r != i)
+        fn = sum(rows[i][c] for c in range(len(labels) + 1) if c != i)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = (2 * precision * recall / (precision + recall)
+              if precision + recall else 0.0)
+        per_class[label] = ClassScore(precision, recall, f1, support=tp + fn)
+    total = len(gold_map)
+    return EvalReport(
+        condition=predictions.condition, run_id=predictions.run_id,
+        per_class=per_class,
+        macro_f1=mean(s.f1 for s in per_class.values()) if per_class else 0.0,
+        accuracy=(sum(rows[i][i] for i in range(len(labels))) / total
+                  if total else 0.0),
+        n=total,
+        confusion=ConfusionMatrix(labels, tuple(tuple(r) for r in rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from("ABC"),
+                                st.sampled_from(["A", "B", "C", "D",
+                                                 UNPARSED])),
+                      max_size=40),
+       drop=st.integers(0, 7), extra=st.integers(0, 7))
+def test_score_matches_instance_loop(pairs, drop, extra):
+    # D is outside the gold inventory and lands in <other> with UNPARSED.
+    dataset = make_dataset([g for g, _ in pairs])
+    preds = make_predictions(dataset, [p for _, p in pairs])
+    for instance_id in list(preds.records)[:drop]:
+        del preds.records[instance_id]
+    for k in range(extra):
+        preds.records[f"x:{k:03d}"] = "A"
+    try:
+        expected = loop_score(dataset, preds)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            score(dataset, preds)
+        return
+    assert score(dataset, preds) == expected
 
 
 def test_score_invariant_under_relabeling():

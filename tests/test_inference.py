@@ -11,6 +11,7 @@ from drckit.context import ContextScheme, RenderedInstance, VariantDataset
 from drckit.inference import (
     UNPARSED,
     ICLExample,
+    _first_token,
     PredictionSet,
     PromptSpec,
     build_prompt,
@@ -243,6 +244,19 @@ def test_cue_baseline_uses_context_token():
     ], inventory=train_ctx.label_inventory, scheme=OR1, split="test")
     preds = predict_baseline(model, test, "OR1+cue")
     assert preds.records == {"t:001": "condition", "t:002": "contrast"}
+
+
+# Every character str.split() splits on, and letters whose lowercase is
+# longer or depends on the letters around them.
+SPACES = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(SPACES + "ΣσςİIßẞΑβ"),
+                         st.characters()), max_size=12))
+def test_first_token_is_lowercased_first_word(text):
+    words = text.lower().split()
+    assert _first_token(text) == (words[0] if words else "")
 
 
 def test_baselines_are_pure():

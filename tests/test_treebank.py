@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drckit.treebank import (
     Corpus,
@@ -14,6 +16,7 @@ from drckit.treebank import (
     CorpusError,
     dependency_distance_stats,
     derive_sentence_indices,
+    ends_sentence,
     extract_instances,
     load_corpus,
     load_split,
@@ -29,6 +32,7 @@ from conftest import (
     tree_from,
     write_doc,
 )
+from test_context import legal_records
 
 
 def test_parse_smallest_legal_tree():
@@ -230,6 +234,34 @@ def test_sentence_indices_closing_quotes():
     ))
     filled = derive_sentence_indices(tree)
     assert [e.sentence_index for e in filled.real_edus] == [0, 1]
+
+
+def counted_sentence_indices(tree):
+    """Sentence index per EDU by the counting rule, one EDU at a time."""
+    index, out = 0, []
+    for e in tree.edus:
+        if e.is_root:
+            out.append(0)
+            continue
+        out.append(index)
+        if ends_sentence(e.text):
+            index += 1
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(legal_records(), st.lists(st.sampled_from(["", " ", "\t", "\n "]),
+                                 min_size=2, max_size=2))
+def test_parsed_sentence_indices_match_derivation(records, pads):
+    # The ROOT text ends a sentence too, which must not advance the count.
+    before, after = pads
+    tree = tree_from([(i, p, r, before + t + (" ." if i == 0 else "") + after)
+                      for i, p, r, t in records])
+    unset = DiscourseTree(tree.doc_id, tuple(
+        replace(e, sentence_index=0) for e in tree.edus))
+    assert derive_sentence_indices(unset) == tree
+    assert [e.sentence_index for e in tree.edus] == \
+        counted_sentence_indices(tree)
 
 
 def test_distance_stats_single_edge():
