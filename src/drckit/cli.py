@@ -163,14 +163,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_variants(args) -> int:
-    corpus_dir = Path(args.corpus_dir)
     scheme = ContextScheme.parse(args.scheme)
-    corpus = load_corpus(corpus_dir, args.split, args.name)
-    inventory = None
-    if args.train_split and (corpus_dir / args.train_split).is_dir():
-        inventory = corpus_label_inventory(
-            load_corpus(corpus_dir, args.train_split, args.name))
-    dataset = build_variant_dataset(corpus, scheme, inventory,
+    corpus = load_corpus(Path(args.corpus_dir), args.split, args.name)
+    dataset = build_variant_dataset(corpus, scheme,
                                     include_relations=args.include_relations)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -229,16 +224,13 @@ def cmd_evaluate(args) -> int:
     dataset = read_variant_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
+    by_condition: dict[str, list[EvalReport]] = {}
     for pred_path in args.predictions:
         preds = import_predictions(pred_path, dataset)
         report = _score_run(dataset, preds, out_dir, Path(pred_path).stem)
         print(f"{report.condition} run {report.run_id}: "
               f"macro-F1 {report.macro_f1:.4f}, accuracy {report.accuracy:.4f}")
-        reports.append(report)
-    by_condition: dict[str, list[EvalReport]] = {}
-    for r in reports:
-        by_condition.setdefault(r.condition, []).append(r)
+        by_condition.setdefault(report.condition, []).append(report)
     for condition, group in by_condition.items():
         if len(group) > 1:
             agg = aggregate_runs(group)
@@ -288,6 +280,8 @@ def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
 
 
 def cmd_compare(args) -> int:
+    if not 0 < args.alpha < 1:  # NaN included
+        raise ConfigError("--alpha must be a number > 0 and < 1")
     def read_scores(paths):
         triples = [read_report_scores(p) for p in paths]
         conditions = {t[0] for t in triples}
@@ -515,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name")
     p.add_argument("--scheme", required=True, help="default, AD<n> or OR<n>")
     p.add_argument("--split", required=True)
-    p.add_argument("--train-split", default="train",
-                   help="split supplying the label inventory")
     p.add_argument("--include-relations", action="store_true",
                    help="prefix oracle fragments with their relation label")
     p.add_argument("--out", required=True)

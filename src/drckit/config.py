@@ -36,11 +36,6 @@ class BackendSpec:
     tag: str
     options: dict
 
-    def __post_init__(self):
-        if self.kind not in BACKEND_KINDS:
-            raise ConfigError(f"unknown backend kind {self.kind!r}; "
-                              f"known: {BACKEND_KINDS}")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -251,8 +246,9 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
             raise ConfigError(f"{path}: lexicon file does not exist: {lexicon}")
 
     alpha = payload.get("alpha", 0.05)
-    if type(alpha) not in (int, float):
-        raise ConfigError(f"{path}: alpha must be a number")
+    # NaN, which json.loads accepts, fails the range check too.
+    if type(alpha) not in (int, float) or not 0 < alpha < 1:
+        raise ConfigError(f"{path}: alpha must be a number > 0 and < 1")
     bonferroni_m = payload.get("bonferroni_m")
     if bonferroni_m is not None:
         if type(bonferroni_m) is not int:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .treebank import (
     ROOT_ID,
@@ -222,10 +223,62 @@ def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def malformed_record(path: Path, lineno: int, exc: Exception) -> ValueError:
-    """The error for a JSONL line whose decoding or field lookup raised ``exc``."""
-    detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-    return ValueError(f"{path}:{lineno}: malformed record: {detail}")
+class JsonField(NamedTuple):
+    """A record field: its exact JSON types, named for errors; whether a
+    record must hold it; and a parse of its value, which may raise ValueError."""
+
+    types: tuple[type, ...]
+    what: str
+    required: bool = True
+    parse: Callable[[Any], Any] | None = None
+
+
+# Exact types: JSON true/false load as bool, a subclass of int.
+STRING = JsonField((str,), "a string")
+INTEGER = JsonField((int,), "an integer")
+NUMBER = JsonField((int, float), "a number")
+
+
+def check_fields(record: Any, fields: Mapping[str, JsonField]) -> dict:
+    """``record`` with its ``fields`` parsed; a ValueError names the first
+    field it lacks or holds with another JSON type."""
+    if type(record) is not dict:
+        raise ValueError(f"{type(record).__name__} is not a JSON object")
+    for name, field in fields.items():
+        if name not in record:
+            if field.required:
+                raise ValueError(f"missing field {name!r}")
+        elif type(record[name]) not in field.types:
+            raise ValueError(f"{name} {record[name]!r} is not {field.what}")
+        elif field.parse is not None:
+            record[name] = field.parse(record[name])
+    return record
+
+
+def read_records(path: Path, fields: Mapping[str, JsonField],
+                 text: str | None = None) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of the JSONL file at
+    ``path`` (or of its ``text``), checked against ``fields``; any other line
+    raises ``ValueError("<path>:<line>: malformed record: ...")``."""
+    if text is None:
+        text = path.read_text(encoding="utf-8")
+    # Only "\n" ends a record: JSON strings keep U+2028 and U+0085 unescaped,
+    # and str.splitlines() would split at them.
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            record = check_fields(json.loads(line), fields)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        yield lineno, record
+
+
+# Each spelling of a scheme is parsed once; "OR1" and "or1" parse to equal
+# schemes, so a file that mixes them holds one scheme.
+_VARIANT_FIELDS = {**dict.fromkeys(("instance_id", "context", "arg1", "arg2",
+                                    "label", "split"), STRING),
+                   "scheme": STRING._replace(parse=lru_cache(ContextScheme.parse))}
 
 
 def read_variant_dataset(path: Path | str, corpus_name: str = "",
@@ -240,35 +293,17 @@ def read_variant_dataset(path: Path | str, corpus_name: str = "",
     instances = []
     scheme: ContextScheme | None = None
     split = ""
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            instance = RenderedInstance(
-                instance_id=rec["instance_id"],
-                context_text=rec["context"],
-                arg1_text=rec["arg1"],
-                arg2_text=rec["arg2"],
-                gold_label=rec["label"],
-                scheme=ContextScheme.parse(rec["scheme"]),
-                split=rec["split"],
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise malformed_record(path, lineno, exc) from exc
+    for lineno, rec in read_records(path, _VARIANT_FIELDS):
         if scheme is None:
-            scheme, split = instance.scheme, instance.split
-        elif instance.scheme != scheme or instance.split != split:
+            scheme, split = rec["scheme"], rec["split"]
+        elif rec["scheme"] != scheme or rec["split"] != split:
             raise ValueError(f"{path}:{lineno}: mixed scheme or split")
-        instances.append(instance)
+        instances.append(RenderedInstance(rec["instance_id"], rec["context"],
+                                          rec["arg1"], rec["arg2"], rec["label"],
+                                          scheme, split))
     if scheme is None:
         raise ValueError(f"{path}: empty dataset file")
     if label_inventory is None:
-        label_inventory = tuple(sorted({i.gold_label for i in instances}))
-    return VariantDataset(
-        corpus_name=corpus_name or path.stem,
-        scheme=scheme,
-        split=split,
-        instances=tuple(instances),
-        label_inventory=tuple(label_inventory),
-    )
+        label_inventory = sorted({i.gold_label for i in instances})
+    return VariantDataset(corpus_name or path.stem, scheme, split, instances,
+                          label_inventory)

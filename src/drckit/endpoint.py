@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
-from .context import RenderedInstance, VariantDataset, malformed_record
+from .context import STRING, RenderedInstance, VariantDataset, read_records
 from .inference import (
     PredictionSet,
     PromptSpec,
@@ -134,9 +134,8 @@ def _load_results_log(path: Path) -> dict[str, str]:
     dropped and the file truncated back to its last newline, so the next
     append starts a fresh line; a malformed line before it still raises.
     """
-    done: dict[str, str] = {}
     if not path.exists():
-        return done
+        return {}
     data = path.read_bytes()
     complete = data.rfind(b"\n") + 1
     if complete < len(data):
@@ -144,16 +143,9 @@ def _load_results_log(path: Path) -> dict[str, str]:
                     path, len(data) - complete)
         with open(path, "r+b") as f:
             f.truncate(complete)
-    for lineno, line in enumerate(data[:complete].decode("utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            instance_id, label = rec["instance_id"], rec["predicted_label"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise malformed_record(path, lineno, exc) from exc
-        done[instance_id] = label
-    return done
+    fields = {"instance_id": STRING, "predicted_label": STRING}
+    return {rec["instance_id"]: rec["predicted_label"] for _, rec in
+            read_records(path, fields, data[:complete].decode("utf-8"))}
 
 
 def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDataset,

@@ -18,7 +18,7 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import Iterable, NamedTuple, Sequence
 
-from .context import VariantDataset
+from .context import INTEGER, NUMBER, STRING, VariantDataset, check_fields
 from .inference import PredictionSet
 
 #: Confusion-matrix column for predictions outside the gold inventory
@@ -48,10 +48,6 @@ class ConfusionMatrix:
     @property
     def columns(self) -> tuple[str, ...]:
         return self.labels + (OTHER_COLUMN,)
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
 
 
 @dataclass(frozen=True)
@@ -295,8 +291,13 @@ def read_report_scores(path: Path | str) -> RunScore:
     """Pull (condition, run_id, macro_f1) back out of a report file.
 
     JSON floats round-trip exactly, so the score equals the one scored."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunScore(payload["condition"], int(payload["run_id"]),
+    fields = {"condition": STRING, "run_id": INTEGER, "macro_f1": NUMBER}
+    try:
+        payload = check_fields(json.loads(Path(path).read_text(encoding="utf-8")),
+                               fields)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: malformed report: {exc}") from exc
+    return RunScore(payload["condition"], payload["run_id"],
                     float(payload["macro_f1"]))
 
 

@@ -8,7 +8,6 @@ yield a PredictionSet, the unit that evaluation and pairing consume.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from collections import Counter
@@ -17,7 +16,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .context import RenderedInstance, VariantDataset, malformed_record
+from .context import INTEGER, STRING, RenderedInstance, VariantDataset, read_records
 
 log = logging.getLogger(__name__)
 
@@ -26,9 +25,6 @@ log = logging.getLogger(__name__)
 UNPARSED = "<UNPARSED>"
 
 BASELINE_KINDS = ("majority", "cue")
-
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
 
 @dataclass(frozen=True)
 class ICLExample:
@@ -200,15 +196,20 @@ def predict_baseline(model: BaselineModel, dataset: VariantDataset,
 def write_predictions(predictions: PredictionSet, path: Path | str) -> None:
     """Write the line-delimited prediction file format: in id order, one
     ``json.dumps(record, ensure_ascii=False)`` line per record."""
-    # Ids go through json.dumps's own string escaper, and the line tail
-    # after the id is encoded once per label.
-    rest = (f', "condition": {_encode(predictions.condition)}, '
-            f'"run_id": {_encode(predictions.run_id)}}}')
-    tails = {label: f', "predicted_label": {_encode(label)}{rest}'
+    # Strings go through json.dumps's own escaper, and the line tail after
+    # the id is encoded once per label.
+    rest = (f', "condition": {encode_basestring(predictions.condition)}, '
+            f'"run_id": {int(predictions.run_id)}}}')
+    tails = {label: f', "predicted_label": {encode_basestring(label)}{rest}'
              for label in set(predictions.records.values())}
     lines = [f'{{"instance_id": {encode_basestring(i)}{tails[label]}'
              for i, label in sorted(predictions.records.items())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_PREDICTION_FIELDS = {"instance_id": STRING, "predicted_label": STRING,
+                      "condition": STRING._replace(required=False),
+                      "run_id": INTEGER._replace(required=False)}
 
 
 def import_predictions(path: Path | str, dataset: VariantDataset,
@@ -226,37 +227,18 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
     dataset_ids = {i: i for i in dataset.instance_ids()}
     known = {lbl: lbl for lbl in (*dataset.label_inventory, UNPARSED)}
     records: dict[str, str] = {}
-    file_condition: str | None = None
-    file_run: int | None = None
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            raw_id, label = rec["instance_id"], rec["predicted_label"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise malformed_record(path, lineno, exc) from exc
-        instance_id = dataset_ids.get(raw_id)
+    in_file: dict[str, str | int] = {}  # the file's condition and run_id
+    for lineno, rec in read_records(path, _PREDICTION_FIELDS):
+        instance_id = dataset_ids.get(rec["instance_id"])
         if instance_id is None:
-            raise ValueError(f"{path}:{lineno}: unknown instance_id {raw_id!r}")
+            raise ValueError(f"{path}:{lineno}: unknown instance_id "
+                             f"{rec['instance_id']!r}")
         if instance_id in records:
             raise ValueError(f"{path}:{lineno}: duplicate instance_id {instance_id!r}")
-        records[instance_id] = known.get(label, label)
-        if "condition" in rec:
-            if not isinstance(rec["condition"], str):
-                raise malformed_record(path, lineno, TypeError(
-                    f"condition {rec['condition']!r} is not a string"))
-            if file_condition is not None and rec["condition"] != file_condition:
-                raise ValueError(f"{path}:{lineno}: mixed conditions in file")
-            file_condition = rec["condition"]
-        if "run_id" in rec:
-            # Exact type check: JSON true/false load as bool, a subclass of int.
-            if type(rec["run_id"]) is not int:
-                raise malformed_record(path, lineno, TypeError(
-                    f"run_id {rec['run_id']!r} is not an integer"))
-            if file_run is not None and rec["run_id"] != file_run:
-                raise ValueError(f"{path}:{lineno}: mixed run_ids in file")
-            file_run = rec["run_id"]
+        records[instance_id] = known.get(rec["predicted_label"], rec["predicted_label"])
+        for key in ("condition", "run_id"):
+            if key in rec and in_file.setdefault(key, rec[key]) != rec[key]:
+                raise ValueError(f"{path}:{lineno}: mixed {key}s in file")
     missing = sorted(dataset_ids.keys() - records.keys())
     if missing:
         shown = ", ".join(missing[:5])
@@ -267,7 +249,7 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
         log.warning("%s: %d label(s) outside the inventory "
                     "(kept, will score as wrong): %s",
                     path, len(strange), ", ".join(strange[:5]))
-    final_condition = condition if condition is not None else (file_condition or "")
-    final_run = run_id if run_id is not None else (file_run or 0)
-    return PredictionSet(condition=final_condition, run_id=final_run,
-                         records=records)
+    return PredictionSet(
+        condition=in_file.get("condition", "") if condition is None else condition,
+        run_id=in_file.get("run_id", 0) if run_id is None else run_id,
+        records=records)

@@ -146,6 +146,38 @@ def test_variants_writes_dataset(small_corpus_dir, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_variants_reads_only_the_split_it_renders(small_corpus_dir, tmp_path):
+    (small_corpus_dir / "train" / "broken.dep").write_text("{not json",
+                                                           encoding="utf-8")
+    out = tmp_path / "or1.test.jsonl"
+    assert run_cli("variants", small_corpus_dir, "--scheme", "OR1",
+                   "--split", "test", "--out", out) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 3 * 2 * 2
+
+
+def test_evaluate_null_predicted_label_exits_1_naming_path_and_line(
+        small_corpus_dir, tmp_path):
+    variant = tmp_path / "default.test.jsonl"
+    assert run_cli("variants", small_corpus_dir, "--scheme", "default",
+                   "--split", "test", "--out", variant) == 0
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(PredictionSet("c", 1, read_variant_dataset(variant)
+                                    .gold_labels()), preds)
+    lines = preds.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "predicted_label": None})
+    preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "drckit.cli", "evaluate", "--dataset", variant,
+         "--predictions", preds, "--out", tmp_path / "reports"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 1
+    assert f"error: {preds}:2: malformed record: predicted_label None" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_infer_evaluate_compare_analyze_flow(small_corpus_dir, tmp_path, capsys):
     variants = tmp_path / "variants"
     for scheme in ("default", "OR1"):
@@ -333,6 +365,42 @@ def test_compare_pairs_reports_by_run_id(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def write_reports(tmp_path, condition, scores):
+    """A ``compare`` input: one report per run id, holding only its score."""
+    paths = []
+    for run_id, f1 in scores.items():
+        path = tmp_path / f"{condition}-{run_id}.report.json"
+        path.write_text(json.dumps({"condition": condition, "run_id": run_id,
+                                    "macro_f1": f1}), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("payload, detail", [
+    ({"condition": "A", "run_id": 0}, "missing field 'macro_f1'"),
+    ({"condition": "A", "run_id": "x", "macro_f1": 0.5},
+     "run_id 'x' is not an integer"),
+    ([0.5], "list is not a JSON object"),
+], ids=["missing_macro_f1", "run_id_string", "list"])
+def test_compare_malformed_report_names_path(tmp_path, capsys, payload, detail):
+    a = write_reports(tmp_path, "A", {0: 0.5, 1: 0.6})
+    b = write_reports(tmp_path, "B", {0: 0.4, 1: 0.5})
+    a[0].write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli("compare", "--reports-a", *a, "--reports-b", *b,
+                   "--m", "1") == 1
+    assert f"error: {a[0]}: malformed report: {detail}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["5", "-1", "0", "1", "nan"])
+def test_compare_alpha_out_of_range_exits_2(tmp_path, capsys, alpha):
+    a = write_reports(tmp_path, "A", {0: 0.5, 1: 0.6})
+    b = write_reports(tmp_path, "B", {0: 0.5, 1: 0.6})
+    assert run_cli("compare", "--reports-a", *a, "--reports-b", *b,
+                   "--m", "1", "--alpha", alpha) == 2
+    captured = capsys.readouterr()
+    assert "config error: --alpha" in captured.err and not captured.out
+
+
 def test_experiment_end_to_end(small_corpus_dir, tmp_path, capsys):
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], m=1)
@@ -405,6 +473,12 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     {"backends": ["cue"]},
     {"backends": "cue"},
     {"alpha": "x"},
+    {"alpha": 5},
+    {"alpha": -1},
+    {"alpha": 0},
+    {"alpha": 1},
+    {"alpha": float("nan")},
+    {"alpha": float("inf")},
     {"bonferroni_m": "x"},
     {"bonferroni_m": 1.5},
     {"seeds": [True, False]},
@@ -439,7 +513,8 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
                             "OR1": ["experiment.json"]}}],
      "seeds": [1, 2]},
 ], ids=["schema_version", "backend_not_object", "backends_not_list",
-        "alpha_not_number", "bonferroni_m_not_number", "bonferroni_m_float",
+        "alpha_not_number", "alpha_above_1", "alpha_negative", "alpha_0",
+        "alpha_1", "alpha_nan", "alpha_inf", "bonferroni_m_not_number", "bonferroni_m_float",
         "bool_seeds", "endpoint_parallelism_0", "endpoint_timeout_not_number",
         "endpoint_base_url_not_string", "endpoint_base_url_without_scheme",
         "endpoint_base_url_without_host", "endpoint_base_url_bad_port",

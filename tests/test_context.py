@@ -17,6 +17,8 @@ from drckit.context import (
     select_context,
     write_variant_dataset,
 )
+from drckit.endpoint import _load_results_log
+from drckit.inference import import_predictions
 from drckit.treebank import (
     Corpus,
     ancestors,
@@ -238,25 +240,107 @@ def test_dataset_file_round_trip(tmp_path):
     assert again.split == dataset.split
 
 
-@pytest.mark.parametrize("drop, detail", [
-    ("scheme", "missing field 'scheme'"),
-    ("label", "missing field 'label'"),
-    (None, "Expecting"),
-], ids=["missing_scheme", "missing_label", "not_json"])
+DROP = object()  # a field value that stands for "field left out"
+
+
+@pytest.mark.parametrize("drop, value, detail", [
+    ("scheme", DROP, "missing field 'scheme'"),
+    ("label", DROP, "missing field 'label'"),
+    (None, DROP, "Expecting"),
+    ("instance_id", ["x"], r"instance_id \['x'\] is not a string"),
+    ("label", None, "label None is not a string"),
+    ("context", 5, "context 5 is not a string"),
+    ("arg2", None, "arg2 None is not a string"),
+    ("scheme", 5, "scheme 5 is not a string"),
+], ids=["missing_scheme", "missing_label", "not_json", "instance_id_list",
+        "label_null", "context_number", "arg2_null", "scheme_number"])
 def test_dataset_file_malformed_record_names_path_and_line(tmp_path, drop,
-                                                          detail):
-    import json
+                                                          value, detail):
     corpus, _ = synthetic_corpus(seed=30, n_docs=3)
     path = tmp_path / "variant.jsonl"
     write_variant_dataset(build_variant_dataset(corpus, OR1), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[2])
-    lines[2] = json.dumps({k: v for k, v in record.items() if k != drop}) \
-        if drop else lines[2][:-1]
+    if value is not DROP:
+        lines[2] = json.dumps({**record, drop: value})
+    elif drop:
+        lines[2] = json.dumps({k: v for k, v in record.items() if k != drop})
+    else:
+        lines[2] = lines[2][:-1]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError,
                        match=rf"variant\.jsonl:3: malformed record: {detail}"):
         read_variant_dataset(path)
+
+
+def test_dataset_file_mixing_scheme_spellings_reads_as_one_scheme(tmp_path):
+    corpus, _ = synthetic_corpus(seed=31, n_docs=3)
+    path = tmp_path / "variant.jsonl"
+    write_variant_dataset(build_variant_dataset(corpus, OR1), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"scheme": "OR1"', '"scheme": "or1"')
+    assert '"or1"' in lines[1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dataset = read_variant_dataset(path)
+    assert dataset.scheme == OR1
+    assert {inst.scheme for inst in dataset.instances} == {OR1}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.dictionaries(TRICKY, st.tuples(TRICKY, TRICKY, TRICKY, TRICKY),
+                              min_size=1, max_size=8),
+       split=TRICKY)
+def test_dataset_file_round_trips_any_text(tmp_path, fields, split):
+    # U+2028, U+2029 and U+0085 stay raw in a JSON string; they must not
+    # end a record.
+    instances = tuple(
+        RenderedInstance(iid, context, arg1, arg2, label, AD1, split)
+        for iid, (context, arg1, arg2, label) in fields.items())
+    path = tmp_path / "variant.jsonl"
+    write_variant_dataset(VariantDataset("prop", AD1, split, instances, ()), path)
+    again = read_variant_dataset(path)
+    assert sorted(again.instances, key=lambda i: i.instance_id) == \
+        sorted(instances, key=lambda i: i.instance_id)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TRICKY,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TRICKY, inner, max_size=3),
+    max_leaves=6)
+ONE_INSTANCE = VariantDataset("c", OR1, "test", (
+    RenderedInstance("t:001", "", "a", "b", "cause", OR1, "test"),), ("cause",))
+# A well-formed line of each JSONL format, and the reader of its files.
+LINE_FORMATS = [
+    ({"instance_id": "t:001", "context": "", "arg1": "a", "arg2": "b",
+      "label": "cause", "scheme": "OR1", "split": "test"}, read_variant_dataset),
+    ({"instance_id": "t:001", "predicted_label": "cause", "condition": "c",
+      "run_id": 1}, lambda path: import_predictions(path, ONE_INSTANCE)),
+    ({"instance_id": "t:001", "predicted_label": "cause", "raw": "cause"},
+     _load_results_log),
+]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), value=JSON_VALUES)
+def test_any_json_value_in_any_field_reads_or_is_a_malformed_record(
+        tmp_path, data, value):
+    record, read = data.draw(st.sampled_from(LINE_FORMATS))
+    field = data.draw(st.sampled_from(sorted(record)))
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({**record, field: value}, ensure_ascii=False)
+                    + "\n", encoding="utf-8")
+    # No reader checks an endpoint log's raw reply.
+    right_type = type(value) is type(record[field]) or field == "raw"
+    try:
+        read(path)
+    except ValueError as exc:
+        # A value of the right type can still break a format rule (a scheme
+        # name that does not parse, an unknown instance id).
+        assert str(exc).startswith(
+            f"{path}:1: " if right_type else f"{path}:1: malformed record: ")
 
 
 def test_dataset_file_deterministic(tmp_path):

@@ -219,6 +219,43 @@ def test_resume_rejects_log_record_without_label(tmp_path):
                                seed=1, log_path=log_path, condition="c")
 
 
+@pytest.mark.parametrize("record, detail", [
+    ({"instance_id": ["x"], "predicted_label": "condition"},
+     r"instance_id \['x'\] is not a string"),
+    ({"instance_id": "t:0", "predicted_label": None},
+     "predicted_label None is not a string"),
+], ids=["instance_id_list", "label_null"])
+def test_resume_rejects_log_record_of_wrong_type(tmp_path, record, detail):
+    test, train = fixture_datasets(n=3)
+    log_path = tmp_path / "run.log.jsonl"
+    log_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=rf"run.log.jsonl:1: malformed record: {detail}"):
+        run_endpoint_inference(test, train,
+                               EndpointConfig(base_url="http://127.0.0.1:9",
+                                              model_name="m"),
+                               seed=1, log_path=log_path, condition="c")
+
+
+def test_resume_reads_replies_holding_unicode_line_separators(tmp_path):
+    # json.dumps keeps U+2028, U+2029 and U+0085 raw; a reply holding one
+    # must not split its log record, or the run can never resume.
+    test, train = fixture_datasets(n=3)
+    log_path = tmp_path / "run.log.jsonl"
+    log_path.write_text("".join(
+        json.dumps({"instance_id": inst.instance_id,
+                    "predicted_label": inst.gold_label,
+                    "raw": f"{inst.gold_label}\u2028\u2029\x85."},
+                   ensure_ascii=False) + "\n"
+        for inst in test.instances), encoding="utf-8")
+    # Every instance is in the log, so no request is sent.
+    preds = run_endpoint_inference(test, train,
+                                   EndpointConfig(base_url="http://127.0.0.1:9",
+                                                  model_name="m"),
+                                   seed=1, log_path=log_path, condition="c")
+    assert preds.records == test.gold_labels()
+
+
 def test_abort_persists_partial_state_then_resumes(tmp_path):
     test, train = fixture_datasets(n=5)
     gold = gold_echo_behavior(test)

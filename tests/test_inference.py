@@ -357,7 +357,18 @@ def test_import_shares_dataset_strings(tmp_path):
     ('["t:001", "joint"]', ""),
     ('{"instance_id": "t:001", "predicted_label": "joint", "condition": ["x"]}',
      r"condition \['x'\] is not a string"),
-], ids=["missing_field", "not_json", "not_object", "condition_not_string"])
+    ('{"instance_id": "t:001", "predicted_label": null}',
+     "predicted_label None is not a string"),
+    ('{"instance_id": "t:001", "predicted_label": 3}',
+     "predicted_label 3 is not a string"),
+    ('{"instance_id": "t:001", "predicted_label": ["x"]}',
+     r"predicted_label \['x'\] is not a string"),
+    ('{"instance_id": ["x"], "predicted_label": "joint"}',
+     r"instance_id \['x'\] is not a string"),
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["missing_field", "not_json", "not_object", "condition_not_string",
+        "label_null", "label_number", "label_list", "instance_id_list",
+        "deeply_nested"])
 def test_import_malformed_record_names_path_and_line(tmp_path, bad_line, detail):
     dataset = make_test_dataset()
     path = tmp_path / "preds.jsonl"
@@ -368,6 +379,22 @@ def test_import_malformed_record_names_path_and_line(tmp_path, bad_line, detail)
     with pytest.raises(ValueError,
                        match=rf"preds\.jsonl:2: malformed record: {detail}"):
         import_predictions(path, dataset)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.dictionaries(TRICKY, TRICKY, min_size=1, max_size=8),
+       condition=TRICKY)
+def test_predictions_file_round_trips_any_text(tmp_path, records, condition):
+    # U+2028, U+2029 and U+0085 stay raw in a JSON string; they must not
+    # end a record.
+    dataset = dataset_of([rendered(iid, "h", "d", label)
+                          for iid, label in records.items()])
+    path = tmp_path / "preds.jsonl"
+    write_predictions(PredictionSet(condition, 7, records), path)
+    again = import_predictions(path, dataset)
+    assert (again.records, again.condition, again.run_id) == \
+        (records, condition, 7)
 
 
 def test_import_missing_instance_lists_id(tmp_path):
