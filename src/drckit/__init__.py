@@ -65,7 +65,6 @@ from .treebank import (
     Violation,
     ancestors,
     dependency_distance_stats,
-    derive_sentence_indices,
     extract_instances,
     load_corpus,
     load_split,

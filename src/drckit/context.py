@@ -79,8 +79,6 @@ class RenderedInstance:
     arg1_text: str
     arg2_text: str
     gold_label: str
-    scheme: ContextScheme
-    split: str
 
     @property
     def model_input(self) -> str:
@@ -92,7 +90,8 @@ class RenderedInstance:
 
 @dataclass(frozen=True)
 class VariantDataset:
-    """Every instance of one split rendered under one scheme."""
+    """Every instance of one split rendered under one scheme, in instance_id
+    order: the order of its file, so a dataset read back equals the one built."""
 
     corpus_name: str
     scheme: ContextScheme
@@ -101,12 +100,13 @@ class VariantDataset:
     label_inventory: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
+        instances = tuple(sorted(self.instances, key=lambda i: i.instance_id))
+        object.__setattr__(self, "instances", instances)
         object.__setattr__(self, "label_inventory", tuple(self.label_inventory))
-        ids = [inst.instance_id for inst in self.instances]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"{self.corpus_name}/{self.split}: "
-                             "duplicate instance ids")
+        for a, b in zip(instances, instances[1:]):
+            if a.instance_id == b.instance_id:
+                raise ValueError(f"{self.corpus_name}/{self.split}: duplicate "
+                                 f"instance_id {a.instance_id!r}")
 
     def instance_ids(self) -> list[str]:
         return [inst.instance_id for inst in self.instances]
@@ -160,8 +160,8 @@ def _preceding_sentences(tree: DiscourseTree, edu_id: int, n: int) -> list[str]:
     return [sentences[i] for i in picked if i in sentences]
 
 
-def render_instance(instance: RelationInstance, fragments: Sequence[str],
-                    scheme: ContextScheme, split: str) -> RenderedInstance:
+def render_instance(instance: RelationInstance, fragments: Sequence[str]
+                    ) -> RenderedInstance:
     """Join fragments with single spaces and attach them to the instance."""
     return RenderedInstance(
         instance_id=instance.instance_id,
@@ -169,8 +169,6 @@ def render_instance(instance: RelationInstance, fragments: Sequence[str],
         arg1_text=instance.arg1,
         arg2_text=instance.arg2,
         gold_label=instance.gold_label,
-        scheme=scheme,
-        split=split,
     )
 
 
@@ -191,27 +189,20 @@ def build_variant_dataset(corpus: Corpus, scheme: ContextScheme,
     """
     if label_inventory is None:
         label_inventory = corpus_label_inventory(corpus)
-    rendered = []
-    for tree in sorted(corpus.trees, key=lambda t: t.doc_id):
-        for inst in extract_instances(tree):
-            fragments = _fragments(tree, inst.arg1_edu_id, scheme,
-                                   include_relations)
-            rendered.append(render_instance(inst, fragments, scheme, corpus.split))
-    return VariantDataset(
-        corpus_name=corpus.name,
-        scheme=scheme,
-        split=corpus.split,
-        instances=tuple(rendered),
-        label_inventory=tuple(label_inventory),
-    )
+    rendered = [render_instance(inst, _fragments(tree, inst.arg1_edu_id, scheme,
+                                                 include_relations))
+                for tree in corpus.trees for inst in extract_instances(tree)]
+    return VariantDataset(corpus.name, scheme, corpus.split, rendered,
+                          label_inventory)
 
 
 def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
     """Write the line-delimited dataset file consumed by inference.
 
     One JSON record per instance with fields {instance_id, context, arg1,
-    arg2, label, scheme, split}, UTF-8, sorted by instance_id: the lines
-    ``json.dumps(record, ensure_ascii=False)`` gives, from its own escaper.
+    arg2, label, scheme, split}, UTF-8, in the dataset's instance_id order:
+    the lines ``json.dumps(record, ensure_ascii=False)`` gives, from its own
+    escaper.
     """
     q = encode_basestring
     tail = (f', "scheme": {q(dataset.scheme.tag)}, '
@@ -219,7 +210,7 @@ def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
     lines = [f'{{"instance_id": {q(i.instance_id)}, "context": '
              f'{q(i.context_text)}, "arg1": {q(i.arg1_text)}, "arg2": '
              f'{q(i.arg2_text)}, "label": {q(i.gold_label)}{tail}'
-             for i in sorted(dataset.instances, key=lambda i: i.instance_id)]
+             for i in dataset.instances]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -256,18 +247,20 @@ def check_fields(record: Any, fields: Mapping[str, JsonField]) -> dict:
 
 
 def read_records(path: Path, fields: Mapping[str, JsonField],
-                 text: str | None = None) -> Iterator[tuple[int, dict]]:
+                 data: bytes | None = None) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of the JSONL file at
-    ``path`` (or of its ``text``), checked against ``fields``; any other line
-    raises ``ValueError("<path>:<line>: malformed record: ...")``."""
-    if text is None:
-        text = path.read_text(encoding="utf-8")
+    ``path`` (or of its bytes ``data``), checked against ``fields``; any other
+    line, or one that is not UTF-8, raises
+    ``ValueError("<path>:<line>: malformed record: ...")``."""
+    if data is None:
+        data = path.read_bytes()
     # Only "\n" ends a record: JSON strings keep U+2028 and U+0085 unescaped,
     # and str.splitlines() would split at them.
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(data.split(b"\n"), 1):
         try:
+            line = line.decode("utf-8")
+            if not line.strip():
+                continue
             record = check_fields(json.loads(line), fields)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
@@ -290,20 +283,22 @@ def read_variant_dataset(path: Path | str, corpus_name: str = "",
     file are used, which matches the training split convention.
     """
     path = Path(path)
-    instances = []
+    instances: dict[str, RenderedInstance] = {}
     scheme: ContextScheme | None = None
     split = ""
     for lineno, rec in read_records(path, _VARIANT_FIELDS):
+        iid = rec["instance_id"]
         if scheme is None:
             scheme, split = rec["scheme"], rec["split"]
         elif rec["scheme"] != scheme or rec["split"] != split:
             raise ValueError(f"{path}:{lineno}: mixed scheme or split")
-        instances.append(RenderedInstance(rec["instance_id"], rec["context"],
-                                          rec["arg1"], rec["arg2"], rec["label"],
-                                          scheme, split))
+        if iid in instances:
+            raise ValueError(f"{path}:{lineno}: duplicate instance_id {iid!r}")
+        instances[iid] = RenderedInstance(iid, rec["context"], rec["arg1"],
+                                          rec["arg2"], rec["label"])
     if scheme is None:
         raise ValueError(f"{path}: empty dataset file")
     if label_inventory is None:
-        label_inventory = sorted({i.gold_label for i in instances})
-    return VariantDataset(corpus_name or path.stem, scheme, split, instances,
-                          label_inventory)
+        label_inventory = sorted({i.gold_label for i in instances.values()})
+    return VariantDataset(corpus_name or path.stem, scheme, split,
+                          instances.values(), label_inventory)

@@ -145,7 +145,7 @@ def _load_results_log(path: Path) -> dict[str, str]:
             f.truncate(complete)
     fields = {"instance_id": STRING, "predicted_label": STRING}
     return {rec["instance_id"]: rec["predicted_label"] for _, rec in
-            read_records(path, fields, data[:complete].decode("utf-8"))}
+            read_records(path, fields, data[:complete])}
 
 
 def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDataset,

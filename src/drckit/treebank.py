@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -170,29 +170,11 @@ def ends_sentence(text: str) -> bool:
     return bool(_SENTENCE_END.search(text.rstrip()))
 
 
-def _sentence_step(index: int, head_id: int, text: str) -> tuple[int, int]:
-    """(this EDU's sentence index, the next EDU's): a sentence ends after an
-    EDU whose text ends with terminal punctuation.  The virtual ROOT takes
-    index 0 and never advances the counter."""
-    if head_id == ROOT_HEAD:
-        return 0, index
-    return index, index + 1 if ends_sentence(text) else index
-
-
-def derive_sentence_indices(tree: DiscourseTree) -> DiscourseTree:
-    """Return a copy of ``tree`` with sentence_index filled on every EDU."""
-    index = 0
-    edus = []
-    for e in tree.edus:
-        own, index = _sentence_step(index, e.head_id, e.text)
-        edus.append(replace(e, sentence_index=own))
-    return DiscourseTree(tree.doc_id, tuple(edus))
-
-
 def make_instance_id(doc_id: str, dependent_id: int) -> str:
     # Zero-padded to three digits, which from id 1000 on does not keep string
-    # order aligned with dependent order ("doc:1000" < "doc:101").  Files are
-    # written in id-string order; scoring and pairing do not depend on order.
+    # order aligned with dependent order ("doc:1000" < "doc:101"), nor does a
+    # doc id that prefixes another ("doc1:001" > "doc10:001").  A variant
+    # dataset, built or read, and its file hold instances in id-string order.
     return f"{doc_id}:{dependent_id:03d}"
 
 
@@ -237,7 +219,13 @@ def parse_tree_document(data: bytes | str, doc_id: str) -> DiscourseTree:
             raise TreeParseError(doc_id, f"duplicate id {rec['id']}")
         seen_ids.add(rec["id"])
         text = rec["text"].strip()
-        own, sentence = _sentence_step(sentence, rec["parent"], text)
+        # A sentence ends after an EDU whose text ends with terminal
+        # punctuation.  The virtual ROOT takes index 0 and ends none.
+        own = sentence
+        if rec["parent"] == ROOT_HEAD:
+            own = 0
+        elif ends_sentence(text):
+            sentence += 1
         edus.append(EDU(id=rec["id"], text=text, head_id=rec["parent"],
                         relation=rec["relation"], sentence_index=own))
 

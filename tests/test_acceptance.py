@@ -324,13 +324,11 @@ def test_c8_prompt_golden_files():
                 target = rendered(
                     "t:001", "because it can compute a single node similarity",
                     "without having to compute the similarities of the entire graph .",
-                    "condition", context=context,
-                    scheme=OR1 if context else DEFAULT)
+                    "condition", context=context)
             else:
                 target = rendered(
                     "t:002", "the model predicts a relation",
-                    "for every pair of units .", "background", context=context,
-                    scheme=OR1 if context else DEFAULT)
+                    "for every pair of units .", "background", context=context)
             spec = PromptSpec(label_inventory=inventory, icl_examples=examples,
                               target=target)
             assert build_prompt(spec) == golden(name), name

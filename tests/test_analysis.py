@@ -53,7 +53,7 @@ def test_pair_outcomes_requires_coverage():
 
 
 def test_pair_outcomes_accepts_dataset():
-    instances = (RenderedInstance("i1", "", "a", "b", "cause", DEFAULT, "test"),)
+    instances = (RenderedInstance("i1", "", "a", "b", "cause"),)
     dataset = VariantDataset("c", DEFAULT, "test", instances, ("cause",))
     outcomes = pair_outcomes(dataset.gold_labels(), predictions({"i1": "joint"}),
                              predictions({"i1": "cause"}), run_id=2)
@@ -193,7 +193,7 @@ def test_first_connective_token(text, token):
 
 def make_instances(rows):
     return [
-        RenderedInstance(f"i{k:03d}", "", "arg1", arg2, label, DEFAULT, "test")
+        RenderedInstance(f"i{k:03d}", "", "arg1", arg2, label)
         for k, (arg2, label) in enumerate(rows)
     ]
 

@@ -178,6 +178,30 @@ def test_evaluate_null_predicted_label_exits_1_naming_path_and_line(
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("fault", ["not_utf8", "repeated_id"])
+def test_evaluate_bad_byte_or_repeated_id_exits_1_naming_path_and_line(
+        small_corpus_dir, tmp_path, capsys, fault):
+    variant = tmp_path / "default.test.jsonl"
+    assert run_cli("variants", small_corpus_dir, "--scheme", "default",
+                   "--split", "test", "--out", variant) == 0
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(PredictionSet("c", 1, read_variant_dataset(variant)
+                                    .gold_labels()), preds)
+    if fault == "not_utf8":
+        path, lineno, detail = preds, 2, "malformed record: 'utf-8' codec"
+        lines = preds.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"condition": "c"', b'"condition": "\xff"')
+    else:
+        path, lineno, detail = variant, 3, "duplicate instance_id"
+        lines = variant.read_bytes().split(b"\n")
+        lines.insert(2, lines[1])
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--dataset", variant, "--predictions", preds,
+                   "--out", tmp_path / "reports") == 1
+    assert f"error: {path}:{lineno}: {detail}" in capsys.readouterr().err
+
+
 def test_infer_evaluate_compare_analyze_flow(small_corpus_dir, tmp_path, capsys):
     variants = tmp_path / "variants"
     for scheme in ("default", "OR1"):
@@ -293,8 +317,7 @@ LABELS = ("cause", "contrast", "joint")
 def paired_runs(draw):
     """A gold dataset and A and B runs over it, paired by run id."""
     gold = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=30))
-    instances = tuple(RenderedInstance(f"i{k:02d}", "", "head", "dep", label,
-                                       ContextScheme("default"), "test")
+    instances = tuple(RenderedInstance(f"i{k:02d}", "", "head", "dep", label)
                       for k, label in enumerate(gold))
     dataset = VariantDataset("prop", ContextScheme("default"), "test",
                              instances, LABELS)
@@ -327,8 +350,7 @@ def test_analyze_pair_margins_equal_relation_margins(tmp_path, runs, normalizer)
 
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_analyze_pair_requires_coverage(tmp_path, side):
-    instances = tuple(RenderedInstance(f"i{k}", "", "head", "dep", "cause",
-                                       ContextScheme("default"), "test")
+    instances = tuple(RenderedInstance(f"i{k}", "", "head", "dep", "cause")
                       for k in range(3))
     dataset = VariantDataset("c", ContextScheme("default"), "test", instances,
                              ("cause",))
@@ -988,6 +1010,42 @@ def test_experiment_abort_forgets_stages_it_did_not_reach(echo_corpus_dir,
     for name in ("margins.tsv", "connectives.tsv"):
         assert (tmp_path / "analysis" / name).read_bytes() == \
             (out / "analysis" / "mock.default-vs-OR1" / name).read_bytes()
+
+
+def test_rerun_on_reused_variants_samples_the_cold_run_icl_examples(tmp_path):
+    # Document order is not id order ("t1:001" > "t10:001"), and the rerun
+    # reads the train variant back from its file.
+    labels = ("cause", "contrast")
+
+    def docs(prefix):
+        return {f"{prefix}{k}": [(0, -1, "null", "ROOT"),
+                                 (1, 0, "ROOT", f"{prefix}{k} opens .")] +
+                [(i, i - 1, labels[i % 2], f"{prefix}{k} unit {i} .")
+                 for i in range(2, 7)]
+                for k in (1, 2, 10, 11)}
+
+    corpus_dir = write_corpus_dir(tmp_path / "corpus",
+                                  {"train": docs("t"), "test": docs("d")})
+    out = tmp_path / "out"
+    with MockChatServer(lambda payload, index: (200, "cause")) as server:
+        config = experiment_config(
+            tmp_path, corpus_dir, schemes=["default"], seeds=[1],
+            backends=[{"kind": "endpoint", "base_url": server.base_url,
+                       "model": "mock"}])
+        assert run_cli("experiment", "--config", config) == 0
+        cold = list(server.payloads)
+        (out / "predictions" / "default+mock.run1.jsonl").unlink()
+        (out / "logs" / "default+mock.run1.log.jsonl").unlink()
+        assert run_cli("experiment", "--config", config) == 0
+        rerun = server.payloads[len(cold):]
+    assert stages_run(out) == ["predict:default+mock:1", "score:default+mock:1"]
+
+    def heads(payloads):
+        """Each prompt less its last line, the target."""
+        return [p["messages"][0]["content"].splitlines()[:-1] for p in payloads]
+
+    assert len(cold) == len(rerun) == 20
+    assert heads(rerun) == heads(cold) == heads(cold[:1]) * 20
 
 
 def test_data_error_exits_1(tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_worked_example_oracle_context(worked_example_tree):
     inst = instance_by_dependent(worked_example_tree, 4)
     fragments = select_context(worked_example_tree, inst, OR1)
     assert fragments == ["that is efficient ..."]
-    rendered = render_instance(inst, fragments, OR1, "test")
+    rendered = render_instance(inst, fragments)
     assert rendered.model_input == ("that is efficient ... "
                                     "because it can compute a single node similarity")
 
@@ -141,7 +141,7 @@ def test_instance_tree_mismatch(worked_example_tree):
 
 def test_render_empty_fragments(worked_example_tree):
     inst = instance_by_dependent(worked_example_tree, 4)
-    rendered = render_instance(inst, [], DEFAULT, "test")
+    rendered = render_instance(inst, [])
     assert rendered.context_text == ""
     assert rendered.model_input == inst.arg1
 
@@ -149,7 +149,7 @@ def test_render_empty_fragments(worked_example_tree):
 def test_render_joins_fragments():
     tree = tree_from(chain_records(3), "chain")
     inst = instance_by_dependent(tree, 3)
-    rendered = render_instance(inst, ["A", "B"], OR2, "test")
+    rendered = render_instance(inst, ["A", "B"])
     assert rendered.context_text == "A B"
     assert rendered.model_input == "A B unit 2 ."
 
@@ -225,7 +225,7 @@ def test_add1_on_single_sentence_docs_matches_default():
     default = build_variant_dataset(corpus, DEFAULT)
     for a, d in zip(ad.instances, default.instances):
         assert a.context_text == d.context_text == ""
-        assert a.scheme == AD1 and d.scheme == DEFAULT
+    assert ad.scheme == AD1 and default.scheme == DEFAULT
 
 
 def test_dataset_file_round_trip(tmp_path):
@@ -240,6 +240,40 @@ def test_dataset_file_round_trip(tmp_path):
     assert again.split == dataset.split
 
 
+@pytest.mark.parametrize("scheme", [DEFAULT, AD1, OR1], ids=lambda s: s.tag)
+def test_dataset_read_back_equals_dataset_built(tmp_path, scheme):
+    # Document order is not id order: "d1:001" > "d10:001", "a:001" >
+    # "a-b:001", and in the 1,001-EDU document "long:1000" < "long:101".
+    trees = [tree_from(chain_records(4), doc_id)
+             for doc_id in ("d1", "d2", "d10", "a", "a-b")]
+    corpus = Corpus("c", "test",
+                    (*trees, tree_from(chain_records(1001), "long")))
+    inventory = corpus_label_inventory(corpus)
+    built = build_variant_dataset(corpus, scheme, inventory)
+    path = tmp_path / "variant.jsonl"
+    write_variant_dataset(built, path)
+    assert read_variant_dataset(path, "c", inventory) == built
+
+
+def test_dataset_file_repeated_id_names_path_and_line(tmp_path):
+    corpus, _ = synthetic_corpus(seed=32, n_docs=3)
+    path = tmp_path / "variant.jsonl"
+    write_variant_dataset(build_variant_dataset(corpus, OR1), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(3, lines[1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    repeated = json.loads(lines[1])["instance_id"]
+    with pytest.raises(ValueError, match=rf"variant\.jsonl:4: duplicate "
+                                         rf"instance_id '{repeated}'"):
+        read_variant_dataset(path)
+
+
+def test_dataset_names_first_repeated_id():
+    a, b = (RenderedInstance(iid, "", "x", "y", "cause") for iid in "ab")
+    with pytest.raises(ValueError, match="c/test: duplicate instance_id 'a'"):
+        VariantDataset("c", OR1, "test", (b, a, b, a), ("cause",))
+
+
 DROP = object()  # a field value that stands for "field left out"
 
 
@@ -252,8 +286,10 @@ DROP = object()  # a field value that stands for "field left out"
     ("context", 5, "context 5 is not a string"),
     ("arg2", None, "arg2 None is not a string"),
     ("scheme", 5, "scheme 5 is not a string"),
+    ("arg1", "\udcff", "'utf-8' codec can't decode byte 0xff"),
 ], ids=["missing_scheme", "missing_label", "not_json", "instance_id_list",
-        "label_null", "context_number", "arg2_null", "scheme_number"])
+        "label_null", "context_number", "arg2_null", "scheme_number",
+        "not_utf8"])
 def test_dataset_file_malformed_record_names_path_and_line(tmp_path, drop,
                                                           value, detail):
     corpus, _ = synthetic_corpus(seed=30, n_docs=3)
@@ -262,12 +298,14 @@ def test_dataset_file_malformed_record_names_path_and_line(tmp_path, drop,
     lines = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[2])
     if value is not DROP:
-        lines[2] = json.dumps({**record, drop: value})
+        lines[2] = json.dumps({**record, drop: value}, ensure_ascii=False)
     elif drop:
         lines[2] = json.dumps({k: v for k, v in record.items() if k != drop})
     else:
         lines[2] = lines[2][:-1]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # A lone surrogate escape writes the byte it stands for: "\udcff" is 0xff.
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8",
+                    errors="surrogateescape")
     with pytest.raises(ValueError,
                        match=rf"variant\.jsonl:3: malformed record: {detail}"):
         read_variant_dataset(path)
@@ -283,7 +321,6 @@ def test_dataset_file_mixing_scheme_spellings_reads_as_one_scheme(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     dataset = read_variant_dataset(path)
     assert dataset.scheme == OR1
-    assert {inst.scheme for inst in dataset.instances} == {OR1}
 
 
 @settings(max_examples=60, deadline=None,
@@ -295,13 +332,13 @@ def test_dataset_file_round_trips_any_text(tmp_path, fields, split):
     # U+2028, U+2029 and U+0085 stay raw in a JSON string; they must not
     # end a record.
     instances = tuple(
-        RenderedInstance(iid, context, arg1, arg2, label, AD1, split)
+        RenderedInstance(iid, context, arg1, arg2, label)
         for iid, (context, arg1, arg2, label) in fields.items())
     path = tmp_path / "variant.jsonl"
-    write_variant_dataset(VariantDataset("prop", AD1, split, instances, ()), path)
-    again = read_variant_dataset(path)
-    assert sorted(again.instances, key=lambda i: i.instance_id) == \
-        sorted(instances, key=lambda i: i.instance_id)
+    dataset = VariantDataset("prop", AD1, split, instances, ())
+    write_variant_dataset(dataset, path)
+    again = read_variant_dataset(path, "prop", ())
+    assert again == dataset
 
 
 JSON_VALUES = st.recursive(
@@ -310,7 +347,7 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(TRICKY, inner, max_size=3),
     max_leaves=6)
 ONE_INSTANCE = VariantDataset("c", OR1, "test", (
-    RenderedInstance("t:001", "", "a", "b", "cause", OR1, "test"),), ("cause",))
+    RenderedInstance("t:001", "", "a", "b", "cause"),), ("cause",))
 # A well-formed line of each JSONL format, and the reader of its files.
 LINE_FORMATS = [
     ({"instance_id": "t:001", "context": "", "arg1": "a", "arg2": "b",
@@ -432,8 +469,8 @@ def json_dumps_variant_lines(dataset):
         "arg1": inst.arg1_text,
         "arg2": inst.arg2_text,
         "label": inst.gold_label,
-        "scheme": inst.scheme.tag,
-        "split": inst.split,
+        "scheme": dataset.scheme.tag,
+        "split": dataset.split,
     }, ensure_ascii=False)
         for inst in sorted(dataset.instances, key=lambda i: i.instance_id)]
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -449,7 +486,7 @@ def json_dumps_variant_lines(dataset):
 def test_write_variant_dataset_writes_json_dumps_lines(tmp_path, fields,
                                                       scheme, split):
     instances = tuple(
-        RenderedInstance(iid, context, arg1, arg2, label, scheme, split)
+        RenderedInstance(iid, context, arg1, arg2, label)
         for iid, (context, arg1, arg2, label) in fields.items())
     dataset = VariantDataset("prop", scheme, split, instances, ())
     path = tmp_path / "variant.jsonl"

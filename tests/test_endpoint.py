@@ -28,12 +28,12 @@ def fixture_datasets(n=8):
     test_instances = tuple(
         RenderedInstance(instance_id=f"t:{i:03d}", context_text="",
                          arg1_text=f"head {i}", arg2_text=f"dependent {i} .",
-                         gold_label=labels[i % 2], scheme=DEFAULT, split="test")
+                         gold_label=labels[i % 2])
         for i in range(n))
     train_instances = tuple(
         RenderedInstance(instance_id=f"r:{i:03d}", context_text="",
                          arg1_text=f"train head {i}", arg2_text=f"train dep {i} .",
-                         gold_label=labels[i % 2], scheme=DEFAULT, split="train")
+                         gold_label=labels[i % 2])
         for i in range(6))
     inventory = tuple(labels)
     test = VariantDataset("fix", DEFAULT, "test", test_instances, inventory)
@@ -224,11 +224,15 @@ def test_resume_rejects_log_record_without_label(tmp_path):
      r"instance_id \['x'\] is not a string"),
     ({"instance_id": "t:0", "predicted_label": None},
      "predicted_label None is not a string"),
-], ids=["instance_id_list", "label_null"])
+    ({"instance_id": "t:0", "predicted_label": "\udcff"},
+     "'utf-8' codec can't decode byte 0xff"),
+], ids=["instance_id_list", "label_null", "not_utf8"])
 def test_resume_rejects_log_record_of_wrong_type(tmp_path, record, detail):
     test, train = fixture_datasets(n=3)
     log_path = tmp_path / "run.log.jsonl"
-    log_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    # A lone surrogate escape writes the byte it stands for: "\udcff" is 0xff.
+    log_path.write_text(json.dumps(record, ensure_ascii=False) + "\n",
+                        encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ValueError,
                        match=rf"run.log.jsonl:1: malformed record: {detail}"):
         run_endpoint_inference(test, train,

@@ -28,7 +28,7 @@ def make_dataset(gold: list[str]) -> VariantDataset:
     instances = tuple(
         RenderedInstance(
             instance_id=f"d:{i:03d}", context_text="", arg1_text=f"a{i}",
-            arg2_text=f"b{i}", gold_label=label, scheme=DEFAULT, split="test")
+            arg2_text=f"b{i}", gold_label=label)
         for i, label in enumerate(gold)
     )
     return VariantDataset("d", DEFAULT, "test", instances,

@@ -29,11 +29,9 @@ DEFAULT = ContextScheme("default")
 OR1 = ContextScheme("oracle", 1)
 
 
-def rendered(instance_id, arg1, arg2, label, context="", scheme=DEFAULT,
-             split="test"):
+def rendered(instance_id, arg1, arg2, label, context=""):
     return RenderedInstance(instance_id=instance_id, context_text=context,
-                            arg1_text=arg1, arg2_text=arg2, gold_label=label,
-                            scheme=scheme, split=split)
+                            arg1_text=arg1, arg2_text=arg2, gold_label=label)
 
 
 def dataset_of(instances, inventory=None, scheme=DEFAULT, split="train"):
@@ -81,7 +79,7 @@ def test_prompt_two_labels_context_matches_golden():
         icl_examples=TWO_LABEL_EXAMPLES,
         target=rendered("t:001", "because it can compute a single node similarity",
                         "without having to compute the similarities of the entire graph .",
-                        "condition", context="that is efficient ...", scheme=OR1),
+                        "condition", context="that is efficient ..."),
     )
     assert build_prompt(spec) == golden("prompt_two_label_context.txt")
 
@@ -102,8 +100,7 @@ def test_prompt_three_labels_context_matches_golden():
         icl_examples=THREE_LABEL_EXAMPLES,
         target=rendered("t:002", "the model predicts a relation",
                         "for every pair of units .", "background",
-                        context="we present a toolkit for discourse analysis .",
-                        scheme=OR1),
+                        context="we present a toolkit for discourse analysis ."),
     )
     assert build_prompt(spec) == golden("prompt_three_label_context.txt")
 
@@ -163,7 +160,7 @@ def test_sample_icl_missing_label_errors():
 
 def test_sample_icl_context_rides_in_example():
     train = dataset_of([rendered("a:001", "head text", "dep text", "cause",
-                                 context="parent text", scheme=OR1)],
+                                 context="parent text")],
                        scheme=OR1)
     [example] = sample_icl_examples(train, seed=0)
     assert example.arg1 == "parent text head text"
@@ -231,16 +228,16 @@ def test_cue_baseline_uses_context_token():
     # identical arg2 cue, context token decides the label
     train_ctx = dataset_of([
         rendered("a:001", "h", "without x .", "condition",
-                 context="efficient path .", scheme=OR1),
+                 context="efficient path ."),
         rendered("a:002", "h", "without y .", "contrast",
-                 context="compared path .", scheme=OR1),
+                 context="compared path ."),
     ], scheme=OR1)
     model = train_baseline(train_ctx, "cue")
     test = dataset_of([
         rendered("t:001", "p", "without q .", "condition",
-                 context="efficient route .", scheme=OR1),
+                 context="efficient route ."),
         rendered("t:002", "p", "without r .", "contrast",
-                 context="compared route .", scheme=OR1),
+                 context="compared route ."),
     ], inventory=train_ctx.label_inventory, scheme=OR1, split="test")
     preds = predict_baseline(model, test, "OR1+cue")
     assert preds.records == {"t:001": "condition", "t:002": "contrast"}
@@ -277,7 +274,7 @@ def test_train_baseline_rejects_unknown_kind_and_empty():
 
 def make_test_dataset():
     instances = [rendered(f"t:{i:03d}", f"h{i}", f"d{i}",
-                          ["cause", "joint"][i % 2], split="test")
+                          ["cause", "joint"][i % 2])
                  for i in range(6)]
     return dataset_of(instances, split="test")
 
@@ -366,16 +363,20 @@ def test_import_shares_dataset_strings(tmp_path):
     ('{"instance_id": ["x"], "predicted_label": "joint"}',
      r"instance_id \['x'\] is not a string"),
     ("[" * 100_000, "maximum recursion depth exceeded"),
+    ('{"instance_id": "t:001", "predicted_label": "\udcff"}',
+     "'utf-8' codec can't decode byte 0xff"),
 ], ids=["missing_field", "not_json", "not_object", "condition_not_string",
         "label_null", "label_number", "label_list", "instance_id_list",
-        "deeply_nested"])
+        "deeply_nested", "not_utf8"])
 def test_import_malformed_record_names_path_and_line(tmp_path, bad_line, detail):
     dataset = make_test_dataset()
     path = tmp_path / "preds.jsonl"
     write_predictions(PredictionSet("c", 0, dataset.gold_labels()), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[1] = bad_line
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # A lone surrogate escape writes the byte it stands for: "\udcff" is 0xff.
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8",
+                    errors="surrogateescape")
     with pytest.raises(ValueError,
                        match=rf"preds\.jsonl:2: malformed record: {detail}"):
         import_predictions(path, dataset)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,6 @@ from drckit.treebank import (
     ancestors,
     CorpusError,
     dependency_distance_stats,
-    derive_sentence_indices,
     ends_sentence,
     extract_instances,
     load_corpus,
@@ -197,43 +195,31 @@ def test_ancestors_prefix_property():
 
 
 def test_sentence_indices_follow_punctuation():
-    tree = DiscourseTree("s", (
-        EDU(0, "ROOT", -1, "null"),
-        EDU(1, "A .", 0, "ROOT"),
-        EDU(2, "B ,", 1, "joint"),
-        EDU(3, "C .", 1, "joint"),
-    ))
-    filled = derive_sentence_indices(tree)
-    assert [e.sentence_index for e in filled.real_edus] == [0, 1, 1]
+    tree = tree_from([(0, -1, "null", "ROOT"),
+                      (1, 0, "ROOT", "A ."),
+                      (2, 1, "joint", "B ,"),
+                      (3, 1, "joint", "C .")], "s")
+    assert [e.sentence_index for e in tree.real_edus] == [0, 1, 1]
 
 
 def test_sentence_indices_single_edu():
-    tree = DiscourseTree("s", (
-        EDU(0, "ROOT", -1, "null"),
-        EDU(1, "X .", 0, "ROOT"),
-    ))
-    assert derive_sentence_indices(tree).edu(1).sentence_index == 0
+    tree = tree_from([(0, -1, "null", "ROOT"), (1, 0, "ROOT", "X .")], "s")
+    assert tree.edu(1).sentence_index == 0
 
 
 def test_sentence_indices_without_punctuation():
-    tree = DiscourseTree("s", (
-        EDU(0, "ROOT", -1, "null"),
-        EDU(1, "alpha", 0, "ROOT"),
-        EDU(2, "beta", 1, "joint"),
-        EDU(3, "gamma", 1, "joint"),
-    ))
-    filled = derive_sentence_indices(tree)
-    assert [e.sentence_index for e in filled.real_edus] == [0, 0, 0]
+    tree = tree_from([(0, -1, "null", "ROOT"),
+                      (1, 0, "ROOT", "alpha"),
+                      (2, 1, "joint", "beta"),
+                      (3, 1, "joint", "gamma")], "s")
+    assert [e.sentence_index for e in tree.real_edus] == [0, 0, 0]
 
 
 def test_sentence_indices_closing_quotes():
-    tree = DiscourseTree("s", (
-        EDU(0, "ROOT", -1, "null"),
-        EDU(1, 'first ."', 0, "ROOT"),
-        EDU(2, "second .", 1, "joint"),
-    ))
-    filled = derive_sentence_indices(tree)
-    assert [e.sentence_index for e in filled.real_edus] == [0, 1]
+    tree = tree_from([(0, -1, "null", "ROOT"),
+                      (1, 0, "ROOT", 'first ."'),
+                      (2, 1, "joint", "second .")], "s")
+    assert [e.sentence_index for e in tree.real_edus] == [0, 1]
 
 
 def counted_sentence_indices(tree):
@@ -257,9 +243,6 @@ def test_parsed_sentence_indices_match_derivation(records, pads):
     before, after = pads
     tree = tree_from([(i, p, r, before + t + (" ." if i == 0 else "") + after)
                       for i, p, r, t in records])
-    unset = DiscourseTree(tree.doc_id, tuple(
-        replace(e, sentence_index=0) for e in tree.edus))
-    assert derive_sentence_indices(unset) == tree
     assert [e.sentence_index for e in tree.edus] == \
         counted_sentence_indices(tree)
 
