@@ -107,13 +107,19 @@ def outcome_counts(labels: Mapping[str, str],
     ``pair_outcomes`` would give them, without an object per instance."""
     ids = list(labels)
     gold = [labels[i] for i in ids]
-    signs: Counter = Counter()
+    # Runs sharing A's and B's dicts (a baseline's seeds) count once, weighted.
+    distinct: dict[tuple[int, int], list] = {}  # -> [A, B, runs]: holds the dicts
     for preds_a, preds_b in runs:
+        distinct.setdefault((id(preds_a.records), id(preds_b.records)),
+                            [preds_a, preds_b, 0])[2] += 1
+    signs: Counter = Counter()
+    for preds_a, preds_b, n_runs in distinct.values():
         _check_coverage(labels, preds_a, preds_b)
         correct_a = map(eq, gold, map(preds_a.records.__getitem__, ids))
         correct_b = map(eq, gold, map(preds_b.records.__getitem__, ids))
         # B correct minus A correct: 1 is a win, -1 a loss, 0 a tie.
-        signs.update(zip(gold, map(sub, correct_b, correct_a)))
+        for key, n in Counter(zip(gold, map(sub, correct_b, correct_a))).items():
+            signs[key] += n * n_runs
     return Counter({(relation, (TIE, WIN, LOSS)[sign]): n
                     for (relation, sign), n in signs.items()})
 
@@ -217,38 +223,33 @@ def connective_match_rate(instances: Iterable[RenderedInstance],
                           relation_categories: Mapping[str, Sequence[str]],
                           lexicon: ConnectiveLexicon,
                           level: str = "instance",
-                          multiword: bool = False) -> ConnectiveMatchReport:
+                          multiword: bool = False, shared: dict | None = None
+                          ) -> ConnectiveMatchReport:
     """Fraction of instances whose arg2 opens with a known connective.
 
     ``relation_categories`` maps category names (e.g. winning/losing) to
     the relations they contain, as produced by margins_by_category.  At
     ``level="type"`` the percentage is the unweighted mean of per-relation
-    match rates instead of the instance-level pool.
+    match rates instead of the instance-level pool.  ``shared`` keeps [matched,
+    total] per gold relation for calls on one instance set, lexicon and mode.
     """
     if level not in ("instance", "type"):
         raise ValueError(f"unknown level {level!r}")
-    relation_to_category = {}
-    for category, relations in relation_categories.items():
-        for relation in relations:
-            relation_to_category[relation] = category
-
-    per_relation: dict[str, list[int]] = {}
-    for inst in instances:
-        category = relation_to_category.get(inst.gold_label)
-        if category is None:
-            continue
-        hit = _matches(inst.arg2_text, lexicon, multiword)
-        per_relation.setdefault(inst.gold_label, []).append(1 if hit else 0)
-
+    hits = {} if shared is None else shared
+    if not hits:
+        for inst in instances:
+            counts = hits.setdefault(inst.gold_label, [0, 0])
+            counts[0] += _matches(inst.arg2_text, lexicon, multiword)
+            counts[1] += 1
     by_category = {}
     for category, relations in relation_categories.items():
-        hits = [per_relation.get(r, []) for r in relations]
-        matched = sum(sum(h) for h in hits)
-        total = sum(len(h) for h in hits)
+        counts = [hits[r] for r in relations if r in hits]
+        matched = sum(m for m, _ in counts)
+        total = sum(t for _, t in counts)
         if level == "instance":
             percentage = 100.0 * matched / total if total else 0.0
         else:
-            rates = [100.0 * sum(h) / len(h) for h in hits if h]
+            rates = [100.0 * m / t for m, t in counts]
             percentage = sum(rates) / len(rates) if rates else 0.0
         by_category[category] = CategoryMatch(matched=matched, total=total,
                                               percentage=percentage)

@@ -52,6 +52,7 @@ from .evaluation import (
     bonferroni,
     format_results_table,
     read_report_scores,
+    report_texts,
     score,
     wilcoxon_signed_rank,
     write_report_json,
@@ -211,12 +212,17 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _score_run(dataset: VariantDataset, preds: PredictionSet,
-               report_dir: Path, stem: str) -> EvalReport:
-    """Score one run and write ``<stem>.report.json`` and ``.report.tsv``."""
-    report = score(dataset, preds)
-    write_report_json(report, report_dir / f"{stem}.report.json")
-    write_report_tsv(report, report_dir / f"{stem}.report.tsv")
+def _score_run(dataset: VariantDataset, preds: PredictionSet, report_dir: Path,
+               stem: str, shared: dict) -> EvalReport:
+    """Score one run and write ``<stem>.report.json`` and ``.report.tsv``;
+    ``shared`` keeps each records dict's score and texts for one condition."""
+    if id(preds.records) not in shared:  # an entry holds the dict it is keyed by
+        report = score(dataset, preds)
+        shared[id(preds.records)] = preds.records, report, report_texts(report)
+    _, report, texts = shared[id(preds.records)]
+    report = replace(report, run_id=preds.run_id)
+    write_report_json(report, report_dir / f"{stem}.report.json", texts)
+    write_report_tsv(report, report_dir / f"{stem}.report.tsv", texts)
     return report
 
 
@@ -227,7 +233,7 @@ def cmd_evaluate(args) -> int:
     by_condition: dict[str, list[EvalReport]] = {}
     for pred_path in args.predictions:
         preds = import_predictions(pred_path, dataset)
-        report = _score_run(dataset, preds, out_dir, Path(pred_path).stem)
+        report = _score_run(dataset, preds, out_dir, Path(pred_path).stem, {})
         print(f"{report.condition} run {report.run_id}: "
               f"macro-F1 {report.macro_f1:.4f}, accuracy {report.accuracy:.4f}")
         by_condition.setdefault(report.condition, []).append(report)
@@ -261,7 +267,7 @@ def _lexicon(path: Path | str | None) -> ConnectiveLexicon:
 def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
                   runs_b: list[PredictionSet], lexicon: ConnectiveLexicon,
                   out_dir: Path, normalizer: str = "runs", level: str = "instance",
-                  multiword: bool = False
+                  multiword: bool = False, shared: dict | None = None
                   ) -> tuple[list[RelationMargin], ConnectiveMatchReport]:
     """Pair A and B runs by run id, then write ``margins.tsv`` and
     ``connectives.tsv`` of B against A under ``out_dir``."""
@@ -272,7 +278,8 @@ def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
     margins = margins_from_counts(counts, len(pairs), normalizer=normalizer)
     match_report = connective_match_rate(dataset.instances,
                                          margins_by_category(margins), lexicon,
-                                         level=level, multiword=multiword)
+                                         level=level, multiword=multiword,
+                                         shared=shared)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_margins_tsv(margins, out_dir / "margins.tsv")
     write_connective_report_tsv(match_report, out_dir / "connectives.tsv")
@@ -323,8 +330,8 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _written(write: Callable[[T, Path], None], value: T, path: Path) -> T:
-    write(value, path)
+def _written(write: Callable[..., None], value: T, path: Path, *args) -> T:
+    write(value, path, *args)
     return value
 
 
@@ -358,11 +365,11 @@ def cmd_experiment(args) -> int:
         return manifest.stage(
             f"variants:{scheme.tag}:{split}", [path],
             run=lambda: _written(write_variant_dataset, build_variant_dataset(
-                corpus, scheme, inventory), path),
+                corpus, scheme, inventory, shared=extracted), path),
             load=lambda: read_variant_dataset(path, cfg.corpus_name, inventory))
 
     def predict_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
-                      predictor: Lazy[Callable[[int], PredictionSet]],
+                      predictor: Lazy[Callable[[int], PredictionSet]], shared: dict,
                       source: str | None, endpoint: bool) -> Lazy[PredictionSet]:
         path = pred_dir / f"{condition}.run{seed}.jsonl"
 
@@ -374,20 +381,22 @@ def cmd_experiment(args) -> int:
             f"predict:{condition}:{seed}", [path],
             run=lambda: _written(
                 write_predictions,
-                read(source) if source else predictor.get()(seed), path),
+                read(source) if source else predictor.get()(seed), path, shared),
             load=lambda: read(path), key=file_key(source) if source else "")
         if endpoint and not preds.reused:
             manifest.save()  # so a killed run keeps the stage it paid for
         return preds
 
     def score_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
-                    preds: Lazy[PredictionSet]) -> Lazy[EvalReport | RunScore]:
+                    preds: Lazy[PredictionSet],
+                    shared: dict) -> Lazy[EvalReport | RunScore]:
         stem = f"{condition}.run{seed}"
         reports = [report_dir / f"{stem}.report.json",
                    report_dir / f"{stem}.report.tsv"]
         return manifest.stage(
             f"score:{condition}:{seed}", reports,
-            run=lambda: _score_run(eval_ds.get(), preds.get(), report_dir, stem),
+            run=lambda: _score_run(eval_ds.get(), preds.get(), report_dir, stem,
+                                   shared),
             load=lambda: read_report_scores(reports[0]),
             inputs=[preds, eval_ds])
 
@@ -401,15 +410,18 @@ def cmd_experiment(args) -> int:
             [analysis_dir / "margins.tsv", analysis_dir / "connectives.tsv"],
             run=lambda: _analyze_pair(
                 eval_ds.get(), [p.get() for p in runs_a],
-                [p.get() for p in runs_b], lexicon.get(), analysis_dir),
+                [p.get() for p in runs_b], lexicon.get(), analysis_dir, shared=hits),
             load=lambda: None,  # nothing reads an analysis back
             inputs=[eval_ds, *runs_a, *runs_b], key=lexicon_key)
 
+    extracted: dict = {}  # each split's instances, for its variant of every scheme
+    hits: dict = {}  # connective hits: all analyses read one eval variant, lexicon
     try:
         datasets = {(scheme.tag, split): variants_stage(scheme, split, corpus)
                     for scheme in cfg.schemes
                     for split, corpus in ((cfg.train_split, train_corpus),
                                           (cfg.eval_split, eval_corpus))}
+        extracted.clear()  # every variant that is not reused has been built
         aggregates = []
         comparisons = []
         for backend in cfg.backends:
@@ -425,12 +437,13 @@ def cmd_experiment(args) -> int:
                     eval_ds.get(), condition, out_dir / "logs"))
                 sources = dict(zip(cfg.seeds, backend.options["runs"][scheme.tag])) \
                     if backend.kind == "import" else {}
+                written, scored = {}, {}  # what this condition's seeds share
                 preds[scheme.tag] = [
-                    predict_stage(condition, seed, eval_ds, predictor,
+                    predict_stage(condition, seed, eval_ds, predictor, written,
                                   sources.get(seed), backend.kind == "endpoint")
                     for seed in cfg.seeds]
                 agg = aggregate_runs([
-                    score_stage(condition, seed, eval_ds, pred).get()
+                    score_stage(condition, seed, eval_ds, pred, scored).get()
                     for seed, pred in zip(cfg.seeds, preds[scheme.tag])])
                 aggregates.append(agg)
                 scores[scheme.tag] = agg.per_run_scores
@@ -466,6 +479,8 @@ def cmd_experiment(args) -> int:
                 f"\t{result.significant}")
         (out_dir / "significance.tsv").write_text("\n".join(sig_lines) + "\n",
                                                   encoding="utf-8")
+    else:  # an earlier run's table compared conditions this run no longer has
+        (out_dir / "significance.tsv").unlink(missing_ok=True)
 
     table = format_results_table(aggregates, significance)
     (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -111,8 +111,12 @@ class VariantDataset:
     def instance_ids(self) -> list[str]:
         return [inst.instance_id for inst in self.instances]
 
-    def gold_labels(self) -> dict[str, str]:
+    @cached_property
+    def _gold(self) -> dict[str, str]:
         return {inst.instance_id: inst.gold_label for inst in self.instances}
+
+    def gold_labels(self) -> dict[str, str]:
+        return dict(self._gold)  # a copy of the one dict built per dataset
 
 
 def select_context(tree: DiscourseTree, instance: RelationInstance,
@@ -180,18 +184,23 @@ def corpus_label_inventory(corpus: Corpus) -> tuple[str, ...]:
 
 def build_variant_dataset(corpus: Corpus, scheme: ContextScheme,
                           label_inventory: Sequence[str] | None = None,
-                          include_relations: bool = False) -> VariantDataset:
+                          include_relations: bool = False,
+                          shared: dict | None = None) -> VariantDataset:
     """Render every instance of the corpus split under one scheme.
 
     ``label_inventory`` should be the training-split inventory when
     rendering dev or test data; it defaults to the labels of this corpus,
-    which is only correct for the training split itself.
+    which is only correct for the training split itself.  ``shared`` keeps
+    each corpus's extracted instances, for its builds under other schemes.
     """
     if label_inventory is None:
         label_inventory = corpus_label_inventory(corpus)
+    shared = {} if shared is None else shared
+    if id(corpus) not in shared:  # an entry holds the corpus it is keyed by
+        shared[id(corpus)] = corpus, [(t, extract_instances(t)) for t in corpus.trees]
     rendered = [render_instance(inst, _fragments(tree, inst.arg1_edu_id, scheme,
                                                  include_relations))
-                for tree in corpus.trees for inst in extract_instances(tree)]
+                for tree, insts in shared[id(corpus)][1] for inst in insts]
     return VariantDataset(corpus.name, scheme, corpus.split, rendered,
                           label_inventory)
 

@@ -280,11 +280,26 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def write_report_json(report: EvalReport, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), ensure_ascii=False, indent=2,
-                   sort_keys=True) + "\n",
-        encoding="utf-8")
+def report_texts(report: EvalReport) -> tuple[str, str]:
+    """What the reports of one score under any run id share, for the writers
+    below: the JSON up to its last key, ``run_id``, and the TSV table."""
+    text = json.dumps(report_to_dict(report), ensure_ascii=False, indent=2,
+                      sort_keys=True)
+    lines = ["label\tprecision\trecall\tf1\tsupport"]
+    for label in report.confusion.labels:
+        s = report.per_class[label]
+        lines.append(f"{label}\t{s.precision:.6f}\t{s.recall:.6f}"
+                     f"\t{s.f1:.6f}\t{s.support}")
+    lines.append(f"macro_f1\t\t\t{report.macro_f1:.6f}\t{report.n}")
+    lines.append(f"accuracy\t\t\t{report.accuracy:.6f}\t{report.n}")
+    return text[:text.rindex('"run_id": ')], "\n".join(lines) + "\n"
+
+
+def write_report_json(report: EvalReport, path: Path | str,
+                      texts: tuple[str, str] | None = None) -> None:
+    body = (texts or report_texts(report))[0]
+    Path(path).write_text(f'{body}"run_id": {json.dumps(report.run_id)}\n}}\n',
+                          encoding="utf-8")
 
 
 def read_report_scores(path: Path | str) -> RunScore:
@@ -301,15 +316,9 @@ def read_report_scores(path: Path | str) -> RunScore:
                     float(payload["macro_f1"]))
 
 
-def write_report_tsv(report: EvalReport, path: Path | str) -> None:
-    lines = ["label\tprecision\trecall\tf1\tsupport"]
-    for label in report.confusion.labels:
-        s = report.per_class[label]
-        lines.append(f"{label}\t{s.precision:.6f}\t{s.recall:.6f}"
-                     f"\t{s.f1:.6f}\t{s.support}")
-    lines.append(f"macro_f1\t\t\t{report.macro_f1:.6f}\t{report.n}")
-    lines.append(f"accuracy\t\t\t{report.accuracy:.6f}\t{report.n}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_report_tsv(report: EvalReport, path: Path | str,
+                     texts: tuple[str, str] | None = None) -> None:
+    Path(path).write_text((texts or report_texts(report))[1], encoding="utf-8")
 
 
 def format_results_table(aggregates: Sequence[RunAggregate],

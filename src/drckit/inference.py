@@ -193,18 +193,24 @@ def predict_baseline(model: BaselineModel, dataset: VariantDataset,
     return PredictionSet(condition=condition, run_id=run_id, records=records)
 
 
-def write_predictions(predictions: PredictionSet, path: Path | str) -> None:
+def write_predictions(predictions: PredictionSet, path: Path | str,
+                      shared: dict | None = None) -> None:
     """Write the line-delimited prediction file format: in id order, one
-    ``json.dumps(record, ensure_ascii=False)`` line per record."""
+    ``json.dumps(record, ensure_ascii=False)`` line per record.  ``shared`` keeps
+    the last dict's lines up to the run id, for its condition's other seeds."""
     # Strings go through json.dumps's own escaper, and the line tail after
     # the id is encoded once per label.
-    rest = (f', "condition": {encode_basestring(predictions.condition)}, '
-            f'"run_id": {int(predictions.run_id)}}}')
-    tails = {label: f', "predicted_label": {encode_basestring(label)}{rest}'
-             for label in set(predictions.records.values())}
-    lines = [f'{{"instance_id": {encode_basestring(i)}{tails[label]}'
-             for i, label in sorted(predictions.records.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records, shared = predictions.records, {} if shared is None else shared
+    if id(records) not in shared:  # an entry holds the dict it is keyed by
+        shared.clear()
+        rest = f', "condition": {encode_basestring(predictions.condition)}, "run_id": '
+        tails = {label: f', "predicted_label": {encode_basestring(label)}{rest}'
+                 for label in set(records.values())}
+        shared[id(records)] = records, [
+            f'{{"instance_id": {encode_basestring(i)}{tails[label]}'
+            for i, label in sorted(records.items())]
+    lines, end = shared[id(records)][1], f"{int(predictions.run_id)}}}\n"
+    Path(path).write_text(end.join(lines) + end if lines else "\n", encoding="utf-8")
 
 
 _PREDICTION_FIELDS = {"instance_id": STRING, "predicted_label": STRING,

@@ -116,3 +116,26 @@ def preceding_sentences(records: list[tuple], edu_id: int, n: int) -> list[str]:
     sentences = dict(sentences_of(records))
     picked = range(max(0, target - n), target)
     return [sentences[i] for i in picked if i in sentences]
+
+
+def category_match_rates(rows: list[tuple[str, bool]],
+                         relation_categories: dict[str, list[str]],
+                         level: str) -> dict[str, tuple[int, int, float]]:
+    """(matched, total, percentage) per category from (gold relation, hit)
+    rows: a 0/1 list per relation, pooled over the instances of a category
+    or averaged over its relations (``level`` "type")."""
+    per_relation: dict[str, list[int]] = {}
+    for relation, hit in rows:
+        per_relation.setdefault(relation, []).append(1 if hit else 0)
+    out = {}
+    for category, relations in relation_categories.items():
+        lists = [per_relation.get(r, []) for r in relations]
+        matched = sum(sum(h) for h in lists)
+        total = sum(len(h) for h in lists)
+        if level == "instance":
+            percentage = 100.0 * matched / total if total else 0.0
+        else:
+            rates = [100.0 * sum(h) / len(h) for h in lists if h]
+            percentage = sum(rates) / len(rates) if rates else 0.0
+        out[category] = (matched, total, percentage)
+    return out

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drckit.analysis import (
     LOSING,
@@ -11,17 +13,22 @@ from drckit.analysis import (
     TIED,
     WIN,
     WINNING,
+    ConnectiveLexicon,
     PairedOutcome,
+    _matches,
     connective_match_rate,
     default_lexicon,
     first_connective_token,
     load_connective_lexicon,
     margins_by_category,
+    outcome_counts,
     pair_outcomes,
     relation_margins,
 )
 from drckit.context import ContextScheme, RenderedInstance, VariantDataset
 from drckit.inference import PredictionSet
+
+from oracles import category_match_rates
 
 DEFAULT = ContextScheme("default")
 
@@ -269,3 +276,65 @@ def test_percentages_bounded():
     c = report.by_category[WINNING]
     assert 0.0 <= c.percentage <= 100.0
     assert c.matched <= c.total
+
+
+RELATIONS = ["cause", "condition", "joint"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_outcome_counts_weight_shared_runs_as_pair_outcomes_counts(data):
+    # Runs draw their A and B records from a small pool: the pool's own
+    # dicts (shared, as a baseline's seeds share theirs) or equal copies.
+    n = data.draw(st.integers(1, 6))
+    ids = [f"i{k}" for k in range(n)]
+    labels = st.lists(st.sampled_from(RELATIONS), min_size=n, max_size=n)
+    gold = dict(zip(ids, data.draw(labels)))
+    pool = [dict(zip(ids, data.draw(labels)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    picks = st.tuples(st.integers(0, len(pool) - 1), st.booleans())
+    runs = []
+    for run_id in range(data.draw(st.integers(1, 8))):
+        sets = []
+        for name in "AB":
+            index, shared = data.draw(picks)
+            records = pool[index] if shared else dict(pool[index])
+            sets.append(PredictionSet(name, run_id, records))
+        runs.append(tuple(sets))
+    expected = Counter((o.gold_label, o.outcome) for a, b in runs
+                       for o in pair_outcomes(gold, a, b, a.run_id))
+    assert outcome_counts(gold, runs) == expected
+    assert outcome_counts(gold, iter(runs)) == expected
+
+
+ARG2_WORDS = ["because", "as", "a", "result", "however,", "(but", "the",
+              "in", "addition", "plain", "...", "Since"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(RELATIONS),
+                               st.lists(st.sampled_from(ARG2_WORDS), max_size=4)),
+                     max_size=12),
+       category_maps=st.lists(st.dictionaries(
+           st.sampled_from([WINNING, LOSING, TIED]),
+           st.lists(st.sampled_from(RELATIONS + ["unseen"]), max_size=4)),
+           min_size=1, max_size=3),
+       multiword=st.booleans())
+def test_shared_connective_hits_equal_per_call_rates(rows, category_maps,
+                                                     multiword):
+    instances = [RenderedInstance(f"i{k:03d}", "", "arg1", " ".join(words), label)
+                 for k, (label, words) in enumerate(rows)]
+    lexicon = ConnectiveLexicon(frozenset({"because", "as a result", "however",
+                                           "but", "in addition", "since"}))
+    hit_rows = [(i.gold_label, _matches(i.arg2_text, lexicon, multiword))
+                for i in instances]
+    shared: dict = {}
+    for categories in category_maps:
+        for level in ("instance", "type"):
+            report = connective_match_rate(instances, categories, lexicon,
+                                           level, multiword, shared=shared)
+            assert report == connective_match_rate(instances, categories,
+                                                   lexicon, level, multiword)
+            assert {c: (m.matched, m.total, m.percentage)
+                    for c, m in report.by_category.items()} == \
+                category_match_rates(hit_rows, categories, level)

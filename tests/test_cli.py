@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from drckit import cli, config as config_module
+from drckit import cli, config as config_module, context
 from drckit.analysis import (
     default_lexicon,
     pair_outcomes,
@@ -591,37 +591,85 @@ def test_experiment_too_small_bonferroni_m_exits_2_before_any_work(
 def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
                                                      tmp_path, monkeypatch):
     calls = {"import_predictions": 0, "train_baseline": 0,
-             "predict_baseline": 0, "read_variant_dataset": 0}
+             "predict_baseline": 0, "read_variant_dataset": 0, "score": 0,
+             "extract_instances": 0}
 
-    def counted(name):
-        original = getattr(cli, name)
+    def counted(name, module=cli):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     counted("import_predictions")
     counted("train_baseline")
     counted("predict_baseline")
     counted("read_variant_dataset")
+    counted("score")
+    counted("extract_instances", context)
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], m=1)
     assert run_cli("experiment", "--config", config) == 0
-    # cold: one fit and one prediction per scheme, shared by the 10 seeds;
-    # no prediction or variant file read back
+    # cold: one fit, one prediction and one score per scheme, shared by the
+    # 10 seeds; each split's instances extracted once, for both schemes; no
+    # prediction or variant file read back
+    n_trees = sum(len(load_corpus(small_corpus_dir, split).trees)
+                  for split in ("train", "test"))
     assert calls == {"import_predictions": 0, "train_baseline": 2,
-                     "predict_baseline": 2, "read_variant_dataset": 0}
-    calls.update(import_predictions=0, train_baseline=0, predict_baseline=0)
+                     "predict_baseline": 2, "read_variant_dataset": 0,
+                     "score": 2, "extract_instances": n_trees}
+    calls.update(dict.fromkeys(calls, 0))
     assert run_cli("experiment", "--config", config) == 0
     # warm: every stage is reused, so no stage reads an input
-    assert calls == {"import_predictions": 0, "train_baseline": 0,
-                     "predict_baseline": 0, "read_variant_dataset": 0}
+    assert calls == dict.fromkeys(calls, 0)
     # every seed's file still carries its own run id
     for path in sorted((tmp_path / "out" / "predictions").iterdir()):
         run_ids = {json.loads(line)["run_id"]
                    for line in path.read_text(encoding="utf-8").splitlines()}
         assert run_ids == {int(path.name.split(".run")[1].split(".")[0])}, path
+    for path in sorted((tmp_path / "out" / "reports").glob("*.json")):
+        run_id = json.loads(path.read_text(encoding="utf-8"))["run_id"]
+        assert run_id == int(path.name.split(".run")[1].split(".")[0]), path
+
+
+def test_experiment_scores_a_reloaded_run_on_its_own(small_corpus_dir, tmp_path,
+                                                     monkeypatch):
+    # Seeds 1 and 3 are read back from their files, each into a dict of its
+    # own; seed 2 is predicted again.  The cue baseline's seeds predict alike,
+    # so each report still equals a fresh run's.
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2, 3])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    (out / "predictions" / "OR1+cue.run2.jsonl").unlink()
+    for path in (out / "reports").glob("OR1+cue.*"):
+        path.unlink()
+    scored = []
+    original = cli.score
+    monkeypatch.setattr(cli, "score", lambda dataset, preds: scored.append(
+        preds.run_id) or original(dataset, preds))
+    assert run_cli("experiment", "--config", config) == 0
+    assert sorted(scored) == [1, 2, 3]
+    (tmp_path / "fresh").mkdir()
+    fresh = experiment_config(tmp_path / "fresh", small_corpus_dir,
+                              backends=[{"kind": "cue"}], seeds=[1, 2, 3])
+    assert run_cli("experiment", "--config", fresh) == 0
+    assert outputs(out) == outputs(tmp_path / "fresh" / "out")
+
+
+def test_experiment_without_comparisons_removes_old_significance(
+        small_corpus_dir, tmp_path):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    assert (tmp_path / "out" / "significance.tsv").exists()
+    patch_config(config, schemes=["default"])
+    assert run_cli("experiment", "--config", config) == 0
+    table = (tmp_path / "out" / "results_table.txt").read_text(encoding="utf-8")
+    assert "default+cue" in table and "OR1+cue" not in table
+    # no table may still compare a condition the run no longer has
+    assert not (tmp_path / "out" / "significance.tsv").exists()
 
 
 def outputs(out_dir: Path) -> dict[str, bytes]:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 from statistics import mean
 
 import pytest
@@ -14,8 +18,12 @@ from drckit.evaluation import (
     EvalReport,
     aggregate_runs,
     bonferroni,
+    report_texts,
+    report_to_dict,
     score,
     wilcoxon_signed_rank,
+    write_report_json,
+    write_report_tsv,
 )
 from drckit.inference import UNPARSED, PredictionSet
 
@@ -309,3 +317,37 @@ def test_bonferroni_requires_family_at_least_results():
     result = wilcoxon_signed_rank([1.0], [0.0])
     with pytest.raises(ValueError, match="smaller"):
         bonferroni([result, result], m=1)
+
+
+# Labels and conditions that stress the JSON text: quotes, escapes, the key
+# name itself, line and paragraph separators, non-ASCII.
+TRICKY_TEXT = st.one_of(
+    st.sampled_from(['"run_id": 1', 'a"b', "back\\slash", "line\nbreak",
+                     "tab\tbed", "\u2028sep\u2029", "é-ü", "😀", "", "{}"]),
+    st.text(max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gold=st.lists(TRICKY_TEXT, min_size=1, max_size=8), data=st.data(),
+       condition=TRICKY_TEXT,
+       run_ids=st.lists(st.one_of(st.sampled_from([0, 2**63]), st.integers()),
+                        min_size=1, max_size=4))
+def test_shared_report_texts_give_each_runs_own_report(gold, data, condition,
+                                                       run_ids):
+    dataset = make_dataset(gold)
+    predicted = data.draw(st.lists(st.one_of(st.sampled_from(gold), TRICKY_TEXT),
+                                   min_size=len(gold), max_size=len(gold)))
+    report = score(dataset, make_predictions(dataset, predicted, condition,
+                                             run_ids[0]))
+    texts = report_texts(report)
+    with tempfile.TemporaryDirectory() as tmp:
+        shared, own = Path(tmp) / "shared", Path(tmp) / "own"
+        for run_id in run_ids:
+            seed_report = replace(report, run_id=run_id)
+            write_report_json(seed_report, shared, texts)
+            assert shared.read_text(encoding="utf-8") == json.dumps(
+                report_to_dict(seed_report), ensure_ascii=False, indent=2,
+                sort_keys=True) + "\n"
+            write_report_tsv(seed_report, shared, texts)
+            write_report_tsv(seed_report, own)
+            assert shared.read_bytes() == own.read_bytes()
