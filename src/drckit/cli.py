@@ -29,9 +29,12 @@ from .analysis import (
     write_margins_tsv,
 )
 from .config import (
+    ENDPOINT_FIELDS,
+    TAG,
     ConfigError,
     Lazy,
     RunManifest,
+    check_config,
     endpoint_config,
     file_key,
     load_experiment_config,
@@ -199,9 +202,11 @@ def cmd_infer(args) -> int:
     train = read_variant_dataset(args.train)
     dataset = replace(dataset, label_inventory=train.label_inventory)
     condition = args.condition or f"{dataset.scheme.tag}+{args.backend}"
+    check_config({"condition": condition}, {"condition": TAG}, "infer")
     out_dir = Path(args.out)
-    given = {key: value for key, value in vars(args).items() if value is not None}
-    predict = _predictor(args.backend, given, train, dataset, condition,
+    flags = {key: value for key, value in vars(args).items()
+             if key in ENDPOINT_FIELDS and value is not None}
+    predict = _predictor(args.backend, flags, train, dataset, condition,
                          out_dir / "logs")
     out_dir.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
@@ -484,6 +489,7 @@ def cmd_experiment(args) -> int:
 
     table = format_results_table(aggregates, significance)
     (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")
+    manifest.remove_dropped(out_dir)  # the outputs of conditions the config dropped
     print(table)
     return EXIT_OK
 
@@ -538,14 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", nargs="+", type=int, default=[0])
     p.add_argument("--condition")
     p.add_argument("--out", required=True)
-    # Endpoint options; one left out keeps its EndpointConfig default.
-    p.add_argument("--base-url")
-    p.add_argument("--model")
-    p.add_argument("--auth-env")
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--max-retries", type=int)
-    p.add_argument("--parallelism", type=int)
-    p.add_argument("--backoff", type=float)
+    # Endpoint options, typed by their table (a number is a float); one left
+    # out keeps its EndpointConfig default.
+    for key, field in ENDPOINT_FIELDS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=field.types[-1])
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score prediction files")

@@ -8,12 +8,12 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Any, Callable, Generic, Sequence, TypeVar
 from urllib.parse import urlsplit
 
-from .context import ContextScheme
+from .context import INTEGER, NUMBER, STRING, ContextScheme, JsonField, check_fields
 from .endpoint import EndpointConfig
 from .treebank import iter_document_files
 
@@ -78,84 +78,132 @@ def file_key(path: Path | str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _http_url(value) -> bool:
-    """Whether ``value`` is an http or https URL with a host, and a valid
-    port if it names one."""
-    if not isinstance(value, str):
-        return False
+def _rule(field: JsonField, what: str, ok: Callable[[Any], bool]) -> JsonField:
+    """``field``, whose value (once parsed, if ``field`` parses) must also
+    pass ``ok``; ``what`` says what the value must be."""
+    def parse(value):
+        parsed = field.parse(value) if field.parse else value
+        if not ok(parsed):
+            raise ValueError(f"{value!r} is not {what}")
+        return parsed
+    return field._replace(what=what, parse=parse)
+
+
+def _map(item: JsonField, what: str) -> JsonField:
+    """A JSON object whose every value is an ``item``."""
+    return JsonField((dict,), what, parse=lambda value: check_fields(
+        value, dict.fromkeys(value, item)))
+
+
+def _list(item: JsonField, what: str = "a list") -> JsonField:
+    """A JSON list of ``item``s, named ``[0]``, ``[1]``..., as a tuple."""
+    each = _map(item, what).parse
+    return JsonField((list,), what, parse=lambda values: tuple(
+        each({f"[{i}]": value for i, value in enumerate(values)}).values()))
+
+
+def check_config(record: Any, fields: dict[str, JsonField], where: str) -> dict:
+    """``record`` checked against ``fields``, the only keys it may hold."""
     try:
-        url = urlsplit(value)
-        return url.scheme in ("http", "https") and bool(url.hostname) \
-            and url.port != 0
-    except ValueError:  # a port that is not a number in range
-        return False
+        return check_fields(record, fields, closed=True)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _number(value) -> bool:
-    # Exact type check: JSON true/false load as bool, a subclass of int.
-    return type(value) in (int, float) and math.isfinite(value)
+def _http_url(value: str) -> bool:
+    url = urlsplit(value)  # a ValueError names a port that is no number in range
+    return url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
 
 
-# Endpoint option -> (EndpointConfig field, check, what the value must be).
-# An option left out keeps the field's EndpointConfig default.
-_ENDPOINT_OPTIONS = {
-    "base_url": ("base_url", _http_url, "an http or https URL with a host"),
-    "model": ("model_name", lambda v: isinstance(v, str), "a string"),
-    "auth_env": ("auth_env", lambda v: isinstance(v, str), "a string"),
-    "timeout": ("timeout", lambda v: _number(v) and v > 0, "a number > 0"),
-    "backoff": ("backoff", lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "max_retries": ("max_retries", lambda v: type(v) is int and v >= 0,
-                    "an integer >= 0"),
-    "parallelism": ("parallelism", lambda v: type(v) is int and v >= 1,
-                    "an integer >= 1"),
+OPTIONAL_STRING, OPTIONAL_NUMBER, OPTIONAL_INTEGER = (
+    field._replace(required=False) for field in (STRING, NUMBER, INTEGER))
+# A tag names output files and directories, so it holds no "/" or NUL.
+TAG = _rule(STRING, "a non-empty string with no / or NUL",
+            lambda tag: tag and "/" not in tag and "\0" not in tag)
+
+# Endpoint options, named as the ``infer`` flags; one left out keeps its default.
+ENDPOINT_FIELDS = {
+    "base_url": _rule(STRING, "an http or https URL with a host", _http_url),
+    "model": OPTIONAL_STRING,
+    "auth_env": OPTIONAL_STRING,
+    "timeout": _rule(OPTIONAL_NUMBER, "a number > 0", lambda v: 0 < v < math.inf),
+    "backoff": _rule(OPTIONAL_NUMBER, "a number >= 0", lambda v: 0 <= v < math.inf),
+    "max_retries": _rule(OPTIONAL_INTEGER, "an integer >= 0", lambda v: v >= 0),
+    "parallelism": _rule(OPTIONAL_INTEGER, "an integer >= 1", lambda v: v >= 1),
+}
+
+_KIND = _rule(STRING, f"one of {', '.join(BACKEND_KINDS)}", BACKEND_KINDS.__contains__)
+_BACKEND_FIELDS = {
+    "majority": {"kind": _KIND, "tag": TAG},
+    "cue": {"kind": _KIND, "tag": TAG},
+    "endpoint": {"kind": _KIND, **ENDPOINT_FIELDS, "tag": TAG},
+    "import": {"kind": _KIND, "tag": TAG, "runs": _map(
+        _list(STRING, "a list of files"), "a map of scheme tag -> files")},
+}
+
+_CONFIG_FIELDS = {
+    "schema_version": _rule(INTEGER, str(SCHEMA_VERSION), SCHEMA_VERSION.__eq__),
+    "corpus": JsonField((dict,), "an object", parse=lambda corpus: check_fields(
+        corpus, {"dir": STRING, "name": OPTIONAL_STRING}, closed=True)),
+    "schemes": _rule(
+        _list(STRING._replace(what="a scheme name", parse=ContextScheme.parse)),
+        "a non-empty list of scheme names, no two naming one scheme",
+        lambda schemes: schemes and len({s.tag for s in schemes}) == len(schemes)),
+    # Each backend is checked on its own, by its kind.
+    "backends": _rule(_list(JsonField((dict,), "an object")),
+                      "a non-empty list of objects", bool),
+    "seeds": _rule(_list(INTEGER), "a non-empty list of distinct integers",
+                   lambda seeds: seeds and len(set(seeds)) == len(seeds)),
+    "out_dir": STRING,
+    "train_split": OPTIONAL_STRING,
+    "eval_split": OPTIONAL_STRING,
+    "lexicon": OPTIONAL_STRING,
+    "alpha": _rule(OPTIONAL_NUMBER, "a number > 0 and < 1", lambda v: 0 < v < 1),
+    "bonferroni_m": _rule(OPTIONAL_INTEGER, "an integer >= 1", lambda v: v >= 1),
 }
 
 
 def endpoint_config(options: dict) -> EndpointConfig:
-    """Endpoint settings from an endpoint backend's options, or from the
-    ``infer`` arguments that were given, whose names match the config keys."""
-    if not options.get("base_url"):
-        raise ConfigError("endpoint backend requires base_url (--base-url)")
-    fields = {}
-    for key, (field_name, valid, what) in _ENDPOINT_OPTIONS.items():
-        if key in options:
-            if not valid(options[key]):
-                raise ConfigError(f"endpoint option {key} must be {what}, "
-                                  f"not {options[key]!r}")
-            fields[field_name] = options[key]
-    return EndpointConfig(**fields)
+    """Endpoint settings from an endpoint backend's options or ``infer``'s flags."""
+    try:
+        fields = check_fields(dict(options), ENDPOINT_FIELDS, closed=True)
+    except ValueError as exc:
+        raise ConfigError(f"endpoint option {exc}") from exc
+    return EndpointConfig(**{{"model": "model_name"}.get(key, key): value
+                             for key, value in fields.items()})
 
 
-def _backend_from_dict(payload: dict, index: int) -> BackendSpec:
-    kind = payload.get("kind")
-    if kind not in BACKEND_KINDS:
-        raise ConfigError(f"backends[{index}]: unknown kind {kind!r}")
-    options = {k: v for k, v in payload.items() if k not in ("kind", "tag")}
-    default_tag = options.get("model", kind) if kind == "endpoint" else kind
-    if kind == "endpoint":
-        endpoint_config(options)  # a missing or bad option is a ConfigError
-    if kind == "import" and not isinstance(options.get("runs"), dict):
-        raise ConfigError(f"backends[{index}]: import backend needs a "
-                          '"runs" map of scheme tag -> prediction files')
-    return BackendSpec(kind=kind, tag=payload.get("tag", default_tag),
-                       options=options)
-
-
-def _string(payload: dict, key: str, where: str, default: str | None = None
-            ) -> str:
-    """``payload[key]``, or ``default`` when absent; a ConfigError unless a
-    string."""
-    value = payload.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: {key} must be a string")
-    return value
+def _backend(entry: dict, where: str, base: Path,
+             schemes: tuple[ContextScheme, ...], n_seeds: int) -> BackendSpec:
+    """The backend ``entry``, checked against the table of its kind."""
+    kind = entry.get("kind")
+    # An unknown kind fails the check of its table, which holds only kind.
+    fields = _BACKEND_FIELDS[kind] if kind in BACKEND_KINDS else {"kind": _KIND}
+    # An endpoint is tagged by its model unless the entry names a tag.
+    default_tag = entry.get("model", kind) if kind == "endpoint" else kind
+    options = check_config({"tag": default_tag, **entry}, fields, where)
+    kind, tag = options.pop("kind"), options.pop("tag")
+    if kind == "import":
+        runs = options["runs"] = {scheme_tag: [str((base / f).resolve()) for f in files]
+                                  for scheme_tag, files in options["runs"].items()}
+        for ref in (ref for refs in runs.values() for ref in refs):
+            if not Path(ref).is_file():
+                raise ConfigError(f"{where} references missing prediction file {ref}")
+        for scheme in schemes:
+            n_files = len(runs.get(scheme.tag, ()))
+            if n_files != n_seeds:
+                raise ConfigError(
+                    f"{where}: import backend {tag!r} needs one run of "
+                    f"{scheme.tag} per seed ({n_seeds} files), not {n_files}")
+    return BackendSpec(kind=kind, tag=tag, options=options)
 
 
 def load_experiment_config(path: Path | str) -> ExperimentConfig:
-    """Load and validate a declarative experiment configuration.
+    """Load and check a declarative experiment configuration.
 
-    The file is JSON with a mandatory ``schema_version`` field; every
-    referenced path must exist at load time and seeds must be non-empty.
+    The file is JSON with a mandatory ``schema_version`` field; each object
+    may hold only the keys of its table, every referenced path must exist at
+    load time, and no two conditions may share a name.
     """
     path = Path(path)
     try:
@@ -163,123 +211,42 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         payload = json.loads(raw_text)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}")
+    payload = check_config(payload, _CONFIG_FIELDS, str(path))
 
-    missing = [key for key in ("corpus", "schemes", "backends", "seeds", "out_dir")
-               if key not in payload]
-    if missing:
-        raise ConfigError(f"{path}: missing config keys: {', '.join(missing)}")
-
-    corpus = payload["corpus"]
-    if not isinstance(corpus, dict) or "dir" not in corpus:
-        raise ConfigError(f'{path}: "corpus" needs at least a "dir" entry')
-    corpus_dir = (path.parent / _string(corpus, "dir", f"{path}: corpus")).resolve()
-    corpus_name = _string(corpus, "name", f"{path}: corpus", corpus_dir.name)
-    out_dir = _string(payload, "out_dir", str(path))
-    train_split = _string(payload, "train_split", str(path), "train")
-    eval_split = _string(payload, "eval_split", str(path), "test")
+    corpus_dir = (path.parent / payload["corpus"]["dir"]).resolve()
     if not corpus_dir.is_dir():
         raise ConfigError(f"{path}: corpus dir does not exist: {corpus_dir}")
+    schemes, seeds = payload["schemes"], payload["seeds"]
+    backends = tuple(_backend(entry, f"{path}: backends[{i}]", path.parent,
+                              schemes, len(seeds))
+                     for i, entry in enumerate(payload["backends"]))
+    tags = [backend.tag for backend in backends]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"{path}: two backends share a tag, so two "
+                          f"conditions would share a name: {tags}")
 
-    if not isinstance(payload["schemes"], list) \
-            or not all(isinstance(s, str) for s in payload["schemes"]):
-        raise ConfigError(f"{path}: schemes must be a list of scheme names")
-    try:
-        schemes = tuple(ContextScheme.parse(s) for s in payload["schemes"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not schemes:
-        raise ConfigError(f"{path}: at least one scheme required")
+    lexicon = (path.parent / payload["lexicon"]).resolve() \
+        if "lexicon" in payload else None
+    if lexicon and not lexicon.is_file():
+        raise ConfigError(f"{path}: lexicon file does not exist: {lexicon}")
 
-    seeds = payload["seeds"]
-    # Exact type checks: JSON true/false load as bool, a subclass of int.
-    if not isinstance(seeds, list) or not seeds \
-            or not all(type(s) is int for s in seeds):
-        raise ConfigError(f"{path}: seeds must be a non-empty list of integers")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{path}: duplicate seeds")
-
-    if not isinstance(payload["backends"], list):
-        raise ConfigError(f"{path}: backends must be a list")
-    backends = []
-    for i, entry in enumerate(payload["backends"]):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: backends[{i}] must be an object")
-        backend = _backend_from_dict(entry, i)
-        if backend.kind == "import":
-            resolved: dict[str, list[str]] = {}
-            for scheme_tag, files in backend.options["runs"].items():
-                if not isinstance(files, list) \
-                        or not all(isinstance(f, str) for f in files):
-                    raise ConfigError(f"{path}: backends[{i}] runs of "
-                                      f"{scheme_tag} must be a list of files")
-                resolved[scheme_tag] = []
-                for f in files:
-                    ref = (path.parent / f).resolve()
-                    if not ref.is_file():
-                        raise ConfigError(f"{path}: backends[{i}] references "
-                                          f"missing prediction file {ref}")
-                    resolved[scheme_tag].append(str(ref))
-            for scheme in schemes:
-                n_files = len(resolved.get(scheme.tag, []))
-                if n_files != len(seeds):
-                    raise ConfigError(
-                        f"{path}: import backend {backend.tag!r} needs one "
-                        f"run of {scheme.tag} per seed ({len(seeds)} files), "
-                        f"not {n_files}")
-            backend = replace(backend,
-                              options={**backend.options, "runs": resolved})
-        backends.append(backend)
-    backends = tuple(backends)
-    if not backends:
-        raise ConfigError(f"{path}: at least one backend required")
-
-    lexicon = payload.get("lexicon")
-    if lexicon is not None:
-        lexicon = (path.parent / _string(payload, "lexicon", str(path))).resolve()
-        if not lexicon.is_file():
-            raise ConfigError(f"{path}: lexicon file does not exist: {lexicon}")
-
-    alpha = payload.get("alpha", 0.05)
-    # NaN, which json.loads accepts, fails the range check too.
-    if type(alpha) not in (int, float) or not 0 < alpha < 1:
-        raise ConfigError(f"{path}: alpha must be a number > 0 and < 1")
-    bonferroni_m = payload.get("bonferroni_m")
-    if bonferroni_m is not None:
-        if type(bonferroni_m) is not int:
-            raise ConfigError(f"{path}: bonferroni_m must be an integer")
-        if bonferroni_m < 1:
-            raise ConfigError(f"{path}: bonferroni_m must be >= 1")
-    # Every non-default scheme is compared against default, per backend.
-    comparisons = 0
-    if any(s.kind == "default" for s in schemes):
-        comparisons = len(backends) * sum(s.kind != "default" for s in schemes)
-    if comparisons and bonferroni_m is None:
-        raise ConfigError(f"{path}: bonferroni_m is required when the "
-                          "experiment compares schemes")
-    if comparisons and bonferroni_m < comparisons:
-        raise ConfigError(f"{path}: bonferroni_m = {bonferroni_m} is smaller "
-                          f"than the {comparisons} comparisons")
+    # Every other scheme is compared against default, per backend.
+    comparisons = len(backends) * (len(schemes) - 1) \
+        if any(s.kind == "default" for s in schemes) else 0
+    if comparisons > payload.get("bonferroni_m", 0):
+        raise ConfigError(f"{path}: the experiment makes {comparisons} "
+                          f"comparisons, so bonferroni_m must be >= {comparisons}")
 
     return ExperimentConfig(
-        corpus_name=corpus_name,
-        corpus_dir=corpus_dir,
-        schemes=schemes,
-        backends=backends,
-        seeds=tuple(seeds),
-        out_dir=(path.parent / out_dir).resolve(),
-        train_split=train_split,
-        eval_split=eval_split,
-        bonferroni_m=bonferroni_m,
-        alpha=float(alpha),
-        lexicon=lexicon,
-        raw_text=raw_text,
-    )
+        corpus_name=payload["corpus"].get("name", corpus_dir.name),
+        corpus_dir=corpus_dir, schemes=schemes, backends=backends,
+        seeds=seeds, out_dir=(path.parent / payload["out_dir"]).resolve(),
+        lexicon=lexicon, raw_text=raw_text,
+        # A key left out keeps its ExperimentConfig default.
+        **{key: payload[key] for key in ("train_split", "eval_split",
+                                         "bonferroni_m", "alpha") if key in payload})
 
 
 class Lazy(Generic[T]):
@@ -298,6 +265,13 @@ class Lazy(Generic[T]):
         return self._value
 
 
+_MANIFEST_FIELDS = {"stages": _map(JsonField(
+    (dict,), "a stage record", parse=lambda entry: check_fields(entry, {
+        "outputs": _list(STRING, "a list of paths"),
+        "completed_at": OPTIONAL_STRING})), "a map of stage records"),
+    "unrecorded": _list(STRING, "a list of paths")._replace(required=False)}
+
+
 class RunManifest:
     """Tracks which pipeline stages already produced their outputs.
 
@@ -305,7 +279,8 @@ class RunManifest:
     (see ``ExperimentConfig.run_key``), and ``stages`` those recorded in
     this run, the only ones ``save`` writes: a run cut short leaves no
     record of a stage it did not reach, whose outputs may have been made
-    from inputs that have since been made again.
+    from inputs that have since been made again.  ``found`` holds every
+    output the loaded manifest lists, whatever its run key.
     """
 
     def __init__(self, path: Path, run_key: str, tool_version: str):
@@ -314,29 +289,49 @@ class RunManifest:
         self.tool_version = tool_version
         self.previous: dict[str, dict] = {}
         self.stages: dict[str, dict] = {}
+        self.found: set[str] = set()
 
     @classmethod
     def load_or_create(cls, path: Path | str, run_key: str,
                        tool_version: str) -> "RunManifest":
         """The manifest at ``path``; one without stages when the file is
-        missing, does not parse (a torn write) or has another run key."""
+        missing, is not a manifest (a torn write) or has another run key."""
         manifest = cls(Path(path), run_key, tool_version)
         try:
-            payload = json.loads(manifest.path.read_text(encoding="utf-8"))
+            payload = check_fields(json.loads(
+                manifest.path.read_text(encoding="utf-8")), _MANIFEST_FIELDS)
         except FileNotFoundError:
             return manifest
-        except ValueError as exc:  # not UTF-8, or not JSON
-            log.warning("%s does not parse, so every stage runs again: %s",
-                        manifest.path, exc)
+        except (ValueError, RecursionError) as exc:  # not JSON, or no manifest
+            log.warning("%s is not a run manifest, so every stage runs "
+                        "again: %s", manifest.path, exc)
             return manifest
-        stages = payload.get("stages") if isinstance(payload, dict) else None
-        if not isinstance(stages, dict) \
-                or not all(isinstance(e, dict) for e in stages.values()):
-            log.warning("%s is not a run manifest, so every stage runs again",
-                        manifest.path)
-        elif payload.get("run_key") == run_key:
+        stages = payload["stages"]
+        manifest.found = set(payload.get("unrecorded", ())).union(
+            *(entry["outputs"] for entry in stages.values()))
+        if payload.get("run_key") == run_key:
             manifest.previous = stages
         return manifest
+
+    def remove_dropped(self, out_dir: Path) -> None:
+        """Unlink each output under ``out_dir`` that the loaded manifest lists
+        and no stage of this run does, then each directory left empty.  Only
+        a completed run calls this: one cut short has not recorded them all."""
+        dropped = [Path(p) for p in self.unrecorded()
+                   if Path(p).resolve().is_relative_to(out_dir)]
+        for path in dropped:
+            path.unlink(missing_ok=True)
+        for directory in sorted({d for p in dropped for d in p.parents
+                                 if out_dir in d.parents}, reverse=True):
+            if not any(directory.iterdir()):
+                directory.rmdir()
+
+    def unrecorded(self) -> list[str]:
+        """The outputs in ``found`` that exist and no stage of this run lists;
+        ``save`` keeps them listed, so a run cut short leaves them for the
+        next run to remove."""
+        return sorted(p for p in self.found.difference(
+            *(entry["outputs"] for entry in self.stages.values())) if Path(p).exists())
 
     def stage(self, name: str, outputs: Sequence[Path | str],
               run: Callable[[], T], load: Callable[[], T],
@@ -352,7 +347,7 @@ class RunManifest:
         entry = self.previous.get(name, {})
         reused = bool(entry) and entry.get("key", "") == key \
             and all(value.reused for value in inputs) \
-            and all(Path(p).exists() for p in entry.get("outputs", []))
+            and all(Path(p).exists() for p in entry["outputs"])
         if reused:
             value = Lazy(load, reused=True)
         else:
@@ -374,11 +369,8 @@ class RunManifest:
         """Write the stages recorded in this run to a temporary file, flush
         it to disk and rename it into place, so a crash leaves the old
         manifest or the new one, never a torn one."""
-        payload = {
-            "run_key": self.run_key,
-            "tool_version": self.tool_version,
-            "stages": self.stages,
-        }
+        payload = {"run_key": self.run_key, "tool_version": self.tool_version,
+                   "stages": self.stages, "unrecorded": self.unrecorded()}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as sink:

@@ -239,9 +239,11 @@ INTEGER = JsonField((int,), "an integer")
 NUMBER = JsonField((int, float), "a number")
 
 
-def check_fields(record: Any, fields: Mapping[str, JsonField]) -> dict:
+def check_fields(record: Any, fields: Mapping[str, JsonField],
+                 closed: bool = False) -> dict:
     """``record`` with its ``fields`` parsed; a ValueError names the first
-    field it lacks or holds with another JSON type."""
+    field it lacks, holds with another JSON type or fails to parse, or, if
+    ``closed``, the first field it holds that ``fields`` does not list."""
     if type(record) is not dict:
         raise ValueError(f"{type(record).__name__} is not a JSON object")
     for name, field in fields.items():
@@ -251,7 +253,12 @@ def check_fields(record: Any, fields: Mapping[str, JsonField]) -> dict:
         elif type(record[name]) not in field.types:
             raise ValueError(f"{name} {record[name]!r} is not {field.what}")
         elif field.parse is not None:
-            record[name] = field.parse(record[name])
+            try:
+                record[name] = field.parse(record[name])
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+    if closed and record.keys() - fields.keys():
+        raise ValueError(f"unknown field {min(record.keys() - fields.keys())!r}")
     return record
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
-from .context import STRING, RenderedInstance, VariantDataset, read_records
+from .context import STRING, RenderedInstance, VariantDataset, check_fields, read_records
 from .inference import (
     PredictionSet,
     PromptSpec,
@@ -116,13 +116,10 @@ def request_completion(config: EndpointConfig, prompt: str,
             raise EndpointError(f"HTTP {status} from {url}: "
                                 f"{data[:200].decode('utf-8', 'replace')}")
         try:
-            content = json.loads(data)["choices"][0]["message"]["content"]
+            message = json.loads(data)["choices"][0]["message"]
+            return check_fields(message, {"content": STRING})["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointError(f"malformed completion payload: {exc}") from exc
-        if not isinstance(content, str):
-            raise EndpointError(f"malformed completion payload: content "
-                                f"{content!r} is not a string")
-        return content
     raise EndpointError(f"request failed after {config.max_retries} "
                         f"retries: {last_error}")
 

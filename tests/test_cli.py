@@ -266,6 +266,18 @@ def test_infer_base_url_without_scheme_exits_2(small_corpus_dir, tmp_path,
     assert not (tmp_path / "preds").exists()
 
 
+def test_infer_condition_with_slash_exits_2(small_corpus_dir, tmp_path, capsys):
+    variants = tmp_path / "variants"
+    for split in ("train", "test"):
+        assert run_cli("variants", small_corpus_dir, "--scheme", "default",
+                       "--split", split, "--out", variants / f"{split}.jsonl") == 0
+    assert run_cli("infer", "--dataset", variants / "test.jsonl",
+                   "--train", variants / "train.jsonl", "--backend", "cue",
+                   "--condition", "a/b", "--out", tmp_path / "preds") == 2
+    assert "config error: infer: condition: 'a/b'" in capsys.readouterr().err
+    assert not (tmp_path / "preds").exists()
+
+
 def test_infer_endpoint_options_default_on_endpoint_config(small_corpus_dir,
                                                            tmp_path):
     with MockChatServer(lambda payload, index: (200, "condition")) as server:
@@ -534,6 +546,17 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
                    "runs": {"default": ["experiment.json"],
                             "OR1": ["experiment.json"]}}],
      "seeds": [1, 2]},
+    {"schema_version": True},
+    {"schema_version": 1.0},
+    {"seed": 1},
+    {"backends": [{**ENDPOINT, "max_retries": 0, "modle": "gpt-4o"}]},
+    {"backends": [{"kind": "cue", "model": "gpt-4o"}]},
+    {"backends": [{"kind": "cue", "tag": ["x"]}]},
+    {"backends": [{"kind": "cue", "tag": ""}]},
+    {"backends": [{**ENDPOINT, "max_retries": 0, "model": "org/model"}]},
+    {"backends": [{"kind": "cue"}, {"kind": "majority", "tag": "cue"}],
+     "bonferroni_m": 2},
+    {"schemes": ["OR1", "or"]},
 ], ids=["schema_version", "backend_not_object", "backends_not_list",
         "alpha_not_number", "alpha_above_1", "alpha_negative", "alpha_0",
         "alpha_1", "alpha_nan", "alpha_inf", "bonferroni_m_not_number", "bonferroni_m_float",
@@ -549,7 +572,11 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
         "corpus_dir_not_string", "out_dir_not_string",
         "train_split_not_string", "eval_split_not_string",
         "lexicon_not_string", "import_runs_missing_scheme",
-        "import_runs_fewer_than_seeds"])
+        "import_runs_fewer_than_seeds", "schema_version_true",
+        "schema_version_float", "unknown_top_level_key",
+        "endpoint_unknown_option", "cue_model", "tag_not_string", "tag_empty",
+        "endpoint_default_tag_with_slash", "two_backends_one_tag",
+        "two_schemes_one_tag"])
 def test_experiment_bad_config_exits_2(small_corpus_dir, tmp_path, capsys,
                                        override):
     path = experiment_config(tmp_path, small_corpus_dir,
@@ -559,6 +586,15 @@ def test_experiment_bad_config_exits_2(small_corpus_dir, tmp_path, capsys,
     assert run_cli("experiment", "--config", path) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [b'{"out_dir": "\xff"}', b"[" * 100_000],
+                         ids=["not_utf8", "nested_too_deeply"])
+def test_experiment_unreadable_config_exits_2_naming_it(tmp_path, capsys, text):
+    path = tmp_path / "experiment.json"
+    path.write_bytes(text)
+    assert run_cli("experiment", "--config", path) == 2
+    assert f"config error: {path}: malformed JSON: " in capsys.readouterr().err
 
 
 def test_experiment_missing_bonferroni_m_exits_2(small_corpus_dir, tmp_path,
@@ -700,6 +736,37 @@ def relabel_first_test_document(corpus_dir: Path) -> None:
     doc.write_text(json.dumps(payload), encoding="utf-8")
 
 
+def test_experiment_rerun_removes_outputs_of_dropped_conditions(
+        small_corpus_dir, tmp_path):
+    def tree(out_dir: Path) -> list[str]:
+        """Every file and directory, less the manifest and the endpoint logs."""
+        return sorted(name for p in out_dir.rglob("*")
+                      for name in [p.relative_to(out_dir).as_posix()]
+                      if name != "manifest.json" and not name.startswith("logs"))
+
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    assert any(name.startswith("analysis/") for name in tree(out))
+    # A run cut short removes nothing: it has not recorded all its stages.
+    dead = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m",
+            "max_retries": 0, "backoff": 0.001}
+    patch_config(config, schemes=["default"], backends=[{"kind": "cue"}, dead])
+    assert run_cli("experiment", "--config", config) == 3
+    assert (out / "predictions" / "OR1+cue.run1.jsonl").exists()
+    assert run_cli("experiment", "--config",
+                   patch_config(config, backends=[{"kind": "cue"}])) == 0
+    (tmp_path / "fresh").mkdir()
+    fresh = patch_config(experiment_config(
+        tmp_path / "fresh", small_corpus_dir, backends=[{"kind": "cue"}],
+        seeds=[1, 2]), schemes=["default"])
+    assert run_cli("experiment", "--config", fresh) == 0
+    assert tree(out) == tree(tmp_path / "fresh" / "out")
+    assert outputs(out).items() - outputs(tmp_path / "fresh" / "out").items() \
+        == {("logs/default+m.run1.log.jsonl", b"")}  # logs are never removed
+
+
 def test_experiment_rerun_after_corpus_edit_matches_fresh_run(
         small_corpus_dir, tmp_path):
     config = experiment_config(tmp_path, small_corpus_dir,
@@ -745,6 +812,19 @@ def test_experiment_torn_manifest_recomputes_every_stage(
     assert outputs(out) == cold
 
 
+@pytest.mark.parametrize("text", [
+    b"[" * 100_000, b'{"stages": {"a": {"outputs": "out/x"}}}',
+    b'{"stages": {"a": {"outputs": []}}, "unrecorded": [1]}'],
+    ids=["nested_too_deeply", "outputs_not_list", "unrecorded_not_paths"])
+def test_manifest_that_is_no_manifest_is_ignored(tmp_path, caplog, text):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(text)
+    with caplog.at_level(logging.WARNING):
+        manifest = RunManifest.load_or_create(path, "key", "1.0")
+    assert manifest.previous == {} and manifest.found == set()
+    assert f"{path} is not a run manifest" in caplog.text
+
+
 def run_stage(manifest: RunManifest, name: str, key: str = "") -> bool:
     """Pass ``name`` through ``manifest``; True if it ran."""
     ran = []
@@ -779,6 +859,27 @@ def test_manifest_reuse_keeps_first_completed_at(tmp_path):
     assert manifest.stages["stage"]["completed_at"] == first
     assert run_stage(manifest, "stage", key="changed")
     assert manifest.stages["stage"]["completed_at"] != first
+
+
+def test_manifest_removes_only_dropped_outputs_under_out_dir(tmp_path):
+    out = tmp_path / "out"
+    kept = out / "reports" / "kept.tsv"
+    dropped = out / "analysis" / "cue.default-vs-OR1" / "margins.tsv"
+    outside = tmp_path / "elsewhere.tsv"
+    for path in (kept, dropped, outside):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("x", encoding="utf-8")
+    first = RunManifest(out / "manifest.json", "old key", "1.0")
+    for name, outputs_ in (("a", [kept, dropped]), ("b", [outside])):
+        first.stage(name, outputs_, run=lambda: None, load=lambda: None)
+    first.save()
+    # Another run key: the config changed, and no stage is reused.
+    second = RunManifest.load_or_create(out / "manifest.json", "new key", "1.0")
+    assert second.previous == {}
+    second.stage("a", [kept], run=lambda: None, load=lambda: None)
+    second.remove_dropped(out)
+    assert kept.exists() and outside.exists()
+    assert not dropped.exists() and not (out / "analysis").exists()
 
 
 @pytest.mark.parametrize("edit, rerun", [

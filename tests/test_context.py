@@ -7,10 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drckit.context import (
+    STRING,
     ContextScheme,
     RenderedInstance,
     VariantDataset,
     build_variant_dataset,
+    check_fields,
     corpus_label_inventory,
     read_variant_dataset,
     render_instance,
@@ -309,6 +311,19 @@ def test_dataset_file_malformed_record_names_path_and_line(tmp_path, drop,
     with pytest.raises(ValueError,
                        match=rf"variant\.jsonl:3: malformed record: {detail}"):
         read_variant_dataset(path)
+
+
+def test_check_fields_names_the_field_a_parse_rejects():
+    fields = {"scheme": STRING._replace(parse=ContextScheme.parse)}
+    with pytest.raises(ValueError, match="^scheme: cannot parse context scheme 'x'"):
+        check_fields({"scheme": "x"}, fields)
+
+
+def test_closed_check_fields_names_a_field_its_table_lacks():
+    record = {"scheme": "OR1", "shceme": "AD1"}
+    assert check_fields(dict(record), {"scheme": STRING}) == record
+    with pytest.raises(ValueError, match="^unknown field 'shceme'$"):
+        check_fields(dict(record), {"scheme": STRING}, closed=True)
 
 
 def test_dataset_file_mixing_scheme_spellings_reads_as_one_scheme(tmp_path):
