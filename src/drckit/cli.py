@@ -348,14 +348,22 @@ def cmd_experiment(args) -> int:
     for directory in (out_dir / "variants", pred_dir, report_dir):
         directory.mkdir(parents=True, exist_ok=True)
 
-    train_corpus = load_corpus(cfg.corpus_dir, cfg.train_split, cfg.corpus_name)
-    eval_corpus = load_corpus(cfg.corpus_dir, cfg.eval_split, cfg.corpus_name)
+    # A split is parsed only when a variants stage builds from it, or to make
+    # the ingest summary that a manifest under this run key lacks.
+    train_corpus, eval_corpus = (Lazy(lambda split=split: load_corpus(
+        cfg.corpus_dir, split, cfg.corpus_name))
+        for split in (cfg.train_split, cfg.eval_split))
     manifest = RunManifest.load_or_create(out_dir / "manifest.json",
                                           cfg.run_key(__version__), __version__)
-    inventory = corpus_label_inventory(train_corpus)
+    if manifest.ingest is None:
+        manifest.ingest = {
+            "train_instances": count_instances(train_corpus.get()),
+            "eval_instances": count_instances(eval_corpus.get()),
+            "label_inventory": corpus_label_inventory(train_corpus.get())}
+    inventory = manifest.ingest["label_inventory"]
     print(f"ingested {cfg.corpus_name}: "
-          f"{cfg.train_split} {count_instances(train_corpus)} instances, "
-          f"{cfg.eval_split} {count_instances(eval_corpus)} instances")
+          f"{cfg.train_split} {manifest.ingest['train_instances']} instances, "
+          f"{cfg.eval_split} {manifest.ingest['eval_instances']} instances")
 
     lexicon = Lazy(lambda: _lexicon(cfg.lexicon))
     # Only the analysis stages read the lexicon; the tool version covers the
@@ -365,12 +373,12 @@ def cmd_experiment(args) -> int:
     # Each stage kind, declared once.  A stage's inputs are the stage values
     # it reads; its key digests an input file that only it reads.
     def variants_stage(scheme: ContextScheme, split: str,
-                       corpus: Corpus) -> Lazy[VariantDataset]:
+                       corpus: Lazy[Corpus]) -> Lazy[VariantDataset]:
         path = out_dir / "variants" / f"{cfg.corpus_name}.{scheme.tag}.{split}.jsonl"
         return manifest.stage(
             f"variants:{scheme.tag}:{split}", [path],
             run=lambda: _written(write_variant_dataset, build_variant_dataset(
-                corpus, scheme, inventory, shared=extracted), path),
+                corpus.get(), scheme, inventory, shared=extracted), path),
             load=lambda: read_variant_dataset(path, cfg.corpus_name, inventory))
 
     def predict_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],

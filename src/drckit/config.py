@@ -269,7 +269,12 @@ _MANIFEST_FIELDS = {"stages": _map(JsonField(
     (dict,), "a stage record", parse=lambda entry: check_fields(entry, {
         "outputs": _list(STRING, "a list of paths"),
         "completed_at": OPTIONAL_STRING})), "a map of stage records"),
-    "unrecorded": _list(STRING, "a list of paths")._replace(required=False)}
+    "unrecorded": _list(STRING, "a list of paths")._replace(required=False),
+    # What ingest found, which the run key vouches for: the corpus's counts
+    # and its train label inventory, as a tuple.
+    "ingest": JsonField((dict,), "an ingest summary", False, lambda s: check_fields(s, {
+        "train_instances": INTEGER, "eval_instances": INTEGER,
+        "label_inventory": _list(STRING, "a list of labels")}))}
 
 
 class RunManifest:
@@ -280,7 +285,8 @@ class RunManifest:
     this run, the only ones ``save`` writes: a run cut short leaves no
     record of a stage it did not reach, whose outputs may have been made
     from inputs that have since been made again.  ``found`` holds every
-    output the loaded manifest lists, whatever its run key.
+    output the loaded manifest lists, whatever its run key.  ``ingest``
+    holds the ingest summary loaded under this run key, or set in this run.
     """
 
     def __init__(self, path: Path, run_key: str, tool_version: str):
@@ -290,6 +296,7 @@ class RunManifest:
         self.previous: dict[str, dict] = {}
         self.stages: dict[str, dict] = {}
         self.found: set[str] = set()
+        self.ingest: dict | None = None
 
     @classmethod
     def load_or_create(cls, path: Path | str, run_key: str,
@@ -310,7 +317,7 @@ class RunManifest:
         manifest.found = set(payload.get("unrecorded", ())).union(
             *(entry["outputs"] for entry in stages.values()))
         if payload.get("run_key") == run_key:
-            manifest.previous = stages
+            manifest.previous, manifest.ingest = stages, payload.get("ingest")
         return manifest
 
     def remove_dropped(self, out_dir: Path) -> None:
@@ -371,6 +378,8 @@ class RunManifest:
         manifest or the new one, never a torn one."""
         payload = {"run_key": self.run_key, "tool_version": self.tool_version,
                    "stages": self.stages, "unrecorded": self.unrecorded()}
+        if self.ingest is not None:
+            payload["ingest"] = self.ingest
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as sink:

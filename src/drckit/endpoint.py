@@ -15,7 +15,6 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -155,6 +154,10 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
     shared state: instances already present there are not re-requested, and
     on failure the run aborts with everything completed so far persisted.
     """
+    # Imported per call, like http.client: a run without an endpoint needs
+    # no thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     if not dataset.instances:
         raise ValueError("dataset is empty")
     icl = sample_icl_examples(train_dataset, seed)

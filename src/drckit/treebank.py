@@ -411,6 +411,8 @@ def count_instances(corpus: Corpus) -> int:
 
 
 def iter_document_files(split_dir: Path) -> Iterator[Path]:
+    if not split_dir.is_dir():
+        raise TreebankError(f"split directory not found: {split_dir}")
     for path in sorted(split_dir.iterdir()):
         if path.is_file() and path.suffix in DOCUMENT_SUFFIXES:
             yield path
@@ -426,8 +428,6 @@ def load_split(corpus_dir: Path | str, split: str, name: str | None = None
     """
     corpus_dir = Path(corpus_dir)
     split_dir = corpus_dir / split
-    if not split_dir.is_dir():
-        raise TreebankError(f"split directory not found: {split_dir}")
     trees = []
     violations: list[Violation] = []
     seen_docs = set()

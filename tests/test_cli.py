@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from drckit.treebank import load_corpus
 from conftest import (
     MockChatServer,
     chain_records,
+    disambiguation_records,
     disambiguation_split,
     gold_echo_behavior,
     write_corpus_dir,
@@ -624,11 +626,19 @@ def test_experiment_too_small_bonferroni_m_exits_2_before_any_work(
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+def ingested_line(capsys) -> str:
+    """The "ingested" line of what the CLI printed since the last read."""
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("ingested ")]
+    return line
+
+
 def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
-                                                     tmp_path, monkeypatch):
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
     calls = {"import_predictions": 0, "train_baseline": 0,
              "predict_baseline": 0, "read_variant_dataset": 0, "score": 0,
-             "extract_instances": 0}
+             "extract_instances": 0, "load_corpus": 0}
 
     def counted(name, module=cli):
         original = getattr(module, name)
@@ -644,21 +654,26 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
     counted("read_variant_dataset")
     counted("score")
     counted("extract_instances", context)
+    counted("load_corpus")
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], m=1)
     assert run_cli("experiment", "--config", config) == 0
-    # cold: one fit, one prediction and one score per scheme, shared by the
-    # 10 seeds; each split's instances extracted once, for both schemes; no
-    # prediction or variant file read back
+    cold = ingested_line(capsys)
+    # cold: each split parsed once; one fit, one prediction and one score per
+    # scheme, shared by the 10 seeds; each split's instances extracted once,
+    # for both schemes; no prediction or variant file read back
     n_trees = sum(len(load_corpus(small_corpus_dir, split).trees)
                   for split in ("train", "test"))
     assert calls == {"import_predictions": 0, "train_baseline": 2,
                      "predict_baseline": 2, "read_variant_dataset": 0,
-                     "score": 2, "extract_instances": n_trees}
+                     "score": 2, "extract_instances": n_trees, "load_corpus": 2}
     calls.update(dict.fromkeys(calls, 0))
     assert run_cli("experiment", "--config", config) == 0
-    # warm: every stage is reused, so no stage reads an input
+    # warm: every stage is reused, so no stage reads an input, and the
+    # "ingested" line comes from the manifest's summary, not the corpus
     assert calls == dict.fromkeys(calls, 0)
+    assert ingested_line(capsys) == cold == \
+        "ingested disamb: train 20 instances, test 12 instances"
     # every seed's file still carries its own run id
     for path in sorted((tmp_path / "out" / "predictions").iterdir()):
         run_ids = {json.loads(line)["run_id"]
@@ -667,6 +682,148 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
     for path in sorted((tmp_path / "out" / "reports").glob("*.json")):
         run_id = json.loads(path.read_text(encoding="utf-8"))["run_id"]
         assert run_id == int(path.name.split(".run")[1].split(".")[0]), path
+
+
+def record_calls(monkeypatch, *names: str) -> dict[str, list[tuple]]:
+    """The positional arguments of each call of the named ``cli`` functions."""
+    calls: dict[str, list[tuple]] = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _calls=calls[name], _original=getattr(cli, name),
+                    **kwargs):
+            _calls.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def test_experiment_rerun_without_a_prediction_parses_no_corpus(
+        small_corpus_dir, tmp_path, monkeypatch, capsys):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2, 3])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold, cold_stdout = outputs(out), capsys.readouterr().out
+    (out / "predictions" / "OR1+cue.run2.jsonl").unlink()
+    calls = record_calls(monkeypatch, "load_corpus", "read_variant_dataset")
+    assert run_cli("experiment", "--config", config) == 0
+    assert calls["load_corpus"] == []
+    # Each variant the rerun reads back gets the recorded train inventory,
+    # as the tuple a parsed corpus gives.
+    reads = {Path(path).name: labels
+             for path, _, labels in calls["read_variant_dataset"]}
+    assert reads == dict.fromkeys(["disamb.OR1.test.jsonl", "disamb.OR1.train.jsonl",
+                                   "disamb.default.test.jsonl"],
+                                  ("condition", "contrast", "elaboration"))
+    assert outputs(out) == cold
+    assert capsys.readouterr().out == cold_stdout
+
+
+def test_experiment_rerun_without_a_variant_parses_only_its_split(
+        small_corpus_dir, tmp_path, monkeypatch):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold = outputs(out)
+    (out / "variants" / "disamb.OR1.test.jsonl").unlink()
+    calls = record_calls(monkeypatch, "load_corpus")
+    assert run_cli("experiment", "--config", config) == 0
+    assert [split for _, split, _ in calls["load_corpus"]] == ["test"]
+    assert "variants:OR1:test" in stages_run(out)
+    assert outputs(out) == cold  # the rebuilt variant file included
+
+
+def test_experiment_rerun_after_an_added_edu_parses_and_counts_it(
+        small_corpus_dir, tmp_path, monkeypatch, capsys):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    cold = json.loads(manifest.read_text(encoding="utf-8"))
+    assert ingested_line(capsys) == \
+        "ingested disamb: train 20 instances, test 12 instances"
+    write_doc(small_corpus_dir / "train", "tr-cond-00",
+              disambiguation_records("condition", 0)
+              + [(4, 3, "cause", "so it holds .")])
+    calls = record_calls(monkeypatch, "load_corpus")
+    assert run_cli("experiment", "--config", config) == 0
+    assert len(calls["load_corpus"]) == 2
+    assert ingested_line(capsys) == \
+        "ingested disamb: train 21 instances, test 12 instances"
+    warm = json.loads(manifest.read_text(encoding="utf-8"))
+    assert warm["run_key"] != cold["run_key"]
+    labels = ["condition", "contrast", "elaboration"]
+    assert cold["ingest"] == {"train_instances": 20, "eval_instances": 12,
+                              "label_inventory": labels}
+    assert warm["ingest"] == {"train_instances": 21, "eval_instances": 12,
+                              "label_inventory": ["cause", *labels]}
+    (tmp_path / "fresh").mkdir()
+    fresh = experiment_config(tmp_path / "fresh", small_corpus_dir,
+                              backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", fresh) == 0
+    assert outputs(tmp_path / "out") == outputs(tmp_path / "fresh" / "out")
+
+
+def test_experiment_records_the_ingest_summary_a_manifest_lacks(
+        small_corpus_dir, tmp_path, monkeypatch, capsys):
+    # A manifest with no summary (from a drckit that wrote none) keeps its
+    # stages; the corpus is parsed once more, for the summary.
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold, cold_stdout = outputs(out), capsys.readouterr().out
+    manifest = out / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    summary = payload.pop("ingest")
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    calls = record_calls(monkeypatch, "load_corpus")
+    assert run_cli("experiment", "--config", config) == 0
+    assert len(calls["load_corpus"]) == 2
+    assert stages_run(out) == []
+    assert json.loads(manifest.read_text(encoding="utf-8"))["ingest"] == summary
+    assert outputs(out) == cold
+    assert capsys.readouterr().out == cold_stdout
+
+
+def test_experiment_ignores_a_manifest_with_a_malformed_ingest_summary(
+        small_corpus_dir, tmp_path, caplog, capsys):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold, cold_stdout = outputs(out), capsys.readouterr().out
+    manifest = out / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["ingest"]["eval_instances"] = "12"
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert run_cli("experiment", "--config", config) == 0
+    assert f"{manifest} is not a run manifest" in caplog.text
+    assert len(stages_run(out)) == len(payload["stages"]) > 0
+    assert outputs(out) == cold
+    assert capsys.readouterr().out == cold_stdout
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    assert payload["ingest"]["eval_instances"] == 12
+
+
+@pytest.mark.parametrize("fault", ["train_missing", "test_missing",
+                                   "malformed_document"])
+def test_experiment_corpus_fault_exits_1_with_its_message(
+        small_corpus_dir, tmp_path, capsys, fault):
+    corpus = small_corpus_dir.resolve()
+    if fault == "malformed_document":
+        (corpus / "test" / "te-torn.dep").write_bytes(b'{"root": [')
+        message = "disamb/test: 1 violation(s)"
+    else:
+        split = fault.split("_")[0]
+        shutil.rmtree(corpus / split)
+        message = f"split directory not found: {corpus / split}"
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1])
+    assert run_cli("experiment", "--config", config) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_experiment_scores_a_reloaded_run_on_its_own(small_corpus_dir, tmp_path,
@@ -814,8 +971,11 @@ def test_experiment_torn_manifest_recomputes_every_stage(
 
 @pytest.mark.parametrize("text", [
     b"[" * 100_000, b'{"stages": {"a": {"outputs": "out/x"}}}',
-    b'{"stages": {"a": {"outputs": []}}, "unrecorded": [1]}'],
-    ids=["nested_too_deeply", "outputs_not_list", "unrecorded_not_paths"])
+    b'{"stages": {"a": {"outputs": []}}, "unrecorded": [1]}',
+    b'{"stages": {}, "ingest": {"train_instances": 1.0, "eval_instances": 1, '
+    b'"label_inventory": []}}'],
+    ids=["nested_too_deeply", "outputs_not_list", "unrecorded_not_paths",
+         "ingest_count_not_integer"])
 def test_manifest_that_is_no_manifest_is_ignored(tmp_path, caplog, text):
     path = tmp_path / "manifest.json"
     path.write_bytes(text)

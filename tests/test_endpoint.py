@@ -383,12 +383,12 @@ def test_https_url_speaks_tls(tmp_path):
 
 
 def test_cli_import_pulls_in_no_http_library():
-    # http.client (and with it email and ssl) loads when an endpoint run
-    # starts, not with the CLI.
+    # http.client (and with it email and ssl) and the thread pool load when
+    # an endpoint run starts, not with the CLI.
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, drckit.cli; "
             "print(sorted({'requests', 'urllib3', 'http.client', 'ssl', "
-            "'email'} & sys.modules.keys()))")
+            "'email', 'concurrent.futures'} & sys.modules.keys()))")
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True, timeout=60,
                             env={**os.environ, "PYTHONPATH": str(src)})

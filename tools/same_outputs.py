@@ -7,11 +7,14 @@ Usage, from the root of a git checkout:
 BASE_REF (a commit, branch or tag) is checked out in a temporary `git
 worktree`.  The benchmark's scidtb_like and long_docs corpora are written at
 seeds 1 and 3 with perfbench/corpus.py, under the workload's config from
-perfbench/run.py.  Each is run through a cold and then a warm `drckit
-experiment`, once with the base's src/ and once with this checkout's.  The
-script exits 1 and lists what differs unless both give the same exit codes,
-stdout, stderr and out/ files; out/manifest.json (it holds timestamps) and
-out/logs/ are left out.
+perfbench/run.py.  Each is run through a cold, a warm and a partial-warm
+`drckit experiment`, once with the base's src/ and once with this
+checkout's; the partial-warm run follows the deletion of one prediction file
+and one eval variant file (PARTIAL), so it rebuilds a variant from the
+corpus and reads the others back.  The script exits 1 and lists what
+differs unless both give the same exit codes, stdout, stderr and out/ files
+in every phase; out/manifest.json (it holds timestamps) and out/logs/ are
+left out.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from corpus import Shape, write_corpus  # noqa: E402
 from run import ENTRY, WORKLOADS  # noqa: E402
 
 CASES = [("scidtb_like", 1), ("scidtb_like", 3), ("long_docs", 1), ("long_docs", 3)]
+# The out/ files each workload's partial-warm phase deletes before it reruns.
+PARTIAL = {
+    "scidtb_like": ("predictions/OR1+cue.run3.jsonl", "variants/synth.AD1.test.jsonl"),
+    "long_docs": ("predictions/OR2+cue.run2.jsonl", "variants/synth.AD2.test.jsonl"),
+}
 
 
 def config_text(schemes, backends, n_seeds: int, bonferroni_m: int) -> str:
@@ -52,13 +60,18 @@ def outputs(out_dir: Path) -> dict[str, bytes]:
             if rel != "manifest.json" and not rel.startswith("logs/")}
 
 
-def run_tree(src: Path, run_dir: Path, config: str) -> dict[str, object]:
-    """A cold and a warm experiment with ``src``: what each left behind."""
+def run_tree(src: Path, run_dir: Path, config: str,
+             deleted: tuple[str, ...]) -> dict[str, object]:
+    """A cold, a warm and, once ``deleted`` (paths under out/) are gone, a
+    partial-warm experiment with ``src``: what each left behind."""
     run_dir.mkdir(parents=True)
     (run_dir / "experiment.json").write_text(config, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(src)}
     seen: dict[str, object] = {}
-    for phase in ("cold", "warm"):
+    for phase in ("cold", "warm", "partial-warm"):
+        if phase == "partial-warm":
+            for rel in deleted:
+                (run_dir / "out" / rel).unlink()
         call = subprocess.run(
             [sys.executable, "-c", ENTRY, "experiment", "--config", "experiment.json"],
             cwd=run_dir, env=env, capture_output=True)
@@ -77,8 +90,8 @@ def compare(base_src: Path, head_src: Path, work: Path,
     for name, seed, shape, config in cases:
         case_dir = work / f"{name}-{seed}"
         write_corpus(case_dir / "corpus", seed, shape)
-        base = run_tree(base_src, case_dir / "base", config)
-        head = run_tree(head_src, case_dir / "head", config)
+        base = run_tree(base_src, case_dir / "base", config, PARTIAL[name])
+        head = run_tree(head_src, case_dir / "head", config, PARTIAL[name])
         for key in sorted(base.keys() | head.keys()):
             if base.get(key) != head.get(key):
                 differences.append(f"{name} seed {seed}: {key} differs")
