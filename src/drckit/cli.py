@@ -29,6 +29,7 @@ from .analysis import (
     write_margins_tsv,
 )
 from .config import (
+    CONFIG_FIELDS,
     ENDPOINT_FIELDS,
     TAG,
     ConfigError,
@@ -292,8 +293,8 @@ def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
 
 
 def cmd_compare(args) -> int:
-    if not 0 < args.alpha < 1:  # NaN included
-        raise ConfigError("--alpha must be a number > 0 and < 1")
+    rules = {"--m": CONFIG_FIELDS["bonferroni_m"], "--alpha": CONFIG_FIELDS["alpha"]}
+    check_config({"--m": args.m, "--alpha": args.alpha}, rules, "compare")
     def read_scores(paths):
         triples = [read_report_scores(p) for p in paths]
         conditions = {t[0] for t in triples}

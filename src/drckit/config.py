@@ -13,8 +13,10 @@ from pathlib import Path
 from typing import Any, Callable, Generic, Sequence, TypeVar
 from urllib.parse import urlsplit
 
-from .context import INTEGER, NUMBER, STRING, ContextScheme, JsonField, check_fields
+from .context import ContextScheme
 from .endpoint import EndpointConfig
+from .fields import (INTEGER, NUMBER, STRING, JsonField, check_fields, decode,
+                     list_of, map_of, rule)
 from .treebank import iter_document_files
 
 log = logging.getLogger(__name__)
@@ -78,30 +80,6 @@ def file_key(path: Path | str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _rule(field: JsonField, what: str, ok: Callable[[Any], bool]) -> JsonField:
-    """``field``, whose value (once parsed, if ``field`` parses) must also
-    pass ``ok``; ``what`` says what the value must be."""
-    def parse(value):
-        parsed = field.parse(value) if field.parse else value
-        if not ok(parsed):
-            raise ValueError(f"{value!r} is not {what}")
-        return parsed
-    return field._replace(what=what, parse=parse)
-
-
-def _map(item: JsonField, what: str) -> JsonField:
-    """A JSON object whose every value is an ``item``."""
-    return JsonField((dict,), what, parse=lambda value: check_fields(
-        value, dict.fromkeys(value, item)))
-
-
-def _list(item: JsonField, what: str = "a list") -> JsonField:
-    """A JSON list of ``item``s, named ``[0]``, ``[1]``..., as a tuple."""
-    each = _map(item, what).parse
-    return JsonField((list,), what, parse=lambda values: tuple(
-        each({f"[{i}]": value for i, value in enumerate(values)}).values()))
-
-
 def check_config(record: Any, fields: dict[str, JsonField], where: str) -> dict:
     """``record`` checked against ``fields``, the only keys it may hold."""
     try:
@@ -118,48 +96,48 @@ def _http_url(value: str) -> bool:
 OPTIONAL_STRING, OPTIONAL_NUMBER, OPTIONAL_INTEGER = (
     field._replace(required=False) for field in (STRING, NUMBER, INTEGER))
 # A tag names output files and directories, so it holds no "/" or NUL.
-TAG = _rule(STRING, "a non-empty string with no / or NUL",
-            lambda tag: tag and "/" not in tag and "\0" not in tag)
+TAG = rule(STRING, "a non-empty string with no / or NUL",
+           lambda tag: tag and "/" not in tag and "\0" not in tag)
 
 # Endpoint options, named as the ``infer`` flags; one left out keeps its default.
 ENDPOINT_FIELDS = {
-    "base_url": _rule(STRING, "an http or https URL with a host", _http_url),
+    "base_url": rule(STRING, "an http or https URL with a host", _http_url),
     "model": OPTIONAL_STRING,
     "auth_env": OPTIONAL_STRING,
-    "timeout": _rule(OPTIONAL_NUMBER, "a number > 0", lambda v: 0 < v < math.inf),
-    "backoff": _rule(OPTIONAL_NUMBER, "a number >= 0", lambda v: 0 <= v < math.inf),
-    "max_retries": _rule(OPTIONAL_INTEGER, "an integer >= 0", lambda v: v >= 0),
-    "parallelism": _rule(OPTIONAL_INTEGER, "an integer >= 1", lambda v: v >= 1),
+    "timeout": rule(OPTIONAL_NUMBER, "a number > 0", lambda v: 0 < v < math.inf),
+    "backoff": rule(OPTIONAL_NUMBER, "a number >= 0", lambda v: 0 <= v < math.inf),
+    "max_retries": rule(OPTIONAL_INTEGER, "an integer >= 0", lambda v: v >= 0),
+    "parallelism": rule(OPTIONAL_INTEGER, "an integer >= 1", lambda v: v >= 1),
 }
 
-_KIND = _rule(STRING, f"one of {', '.join(BACKEND_KINDS)}", BACKEND_KINDS.__contains__)
+_KIND = rule(STRING, f"one of {', '.join(BACKEND_KINDS)}", BACKEND_KINDS.__contains__)
 _BACKEND_FIELDS = {
     "majority": {"kind": _KIND, "tag": TAG},
     "cue": {"kind": _KIND, "tag": TAG},
     "endpoint": {"kind": _KIND, **ENDPOINT_FIELDS, "tag": TAG},
-    "import": {"kind": _KIND, "tag": TAG, "runs": _map(
-        _list(STRING, "a list of files"), "a map of scheme tag -> files")},
+    "import": {"kind": _KIND, "tag": TAG, "runs": map_of(
+        list_of(STRING, "a list of files"), "a map of scheme tag -> files")},
 }
 
-_CONFIG_FIELDS = {
-    "schema_version": _rule(INTEGER, str(SCHEMA_VERSION), SCHEMA_VERSION.__eq__),
+CONFIG_FIELDS = {
+    "schema_version": rule(INTEGER, str(SCHEMA_VERSION), SCHEMA_VERSION.__eq__),
     "corpus": JsonField((dict,), "an object", parse=lambda corpus: check_fields(
         corpus, {"dir": STRING, "name": OPTIONAL_STRING}, closed=True)),
-    "schemes": _rule(
-        _list(STRING._replace(what="a scheme name", parse=ContextScheme.parse)),
+    "schemes": rule(
+        list_of(STRING._replace(what="a scheme name", parse=ContextScheme.parse)),
         "a non-empty list of scheme names, no two naming one scheme",
         lambda schemes: schemes and len({s.tag for s in schemes}) == len(schemes)),
     # Each backend is checked on its own, by its kind.
-    "backends": _rule(_list(JsonField((dict,), "an object")),
-                      "a non-empty list of objects", bool),
-    "seeds": _rule(_list(INTEGER), "a non-empty list of distinct integers",
-                   lambda seeds: seeds and len(set(seeds)) == len(seeds)),
+    "backends": rule(list_of(JsonField((dict,), "an object")),
+                     "a non-empty list of objects", bool),
+    "seeds": rule(list_of(INTEGER), "a non-empty list of distinct integers",
+                  lambda seeds: seeds and len(set(seeds)) == len(seeds)),
     "out_dir": STRING,
     "train_split": OPTIONAL_STRING,
     "eval_split": OPTIONAL_STRING,
     "lexicon": OPTIONAL_STRING,
-    "alpha": _rule(OPTIONAL_NUMBER, "a number > 0 and < 1", lambda v: 0 < v < 1),
-    "bonferroni_m": _rule(OPTIONAL_INTEGER, "an integer >= 1", lambda v: v >= 1),
+    "alpha": rule(OPTIONAL_NUMBER, "a number > 0 and < 1", lambda v: 0 < v < 1),
+    "bonferroni_m": rule(OPTIONAL_INTEGER, "an integer >= 1", lambda v: v >= 1),
 }
 
 
@@ -208,12 +186,12 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
     path = Path(path)
     try:
         raw_text = path.read_text(encoding="utf-8")
-        payload = json.loads(raw_text)
+        payload = decode(raw_text)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-    payload = check_config(payload, _CONFIG_FIELDS, str(path))
+    payload = check_config(payload, CONFIG_FIELDS, str(path))
 
     corpus_dir = (path.parent / payload["corpus"]["dir"]).resolve()
     if not corpus_dir.is_dir():
@@ -265,16 +243,16 @@ class Lazy(Generic[T]):
         return self._value
 
 
-_MANIFEST_FIELDS = {"stages": _map(JsonField(
+_MANIFEST_FIELDS = {"stages": map_of(JsonField(
     (dict,), "a stage record", parse=lambda entry: check_fields(entry, {
-        "outputs": _list(STRING, "a list of paths"),
+        "outputs": list_of(STRING, "a list of paths"),
         "completed_at": OPTIONAL_STRING})), "a map of stage records"),
-    "unrecorded": _list(STRING, "a list of paths")._replace(required=False),
+    "unrecorded": list_of(STRING, "a list of paths")._replace(required=False),
     # What ingest found, which the run key vouches for: the corpus's counts
     # and its train label inventory, as a tuple.
     "ingest": JsonField((dict,), "an ingest summary", False, lambda s: check_fields(s, {
         "train_instances": INTEGER, "eval_instances": INTEGER,
-        "label_inventory": _list(STRING, "a list of labels")}))}
+        "label_inventory": list_of(STRING, "a list of labels")}))}
 
 
 class RunManifest:
@@ -305,11 +283,10 @@ class RunManifest:
         missing, is not a manifest (a torn write) or has another run key."""
         manifest = cls(Path(path), run_key, tool_version)
         try:
-            payload = check_fields(json.loads(
-                manifest.path.read_text(encoding="utf-8")), _MANIFEST_FIELDS)
+            payload = check_fields(decode(manifest.path.read_bytes()), _MANIFEST_FIELDS)
         except FileNotFoundError:
             return manifest
-        except (ValueError, RecursionError) as exc:  # not JSON, or no manifest
+        except ValueError as exc:  # not JSON, or no manifest
             log.warning("%s is not a run manifest, so every stage runs "
                         "again: %s", manifest.path, exc)
             return manifest

@@ -8,18 +8,20 @@ argument of a classification item:
   first argument, regardless of discourse links.
 * ``oracle`` (ORn): the texts of up to n tree ancestors of the first
   argument, read root-to-argument, using the ground-truth annotations.
+
+A variant file, one JSON line per instance, is read back through ``fields``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Sequence
 
+from .fields import STRING, read_records
 from .treebank import (
     ROOT_ID,
     Corpus,
@@ -221,66 +223,6 @@ def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
              f'{q(i.arg2_text)}, "label": {q(i.gold_label)}{tail}'
              for i in dataset.instances]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-class JsonField(NamedTuple):
-    """A record field: its exact JSON types, named for errors; whether a
-    record must hold it; and a parse of its value, which may raise ValueError."""
-
-    types: tuple[type, ...]
-    what: str
-    required: bool = True
-    parse: Callable[[Any], Any] | None = None
-
-
-# Exact types: JSON true/false load as bool, a subclass of int.
-STRING = JsonField((str,), "a string")
-INTEGER = JsonField((int,), "an integer")
-NUMBER = JsonField((int, float), "a number")
-
-
-def check_fields(record: Any, fields: Mapping[str, JsonField],
-                 closed: bool = False) -> dict:
-    """``record`` with its ``fields`` parsed; a ValueError names the first
-    field it lacks, holds with another JSON type or fails to parse, or, if
-    ``closed``, the first field it holds that ``fields`` does not list."""
-    if type(record) is not dict:
-        raise ValueError(f"{type(record).__name__} is not a JSON object")
-    for name, field in fields.items():
-        if name not in record:
-            if field.required:
-                raise ValueError(f"missing field {name!r}")
-        elif type(record[name]) not in field.types:
-            raise ValueError(f"{name} {record[name]!r} is not {field.what}")
-        elif field.parse is not None:
-            try:
-                record[name] = field.parse(record[name])
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from exc
-    if closed and record.keys() - fields.keys():
-        raise ValueError(f"unknown field {min(record.keys() - fields.keys())!r}")
-    return record
-
-
-def read_records(path: Path, fields: Mapping[str, JsonField],
-                 data: bytes | None = None) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of the JSONL file at
-    ``path`` (or of its bytes ``data``), checked against ``fields``; any other
-    line, or one that is not UTF-8, raises
-    ``ValueError("<path>:<line>: malformed record: ...")``."""
-    if data is None:
-        data = path.read_bytes()
-    # Only "\n" ends a record: JSON strings keep U+2028 and U+0085 unescaped,
-    # and str.splitlines() would split at them.
-    for lineno, line in enumerate(data.split(b"\n"), 1):
-        try:
-            line = line.decode("utf-8")
-            if not line.strip():
-                continue
-            record = check_fields(json.loads(line), fields)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        yield lineno, record
 
 
 # Each spelling of a scheme is parsed once; "OR1" and "or1" parse to equal

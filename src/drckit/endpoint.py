@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
-from .context import STRING, RenderedInstance, VariantDataset, check_fields, read_records
+from .context import RenderedInstance, VariantDataset
+from .fields import STRING, check_fields, decode, read_records
 from .inference import (
     PredictionSet,
     PromptSpec,
@@ -115,7 +116,7 @@ def request_completion(config: EndpointConfig, prompt: str,
             raise EndpointError(f"HTTP {status} from {url}: "
                                 f"{data[:200].decode('utf-8', 'replace')}")
         try:
-            message = json.loads(data)["choices"][0]["message"]
+            message = decode(data)["choices"][0]["message"]
             return check_fields(message, {"content": STRING})["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointError(f"malformed completion payload: {exc}") from exc

@@ -18,7 +18,8 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import Iterable, NamedTuple, Sequence
 
-from .context import INTEGER, NUMBER, STRING, VariantDataset, check_fields
+from .context import VariantDataset
+from .fields import INTEGER, NUMBER, STRING, check_fields, decode
 from .inference import PredictionSet
 
 #: Confusion-matrix column for predictions outside the gold inventory
@@ -308,12 +309,10 @@ def read_report_scores(path: Path | str) -> RunScore:
     JSON floats round-trip exactly, so the score equals the one scored."""
     fields = {"condition": STRING, "run_id": INTEGER, "macro_f1": NUMBER}
     try:
-        payload = check_fields(json.loads(Path(path).read_text(encoding="utf-8")),
-                               fields)
-    except (ValueError, RecursionError) as exc:
+        payload = check_fields(decode(Path(path).read_bytes()), fields)
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed report: {exc}") from exc
-    return RunScore(payload["condition"], payload["run_id"],
-                    float(payload["macro_f1"]))
+    return RunScore(payload["condition"], payload["run_id"], float(payload["macro_f1"]))
 
 
 def write_report_tsv(report: EvalReport, path: Path | str,

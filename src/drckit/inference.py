@@ -16,7 +16,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .context import INTEGER, STRING, RenderedInstance, VariantDataset, read_records
+from .context import RenderedInstance, VariantDataset
+from .fields import INTEGER, STRING, read_records
 
 log = logging.getLogger(__name__)
 

@@ -17,6 +17,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .fields import INTEGER, STRING, JsonField, check_fields, decode, list_of, rule
+
 ROOT_ID = 0
 ROOT_HEAD = -1
 ROOT_RELATION = "null"
@@ -29,17 +31,8 @@ class TreebankError(Exception):
     """Base class for treebank ingestion failures."""
 
 
-class TreeParseError(TreebankError):
-    """A document could not be decoded into EDU records."""
-
-    def __init__(self, doc_id: str, detail: str):
-        super().__init__(f"{doc_id}: {detail}")
-        self.doc_id = doc_id
-        self.detail = detail
-
-
 class TreeValidationError(TreebankError):
-    """A decoded document violates the tree invariants."""
+    """A document is not a tree: one parse-error, or the invariants it violates."""
 
     def __init__(self, doc_id: str, violations: Sequence["Violation"]):
         detail = "; ".join(v.detail for v in violations)
@@ -178,46 +171,29 @@ def make_instance_id(doc_id: str, dependent_id: int) -> str:
     return f"{doc_id}:{dependent_id:03d}"
 
 
+# A tree record; ``validate_tree`` checks how the records link up.
+_RECORD = JsonField((dict,), "an EDU record", parse=lambda record: check_fields(
+    record, {"id": INTEGER, "parent": INTEGER, "relation": STRING, "text": STRING}))
+_DOCUMENT_FIELDS = {"root": rule(list_of(_RECORD), "a non-empty array of records", bool)}
+
+
 def parse_tree_document(data: bytes | str, doc_id: str) -> DiscourseTree:
     """Decode and validate one canonical tree document.
 
     The canonical format is a JSON object with key "root" holding an array
     of ``{id, parent, relation, text}`` records in ascending id order.
-    Raises TreeParseError for malformed input and TreeValidationError when
-    the decoded records do not form a legal tree.
+    Raises TreeValidationError, with one parse-error for input that is not
+    such a document, or with each invariant its records violate.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TreeParseError(doc_id, f"malformed syntax: {exc}") from exc
     try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise TreeParseError(doc_id, f"malformed syntax: {exc}") from exc
-
-    if not isinstance(payload, dict) or "root" not in payload:
-        raise TreeParseError(doc_id, 'missing top-level "root" key')
-    records = payload["root"]
-    if not isinstance(records, list) or not records:
-        raise TreeParseError(doc_id, '"root" must be a non-empty array')
+        records = check_fields(decode(data), _DOCUMENT_FIELDS)["root"]
+    except ValueError as exc:
+        error = Violation(doc_id, "parse-error", f"malformed document: {exc}")
+        raise TreeValidationError(doc_id, [error]) from exc
 
     edus = []
-    seen_ids = set()
     sentence = 0
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise TreeParseError(doc_id, f"record {i} is not an object")
-        for field, kind in (("id", int), ("parent", int),
-                            ("relation", str), ("text", str)):
-            if field not in rec:
-                raise TreeParseError(doc_id, f"record {i}: missing field '{field}'")
-            if not isinstance(rec[field], kind) or isinstance(rec[field], bool):
-                raise TreeParseError(
-                    doc_id, f"record {i}: field '{field}' must be {kind.__name__}")
-        if rec["id"] in seen_ids:
-            raise TreeParseError(doc_id, f"duplicate id {rec['id']}")
-        seen_ids.add(rec["id"])
+    for rec in records:
         text = rec["text"].strip()
         # A sentence ends after an EDU whose text ends with terminal
         # punctuation.  The virtual ROOT takes index 0 and ends none.
@@ -442,8 +418,6 @@ def load_split(corpus_dir: Path | str, split: str, name: str | None = None
             trees.append(parse_tree_document(path.read_bytes(), doc_id))
         except TreeValidationError as exc:
             violations.extend(exc.violations)
-        except TreeParseError as exc:
-            violations.append(Violation(doc_id, "parse-error", exc.detail))
     return Corpus(name or corpus_dir.name, split, tuple(trees)), violations
 
 

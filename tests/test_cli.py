@@ -434,7 +434,19 @@ def test_compare_alpha_out_of_range_exits_2(tmp_path, capsys, alpha):
     assert run_cli("compare", "--reports-a", *a, "--reports-b", *b,
                    "--m", "1", "--alpha", alpha) == 2
     captured = capsys.readouterr()
-    assert "config error: --alpha" in captured.err and not captured.out
+    assert "config error: compare: --alpha: " in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_compare_m_below_1_exits_2(tmp_path, capsys, m):
+    # The config's bonferroni_m rule: an m below 1 is no family size.
+    a = write_reports(tmp_path, "A", {0: 0.5, 1: 0.6})
+    b = write_reports(tmp_path, "B", {0: 0.5, 1: 0.6})
+    assert run_cli("compare", "--reports-a", *a, "--reports-b", *b,
+                   "--m", m) == 2
+    captured = capsys.readouterr()
+    assert f"config error: compare: --m: {m} is not an integer >= 1" \
+        in captured.err and not captured.out
 
 
 def test_experiment_end_to_end(small_corpus_dir, tmp_path, capsys):

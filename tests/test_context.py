@@ -7,12 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drckit.context import (
-    STRING,
     ContextScheme,
     RenderedInstance,
     VariantDataset,
     build_variant_dataset,
-    check_fields,
     corpus_label_inventory,
     read_variant_dataset,
     render_instance,
@@ -20,6 +18,7 @@ from drckit.context import (
     write_variant_dataset,
 )
 from drckit.endpoint import _load_results_log
+from drckit.fields import STRING, check_fields
 from drckit.inference import import_predictions
 from drckit.treebank import (
     Corpus,

@@ -5,15 +5,18 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from drckit import endpoint
 from drckit.context import ContextScheme, RenderedInstance, VariantDataset
 from drckit.endpoint import (
     EndpointConfig,
     EndpointError,
+    request_completion,
     run_endpoint_inference,
 )
 from drckit.evaluation import score
@@ -118,6 +121,17 @@ def test_null_content_is_a_malformed_payload(tmp_path):
                                    log_path=tmp_path / "run.log.jsonl",
                                    condition="default+mock")
     assert "content None is not a string" in str(raised.value.__cause__)
+
+
+@pytest.mark.parametrize("body, detail", [
+    (b'{"choices": ' + b"[" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"choices": [{"message": {"content": "\xff"}}]}', "can't decode byte 0xff"),
+], ids=["nested_too_deeply", "not_utf8"])
+def test_undecodable_reply_is_a_malformed_payload(monkeypatch, body, detail):
+    monkeypatch.setattr(endpoint, "_post", lambda *args: (200, body))
+    with pytest.raises(EndpointError, match=f"^malformed completion payload: .*{detail}"):
+        request_completion(EndpointConfig("http://127.0.0.1:9"), "prompt",
+                           threading.local())
 
 
 def test_flaky_server_retries_then_succeeds(tmp_path, caplog):

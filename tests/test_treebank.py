@@ -9,7 +9,6 @@ from drckit.treebank import (
     Corpus,
     DiscourseTree,
     EDU,
-    TreeParseError,
     TreeValidationError,
     ancestors,
     CorpusError,
@@ -53,26 +52,33 @@ def test_parse_rejects_self_loop():
 
 
 @pytest.mark.parametrize("payload, message", [
-    (b"{not json", "malformed syntax"),
-    (b"{}", 'missing top-level "root" key'),
+    (b"{not json", "malformed document: Expecting property name"),
+    (b"{}", "missing field 'root'"),
     (b'{"root": []}', "non-empty array"),
     (b'{"root": [{"id": 0, "parent": -1, "relation": "null"}]}',
      "missing field 'text'"),
     (b'{"root": [{"id": "0", "parent": -1, "relation": "null", "text": "R"}]}',
-     "field 'id' must be int"),
+     r"root: \[0\]: id '0' is not an integer"),
+    (b'{"root": [{"id": true, "parent": -1, "relation": "null", "text": "R"}]}',
+     r"root: \[0\]: id True is not an integer"),
+    (b'{"root": [{"id": 0, "parent": -1, "relation": "null", "text": "R"}, 5]}',
+     r"root: \[1\] 5 is not an EDU record"),
 ])
 def test_parse_errors_carry_doc_id(payload, message):
-    with pytest.raises(TreeParseError, match=message) as info:
+    with pytest.raises(TreeValidationError, match=message) as info:
         parse_tree_document(payload, "baddoc")
-    assert "baddoc" in str(info.value)
+    assert str(info.value).startswith("baddoc: malformed document: ")
+    assert [v.code for v in info.value.violations] == ["parse-error"]
 
 
 def test_parse_rejects_duplicate_ids():
+    # Reported by validate_tree, with the document's other violations.
     records = [(0, -1, "null", "ROOT"),
                (1, 0, "ROOT", "one ."),
                (1, 1, "elaboration", "dupe .")]
-    with pytest.raises(TreeParseError, match="duplicate id 1"):
+    with pytest.raises(TreeValidationError, match="duplicate ids: 1") as info:
         parse_tree_document(doc_bytes(records), "dupes")
+    assert [v.code for v in info.value.violations] == ["duplicate-id", "self-loop"]
 
 
 def test_parse_rejects_dangling_head():
