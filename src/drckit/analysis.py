@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from importlib import resources
 from operator import eq, sub
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .context import RenderedInstance
-from .inference import PredictionSet
+if TYPE_CHECKING:
+    from .context import RenderedInstance
+    from .inference import PredictionSet
 
 WIN = "win"
 LOSS = "loss"

@@ -12,27 +12,15 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from . import __version__
-from .analysis import (
-    ConnectiveLexicon,
-    ConnectiveMatchReport,
-    RelationMargin,
-    connective_match_rate,
-    default_lexicon,
-    load_connective_lexicon,
-    margins_by_category,
-    margins_from_counts,
-    outcome_counts,
-    write_connective_report_tsv,
-    write_margins_tsv,
-)
 from .config import (
     CONFIG_FIELDS,
     ENDPOINT_FIELDS,
     TAG,
     ConfigError,
+    ContextScheme,
     Lazy,
     RunManifest,
     check_config,
@@ -40,46 +28,17 @@ from .config import (
     file_key,
     load_experiment_config,
 )
-from .context import (
-    ContextScheme,
-    VariantDataset,
-    build_variant_dataset,
-    corpus_label_inventory,
-    read_variant_dataset,
-    write_variant_dataset,
-)
-from .endpoint import EndpointError, run_endpoint_inference
-from .evaluation import (
-    EvalReport,
-    RunScore,
-    aggregate_runs,
-    bonferroni,
-    format_results_table,
-    read_report_scores,
-    report_texts,
-    score,
-    wilcoxon_signed_rank,
-    write_report_json,
-    write_report_tsv,
-)
-from .inference import (
-    BASELINE_KINDS,
-    PredictionSet,
-    import_predictions,
-    predict_baseline,
-    train_baseline,
-    write_predictions,
-)
-from .treebank import (
-    Corpus,
-    TreebankError,
-    count_instances,
-    dependency_distance_stats,
-    load_corpus,
-    load_split,
-    serialize_tree_document,
-    write_validation_report,
-)
+
+# Each layer is imported where one of its stages, subcommands or error
+# branches runs, so a call loads only the layers it uses: a rerun with
+# nothing changed loads none of treebank, context, inference, endpoint and
+# analysis.
+if TYPE_CHECKING:
+    from .analysis import ConnectiveLexicon, ConnectiveMatchReport, RelationMargin
+    from .context import VariantDataset
+    from .evaluation import EvalReport, RunScore
+    from .inference import PredictionSet
+    from .treebank import Corpus
 
 log = logging.getLogger(__name__)
 
@@ -94,11 +53,14 @@ T = TypeVar("T")
 def _detect_splits(corpus_dir: Path) -> list[str]:
     splits = [d.name for d in sorted(corpus_dir.iterdir()) if d.is_dir()]
     if not splits:
+        from .treebank import TreebankError
         raise TreebankError(f"no split directories under {corpus_dir}")
     return splits
 
 
 def cmd_ingest(args) -> int:
+    from .treebank import (count_instances, load_split, serialize_tree_document,
+                           write_validation_report)
     corpus_dir = Path(args.corpus_dir)
     splits = args.splits or _detect_splits(corpus_dir)
     name = args.name or corpus_dir.name
@@ -129,6 +91,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .treebank import load_split
     corpus_dir = Path(args.corpus_dir)
     splits = args.splits or _detect_splits(corpus_dir)
     total = 0
@@ -142,6 +105,7 @@ def cmd_validate(args) -> int:
 
 
 def _merged_corpus(corpus_dir: Path, splits: list[str], name: str | None) -> Corpus:
+    from .treebank import Corpus, load_corpus
     trees = []
     for split in splits:
         corpus = load_corpus(corpus_dir, split, name)
@@ -150,6 +114,7 @@ def _merged_corpus(corpus_dir: Path, splits: list[str], name: str | None) -> Cor
 
 
 def cmd_stats(args) -> int:
+    from .treebank import dependency_distance_stats
     corpus_dir = Path(args.corpus_dir)
     splits = args.splits or _detect_splits(corpus_dir)
     corpus = _merged_corpus(corpus_dir, splits, args.name)
@@ -168,6 +133,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_variants(args) -> int:
+    from .context import build_variant_dataset, write_variant_dataset
+    from .treebank import load_corpus
     scheme = ContextScheme.parse(args.scheme)
     corpus = load_corpus(Path(args.corpus_dir), args.split, args.name)
     dataset = build_variant_dataset(corpus, scheme,
@@ -188,10 +155,13 @@ def _predictor(kind: str, options: dict, train_ds: VariantDataset,
     A baseline is fit and predicts here, once: its predictions do not depend
     on the seed, so every seed's set shares one read-only records dict.
     """
+    from .inference import (BASELINE_KINDS, PredictionSet, predict_baseline,
+                            train_baseline)
     if kind in BASELINE_KINDS:
         records = predict_baseline(train_baseline(train_ds, kind), eval_ds,
                                    condition).records
         return lambda seed: PredictionSet(condition, seed, records)
+    from .endpoint import run_endpoint_inference
     endpoint_cfg = endpoint_config(options)
     return lambda seed: run_endpoint_inference(
         eval_ds, train_ds, endpoint_cfg, seed,
@@ -199,6 +169,8 @@ def _predictor(kind: str, options: dict, train_ds: VariantDataset,
 
 
 def cmd_infer(args) -> int:
+    from .context import read_variant_dataset
+    from .inference import write_predictions
     dataset = read_variant_dataset(args.dataset)
     train = read_variant_dataset(args.train)
     dataset = replace(dataset, label_inventory=train.label_inventory)
@@ -222,6 +194,7 @@ def _score_run(dataset: VariantDataset, preds: PredictionSet, report_dir: Path,
                stem: str, shared: dict) -> EvalReport:
     """Score one run and write ``<stem>.report.json`` and ``.report.tsv``;
     ``shared`` keeps each records dict's score and texts for one condition."""
+    from .evaluation import report_texts, score, write_report_json, write_report_tsv
     if id(preds.records) not in shared:  # an entry holds the dict it is keyed by
         report = score(dataset, preds)
         shared[id(preds.records)] = preds.records, report, report_texts(report)
@@ -233,6 +206,9 @@ def _score_run(dataset: VariantDataset, preds: PredictionSet, report_dir: Path,
 
 
 def cmd_evaluate(args) -> int:
+    from .context import read_variant_dataset
+    from .evaluation import aggregate_runs
+    from .inference import import_predictions
     dataset = read_variant_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,6 +243,7 @@ def _pair_by_run_id(runs_a: list[tuple[int, T]], runs_b: list[tuple[int, T]]
 
 
 def _lexicon(path: Path | str | None) -> ConnectiveLexicon:
+    from .analysis import default_lexicon, load_connective_lexicon
     return load_connective_lexicon(path) if path else default_lexicon()
 
 
@@ -277,6 +254,9 @@ def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
                   ) -> tuple[list[RelationMargin], ConnectiveMatchReport]:
     """Pair A and B runs by run id, then write ``margins.tsv`` and
     ``connectives.tsv`` of B against A under ``out_dir``."""
+    from .analysis import (connective_match_rate, margins_by_category,
+                           margins_from_counts, outcome_counts,
+                           write_connective_report_tsv, write_margins_tsv)
     pairs = _pair_by_run_id([(p.run_id, p) for p in runs_a],
                             [(p.run_id, p) for p in runs_b])
     counts = outcome_counts(dataset.gold_labels(),
@@ -293,6 +273,7 @@ def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
 
 
 def cmd_compare(args) -> int:
+    from .evaluation import bonferroni, read_report_scores, wilcoxon_signed_rank
     rules = {"--m": CONFIG_FIELDS["bonferroni_m"], "--alpha": CONFIG_FIELDS["alpha"]}
     check_config({"--m": args.m, "--alpha": args.alpha}, rules, "compare")
     def read_scores(paths):
@@ -317,6 +298,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .context import read_variant_dataset
+    from .inference import import_predictions
     dataset = read_variant_dataset(args.dataset)
     lexicon = _lexicon(args.lexicon)
 
@@ -342,6 +325,10 @@ def _written(write: Callable[..., None], value: T, path: Path, *args) -> T:
 
 
 def cmd_experiment(args) -> int:
+    # Every run reads or writes score reports; the other layers load when a
+    # stage that is not reused runs.
+    from .evaluation import (aggregate_runs, bonferroni, format_results_table,
+                             read_report_scores, wilcoxon_signed_rank)
     cfg = load_experiment_config(args.config)
     out_dir = cfg.out_dir
     pred_dir = out_dir / "predictions"
@@ -349,14 +336,19 @@ def cmd_experiment(args) -> int:
     for directory in (out_dir / "variants", pred_dir, report_dir):
         directory.mkdir(parents=True, exist_ok=True)
 
+    def parse(split: str) -> Corpus:
+        from .treebank import load_corpus
+        return load_corpus(cfg.corpus_dir, split, cfg.corpus_name)
+
     # A split is parsed only when a variants stage builds from it, or to make
     # the ingest summary that a manifest under this run key lacks.
-    train_corpus, eval_corpus = (Lazy(lambda split=split: load_corpus(
-        cfg.corpus_dir, split, cfg.corpus_name))
-        for split in (cfg.train_split, cfg.eval_split))
+    train_corpus, eval_corpus = (Lazy(lambda split=split: parse(split))
+                                 for split in (cfg.train_split, cfg.eval_split))
     manifest = RunManifest.load_or_create(out_dir / "manifest.json",
                                           cfg.run_key(__version__), __version__)
     if manifest.ingest is None:
+        from .context import corpus_label_inventory
+        from .treebank import count_instances
         manifest.ingest = {
             "train_instances": count_instances(train_corpus.get()),
             "eval_instances": count_instances(eval_corpus.get()),
@@ -376,11 +368,17 @@ def cmd_experiment(args) -> int:
     def variants_stage(scheme: ContextScheme, split: str,
                        corpus: Lazy[Corpus]) -> Lazy[VariantDataset]:
         path = out_dir / "variants" / f"{cfg.corpus_name}.{scheme.tag}.{split}.jsonl"
-        return manifest.stage(
-            f"variants:{scheme.tag}:{split}", [path],
-            run=lambda: _written(write_variant_dataset, build_variant_dataset(
-                corpus.get(), scheme, inventory, shared=extracted), path),
-            load=lambda: read_variant_dataset(path, cfg.corpus_name, inventory))
+
+        def run() -> VariantDataset:
+            from .context import build_variant_dataset, write_variant_dataset
+            return _written(write_variant_dataset, build_variant_dataset(
+                corpus.get(), scheme, inventory, shared=extracted), path)
+
+        def load() -> VariantDataset:
+            from .context import read_variant_dataset
+            return read_variant_dataset(path, cfg.corpus_name, inventory)
+        return manifest.stage(f"variants:{scheme.tag}:{split}", [path],
+                              run=run, load=load)
 
     def predict_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
                       predictor: Lazy[Callable[[int], PredictionSet]], shared: dict,
@@ -388,14 +386,18 @@ def cmd_experiment(args) -> int:
         path = pred_dir / f"{condition}.run{seed}.jsonl"
 
         def read(path: Path | str) -> PredictionSet:
+            from .inference import import_predictions
             return import_predictions(path, eval_ds.get(), condition=condition,
                                       run_id=seed)
+
+        def run() -> PredictionSet:
+            from .inference import write_predictions
+            return _written(write_predictions,
+                            read(source) if source else predictor.get()(seed),
+                            path, shared)
         # An imported run is read from its source, keyed by the source's bytes.
         preds = manifest.stage(
-            f"predict:{condition}:{seed}", [path],
-            run=lambda: _written(
-                write_predictions,
-                read(source) if source else predictor.get()(seed), path, shared),
+            f"predict:{condition}:{seed}", [path], run=run,
             load=lambda: read(path), key=file_key(source) if source else "")
         if endpoint and not preds.reused:
             manifest.save()  # so a killed run keeps the stage it paid for
@@ -601,11 +603,20 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EndpointError as exc:
-        print(f"endpoint error: {exc}", file=sys.stderr)
-        return EXIT_ENDPOINT
-    except (TreebankError, ValueError, OSError) as exc:
+    except Exception as exc:
+        # These classes are imported once an error occurs, so a run that
+        # needs neither layer loads neither module.
+        from .endpoint import EndpointError
+        from .treebank import CorpusError, TreebankError
+        if isinstance(exc, EndpointError):
+            print(f"endpoint error: {exc}", file=sys.stderr)
+            return EXIT_ENDPOINT
+        if not isinstance(exc, (TreebankError, ValueError, OSError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, CorpusError):  # name the documents at fault
+            for violation in exc.violations[:5]:
+                print(violation.report_line(), file=sys.stderr)
         return EXIT_DATA
 
 

@@ -1,4 +1,8 @@
-"""Experiment configuration file and the reuse manifest it drives."""
+"""Experiment configuration file and the reuse manifest it drives.
+
+The context scheme grammar and the listing of a split's documents live here
+too: the config parses schemes, and the run key reads the documents.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +11,18 @@ import json
 import logging
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Generic, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Generic, Iterator, Sequence, TypeVar
 from urllib.parse import urlsplit
 
-from .context import ContextScheme
-from .endpoint import EndpointConfig
 from .fields import (INTEGER, NUMBER, STRING, JsonField, check_fields, decode,
                      list_of, map_of, rule)
-from .treebank import iter_document_files
+
+if TYPE_CHECKING:
+    from .endpoint import EndpointConfig
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +35,59 @@ T = TypeVar("T")
 
 class ConfigError(Exception):
     """The experiment configuration is unusable."""
+
+
+# n is optional in scheme names and defaults to 1 ("OR" means "OR1").
+_SCHEME_RE = re.compile(r"^(?:(default)|(?:ad|add)(\d*)|(?:or|oracle)(\d*))$",
+                        re.IGNORECASE)
+
+
+@dataclass(frozen=True)
+class ContextScheme:
+    """Which preceding text gets prepended before the first argument."""
+
+    kind: str  # "default" | "add" | "oracle"
+    n: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("default", "add", "oracle"):
+            raise ValueError(f"unknown scheme kind {self.kind!r}")
+        if self.kind == "default":
+            if self.n is not None:
+                raise ValueError("default scheme takes no n")
+        elif self.n is None or self.n < 1:
+            raise ValueError(f"{self.kind} scheme requires n >= 1")
+
+    @property
+    def tag(self) -> str:
+        if self.kind == "default":
+            return "default"
+        prefix = "AD" if self.kind == "add" else "OR"
+        return f"{prefix}{self.n}"
+
+    @classmethod
+    def parse(cls, text: str) -> "ContextScheme":
+        m = _SCHEME_RE.match(text.strip())
+        if not m:
+            raise ValueError(f"cannot parse context scheme {text!r} "
+                             "(expected default, AD<n> or OR<n>)")
+        if m.group(1):
+            return cls("default")
+        if m.group(2) is not None:
+            return cls("add", int(m.group(2) or 1))
+        return cls("oracle", int(m.group(3) or 1))
+
+
+#: File suffixes scanned when loading a corpus split directory.
+DOCUMENT_SUFFIXES = (".dep", ".json", ".txt")
+
+
+def iter_document_files(split_dir: Path) -> Iterator[Path]:
+    if not split_dir.is_dir():
+        raise FileNotFoundError(f"split directory not found: {split_dir}")
+    for path in sorted(split_dir.iterdir()):
+        if path.is_file() and path.suffix in DOCUMENT_SUFFIXES:
+            yield path
 
 
 @dataclass(frozen=True)
@@ -143,6 +201,7 @@ CONFIG_FIELDS = {
 
 def endpoint_config(options: dict) -> EndpointConfig:
     """Endpoint settings from an endpoint backend's options or ``infer``'s flags."""
+    from .endpoint import EndpointConfig
     try:
         fields = check_fields(dict(options), ENDPOINT_FIELDS, closed=True)
     except ValueError as exc:

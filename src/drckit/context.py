@@ -14,13 +14,13 @@ A variant file, one JSON line per instance, is read back through ``fields``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
+from .config import ContextScheme  # the scheme grammar the config parses
 from .fields import STRING, read_records
 from .treebank import (
     ROOT_ID,
@@ -30,47 +30,6 @@ from .treebank import (
     ancestors,
     extract_instances,
 )
-
-# n is optional in scheme names and defaults to 1 ("OR" means "OR1").
-_SCHEME_RE = re.compile(r"^(?:(default)|(?:ad|add)(\d*)|(?:or|oracle)(\d*))$",
-                        re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class ContextScheme:
-    """Which preceding text gets prepended before the first argument."""
-
-    kind: str  # "default" | "add" | "oracle"
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("default", "add", "oracle"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "default":
-            if self.n is not None:
-                raise ValueError("default scheme takes no n")
-        elif self.n is None or self.n < 1:
-            raise ValueError(f"{self.kind} scheme requires n >= 1")
-
-    @property
-    def tag(self) -> str:
-        if self.kind == "default":
-            return "default"
-        prefix = "AD" if self.kind == "add" else "OR"
-        return f"{prefix}{self.n}"
-
-    @classmethod
-    def parse(cls, text: str) -> "ContextScheme":
-        m = _SCHEME_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"cannot parse context scheme {text!r} "
-                             "(expected default, AD<n> or OR<n>)")
-        if m.group(1):
-            return cls("default")
-        if m.group(2) is not None:
-            return cls("add", int(m.group(2) or 1))
-        return cls("oracle", int(m.group(3) or 1))
-
 
 @dataclass(frozen=True)
 class RenderedInstance:

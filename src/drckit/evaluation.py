@@ -16,11 +16,13 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import mean, stdev
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .context import VariantDataset
 from .fields import INTEGER, NUMBER, STRING, check_fields, decode
-from .inference import PredictionSet
+
+if TYPE_CHECKING:
+    from .context import VariantDataset
+    from .inference import PredictionSet
 
 #: Confusion-matrix column for predictions outside the gold inventory
 #: (unparsed output, unknown labels from imported files).

@@ -15,16 +15,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
+# The run key lists a split's documents as load_split does, from config.
+from .config import DOCUMENT_SUFFIXES, iter_document_files  # noqa: F401
 from .fields import INTEGER, STRING, JsonField, check_fields, decode, list_of, rule
 
 ROOT_ID = 0
 ROOT_HEAD = -1
 ROOT_RELATION = "null"
-
-#: File suffixes scanned when loading a corpus split directory.
-DOCUMENT_SUFFIXES = (".dep", ".json", ".txt")
 
 
 class TreebankError(Exception):
@@ -384,14 +383,6 @@ def _gap_stats(hist: Counter) -> GapStats:
 def count_instances(corpus: Corpus) -> int:
     # Every EDU headed by a real EDU is one instance (see extract_instances).
     return sum(1 for t in corpus.trees for e in t.edus if e.head_id > ROOT_ID)
-
-
-def iter_document_files(split_dir: Path) -> Iterator[Path]:
-    if not split_dir.is_dir():
-        raise TreebankError(f"split directory not found: {split_dir}")
-    for path in sorted(split_dir.iterdir()):
-        if path.is_file() and path.suffix in DOCUMENT_SUFFIXES:
-            yield path
 
 
 def load_split(corpus_dir: Path | str, split: str, name: str | None = None

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from drckit import cli, config as config_module, context
+from drckit import (cli, config as config_module, context, evaluation, inference,
+                    treebank)
 from drckit.analysis import (
     default_lexicon,
     pair_outcomes,
@@ -652,7 +653,7 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
              "predict_baseline": 0, "read_variant_dataset": 0, "score": 0,
              "extract_instances": 0, "load_corpus": 0}
 
-    def counted(name, module=cli):
+    def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
@@ -660,13 +661,13 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted("import_predictions")
-    counted("train_baseline")
-    counted("predict_baseline")
-    counted("read_variant_dataset")
-    counted("score")
-    counted("extract_instances", context)
-    counted("load_corpus")
+    counted(inference, "import_predictions")
+    counted(inference, "train_baseline")
+    counted(inference, "predict_baseline")
+    counted(context, "read_variant_dataset")
+    counted(evaluation, "score")
+    counted(context, "extract_instances")
+    counted(treebank, "load_corpus")
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], m=1)
     assert run_cli("experiment", "--config", config) == 0
@@ -697,14 +698,17 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
 
 
 def record_calls(monkeypatch, *names: str) -> dict[str, list[tuple]]:
-    """The positional arguments of each call of the named ``cli`` functions."""
+    """The positional arguments of each call of the named functions, each
+    patched on the module that defines it, which the CLI imports from."""
     calls: dict[str, list[tuple]] = {name: [] for name in names}
+    modules = {"load_corpus": treebank, "read_variant_dataset": context}
     for name in names:
-        def wrapper(*args, _calls=calls[name], _original=getattr(cli, name),
+        module = modules[name]
+        def wrapper(*args, _calls=calls[name], _original=getattr(module, name),
                     **kwargs):
             _calls.append(args)
             return _original(*args, **kwargs)
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -826,7 +830,8 @@ def test_experiment_corpus_fault_exits_1_with_its_message(
     corpus = small_corpus_dir.resolve()
     if fault == "malformed_document":
         (corpus / "test" / "te-torn.dep").write_bytes(b'{"root": [')
-        message = "disamb/test: 1 violation(s)"
+        message = ("disamb/test: 1 violation(s)\nte-torn\tparse-error\tmalformed "
+                   "document: Expecting value: line 1 column 11 (char 10)")
     else:
         split = fault.split("_")[0]
         shutil.rmtree(corpus / split)
@@ -836,6 +841,20 @@ def test_experiment_corpus_fault_exits_1_with_its_message(
     assert run_cli("experiment", "--config", config) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_experiment_corpus_fault_names_the_first_five_violations(
+        small_corpus_dir, tmp_path, capsys):
+    for i in range(7):
+        (small_corpus_dir / "train" / f"bad{i}.dep").write_text(
+            '{"root": []}', encoding="utf-8")
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1])
+    assert run_cli("experiment", "--config", config) == 1
+    first, *violations = capsys.readouterr().err.splitlines()
+    assert first == "error: disamb/train: 7 violation(s)"
+    assert [line.split("\t")[:2] for line in violations] == \
+        [[f"bad{i}", "parse-error"] for i in range(5)]
 
 
 def test_experiment_scores_a_reloaded_run_on_its_own(small_corpus_dir, tmp_path,
@@ -851,8 +870,8 @@ def test_experiment_scores_a_reloaded_run_on_its_own(small_corpus_dir, tmp_path,
     for path in (out / "reports").glob("OR1+cue.*"):
         path.unlink()
     scored = []
-    original = cli.score
-    monkeypatch.setattr(cli, "score", lambda dataset, preds: scored.append(
+    original = evaluation.score
+    monkeypatch.setattr(evaluation, "score", lambda dataset, preds: scored.append(
         preds.run_id) or original(dataset, preds))
     assert run_cli("experiment", "--config", config) == 0
     assert sorted(scored) == [1, 2, 3]
@@ -1170,6 +1189,40 @@ def test_traced_benchmark_finds_every_hook(tmp_path):
                    capture_output=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert json.loads(spans.read_text(encoding="utf-8"))["missing"] == []
+
+
+def loaded_modules(*argv) -> set[str]:
+    """The modules one CLI call loads in a fresh interpreter, read at exit."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("import atexit, json, sys\n"
+            "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n"
+            "from drckit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          check=True, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+STAGE_LAYERS = {f"drckit.{layer}" for layer in
+                ("treebank", "context", "inference", "endpoint", "analysis")}
+
+
+def test_cli_call_imports_only_the_layers_it_runs(small_corpus_dir, tmp_path):
+    # http.client (and with it email and ssl) and the thread pool load when
+    # an endpoint run starts, and each pipeline layer when one of its stages
+    # runs, not with the CLI.
+    loaded = loaded_modules("--version")
+    assert {m for m in loaded if m.startswith("drckit")} == \
+        {"drckit", "drckit.cli", "drckit.config", "drckit.fields"}
+    assert not {"requests", "urllib3", "http.client", "ssl", "email",
+                "concurrent.futures"} & loaded
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    loaded = loaded_modules("experiment", "--config", config)
+    assert stages_run(tmp_path / "out") == []
+    assert not STAGE_LAYERS & loaded
 
 
 def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,

@@ -2,12 +2,8 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -394,16 +390,3 @@ def test_https_url_speaks_tls(tmp_path):
                 seed=1, log_path=tmp_path / "run.log.jsonl",
                 condition="default+mock")
         assert server.payloads == []
-
-
-def test_cli_import_pulls_in_no_http_library():
-    # http.client (and with it email and ssl) and the thread pool load when
-    # an endpoint run starts, not with the CLI.
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, drckit.cli; "
-            "print(sorted({'requests', 'urllib3', 'http.client', 'ssl', "
-            "'email', 'concurrent.futures'} & sys.modules.keys()))")
-    result = subprocess.run([sys.executable, "-c", code], check=True,
-                            capture_output=True, text=True, timeout=60,
-                            env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout.strip() == "[]"
