@@ -11,23 +11,14 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from functools import cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from . import __version__
-from .config import (
-    CONFIG_FIELDS,
-    ENDPOINT_FIELDS,
-    TAG,
-    ConfigError,
-    ContextScheme,
-    Lazy,
-    RunManifest,
-    check_config,
-    endpoint_config,
-    file_key,
-    load_experiment_config,
-)
+from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, TAG, ConfigError, ContextScheme,
+                     ExperimentConfig, RunManifest, Stage, StageRunner, check_config,
+                     endpoint_config, file_key, load_experiment_config)
 
 # Each layer is imported where one of its stages, subcommands or error
 # branches runs, so a call loads only the layers it uses: a rerun with
@@ -36,11 +27,9 @@ from .config import (
 if TYPE_CHECKING:
     from .analysis import ConnectiveLexicon, ConnectiveMatchReport, RelationMargin
     from .context import VariantDataset
-    from .evaluation import EvalReport, RunScore
+    from .evaluation import EvalReport
     from .inference import PredictionSet
     from .treebank import Corpus
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -319,186 +308,183 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _written(write: Callable[..., None], value: T, path: Path, *args) -> T:
-    write(value, path, *args)
-    return value
+def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
+                      corpus: Callable[[str], Corpus],
+                      value: Callable[[str], object]) -> list[Stage]:
+    """The stages of the experiment ``cfg`` in the order they run, none run.
+
+    ``inventory`` is the train split's labels, ``corpus(split)`` parses a
+    split, and ``value(name)`` is the value of a stage that has run or been
+    reused.  Declaring reads only the files that stage keys digest: the
+    lexicon and imported prediction files.
+    """
+    from .evaluation import read_report_scores  # every experiment reads reports
+    out_dir, splits = cfg.out_dir, (cfg.train_split, cfg.eval_split)
+    # Only the analysis stages read the lexicon; the tool version covers the
+    # packaged one.
+    lexicon = cache(lambda: _lexicon(cfg.lexicon))
+    lexicon_key = file_key(cfg.lexicon) if cfg.lexicon else ""
+    extracted: dict = {}  # each split's instances, for its variant of every scheme
+    hits: dict = {}  # connective hits: all analyses read one eval variant, lexicon
+
+    # What each stage kind does, given the arguments its declaration binds.
+    def build_variant(path, scheme, split):
+        from .context import build_variant_dataset, write_variant_dataset
+        dataset = build_variant_dataset(corpus(split), scheme, inventory,
+                                        shared=extracted)
+        write_variant_dataset(dataset, path)
+        return dataset
+
+    def read_variant(path):
+        from .context import read_variant_dataset
+        return read_variant_dataset(path, cfg.corpus_name, inventory)
+
+    def make_predictor(backend, condition, train, test):
+        return _predictor(backend.kind, backend.options, value(train), value(test),
+                          condition, out_dir / "logs")
+
+    def read_run(path, condition, seed, test):
+        from .inference import import_predictions
+        return import_predictions(path, value(test), condition=condition, run_id=seed)
+
+    def predict(path, condition, seed, test, source, predictor, written):
+        from .inference import write_predictions
+        preds = read_run(source, condition, seed, test) if source \
+            else predictor()(seed)
+        write_predictions(preds, path, written)
+        return preds
+
+    def score(stem, preds, test, scored):
+        return _score_run(value(test), value(preds), out_dir / "reports", stem, scored)
+
+    def analyze(analysis_dir, runs_a, runs_b):
+        _analyze_pair(value(variants[("default", cfg.eval_split)]),
+                      [value(name) for name in runs_a],
+                      [value(name) for name in runs_b], lexicon(), analysis_dir,
+                      shared=hits)
+
+    stages, variants = [], {}
+    for scheme in cfg.schemes:
+        for split in splits:
+            path = out_dir / "variants" / \
+                f"{cfg.corpus_name}.{scheme.tag}.{split}.jsonl"
+            name = variants[(scheme.tag, split)] = f"variants:{scheme.tag}:{split}"
+            stages.append(Stage(name, (path,),
+                                partial(build_variant, path, scheme, split),
+                                partial(read_variant, path)))
+    for backend in cfg.backends:
+        runs = {}  # the predict stages of each scheme, in seed order
+        for scheme in cfg.schemes:
+            condition = f"{scheme.tag}+{backend.tag}"
+            train, test = (variants[(scheme.tag, split)] for split in splits)
+            sources = dict(zip(cfg.seeds, backend.options["runs"][scheme.tag])) \
+                if backend.kind == "import" else {}
+            predictor = cache(partial(make_predictor, backend, condition, train, test))
+            written, scored = {}, {}  # what this condition's seeds share
+            runs[scheme.tag] = [f"predict:{condition}:{seed}" for seed in cfg.seeds]
+            for seed, name in zip(cfg.seeds, runs[scheme.tag]):
+                path = out_dir / "predictions" / f"{condition}.run{seed}.jsonl"
+                # An imported run is read from its source, keyed by the source's bytes.
+                source = sources.get(seed)
+                stages.append(Stage(
+                    name, (path,), partial(predict, path, condition, seed, test, source,
+                                           predictor, written),
+                    partial(read_run, path, condition, seed, test),
+                    key=file_key(source) if source else "",
+                    checkpoint=backend.kind == "endpoint"))
+            for seed, predict_name in zip(cfg.seeds, runs[scheme.tag]):
+                stem = f"{condition}.run{seed}"
+                reports = tuple(out_dir / "reports" / f"{stem}.report.{suffix}"
+                                for suffix in ("json", "tsv"))
+                stages.append(Stage(
+                    f"score:{condition}:{seed}", reports,
+                    partial(score, stem, predict_name, test, scored),
+                    partial(read_report_scores, reports[0]),
+                    inputs=(predict_name, test)))
+        # Every other scheme is paired with default.
+        for scheme in [s for s in cfg.schemes
+                       if "default" in runs and s.kind != "default"]:
+            analysis_dir = out_dir / "analysis" / \
+                f"{backend.tag}.default-vs-{scheme.tag}"
+            stages.append(Stage(
+                f"analysis:{backend.tag}:default-vs-{scheme.tag}",
+                (analysis_dir / "margins.tsv", analysis_dir / "connectives.tsv"),
+                partial(analyze, analysis_dir, runs["default"], runs[scheme.tag]),
+                lambda: None,  # nothing reads an analysis back
+                inputs=(variants[("default", cfg.eval_split)], *runs["default"],
+                        *runs[scheme.tag]), key=lexicon_key))
+    return stages
 
 
 def cmd_experiment(args) -> int:
     # Every run reads or writes score reports; the other layers load when a
     # stage that is not reused runs.
     from .evaluation import (aggregate_runs, bonferroni, format_results_table,
-                             read_report_scores, wilcoxon_signed_rank)
+                             wilcoxon_signed_rank)
     cfg = load_experiment_config(args.config)
     out_dir = cfg.out_dir
-    pred_dir = out_dir / "predictions"
-    report_dir = out_dir / "reports"
-    for directory in (out_dir / "variants", pred_dir, report_dir):
-        directory.mkdir(parents=True, exist_ok=True)
-
-    def parse(split: str) -> Corpus:
-        from .treebank import load_corpus
-        return load_corpus(cfg.corpus_dir, split, cfg.corpus_name)
+    for directory in ("variants", "predictions", "reports"):
+        (out_dir / directory).mkdir(parents=True, exist_ok=True)
 
     # A split is parsed only when a variants stage builds from it, or to make
     # the ingest summary that a manifest under this run key lacks.
-    train_corpus, eval_corpus = (Lazy(lambda split=split: parse(split))
-                                 for split in (cfg.train_split, cfg.eval_split))
+    @cache
+    def corpus(split: str) -> Corpus:
+        from .treebank import load_corpus
+        return load_corpus(cfg.corpus_dir, split, cfg.corpus_name)
+
     manifest = RunManifest.load_or_create(out_dir / "manifest.json",
                                           cfg.run_key(__version__), __version__)
     if manifest.ingest is None:
         from .context import corpus_label_inventory
         from .treebank import count_instances
         manifest.ingest = {
-            "train_instances": count_instances(train_corpus.get()),
-            "eval_instances": count_instances(eval_corpus.get()),
-            "label_inventory": corpus_label_inventory(train_corpus.get())}
-    inventory = manifest.ingest["label_inventory"]
+            "train_instances": count_instances(corpus(cfg.train_split)),
+            "eval_instances": count_instances(corpus(cfg.eval_split)),
+            "label_inventory": corpus_label_inventory(corpus(cfg.train_split))}
     print(f"ingested {cfg.corpus_name}: "
           f"{cfg.train_split} {manifest.ingest['train_instances']} instances, "
           f"{cfg.eval_split} {manifest.ingest['eval_instances']} instances")
 
-    lexicon = Lazy(lambda: _lexicon(cfg.lexicon))
-    # Only the analysis stages read the lexicon; the tool version covers the
-    # packaged one.
-    lexicon_key = file_key(cfg.lexicon) if cfg.lexicon else ""
-
-    # Each stage kind, declared once.  A stage's inputs are the stage values
-    # it reads; its key digests an input file that only it reads.
-    def variants_stage(scheme: ContextScheme, split: str,
-                       corpus: Lazy[Corpus]) -> Lazy[VariantDataset]:
-        path = out_dir / "variants" / f"{cfg.corpus_name}.{scheme.tag}.{split}.jsonl"
-
-        def run() -> VariantDataset:
-            from .context import build_variant_dataset, write_variant_dataset
-            return _written(write_variant_dataset, build_variant_dataset(
-                corpus.get(), scheme, inventory, shared=extracted), path)
-
-        def load() -> VariantDataset:
-            from .context import read_variant_dataset
-            return read_variant_dataset(path, cfg.corpus_name, inventory)
-        return manifest.stage(f"variants:{scheme.tag}:{split}", [path],
-                              run=run, load=load)
-
-    def predict_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
-                      predictor: Lazy[Callable[[int], PredictionSet]], shared: dict,
-                      source: str | None, endpoint: bool) -> Lazy[PredictionSet]:
-        path = pred_dir / f"{condition}.run{seed}.jsonl"
-
-        def read(path: Path | str) -> PredictionSet:
-            from .inference import import_predictions
-            return import_predictions(path, eval_ds.get(), condition=condition,
-                                      run_id=seed)
-
-        def run() -> PredictionSet:
-            from .inference import write_predictions
-            return _written(write_predictions,
-                            read(source) if source else predictor.get()(seed),
-                            path, shared)
-        # An imported run is read from its source, keyed by the source's bytes.
-        preds = manifest.stage(
-            f"predict:{condition}:{seed}", [path], run=run,
-            load=lambda: read(path), key=file_key(source) if source else "")
-        if endpoint and not preds.reused:
-            manifest.save()  # so a killed run keeps the stage it paid for
-        return preds
-
-    def score_stage(condition: str, seed: int, eval_ds: Lazy[VariantDataset],
-                    preds: Lazy[PredictionSet],
-                    shared: dict) -> Lazy[EvalReport | RunScore]:
-        stem = f"{condition}.run{seed}"
-        reports = [report_dir / f"{stem}.report.json",
-                   report_dir / f"{stem}.report.tsv"]
-        return manifest.stage(
-            f"score:{condition}:{seed}", reports,
-            run=lambda: _score_run(eval_ds.get(), preds.get(), report_dir, stem,
-                                   shared),
-            load=lambda: read_report_scores(reports[0]),
-            inputs=[preds, eval_ds])
-
-    def analysis_stage(backend_tag: str, scheme_tag: str,
-                       runs_a: list[Lazy[PredictionSet]],
-                       runs_b: list[Lazy[PredictionSet]]) -> None:
-        analysis_dir = out_dir / "analysis" / f"{backend_tag}.default-vs-{scheme_tag}"
-        eval_ds = datasets[("default", cfg.eval_split)]
-        manifest.stage(
-            f"analysis:{backend_tag}:default-vs-{scheme_tag}",
-            [analysis_dir / "margins.tsv", analysis_dir / "connectives.tsv"],
-            run=lambda: _analyze_pair(
-                eval_ds.get(), [p.get() for p in runs_a],
-                [p.get() for p in runs_b], lexicon.get(), analysis_dir, shared=hits),
-            load=lambda: None,  # nothing reads an analysis back
-            inputs=[eval_ds, *runs_a, *runs_b], key=lexicon_key)
-
-    extracted: dict = {}  # each split's instances, for its variant of every scheme
-    hits: dict = {}  # connective hits: all analyses read one eval variant, lexicon
+    runner = StageRunner(manifest)
+    stages = experiment_stages(cfg, manifest.ingest["label_inventory"], corpus,
+                               runner.value)
+    aggregates = {}  # by condition
     try:
-        datasets = {(scheme.tag, split): variants_stage(scheme, split, corpus)
-                    for scheme in cfg.schemes
-                    for split, corpus in ((cfg.train_split, train_corpus),
-                                          (cfg.eval_split, eval_corpus))}
-        extracted.clear()  # every variant that is not reused has been built
-        aggregates = []
-        comparisons = []
-        for backend in cfg.backends:
-            # Prediction stages of this backend by scheme tag, in seed order.
-            preds: dict[str, list[Lazy[PredictionSet]]] = {}
-            scores: dict[str, tuple[float, ...]] = {}
-            for scheme in cfg.schemes:
-                condition = f"{scheme.tag}+{backend.tag}"
-                train_ds = datasets[(scheme.tag, cfg.train_split)]
-                eval_ds = datasets[(scheme.tag, cfg.eval_split)]
-                predictor = Lazy(lambda: _predictor(
-                    backend.kind, backend.options, train_ds.get(),
-                    eval_ds.get(), condition, out_dir / "logs"))
-                sources = dict(zip(cfg.seeds, backend.options["runs"][scheme.tag])) \
-                    if backend.kind == "import" else {}
-                written, scored = {}, {}  # what this condition's seeds share
-                preds[scheme.tag] = [
-                    predict_stage(condition, seed, eval_ds, predictor, written,
-                                  sources.get(seed), backend.kind == "endpoint")
-                    for seed in cfg.seeds]
-                agg = aggregate_runs([
-                    score_stage(condition, seed, eval_ds, pred, scored).get()
-                    for seed, pred in zip(cfg.seeds, preds[scheme.tag])])
-                aggregates.append(agg)
-                scores[scheme.tag] = agg.per_run_scores
+        runner.walk(stages)
+    finally:
+        # A run cut short keeps the stages it completed, and prints the
+        # conditions it scored.
+        manifest.save()
+        for condition in (f"{scheme.tag}+{backend.tag}" for backend in cfg.backends
+                          for scheme in cfg.schemes):
+            names = [f"score:{condition}:{seed}" for seed in cfg.seeds]
+            if all(name in manifest.stages for name in names):
+                agg = aggregates[condition] = aggregate_runs(
+                    [runner.value(name) for name in names])
                 print(f"{condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
                       f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
 
-            if "default" not in scores:
-                continue
-            for scheme in cfg.schemes:
-                if scheme.kind == "default":
-                    continue
-                comparisons.append(wilcoxon_signed_rank(
-                    scores[scheme.tag], scores["default"],
-                    comparison=(f"{scheme.tag}+{backend.tag}",
-                                f"default+{backend.tag}")))
-                analysis_stage(backend.tag, scheme.tag, preds["default"],
-                               preds[scheme.tag])
-    finally:
-        # A run cut short keeps the stages it completed.
-        manifest.save()
-
+    # Every other scheme is compared against default, per backend;
     # load_experiment_config has checked bonferroni_m against the comparisons.
-    significance = {}
-    if comparisons:
-        adjusted = bonferroni(comparisons, cfg.bonferroni_m, cfg.alpha)
-        sig_lines = ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted\tsignificant"]
-        for result in adjusted:
-            significance[result.comparison[0]] = result
-            sig_lines.append(
-                f"{result.comparison[0]}\t{result.comparison[1]}"
-                f"\t{result.n_effective}\t{result.w_plus:g}"
-                f"\t{result.p_two_sided:.6g}\t{result.p_adjusted:.6g}"
-                f"\t{result.significant}")
-        (out_dir / "significance.tsv").write_text("\n".join(sig_lines) + "\n",
-                                                  encoding="utf-8")
+    pairs = [(f"{scheme.tag}+{backend.tag}", f"default+{backend.tag}")
+             for backend in cfg.backends for scheme in cfg.schemes
+             if scheme.kind != "default" and f"default+{backend.tag}" in aggregates]
+    comparisons = [wilcoxon_signed_rank(aggregates[a].per_run_scores,
+                                        aggregates[b].per_run_scores, comparison=(a, b))
+                   for a, b in pairs]
+    significance = {result.comparison[0]: result for result in bonferroni(
+        comparisons, cfg.bonferroni_m, cfg.alpha)} if comparisons else {}
+    if significance:
+        (out_dir / "significance.tsv").write_text("".join(
+            ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted\tsignificant\n"] + [
+                f"{r.comparison[0]}\t{r.comparison[1]}\t{r.n_effective}\t{r.w_plus:g}"
+                f"\t{r.p_two_sided:.6g}\t{r.p_adjusted:.6g}\t{r.significant}\n"
+                for r in significance.values()]), encoding="utf-8")
     else:  # an earlier run's table compared conditions this run no longer has
         (out_dir / "significance.tsv").unlink(missing_ok=True)
 
-    table = format_results_table(aggregates, significance)
+    table = format_results_table(list(aggregates.values()), significance)
     (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")
     manifest.remove_dropped(out_dir)  # the outputs of conditions the config dropped
     print(table)

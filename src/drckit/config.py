@@ -15,7 +15,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Generic, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .fields import (INTEGER, NUMBER, STRING, JsonField, check_fields, decode,
@@ -29,9 +29,6 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 BACKEND_KINDS = ("majority", "cue", "endpoint", "import")
-
-T = TypeVar("T")
-
 
 class ConfigError(Exception):
     """The experiment configuration is unusable."""
@@ -286,22 +283,6 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
                                          "bonferroni_m", "alpha") if key in payload})
 
 
-class Lazy(Generic[T]):
-    """A value that ``load()`` makes on first use and then keeps.
-
-    ``reused`` is true for the value of a stage reused in this run.
-    """
-
-    def __init__(self, load: Callable[[], T], reused: bool = False):
-        self._load: Callable[[], T] | None = load
-        self.reused = reused
-
-    def get(self) -> T:
-        if self._load is not None:
-            self._value, self._load = self._load(), None
-        return self._value
-
-
 _MANIFEST_FIELDS = {"stages": map_of(JsonField(
     (dict,), "a stage record", parse=lambda entry: check_fields(entry, {
         "outputs": list_of(STRING, "a list of paths"),
@@ -376,38 +357,6 @@ class RunManifest:
         return sorted(p for p in self.found.difference(
             *(entry["outputs"] for entry in self.stages.values())) if Path(p).exists())
 
-    def stage(self, name: str, outputs: Sequence[Path | str],
-              run: Callable[[], T], load: Callable[[], T],
-              inputs: Sequence[Lazy] = (), key: str = "") -> Lazy[T]:
-        """Run the stage ``name`` unless it is fresh, record it, and return
-        its value: what ``run()`` returned, or ``load()`` on first use.
-
-        A stage is fresh when the loaded manifest has it under the same
-        stage ``key`` (a digest of an input only it reads), the outputs it
-        recorded exist, and every stage value in ``inputs``, those it reads
-        from, was reused in this run.
-        """
-        entry = self.previous.get(name, {})
-        reused = bool(entry) and entry.get("key", "") == key \
-            and all(value.reused for value in inputs) \
-            and all(Path(p).exists() for p in entry["outputs"])
-        if reused:
-            value = Lazy(load, reused=True)
-        else:
-            result = run()
-            value = Lazy(lambda: result)
-        # A reused stage keeps the time it was first completed.
-        completed_at = entry.get("completed_at") if reused else None
-        self.stages[name] = {
-            "outputs": [str(p) for p in outputs],
-            "completed_at": completed_at
-            or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "reused": reused,
-        }
-        if key:
-            self.stages[name]["key"] = key
-        return value
-
     def save(self) -> None:
         """Write the stages recorded in this run to a temporary file, flush
         it to disk and rename it into place, so a crash leaves the old
@@ -423,3 +372,59 @@ class RunManifest:
             sink.flush()
             os.fsync(sink.fileno())
         os.replace(tmp, self.path)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One step of an experiment: ``run()`` makes its ``outputs`` and returns
+    its value, and ``load()`` reads that value back from them.  ``inputs``
+    names the stages its value is made from, ``key`` digests an input file
+    only it reads, and ``checkpoint`` saves the manifest once it has run, so
+    a killed process keeps the work it paid for."""
+
+    name: str
+    outputs: tuple[Path, ...]
+    run: Callable[[], Any]
+    load: Callable[[], Any]
+    inputs: tuple[str, ...] = ()
+    key: str = ""
+    checkpoint: bool = False
+
+
+class StageRunner:
+    """Walks stages in their declared order and records each in ``manifest``:
+    a stage is reused when the loaded manifest has it under the same key,
+    the outputs it recorded exist and every stage in its ``inputs`` was
+    reused in this run; any other stage runs."""
+
+    def __init__(self, manifest: RunManifest):
+        self.manifest = manifest
+        self._values: dict[str, Any] = {}
+        self._loads: dict[str, Callable[[], Any]] = {}
+
+    def value(self, name: str) -> Any:
+        """What the stage ``name`` returned when it ran; for a reused stage,
+        what its ``load`` reads back on first use."""
+        if name not in self._values:
+            self._values[name] = self._loads.pop(name)()
+        return self._values[name]
+
+    def walk(self, stages: Iterable[Stage]) -> None:
+        previous, recorded = self.manifest.previous, self.manifest.stages
+        for stage in stages:
+            entry = previous.get(stage.name, {})
+            reused = bool(entry) and entry.get("key", "") == stage.key \
+                and all(recorded[name]["reused"] for name in stage.inputs) \
+                and all(Path(p).exists() for p in entry["outputs"])
+            if reused:
+                self._loads[stage.name] = stage.load
+            else:
+                self._values[stage.name] = stage.run()
+            recorded[stage.name] = {
+                "outputs": [str(p) for p in stage.outputs],
+                # A reused stage keeps the time it was first completed.
+                "completed_at": reused and entry.get("completed_at")
+                or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "reused": reused, **({"key": stage.key} if stage.key else {})}
+            if stage.checkpoint and not reused:
+                self.manifest.save()

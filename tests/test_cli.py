@@ -20,7 +20,7 @@ from drckit.analysis import (
     write_margins_tsv,
 )
 from drckit.cli import main
-from drckit.config import RunManifest
+from drckit.config import RunManifest, Stage, StageRunner
 from drckit.context import (
     ContextScheme,
     RenderedInstance,
@@ -1016,11 +1016,13 @@ def test_manifest_that_is_no_manifest_is_ignored(tmp_path, caplog, text):
     assert f"{path} is not a run manifest" in caplog.text
 
 
-def run_stage(manifest: RunManifest, name: str, key: str = "") -> bool:
-    """Pass ``name`` through ``manifest``; True if it ran."""
+def run_stage(manifest: RunManifest, name: str, key: str = "",
+              outputs=()) -> bool:
+    """Walk the one stage ``name`` through ``manifest``; True if it ran."""
     ran = []
-    manifest.stage(name, [], run=lambda: ran.append(name), load=lambda: None,
-                   key=key)
+    StageRunner(manifest).walk([Stage(name, tuple(outputs),
+                                      run=lambda: ran.append(name),
+                                      load=lambda: None, key=key)])
     return bool(ran)
 
 
@@ -1062,12 +1064,12 @@ def test_manifest_removes_only_dropped_outputs_under_out_dir(tmp_path):
         path.write_text("x", encoding="utf-8")
     first = RunManifest(out / "manifest.json", "old key", "1.0")
     for name, outputs_ in (("a", [kept, dropped]), ("b", [outside])):
-        first.stage(name, outputs_, run=lambda: None, load=lambda: None)
+        run_stage(first, name, outputs=outputs_)
     first.save()
     # Another run key: the config changed, and no stage is reused.
     second = RunManifest.load_or_create(out / "manifest.json", "new key", "1.0")
     assert second.previous == {}
-    second.stage("a", [kept], run=lambda: None, load=lambda: None)
+    run_stage(second, "a", outputs=[kept])
     second.remove_dropped(out)
     assert kept.exists() and outside.exists()
     assert not dropped.exists() and not (out / "analysis").exists()
@@ -1225,6 +1227,43 @@ def test_cli_call_imports_only_the_layers_it_runs(small_corpus_dir, tmp_path):
     assert not STAGE_LAYERS & loaded
 
 
+def test_declaring_the_stages_runs_nothing(small_corpus_dir, tmp_path,
+                                           monkeypatch):
+    config = experiment_config(
+        tmp_path, small_corpus_dir, backends=[{"kind": "cue"}, {"kind": "majority"}],
+        schemes=("default", "AD1", "OR1"), seeds=[1, 2], m=4)
+    # Declared in a fresh interpreter, with nothing to parse a corpus or give
+    # a stage value: no stage may be run or loaded.
+    root = Path(__file__).resolve().parents[1]
+    code = ("import json, sys\n"
+            "from drckit.cli import experiment_stages\n"
+            "from drckit.config import load_experiment_config\n"
+            "stages = experiment_stages(load_experiment_config(sys.argv[1]), [],\n"
+            "                           corpus=None, value=None)\n"
+            "print(json.dumps([[s.name for s in stages], sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(config)], check=True,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    declared, loaded = json.loads(proc.stdout)
+    assert not STAGE_LAYERS & set(loaded)
+    assert not (tmp_path / "out").exists()
+
+    walked = []  # the stages a cold run records, in the order it walks them
+    save = config_module.RunManifest.save
+
+    def save_and_look(manifest):
+        walked[:] = manifest.stages
+        save(manifest)
+    monkeypatch.setattr(config_module.RunManifest, "save", save_and_look)
+    assert run_cli("experiment", "--config", config) == 0
+    assert walked == declared
+    assert sorted(json.loads((tmp_path / "out" / "manifest.json").read_text(
+        encoding="utf-8"))["stages"]) == sorted(declared)
+    # 3 schemes x 2 splits of variants; per backend, 3 schemes x 2 seeds of
+    # predict and of score stages, and 2 analyses.
+    assert len(declared) == 3 * 2 + 2 * (3 * 2 * 2 + 2)
+
+
 def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,
                                                  capsys):
     config = experiment_config(
@@ -1235,13 +1274,18 @@ def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,
     assert "endpoint error" in capsys.readouterr().err
 
 
-def test_experiment_abort_saves_completed_stages(small_corpus_dir, tmp_path):
+def test_experiment_abort_saves_completed_stages(small_corpus_dir, tmp_path,
+                                                 capsys):
     dead = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m",
             "max_retries": 0, "backoff": 0.001}
     config = experiment_config(tmp_path, small_corpus_dir, seeds=[1], m=2,
                                backends=[{"kind": "cue"}, dead])
-    assert run_cli("experiment", "--config", config) == 3
-    assert run_cli("experiment", "--config", config) == 3
+    for _ in ("cold", "warm"):
+        assert run_cli("experiment", "--config", config) == 3
+        # The conditions scored before the abort are still printed.
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": mean macro-F1 ")[0] for line in lines[1:]] == \
+            ["default+cue", "OR1+cue"]
     stages = json.loads((tmp_path / "out" / "manifest.json").read_text(
         encoding="utf-8"))["stages"]
     kept = [name for name in stages

@@ -11,10 +11,16 @@ perfbench/run.py.  Each is run through a cold, a warm and a partial-warm
 `drckit experiment`, once with the base's src/ and once with this
 checkout's; the partial-warm run follows the deletion of one prediction file
 and one eval variant file (PARTIAL), so it rebuilds a variant from the
-corpus and reads the others back.  The script exits 1 and lists what
-differs unless both give the same exit codes, stdout, stderr and out/ files
-in every phase; out/manifest.json (it holds timestamps) and out/logs/ are
-left out.
+corpus and reads the others back.  A fourth phase, warm-from-base, reruns
+this checkout on the base's cold out/, restored from a copy to where the
+base wrote it: it must reuse every stage and give the base's warm exit
+code, stdout, stderr and out/ files, so an out/ the base wrote stays warm.
+
+The script exits 1 and lists what differs unless both give the same exit
+codes, stdout, stderr and out/ files in every phase, and the same stages in
+out/manifest.json, each reused or run alike.  Of the manifest only the stage
+names and their `reused` flags are compared (it holds timestamps), and
+out/logs/ is left out.
 """
 
 from __future__ import annotations
@@ -60,26 +66,39 @@ def outputs(out_dir: Path) -> dict[str, bytes]:
             if rel != "manifest.json" and not rel.startswith("logs/")}
 
 
-def run_tree(src: Path, run_dir: Path, config: str,
-             deleted: tuple[str, ...]) -> dict[str, object]:
+def run_phase(src: Path, run_dir: Path) -> dict[str, object]:
+    """One experiment in ``run_dir`` with ``src``: what it printed and left
+    behind, with each stage the manifest records and whether it was reused."""
+    call = subprocess.run(
+        [sys.executable, "-c", ENTRY, "experiment", "--config", "experiment.json"],
+        cwd=run_dir, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+    seen: dict[str, object] = {"exit code": call.returncode, "stdout": call.stdout,
+                               "stderr": call.stderr}
+    for rel, data in outputs(run_dir / "out").items():
+        seen[f"out/{rel}"] = data
+    manifest = run_dir / "out" / "manifest.json"
+    if manifest.exists():
+        for name, entry in json.loads(manifest.read_bytes())["stages"].items():
+            seen[f"stage {name} reused"] = entry["reused"]
+    return seen
+
+
+def run_tree(src: Path, run_dir: Path, config: str, deleted: tuple[str, ...],
+             cold_copy: Path | None = None) -> dict[str, object]:
     """A cold, a warm and, once ``deleted`` (paths under out/) are gone, a
-    partial-warm experiment with ``src``: what each left behind."""
+    partial-warm experiment with ``src``: what each left behind.  The run
+    directory as the cold run left it is copied to ``cold_copy``."""
     run_dir.mkdir(parents=True)
     (run_dir / "experiment.json").write_text(config, encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(src)}
     seen: dict[str, object] = {}
     for phase in ("cold", "warm", "partial-warm"):
         if phase == "partial-warm":
             for rel in deleted:
                 (run_dir / "out" / rel).unlink()
-        call = subprocess.run(
-            [sys.executable, "-c", ENTRY, "experiment", "--config", "experiment.json"],
-            cwd=run_dir, env=env, capture_output=True)
-        seen[f"{phase} exit code"] = call.returncode
-        seen[f"{phase} stdout"] = call.stdout
-        seen[f"{phase} stderr"] = call.stderr
-        for rel, data in outputs(run_dir / "out").items():
-            seen[f"{phase} out/{rel}"] = data
+        seen.update((f"{phase} {key}", value)
+                    for key, value in run_phase(src, run_dir).items())
+        if phase == "cold" and cold_copy is not None:
+            shutil.copytree(run_dir, cold_copy)
     return seen
 
 
@@ -90,11 +109,23 @@ def compare(base_src: Path, head_src: Path, work: Path,
     for name, seed, shape, config in cases:
         case_dir = work / f"{name}-{seed}"
         write_corpus(case_dir / "corpus", seed, shape)
-        base = run_tree(base_src, case_dir / "base", config, PARTIAL[name])
+        base_dir, cold_copy = case_dir / "base", case_dir / "base-cold"
+        base = run_tree(base_src, base_dir, config, PARTIAL[name], cold_copy)
         head = run_tree(head_src, case_dir / "head", config, PARTIAL[name])
+        # The head on the base's cold out/, back where the base wrote it (the
+        # manifest lists absolute paths), must do what the base's warm run did.
+        shutil.rmtree(base_dir)
+        cold_copy.rename(base_dir)
+        head.update((f"warm-from-base {key}", value)
+                    for key, value in run_phase(head_src, base_dir).items())
+        base.update((f"warm-from-base {key[len('warm '):]}", value)
+                    for key, value in list(base.items()) if key.startswith("warm "))
         for key in sorted(base.keys() | head.keys()):
             if base.get(key) != head.get(key):
                 differences.append(f"{name} seed {seed}: {key} differs")
+        differences.extend(f"{name} seed {seed}: {key} is {value}, not True"
+                           for key, value in sorted(head.items())
+                           if key.startswith("warm-from-base stage ") and value is not True)
         print(f"{name} seed {seed}: {len(head)} outputs compared", flush=True)
     return differences
 
