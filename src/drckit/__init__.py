@@ -24,7 +24,7 @@ _EXPORTS = {
     "context": (
         "RenderedInstance", "VariantDataset", "build_variant_dataset",
         "corpus_label_inventory", "read_variant_dataset", "render_instance",
-        "select_context", "write_variant_dataset"),
+        "write_variant_dataset"),
     "endpoint": ("EndpointConfig", "EndpointError", "run_endpoint_inference"),
     "evaluation": (
         "EvalReport", "RunAggregate", "SignificanceResult", "aggregate_runs",

@@ -80,29 +80,16 @@ class VariantDataset:
         return dict(self._gold)  # a copy of the one dict built per dataset
 
 
-def select_context(tree: DiscourseTree, instance: RelationInstance,
-                   scheme: ContextScheme,
-                   include_relations: bool = False) -> list[str]:
-    """Pick the context fragments for one instance, in reading order.
+def context_fragments(tree: DiscourseTree, arg1_edu_id: int, scheme: ContextScheme,
+                      include_relations: bool = False) -> list[str]:
+    """Pick the context fragments for the instance whose first argument is
+    EDU ``arg1_edu_id`` of ``tree``, in reading order.
 
     Oracle fragments come back furthest-ancestor-first so the concatenated
     text reads top-down; Add fragments are whole preceding sentences in
     document order.  ``include_relations`` prefixes oracle fragments with
     the relation label of the linked edge, off by default.
     """
-    if instance.doc_id != tree.doc_id:
-        raise ValueError(f"instance {instance.instance_id} does not belong "
-                         f"to document {tree.doc_id}")
-    dep = tree.edu(instance.arg2_edu_id)
-    if dep.head_id != instance.arg1_edu_id:
-        raise ValueError(f"instance {instance.instance_id} is inconsistent "
-                         f"with tree {tree.doc_id}")
-    return _fragments(tree, instance.arg1_edu_id, scheme, include_relations)
-
-
-def _fragments(tree: DiscourseTree, arg1_edu_id: int, scheme: ContextScheme,
-               include_relations: bool) -> list[str]:
-    """select_context for an instance known to come from ``tree``."""
     if scheme.kind == "default":
         return []
     if scheme.kind == "add":
@@ -159,8 +146,8 @@ def build_variant_dataset(corpus: Corpus, scheme: ContextScheme,
     shared = {} if shared is None else shared
     if id(corpus) not in shared:  # an entry holds the corpus it is keyed by
         shared[id(corpus)] = corpus, [(t, extract_instances(t)) for t in corpus.trees]
-    rendered = [render_instance(inst, _fragments(tree, inst.arg1_edu_id, scheme,
-                                                 include_relations))
+    rendered = [render_instance(inst, context_fragments(
+                    tree, inst.arg1_edu_id, scheme, include_relations))
                 for tree, insts in shared[id(corpus)][1] for inst in insts]
     return VariantDataset(corpus.name, scheme, corpus.split, rendered,
                           label_inventory)

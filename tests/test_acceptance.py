@@ -27,8 +27,8 @@ from drckit.analysis import (
 from drckit.context import (
     ContextScheme,
     build_variant_dataset,
+    context_fragments,
     corpus_label_inventory,
-    select_context,
 )
 from drckit.evaluation import score, wilcoxon_signed_rank
 from drckit.inference import (
@@ -205,17 +205,20 @@ def test_c5_context_scheme_correctness(worked_example_tree):
                 for n in (1, 2, 3):
                     expected = [texts[i] for i in reversed(
                         path_to_root(records, inst.arg1_edu_id)[:n])]
-                    got = select_context(tree, inst, ContextScheme("oracle", n))
+                    got = context_fragments(tree, inst.arg1_edu_id,
+                                            ContextScheme("oracle", n))
                     assert got == expected, (tree.doc_id, inst.instance_id, n)
                 ad_expected = preceding_sentences(records, inst.arg1_edu_id, 1)
-                assert select_context(tree, inst, ContextScheme("add", 1)) \
+                assert context_fragments(tree, inst.arg1_edu_id,
+                                         ContextScheme("add", 1)) \
                     == ad_expected, (tree.doc_id, inst.instance_id)
                 checked += 1
         assert checked > 100
 
         worked = [i for i in extract_instances(worked_example_tree)
                   if i.arg2_edu_id == 4]
-        fragments = select_context(worked_example_tree, worked[0], OR1)
+        fragments = context_fragments(worked_example_tree, worked[0].arg1_edu_id,
+                                      OR1)
         assert fragments == ["that is efficient ..."]
 
 

@@ -11,10 +11,10 @@ from drckit.context import (
     RenderedInstance,
     VariantDataset,
     build_variant_dataset,
+    context_fragments,
     corpus_label_inventory,
     read_variant_dataset,
     render_instance,
-    select_context,
     write_variant_dataset,
 )
 from drckit.endpoint import _load_results_log
@@ -74,7 +74,7 @@ def test_scheme_invariants():
 
 def test_worked_example_oracle_context(worked_example_tree):
     inst = instance_by_dependent(worked_example_tree, 4)
-    fragments = select_context(worked_example_tree, inst, OR1)
+    fragments = context_fragments(worked_example_tree, inst.arg1_edu_id, OR1)
     assert fragments == ["that is efficient ..."]
     rendered = render_instance(inst, fragments)
     assert rendered.model_input == ("that is efficient ... "
@@ -85,30 +85,30 @@ def test_oracle_empty_for_root_attached_arg1(worked_example_tree):
     # dependent 2's head is EDU 1... use the chain where e1 hangs off ROOT
     tree = tree_from(chain_records(3), "chain")
     inst = instance_by_dependent(tree, 2)  # arg1 = e1, attached to ROOT
-    assert select_context(tree, inst, OR1) == []
+    assert context_fragments(tree, inst.arg1_edu_id, OR1) == []
 
 
 def test_oracle_stops_at_root_on_short_chain():
     tree = tree_from(chain_records(3), "chain")
     inst = instance_by_dependent(tree, 3)  # arg1 = e2
-    assert select_context(tree, inst, OR2) == ["unit 1 ."]
+    assert context_fragments(tree, inst.arg1_edu_id, OR2) == ["unit 1 ."]
 
 
 def test_oracle_orders_fragments_root_first(worked_example_tree):
     inst = instance_by_dependent(worked_example_tree, 4)
-    fragments = select_context(worked_example_tree, inst, OR2)
+    fragments = context_fragments(worked_example_tree, inst.arg1_edu_id, OR2)
     # ancestors of arg1 (EDU 3) are [2]; EDU 2 attaches to ROOT directly
     assert fragments == ["that is efficient ..."]
     deep = tree_from(chain_records(5), "deep")
     inst = instance_by_dependent(deep, 5)  # arg1 = e4
-    assert select_context(deep, inst, ContextScheme("oracle", 3)) == \
+    assert context_fragments(deep, inst.arg1_edu_id, ContextScheme("oracle", 3)) == \
         ["unit 1 .", "unit 2 .", "unit 3 ."]
 
 
 def test_add_empty_in_first_sentence():
     tree = tree_from(chain_records(3), "chain")
     inst = instance_by_dependent(tree, 2)  # arg1 = e1, sentence 0
-    assert select_context(tree, inst, AD1) == []
+    assert context_fragments(tree, inst.arg1_edu_id, AD1) == []
 
 
 def test_add_takes_whole_preceding_sentence():
@@ -121,23 +121,17 @@ def test_add_takes_whole_preceding_sentence():
     ]
     tree = tree_from(records, "sents")
     inst = instance_by_dependent(tree, 4)  # arg1 = e3 in sentence 1
-    assert select_context(tree, inst, AD1) == ["first part , same sentence ."]
-    assert select_context(tree, inst, ContextScheme("add", 2)) == \
+    assert context_fragments(tree, inst.arg1_edu_id, AD1) == \
+        ["first part , same sentence ."]
+    assert context_fragments(tree, inst.arg1_edu_id, ContextScheme("add", 2)) == \
         ["first part , same sentence ."]
 
 
 def test_include_relations_flag(worked_example_tree):
     inst = instance_by_dependent(worked_example_tree, 4)
-    fragments = select_context(worked_example_tree, inst, OR1,
-                               include_relations=True)
+    fragments = context_fragments(worked_example_tree, inst.arg1_edu_id, OR1,
+                                  include_relations=True)
     assert fragments == ["(ROOT) that is efficient ..."]
-
-
-def test_instance_tree_mismatch(worked_example_tree):
-    other = tree_from(chain_records(3), "other")
-    inst = instance_by_dependent(other, 3)
-    with pytest.raises(ValueError, match="does not belong"):
-        select_context(worked_example_tree, inst, OR1)
 
 
 def test_render_empty_fragments(worked_example_tree):
@@ -164,7 +158,8 @@ def test_oracle_matches_path_to_root_traversal():
             for n in (1, 2, 3):
                 expected = [texts[i] for i in
                             reversed(path_to_root(records, inst.arg1_edu_id)[:n])]
-                got = select_context(tree, inst, ContextScheme("oracle", n))
+                got = context_fragments(tree, inst.arg1_edu_id,
+                                        ContextScheme("oracle", n))
                 assert got == expected
 
 
@@ -174,7 +169,7 @@ def test_add_matches_preceding_sentence_oracle():
         records = raw[tree.doc_id]
         for inst in extract_instances(tree):
             expected = preceding_sentences(records, inst.arg1_edu_id, 1)
-            assert select_context(tree, inst, AD1) == expected
+            assert context_fragments(tree, inst.arg1_edu_id, AD1) == expected
 
 
 def test_scheme_monotonicity():
@@ -183,8 +178,10 @@ def test_scheme_monotonicity():
         for inst in extract_instances(tree):
             for kind in ("oracle", "add"):
                 for n in (1, 2):
-                    small = select_context(tree, inst, ContextScheme(kind, n))
-                    big = select_context(tree, inst, ContextScheme(kind, n + 1))
+                    small = context_fragments(tree, inst.arg1_edu_id,
+                                              ContextScheme(kind, n))
+                    big = context_fragments(tree, inst.arg1_edu_id,
+                                            ContextScheme(kind, n + 1))
                     if small:
                         assert big[-len(small):] == small
                     assert len(big) >= len(small)
@@ -458,7 +455,7 @@ SCHEMES = [ContextScheme(kind, n) for kind in ("add", "oracle")
 @settings(max_examples=20, deadline=None)
 @given(legal_records())
 def test_context_matches_oracles_on_random_trees(records):
-    """select_context and build_variant_dataset agree with the oracles."""
+    """context_fragments and build_variant_dataset agree with the oracles."""
     corpus = Corpus("prop", "test", (tree_from(records, "prop"),))
     tree = corpus.trees[0]
     instances = extract_instances(tree)
@@ -471,7 +468,7 @@ def test_context_matches_oracles_on_random_trees(records):
                   for head in {i.arg1_edu_id for i in instances}}
         for rendered, inst in zip(dataset.instances, instances):
             expected = oracle[inst.arg1_edu_id]
-            assert select_context(tree, inst, scheme) == expected
+            assert context_fragments(tree, inst.arg1_edu_id, scheme) == expected
             assert rendered.context_text == " ".join(expected)
 
 
