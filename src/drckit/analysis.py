@@ -204,10 +204,16 @@ def first_connective_token(text: str) -> str:
     """First whitespace token after lowercasing and punctuation stripping.
 
     Tokens that are pure punctuation (an opening bracket, a quote) are
-    skipped, so "( CC )" yields "cc".
+    skipped, so "( CC )" yields "cc".  The text is split one token at a
+    time, as the cue baseline keys every instance, context included, by it.
     """
-    tokens = _normalized_tokens(text, 1)
-    return tokens[0] if tokens else ""
+    parts = text.split(None, 1)
+    while parts:
+        token = parts[0].lower().strip(_PUNCT)
+        if token:
+            return token
+        parts = parts[1].split(None, 1) if len(parts) > 1 else []
+    return ""
 
 
 def _matches(arg2_text: str, lexicon: ConnectiveLexicon, multiword: bool) -> bool:

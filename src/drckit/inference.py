@@ -16,6 +16,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .analysis import first_connective_token
 from .context import RenderedInstance, VariantDataset
 from .fields import INTEGER, STRING, read_records
 
@@ -145,19 +146,14 @@ class BaselineModel:
     cue_table: Mapping[tuple[str, ...], str] = field(default_factory=dict)
 
 
-def _first_token(text: str) -> str:
-    # Lowercase only the first token: lowercasing makes and removes no
-    # whitespace, so this is text.lower().split()[0].
-    parts = text.split(None, 1)
-    return parts[0].lower() if parts else ""
-
-
 def _cue_key(inst: RenderedInstance) -> tuple[str, ...]:
-    # The cue is the first token of arg2, joined by the first context token
-    # when the instance carries context.
+    # The cue is the first word of arg2, joined by the first word of the
+    # context when the instance carries context, each read by the one rule
+    # the connective analysis reads words by: "However," is "however".
     if inst.context_text:
-        return (_first_token(inst.arg2_text), _first_token(inst.context_text))
-    return (_first_token(inst.arg2_text),)
+        return (first_connective_token(inst.arg2_text),
+                first_connective_token(inst.context_text))
+    return (first_connective_token(inst.arg2_text),)
 
 
 def _most_frequent(counter: Counter) -> str:

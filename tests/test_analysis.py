@@ -15,6 +15,7 @@ from drckit.analysis import (
     WINNING,
     ConnectiveLexicon,
     PairedOutcome,
+    _PUNCT,
     _matches,
     connective_match_rate,
     default_lexicon,
@@ -196,6 +197,21 @@ def test_lexicon_indented_comment_is_not_an_entry(tmp_path):
 ])
 def test_first_connective_token(text, token):
     assert first_connective_token(text) == token
+
+
+# Every character str.split() splits on, and letters whose lowercase is
+# longer or depends on the letters around them.
+SPACES = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(SPACES + "ΣσςİIßẞΑβ" + _PUNCT),
+                         st.characters()), max_size=12))
+def test_first_connective_token_reads_the_lowercased_text(text):
+    # It splits and lowercases one word at a time; the rule it keeps is the
+    # first word of the lowercased text that is not all punctuation.
+    words = [word.strip(_PUNCT) for word in text.lower().split()]
+    assert first_connective_token(text) == next(filter(None, words), "")
 
 
 def make_instances(rows):

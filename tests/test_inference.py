@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from drckit.context import ContextScheme, RenderedInstance, VariantDataset
+from drckit.context import (ContextScheme, RenderedInstance, VariantDataset,
+                            build_variant_dataset)
+from drckit.evaluation import score
 from drckit.inference import (
     UNPARSED,
     ICLExample,
-    _first_token,
     PredictionSet,
     PromptSpec,
     build_prompt,
@@ -22,6 +23,9 @@ from drckit.inference import (
     train_baseline,
     write_predictions,
 )
+from drckit.treebank import Corpus
+
+from conftest import tree_from
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -243,17 +247,30 @@ def test_cue_baseline_uses_context_token():
     assert preds.records == {"t:001": "condition", "t:002": "contrast"}
 
 
-# Every character str.split() splits on, and letters whose lowercase is
-# longer or depends on the letters around them.
-SPACES = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())
+def test_cue_baseline_reads_however_with_and_without_comma_as_one_cue():
+    # The connective analysis's first-word rule: case and punctuation aside,
+    # "However," and "however" open their EDUs with one word.
+    def corpus(split, dependents):
+        return Corpus("hw", split, tuple(tree_from(
+            [(0, -1, "null", "ROOT"), (1, 0, "ROOT", f"we study problem {k} ."),
+             (2, 1, label, text)], f"{split}{k}")
+            for k, (label, text) in enumerate(dependents)))
 
-
-@settings(max_examples=300, deadline=None)
-@given(st.text(st.one_of(st.sampled_from(SPACES + "ΣσςİIßẞΑβ"),
-                         st.characters()), max_size=12))
-def test_first_token_is_lowercased_first_word(text):
-    words = text.lower().split()
-    assert _first_token(text) == (words[0] if words else "")
+    train = corpus("train", [("contrast", "However, the gain vanishes ."),
+                             ("contrast", "However, it is slow ."),
+                             ("condition", "if the graph is sparse ."),
+                             ("condition", "if n is small ."),
+                             ("condition", "if it halts .")])
+    test = corpus("test", [("contrast", "however the bound is loose ."),
+                           ("contrast", "however it holds ."),
+                           ("condition", "if the graph is dense ."),
+                           ("condition", "if n is large .")])
+    train_ds = build_variant_dataset(train, DEFAULT)
+    model = train_baseline(train_ds, "cue")
+    assert set(model.cue_table) == {("however",), ("if",)}
+    test_ds = build_variant_dataset(test, DEFAULT, train_ds.label_inventory)
+    preds = predict_baseline(model, test_ds, "default+cue")
+    assert score(test_ds, preds).macro_f1 == 1.0
 
 
 def test_baselines_are_pure():
