@@ -311,12 +311,12 @@ def cmd_analyze(args) -> int:
 def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                       corpus: Callable[[str], Corpus],
                       value: Callable[[str], object]) -> list[Stage]:
-    """The stages of the experiment ``cfg`` in the order they run, none run.
+    """The stages of the experiment ``cfg``, in the order they run.
 
     ``inventory`` is the train split's labels, ``corpus(split)`` parses a
     split, and ``value(name)`` is the value of a stage that has run or been
-    reused.  Declaring reads only the files that stage keys digest: the
-    lexicon and imported prediction files.
+    reused.  Declaring runs no stage and reads only the files that stage
+    keys digest: the lexicon and imported prediction files.
     """
     from .evaluation import read_report_scores  # every experiment reads reports
     out_dir, splits = cfg.out_dir, (cfg.train_split, cfg.eval_split)
@@ -324,7 +324,13 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
     # packaged one.
     lexicon = cache(lambda: _lexicon(cfg.lexicon))
     lexicon_key = file_key(cfg.lexicon) if cfg.lexicon else ""
-    extracted: dict = {}  # each split's instances, for its variant of every scheme
+    # Each split's instances, for its variant of every scheme; the split's
+    # last variant stage drops them.
+    extracted: dict = {}
+    # The last predictions' file lines, for the seeds that share them: it
+    # holds one condition's at a time, as a condition's predict stages run
+    # one after another.
+    written: dict = {}
     hits: dict = {}  # connective hits: all analyses read one eval variant, lexicon
 
     # What each stage kind does, given the arguments its declaration binds.
@@ -332,6 +338,8 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
         from .context import build_variant_dataset, write_variant_dataset
         dataset = build_variant_dataset(corpus(split), scheme, inventory,
                                         shared=extracted)
+        if scheme == cfg.schemes[-1]:
+            extracted.pop(id(corpus(split)))
         write_variant_dataset(dataset, path)
         return dataset
 
@@ -380,7 +388,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
             sources = dict(zip(cfg.seeds, backend.options["runs"][scheme.tag])) \
                 if backend.kind == "import" else {}
             predictor = cache(partial(make_predictor, backend, condition, train, test))
-            written, scored = {}, {}  # what this condition's seeds share
+            scored = {}  # the reports of the predictions this condition's seeds share
             runs[scheme.tag] = [f"predict:{condition}:{seed}" for seed in cfg.seeds]
             for seed, name in zip(cfg.seeds, runs[scheme.tag]):
                 path = out_dir / "predictions" / f"{condition}.run{seed}.jsonl"
@@ -473,14 +481,19 @@ def cmd_experiment(args) -> int:
     comparisons = [wilcoxon_signed_rank(aggregates[a].per_run_scores,
                                         aggregates[b].per_run_scores, comparison=(a, b))
                    for a, b in pairs]
-    significance = {result.comparison[0]: result for result in bonferroni(
-        comparisons, cfg.bonferroni_m, cfg.alpha)} if comparisons else {}
-    if significance:
-        (out_dir / "significance.tsv").write_text("".join(
-            ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted\tsignificant\n"] + [
-                f"{r.comparison[0]}\t{r.comparison[1]}\t{r.n_effective}\t{r.w_plus:g}"
-                f"\t{r.p_two_sided:.6g}\t{r.p_adjusted:.6g}\t{r.significant}\n"
-                for r in significance.values()]), encoding="utf-8")
+    significance = {}
+    if comparisons:
+        adjusted = bonferroni(comparisons, cfg.bonferroni_m, cfg.alpha)
+        sig_lines = ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted\tsignificant"]
+        for result in adjusted:
+            significance[result.comparison[0]] = result
+            sig_lines.append(
+                f"{result.comparison[0]}\t{result.comparison[1]}"
+                f"\t{result.n_effective}\t{result.w_plus:g}"
+                f"\t{result.p_two_sided:.6g}\t{result.p_adjusted:.6g}"
+                f"\t{result.significant}")
+        (out_dir / "significance.tsv").write_text("\n".join(sig_lines) + "\n",
+                                                  encoding="utf-8")
     else:  # an earlier run's table compared conditions this run no longer has
         (out_dir / "significance.tsv").unlink(missing_ok=True)
 
