@@ -324,13 +324,8 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
     # packaged one.
     lexicon = cache(lambda: _lexicon(cfg.lexicon))
     lexicon_key = file_key(cfg.lexicon) if cfg.lexicon else ""
-    # Each split's instances, for its variant of every scheme; the split's
-    # last variant stage drops them.
-    extracted: dict = {}
-    # The last predictions' file lines, for the seeds that share them: it
-    # holds one condition's at a time, as a condition's predict stages run
-    # one after another.
-    written: dict = {}
+    extracted: dict = {}  # each split's instances, until its last variant is built
+    written: dict = {}  # the last predictions' file lines, for the seeds sharing them
     hits: dict = {}  # connective hits: all analyses read one eval variant, lexicon
 
     # What each stage kind does, given the arguments its declaration binds.
@@ -355,7 +350,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
         from .inference import import_predictions
         return import_predictions(path, value(test), condition=condition, run_id=seed)
 
-    def predict(path, condition, seed, test, source, predictor, written):
+    def predict(path, condition, seed, test, source, predictor):
         from .inference import write_predictions
         preds = read_run(source, condition, seed, test) if source \
             else predictor()(seed)
@@ -395,8 +390,8 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                 # An imported run is read from its source, keyed by the source's bytes.
                 source = sources.get(seed)
                 stages.append(Stage(
-                    name, (path,), partial(predict, path, condition, seed, test, source,
-                                           predictor, written),
+                    name, (path,),
+                    partial(predict, path, condition, seed, test, source, predictor),
                     partial(read_run, path, condition, seed, test),
                     key=file_key(source) if source else "",
                     checkpoint=backend.kind == "endpoint"))
@@ -409,7 +404,6 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                     partial(score, stem, predict_name, test, scored),
                     partial(read_report_scores, reports[0]),
                     inputs=(predict_name, test)))
-        # Every other scheme is paired with default.
         for scheme in [s for s in cfg.schemes
                        if "default" in runs and s.kind != "default"]:
             analysis_dir = out_dir / "analysis" / \

@@ -30,6 +30,7 @@ SCHEMA_VERSION = 1
 
 BACKEND_KINDS = ("majority", "cue", "endpoint", "import")
 
+
 class ConfigError(Exception):
     """The experiment configuration is unusable."""
 
@@ -378,9 +379,9 @@ class RunManifest:
 class Stage:
     """One step of an experiment: ``run()`` makes its ``outputs`` and returns
     its value, and ``load()`` reads that value back from them.  ``inputs``
-    names the stages its value is made from, ``key`` digests an input file
-    only it reads, and ``checkpoint`` saves the manifest once it has run, so
-    a killed process keeps the work it paid for."""
+    names the earlier stages its value is made from, ``key`` digests an
+    input file only it reads, and ``checkpoint`` saves the manifest once it
+    has run, so a killed process keeps the work it paid for."""
 
     name: str
     outputs: tuple[Path, ...]
