@@ -123,9 +123,10 @@ def compare(base_src: Path, head_src: Path, work: Path,
         for key in sorted(base.keys() | head.keys()):
             if base.get(key) != head.get(key):
                 differences.append(f"{name} seed {seed}: {key} differs")
-        differences.extend(f"{name} seed {seed}: {key} is {value}, not True"
-                           for key, value in sorted(head.items())
-                           if key.startswith("warm-from-base stage ") and value is not True)
+        differences.extend(
+            f"{name} seed {seed}: {key} is {value}, not True"
+            for key, value in sorted(head.items())
+            if key.startswith("warm-from-base stage ") and value is not True)
         print(f"{name} seed {seed}: {len(head)} outputs compared", flush=True)
     return differences
 
