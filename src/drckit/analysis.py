@@ -13,9 +13,10 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from operator import eq, sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .context import RenderedInstance
@@ -189,36 +190,28 @@ def default_lexicon() -> ConnectiveLexicon:
     return _parse_lexicon(text, "builtin")
 
 
-def _normalized_tokens(text: str, limit: int = 4) -> list[str]:
-    tokens = []
-    for token in text.lower().split():
-        token = token.strip(_PUNCT)
-        if token:
-            tokens.append(token)
-        if len(tokens) >= limit:
-            break
-    return tokens
-
-
-def first_connective_token(text: str) -> str:
-    """First whitespace token after lowercasing and punctuation stripping.
-
-    Tokens that are pure punctuation (an opening bracket, a quote) are
-    skipped, so "( CC )" yields "cc".  The text is split one token at a
-    time, as the cue baseline keys every instance, context included, by it.
-    """
+def _normalized_tokens(text: str) -> Iterator[str]:
+    """The whitespace tokens of ``text``, lowercased and stripped of
+    punctuation, less those that were only punctuation.  The text is split
+    one token at a time, as the cue baseline keys every instance, context
+    included, by the first."""
     parts = text.split(None, 1)
     while parts:
         token = parts[0].lower().strip(_PUNCT)
         if token:
-            return token
+            yield token
         parts = parts[1].split(None, 1) if len(parts) > 1 else []
-    return ""
+
+
+def first_connective_token(text: str) -> str:
+    """First token of ``text`` after lowercasing and punctuation stripping,
+    so "( CC )" yields "cc"; "" if there is none."""
+    return next(_normalized_tokens(text), "")
 
 
 def _matches(arg2_text: str, lexicon: ConnectiveLexicon, multiword: bool) -> bool:
     if multiword:
-        tokens = _normalized_tokens(arg2_text)
+        tokens = list(islice(_normalized_tokens(arg2_text), 4))
         for end in range(len(tokens), 0, -1):
             if " ".join(tokens[:end]) in lexicon:
                 return True

@@ -22,12 +22,12 @@ from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, TAG, ConfigError, ContextSc
 
 # Each layer is imported where one of its stages, subcommands or error
 # branches runs, so a call loads only the layers it uses: a rerun with
-# nothing changed loads none of treebank, context, inference, endpoint and
-# analysis.
+# nothing changed loads none of treebank, context, inference, endpoint,
+# evaluation and analysis.
 if TYPE_CHECKING:
     from .analysis import ConnectiveLexicon, ConnectiveMatchReport, RelationMargin
     from .context import VariantDataset
-    from .evaluation import EvalReport
+    from .evaluation import EvalReport, RunAggregate
     from .inference import PredictionSet
     from .treebank import Corpus
 
@@ -208,13 +208,16 @@ def cmd_evaluate(args) -> int:
         print(f"{report.condition} run {report.run_id}: "
               f"macro-F1 {report.macro_f1:.4f}, accuracy {report.accuracy:.4f}")
         by_condition.setdefault(report.condition, []).append(report)
-    for condition, group in by_condition.items():
+    for group in by_condition.values():
         if len(group) > 1:
-            agg = aggregate_runs(group)
-            print(f"{condition}: mean macro-F1 "
-                  f"{100 * agg.mean_macro_f1:.2f} ({100 * agg.stddev:.2f}) "
-                  f"over {agg.n_runs} runs")
+            print(_mean_line(aggregate_runs(group)))
     return EXIT_OK
+
+
+def _mean_line(agg: RunAggregate) -> str:
+    """The line ``evaluate`` and ``experiment`` print for a condition's runs."""
+    return (f"{agg.condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
+            f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
 
 
 def _pair_by_run_id(runs_a: list[tuple[int, T]], runs_b: list[tuple[int, T]]
@@ -318,7 +321,6 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
     reused.  Declaring runs no stage and reads only the files that stage
     keys digest: the lexicon and imported prediction files.
     """
-    from .evaluation import read_report_scores  # every experiment reads reports
     out_dir, splits = cfg.out_dir, (cfg.train_split, cfg.eval_split)
     # Only the analysis stages read the lexicon; the tool version covers the
     # packaged one.
@@ -360,13 +362,47 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
     def score(stem, preds, test, scored):
         return _score_run(value(test), value(preds), out_dir / "reports", stem, scored)
 
+    def read_score(path):
+        from .evaluation import read_report_scores
+        return read_report_scores(path)
+
     def analyze(analysis_dir, runs_a, runs_b):
         _analyze_pair(value(variants[("default", cfg.eval_split)]),
                       [value(name) for name in runs_a],
                       [value(name) for name in runs_b], lexicon(), analysis_dir,
                       shared=hits)
 
+    def summarize(conditions, comparisons):
+        from .evaluation import (aggregate_runs, bonferroni, format_results_table,
+                                 wilcoxon_signed_rank)
+        aggregates = {condition: aggregate_runs([value(name) for name in names])
+                      for condition, names in conditions.items()}
+        significance = {}
+        if comparisons:  # load_experiment_config has checked bonferroni_m
+            results = [wilcoxon_signed_rank(aggregates[a].per_run_scores,
+                                            aggregates[b].per_run_scores,
+                                            comparison=(a, b))
+                       for a, b in comparisons]
+            sig_lines = ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted"
+                         "\tsignificant"]
+            for result in bonferroni(results, cfg.bonferroni_m, cfg.alpha):
+                significance[result.comparison[0]] = result
+                sig_lines.append(
+                    f"{result.comparison[0]}\t{result.comparison[1]}"
+                    f"\t{result.n_effective}\t{result.w_plus:g}"
+                    f"\t{result.p_two_sided:.6g}\t{result.p_adjusted:.6g}"
+                    f"\t{result.significant}")
+            (out_dir / "significance.tsv").write_text("\n".join(sig_lines) + "\n",
+                                                      encoding="utf-8")
+        else:  # a manifest written before this stage existed does not list it
+            (out_dir / "significance.tsv").unlink(missing_ok=True)
+        table = format_results_table(list(aggregates.values()), significance)
+        (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")
+        return "\n".join([*map(_mean_line, aggregates.values()), table])
+
     stages, variants = [], {}
+    conditions = {}  # the score stages of each condition, in seed order
+    comparisons = []  # (condition, its default condition), as the analyses pair them
     for scheme in cfg.schemes:
         for split in splits:
             path = out_dir / "variants" / \
@@ -395,15 +431,15 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                     partial(read_run, path, condition, seed, test),
                     key=file_key(source) if source else "",
                     checkpoint=backend.kind == "endpoint"))
-            for seed, predict_name in zip(cfg.seeds, runs[scheme.tag]):
+            conditions[condition] = [f"score:{condition}:{seed}" for seed in cfg.seeds]
+            for seed, predict_name, name in zip(cfg.seeds, runs[scheme.tag],
+                                                conditions[condition]):
                 stem = f"{condition}.run{seed}"
                 reports = tuple(out_dir / "reports" / f"{stem}.report.{suffix}"
                                 for suffix in ("json", "tsv"))
                 stages.append(Stage(
-                    f"score:{condition}:{seed}", reports,
-                    partial(score, stem, predict_name, test, scored),
-                    partial(read_report_scores, reports[0]),
-                    inputs=(predict_name, test)))
+                    name, reports, partial(score, stem, predict_name, test, scored),
+                    partial(read_score, reports[0]), inputs=(predict_name, test)))
         for scheme in [s for s in cfg.schemes
                        if "default" in runs and s.kind != "default"]:
             analysis_dir = out_dir / "analysis" / \
@@ -415,14 +451,19 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                 lambda: None,  # nothing reads an analysis back
                 inputs=(variants[("default", cfg.eval_split)], *runs["default"],
                         *runs[scheme.tag]), key=lexicon_key))
+            comparisons.append((f"{scheme.tag}+{backend.tag}",
+                                f"default+{backend.tag}"))
+    summary = [out_dir / "results_table.txt"]
+    if comparisons:
+        summary.append(out_dir / "significance.tsv")
+    # The run key covers alpha and bonferroni_m, the only settings it reads.
+    stages.append(Stage(
+        "summary", tuple(summary), partial(summarize, conditions, comparisons),
+        inputs=tuple(name for names in conditions.values() for name in names)))
     return stages
 
 
 def cmd_experiment(args) -> int:
-    # Every run reads or writes score reports; the other layers load when a
-    # stage that is not reused runs.
-    from .evaluation import (aggregate_runs, bonferroni, format_results_table,
-                             wilcoxon_signed_rank)
     cfg = load_experiment_config(args.config)
     out_dir = cfg.out_dir
     for directory in ("variants", "predictions", "reports"):
@@ -451,50 +492,22 @@ def cmd_experiment(args) -> int:
     runner = StageRunner(manifest)
     stages = experiment_stages(cfg, manifest.ingest["label_inventory"], corpus,
                                runner.value)
-    aggregates = {}  # by condition
     try:
         runner.walk(stages)
     finally:
         # A run cut short keeps the stages it completed, and prints the
         # conditions it scored.
         manifest.save()
-        for condition in (f"{scheme.tag}+{backend.tag}" for backend in cfg.backends
-                          for scheme in cfg.schemes):
-            names = [f"score:{condition}:{seed}" for seed in cfg.seeds]
-            if all(name in manifest.stages for name in names):
-                agg = aggregates[condition] = aggregate_runs(
-                    [runner.value(name) for name in names])
-                print(f"{condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
-                      f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
-
-    # Every other scheme is compared against default, per backend;
-    # load_experiment_config has checked bonferroni_m against the comparisons.
-    pairs = [(f"{scheme.tag}+{backend.tag}", f"default+{backend.tag}")
-             for backend in cfg.backends for scheme in cfg.schemes
-             if scheme.kind != "default" and f"default+{backend.tag}" in aggregates]
-    comparisons = [wilcoxon_signed_rank(aggregates[a].per_run_scores,
-                                        aggregates[b].per_run_scores, comparison=(a, b))
-                   for a, b in pairs]
-    significance = {}
-    if comparisons:
-        adjusted = bonferroni(comparisons, cfg.bonferroni_m, cfg.alpha)
-        sig_lines = ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted\tsignificant"]
-        for result in adjusted:
-            significance[result.comparison[0]] = result
-            sig_lines.append(
-                f"{result.comparison[0]}\t{result.comparison[1]}"
-                f"\t{result.n_effective}\t{result.w_plus:g}"
-                f"\t{result.p_two_sided:.6g}\t{result.p_adjusted:.6g}"
-                f"\t{result.significant}")
-        (out_dir / "significance.tsv").write_text("\n".join(sig_lines) + "\n",
-                                                  encoding="utf-8")
-    else:  # an earlier run's table compared conditions this run no longer has
-        (out_dir / "significance.tsv").unlink(missing_ok=True)
-
-    table = format_results_table(list(aggregates.values()), significance)
-    (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")
+        if "summary" not in manifest.stages:
+            from .evaluation import aggregate_runs
+            for condition in (f"{scheme.tag}+{backend.tag}" for backend in cfg.backends
+                              for scheme in cfg.schemes):
+                names = [f"score:{condition}:{seed}" for seed in cfg.seeds]
+                if all(name in manifest.stages for name in names):
+                    print(_mean_line(aggregate_runs([runner.value(name)
+                                                     for name in names])))
     manifest.remove_dropped(out_dir)  # the outputs of conditions the config dropped
-    print(table)
+    print(runner.value("summary"))
     return EXIT_OK
 
 

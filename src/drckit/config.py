@@ -287,7 +287,8 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
 _MANIFEST_FIELDS = {"stages": map_of(JsonField(
     (dict,), "a stage record", parse=lambda entry: check_fields(entry, {
         "outputs": list_of(STRING, "a list of paths"),
-        "completed_at": OPTIONAL_STRING})), "a map of stage records"),
+        "completed_at": OPTIONAL_STRING, "text": OPTIONAL_STRING})),
+        "a map of stage records"),
     "unrecorded": list_of(STRING, "a list of paths")._replace(required=False),
     # What ingest found, which the run key vouches for: the corpus's counts
     # and its train label inventory, as a tuple.
@@ -378,15 +379,17 @@ class RunManifest:
 @dataclass(frozen=True)
 class Stage:
     """One step of an experiment: ``run()`` makes its ``outputs`` and returns
-    its value, and ``load()`` reads that value back from them.  ``inputs``
-    names the earlier stages its value is made from, ``key`` digests an
-    input file only it reads, and ``checkpoint`` saves the manifest once it
-    has run, so a killed process keeps the work it paid for."""
+    its value, and ``load()`` reads that value back from them.  A stage with
+    no ``load`` returns text, which its manifest record keeps as ``text``, so
+    reusing it reads no file.  ``inputs`` names the earlier stages its value
+    is made from, ``key`` digests an input file only it reads, and
+    ``checkpoint`` saves the manifest once it has run, so a killed process
+    keeps the work it paid for."""
 
     name: str
     outputs: tuple[Path, ...]
     run: Callable[[], Any]
-    load: Callable[[], Any]
+    load: Callable[[], Any] | None = None
     inputs: tuple[str, ...] = ()
     key: str = ""
     checkpoint: bool = False
@@ -394,9 +397,9 @@ class Stage:
 
 class StageRunner:
     """Walks stages in their declared order and records each in ``manifest``:
-    a stage is reused when the loaded manifest has it under the same key,
-    the outputs it recorded exist and every stage in its ``inputs`` was
-    reused in this run; any other stage runs."""
+    a stage is reused when the loaded manifest has it under the same key
+    (with its text, if it has no ``load``), its ``outputs`` exist and every
+    stage in its ``inputs`` was reused in this run; any other stage runs."""
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
@@ -415,17 +418,21 @@ class StageRunner:
         for stage in stages:
             entry = previous.get(stage.name, {})
             reused = bool(entry) and entry.get("key", "") == stage.key \
+                and (stage.load is not None or "text" in entry) \
                 and all(recorded[name]["reused"] for name in stage.inputs) \
-                and all(Path(p).exists() for p in entry["outputs"])
-            if reused:
-                self._loads[stage.name] = stage.load
-            else:
+                and all(p.exists() for p in stage.outputs)
+            if not reused:
                 self._values[stage.name] = stage.run()
+            elif stage.load is None:
+                self._values[stage.name] = entry["text"]
+            else:
+                self._loads[stage.name] = stage.load
             recorded[stage.name] = {
                 "outputs": [str(p) for p in stage.outputs],
                 # A reused stage keeps the time it was first completed.
                 "completed_at": reused and entry.get("completed_at")
                 or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "reused": reused, **({"key": stage.key} if stage.key else {})}
+                "reused": reused, **({"key": stage.key} if stage.key else {}),
+                **({"text": self._values[stage.name]} if stage.load is None else {})}
             if stage.checkpoint and not reused:
                 self.manifest.save()

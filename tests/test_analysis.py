@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from importlib import resources
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from drckit.analysis import (
     PairedOutcome,
     _PUNCT,
     _matches,
+    _normalized_tokens,
     connective_match_rate,
     default_lexicon,
     first_connective_token,
@@ -204,14 +206,26 @@ def test_first_connective_token(text, token):
 SPACES = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())
 
 
+TEXTS = st.text(st.one_of(st.sampled_from(SPACES + "ΣσςİIßẞΑβ" + _PUNCT),
+                          st.characters()), max_size=12)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(st.one_of(st.sampled_from(SPACES + "ΣσςİIßẞΑβ" + _PUNCT),
-                         st.characters()), max_size=12))
+@given(TEXTS)
 def test_first_connective_token_reads_the_lowercased_text(text):
     # It splits and lowercases one word at a time; the rule it keeps is the
     # first word of the lowercased text that is not all punctuation.
     words = [word.strip(_PUNCT) for word in text.lower().split()]
     assert first_connective_token(text) == next(filter(None, words), "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS)
+def test_multiword_matching_reads_the_first_four_words(text):
+    # The words --multiword matches against are the first four of the
+    # lowercased text that are not all punctuation, by the cue baseline's rule.
+    words = [word.strip(_PUNCT) for word in text.lower().split()]
+    assert list(islice(_normalized_tokens(text), 4)) == list(filter(None, words))[:4]
 
 
 def make_instances(rows):

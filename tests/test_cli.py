@@ -884,16 +884,26 @@ def test_experiment_scores_a_reloaded_run_on_its_own(small_corpus_dir, tmp_path,
 
 def test_experiment_without_comparisons_removes_old_significance(
         small_corpus_dir, tmp_path):
-    config = experiment_config(tmp_path, small_corpus_dir,
-                               backends=[{"kind": "cue"}], seeds=[1, 2])
-    assert run_cli("experiment", "--config", config) == 0
-    assert (tmp_path / "out" / "significance.tsv").exists()
-    patch_config(config, schemes=["default"])
-    assert run_cli("experiment", "--config", config) == 0
-    table = (tmp_path / "out" / "results_table.txt").read_text(encoding="utf-8")
-    assert "default+cue" in table and "OR1+cue" not in table
-    # no table may still compare a condition the run no longer has
-    assert not (tmp_path / "out" / "significance.tsv").exists()
+    # From an out/ whose manifest lists the file as the summary's output, and
+    # from one written before the summary was a stage, which does not.
+    out = tmp_path / "out"
+    for summary_recorded in (True, False):
+        config = experiment_config(tmp_path, small_corpus_dir,
+                                   backends=[{"kind": "cue"}], seeds=[1, 2])
+        assert run_cli("experiment", "--config", config) == 0
+        assert (out / "significance.tsv").exists()
+        if not summary_recorded:
+            manifest = out / "manifest.json"
+            payload = json.loads(manifest.read_text(encoding="utf-8"))
+            del payload["stages"]["summary"]
+            manifest.write_text(json.dumps(payload), encoding="utf-8")
+        patch_config(config, schemes=["default"])
+        assert run_cli("experiment", "--config", config) == 0
+        table = (out / "results_table.txt").read_text(encoding="utf-8")
+        assert "default+cue" in table and "OR1+cue" not in table
+        # no table may still compare a condition the run no longer has
+        assert not (out / "significance.tsv").exists()
+        shutil.rmtree(out)
 
 
 def outputs(out_dir: Path) -> dict[str, bytes]:
@@ -1054,6 +1064,21 @@ def test_manifest_reuse_keeps_first_completed_at(tmp_path):
     assert manifest.stages["stage"]["completed_at"] != first
 
 
+def test_stage_without_load_is_reused_from_its_recorded_text(tmp_path):
+    manifest = RunManifest(tmp_path / "manifest.json", "key", "1.0")
+    manifest.previous = {"summary": {"outputs": [], "text": "kept"}}
+
+    def walk() -> str:
+        runner = StageRunner(manifest)
+        runner.walk([Stage("summary", (), run=lambda: "made")])
+        assert manifest.stages["summary"]["text"] == runner.value("summary")
+        return runner.value("summary")
+
+    assert walk() == "kept"
+    del manifest.previous["summary"]["text"]  # a record without its text reruns
+    assert walk() == "made"
+
+
 def test_manifest_removes_only_dropped_outputs_under_out_dir(tmp_path):
     out = tmp_path / "out"
     kept = out / "reports" / "kept.tsv"
@@ -1078,10 +1103,11 @@ def test_manifest_removes_only_dropped_outputs_under_out_dir(tmp_path):
 @pytest.mark.parametrize("edit, rerun", [
     (lambda out, lexicon:
         (out / "predictions" / "OR1+cue.run2.jsonl").unlink(),
-     ["analysis:cue:default-vs-OR1", "predict:OR1+cue:2", "score:OR1+cue:2"]),
+     ["analysis:cue:default-vs-OR1", "predict:OR1+cue:2", "score:OR1+cue:2",
+      "summary"]),
     (lambda out, lexicon:
         (out / "reports" / "OR1+cue.run2.report.json").unlink(),
-     ["score:OR1+cue:2"]),
+     ["score:OR1+cue:2", "summary"]),
     (lambda out, lexicon: lexicon.write_text("because\n", encoding="utf-8"),
      ["analysis:cue:default-vs-AD1", "analysis:cue:default-vs-OR1"]),
 ], ids=["prediction_deleted", "report_deleted", "lexicon_edited"])
@@ -1104,6 +1130,78 @@ def test_experiment_rerun_redoes_only_stale_stages(small_corpus_dir, tmp_path,
     assert stages_run(tmp_path / "out") == rerun
     assert run_cli("experiment", "--config", config(tmp_path / "fresh")) == 0
     assert outputs(tmp_path / "out") == outputs(tmp_path / "fresh" / "out")
+
+
+def test_experiment_rerun_without_the_table_reruns_only_the_summary(
+        small_corpus_dir, tmp_path, capsys):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold, cold_stdout = outputs(out), capsys.readouterr().out
+    (out / "results_table.txt").unlink()
+    assert run_cli("experiment", "--config", config) == 0
+    assert stages_run(out) == ["summary"]
+    assert outputs(out) == cold
+    assert capsys.readouterr().out == cold_stdout
+
+
+def test_experiment_warm_run_reads_no_report(small_corpus_dir, tmp_path,
+                                            monkeypatch, capsys):
+    # The reused summary prints the text its manifest record keeps and
+    # rewrites neither of its files.
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold_stdout = capsys.readouterr().out
+    summary = [out / "results_table.txt", out / "significance.tsv"]
+    mtimes = [path.stat().st_mtime_ns for path in summary]
+    reads = []
+    original = evaluation.read_report_scores
+    monkeypatch.setattr(evaluation, "read_report_scores",
+                        lambda path: reads.append(path) or original(path))
+    assert run_cli("experiment", "--config", config) == 0
+    assert stages_run(out) == [] and reads == []
+    assert [path.stat().st_mtime_ns for path in summary] == mtimes
+    assert capsys.readouterr().out == cold_stdout
+
+
+def test_experiment_ignores_a_manifest_whose_summary_text_is_no_string(
+        small_corpus_dir, tmp_path, caplog, capsys):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold, cold_stdout = outputs(out), capsys.readouterr().out
+    manifest = out / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["stages"]["summary"]["text"] = ["not", "a", "string"]
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert run_cli("experiment", "--config", config) == 0
+    assert f"{manifest} is not a run manifest" in caplog.text
+    assert len(stages_run(out)) == len(payload["stages"])
+    assert outputs(out) == cold
+    assert capsys.readouterr().out == cold_stdout
+
+
+def test_experiment_in_a_copied_run_dir_checks_its_own_outputs(small_corpus_dir,
+                                                               tmp_path):
+    # The manifest lists absolute paths; a copy must be judged by its own
+    # files, not by those of the run dir it was copied from.
+    (tmp_path / "a").mkdir()
+    config = patch_config(experiment_config(
+        tmp_path / "a", small_corpus_dir, backends=[{"kind": "cue"}],
+        seeds=[1, 2, 3]), out_dir="out")
+    assert run_cli("experiment", "--config", config) == 0
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    copy = tmp_path / "b" / "out"
+    (copy / "predictions" / "OR1+cue.run3.jsonl").unlink()
+    assert run_cli("experiment", "--config", tmp_path / "b" / "experiment.json") == 0
+    assert stages_run(copy) == ["analysis:cue:default-vs-OR1", "predict:OR1+cue:3",
+                                "score:OR1+cue:3", "summary"]
+    assert outputs(copy) == outputs(tmp_path / "a" / "out")
 
 
 def import_config(tmp_path: Path, corpus_dir: Path) -> tuple[Path, dict]:
@@ -1143,7 +1241,8 @@ def test_experiment_rescores_edited_import_source(small_corpus_dir, tmp_path):
         r["instance_id"]: "condition" for r in records}), source)
     assert run_cli("experiment", "--config", config) == 0
     assert stages_run(tmp_path / "out") == [
-        "analysis:plm:default-vs-OR1", "predict:OR1+plm:1", "score:OR1+plm:1"]
+        "analysis:plm:default-vs-OR1", "predict:OR1+plm:1", "score:OR1+plm:1",
+        "summary"]
     after = outputs(tmp_path / "out")
     assert {name for name in after if after[name] != before[name]} >= {
         "reports/OR1+plm.run1.report.json", "reports/OR1+plm.run1.report.tsv"}
@@ -1213,7 +1312,8 @@ STAGE_LAYERS = {f"drckit.{layer}" for layer in
 def test_cli_call_imports_only_the_layers_it_runs(small_corpus_dir, tmp_path):
     # http.client (and with it email and ssl) and the thread pool load when
     # an endpoint run starts, and each pipeline layer when one of its stages
-    # runs, not with the CLI.
+    # runs, not with the CLI.  A warm run reuses the summary, so it loads no
+    # scoring code either.
     loaded = loaded_modules("--version")
     assert {m for m in loaded if m.startswith("drckit")} == \
         {"drckit", "drckit.cli", "drckit.config", "drckit.fields"}
@@ -1224,7 +1324,7 @@ def test_cli_call_imports_only_the_layers_it_runs(small_corpus_dir, tmp_path):
     assert run_cli("experiment", "--config", config) == 0
     loaded = loaded_modules("experiment", "--config", config)
     assert stages_run(tmp_path / "out") == []
-    assert not STAGE_LAYERS & loaded
+    assert not (STAGE_LAYERS | {"drckit.evaluation", "statistics"}) & loaded
 
 
 def test_declaring_the_stages_runs_nothing(small_corpus_dir, tmp_path,
@@ -1245,7 +1345,7 @@ def test_declaring_the_stages_runs_nothing(small_corpus_dir, tmp_path,
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     declared, loaded = json.loads(proc.stdout)
-    assert not STAGE_LAYERS & set(loaded)
+    assert not (STAGE_LAYERS | {"drckit.evaluation"}) & set(loaded)
     assert not (tmp_path / "out").exists()
 
     walked = []  # the stages a cold run records, in the order it walks them
@@ -1260,8 +1360,8 @@ def test_declaring_the_stages_runs_nothing(small_corpus_dir, tmp_path,
     assert sorted(json.loads((tmp_path / "out" / "manifest.json").read_text(
         encoding="utf-8"))["stages"]) == sorted(declared)
     # 3 schemes x 2 splits of variants; per backend, 3 schemes x 2 seeds of
-    # predict and of score stages, and 2 analyses.
-    assert len(declared) == 3 * 2 + 2 * (3 * 2 * 2 + 2)
+    # predict and of score stages, and 2 analyses; the summary.
+    assert len(declared) == 3 * 2 + 2 * (3 * 2 * 2 + 2) + 1
 
 
 def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,
@@ -1456,7 +1556,8 @@ def test_rerun_on_reused_variants_samples_the_cold_run_icl_examples(tmp_path):
         (out / "logs" / "default+mock.run1.log.jsonl").unlink()
         assert run_cli("experiment", "--config", config) == 0
         rerun = server.payloads[len(cold):]
-    assert stages_run(out) == ["predict:default+mock:1", "score:default+mock:1"]
+    assert stages_run(out) == ["predict:default+mock:1", "score:default+mock:1",
+                               "summary"]
 
     def heads(payloads):
         """Each prompt less its last line, the target."""
