@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
 from operator import eq, sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .context import RenderedInstance
@@ -33,16 +32,14 @@ TIED = "tied"
 _PUNCT = string.punctuation + "‘’“”«»"
 
 
-@dataclass(frozen=True)
-class PairedOutcome:
+class PairedOutcome(NamedTuple):
     instance_id: str
     run_id: int
     outcome: str  # win | loss | tie
     gold_label: str
 
 
-@dataclass(frozen=True)
-class RelationMargin:
+class RelationMargin(NamedTuple):
     """Win/loss balance of one relation, averaged over runs."""
 
     relation: str
@@ -53,23 +50,20 @@ class RelationMargin:
     category: str  # winning | losing | tied
 
 
-@dataclass(frozen=True)
-class ConnectiveLexicon:
+class ConnectiveLexicon(NamedTuple):
     entries: frozenset[str]
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
 
 
-@dataclass(frozen=True)
-class CategoryMatch:
+class CategoryMatch(NamedTuple):
     matched: int
     total: int
     percentage: float
 
 
-@dataclass(frozen=True)
-class ConnectiveMatchReport:
+class ConnectiveMatchReport(NamedTuple):
     by_category: dict[str, CategoryMatch]
 
 

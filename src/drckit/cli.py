@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
@@ -162,7 +161,7 @@ def cmd_infer(args) -> int:
     from .inference import write_predictions
     dataset = read_variant_dataset(args.dataset)
     train = read_variant_dataset(args.train)
-    dataset = replace(dataset, label_inventory=train.label_inventory)
+    dataset = dataset._replace(label_inventory=train.label_inventory)
     condition = args.condition or f"{dataset.scheme.tag}+{args.backend}"
     check_config({"condition": condition}, {"condition": TAG}, "infer")
     out_dir = Path(args.out)
@@ -188,7 +187,7 @@ def _score_run(dataset: VariantDataset, preds: PredictionSet, report_dir: Path,
         report = score(dataset, preds)
         shared[id(preds.records)] = preds.records, report, report_texts(report)
     _, report, texts = shared[id(preds.records)]
-    report = replace(report, run_id=preds.run_id)
+    report = report._replace(run_id=preds.run_id)
     write_report_json(report, report_dir / f"{stem}.report.json", texts)
     write_report_tsv(report, report_dir / f"{stem}.report.tsv", texts)
     return report

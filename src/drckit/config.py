@@ -13,13 +13,12 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
-from .fields import (INTEGER, NUMBER, STRING, JsonField, check_fields, decode,
-                     list_of, map_of, rule)
+from .fields import (INTEGER, NUMBER, STRING, Checked, JsonField, check_fields,
+                     decode, list_of, map_of, rule)
 
 if TYPE_CHECKING:
     from .endpoint import EndpointConfig
@@ -40,21 +39,25 @@ _SCHEME_RE = re.compile(r"^(?:(default)|(?:ad|add)(\d*)|(?:or|oracle)(\d*))$",
                         re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class ContextScheme:
-    """Which preceding text gets prepended before the first argument."""
-
+class _Scheme(NamedTuple):
     kind: str  # "default" | "add" | "oracle"
     n: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("default", "add", "oracle"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "default":
-            if self.n is not None:
+
+class ContextScheme(Checked, _Scheme):
+    """Which preceding text gets prepended before the first argument."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int | None = None):
+        if kind not in ("default", "add", "oracle"):
+            raise ValueError(f"unknown scheme kind {kind!r}")
+        if kind == "default":
+            if n is not None:
                 raise ValueError("default scheme takes no n")
-        elif self.n is None or self.n < 1:
-            raise ValueError(f"{self.kind} scheme requires n >= 1")
+        elif n is None or n < 1:
+            raise ValueError(f"{kind} scheme requires n >= 1")
+        return super().__new__(cls, kind, n)
 
     @property
     def tag(self) -> str:
@@ -88,15 +91,13 @@ def iter_document_files(split_dir: Path) -> Iterator[Path]:
             yield path
 
 
-@dataclass(frozen=True)
-class BackendSpec:
+class BackendSpec(NamedTuple):
     kind: str
     tag: str
     options: dict
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     corpus_name: str
     corpus_dir: Path
     schemes: tuple[ContextScheme, ...]
@@ -108,7 +109,7 @@ class ExperimentConfig:
     bonferroni_m: int | None = None
     alpha: float = 0.05
     lexicon: Path | None = None
-    raw_text: str = field(default="", compare=False)
+    raw_text: str = ""
 
     def run_key(self, tool_version: str) -> str:
         """Digest of what every stage depends on: the tool version, the
@@ -305,7 +306,8 @@ class RunManifest:
     this run, the only ones ``save`` writes: a run cut short leaves no
     record of a stage it did not reach, whose outputs may have been made
     from inputs that have since been made again.  ``found`` holds every
-    output the loaded manifest lists, whatever its run key.  ``ingest``
+    output the loaded manifest lists under its own directory, whatever its
+    run key: a run dir copied from elsewhere lists the old one's.  ``ingest``
     holds the ingest summary loaded under this run key, or set in this run.
     """
 
@@ -333,8 +335,10 @@ class RunManifest:
                         "again: %s", manifest.path, exc)
             return manifest
         stages = payload["stages"]
-        manifest.found = set(payload.get("unrecorded", ())).union(
-            *(entry["outputs"] for entry in stages.values()))
+        # Outputs are listed as absolute paths, so a prefix tells where they are.
+        under = os.path.join(manifest.path.parent.resolve(), "")
+        manifest.found = {p for p in set(payload.get("unrecorded", ())).union(
+            *(entry["outputs"] for entry in stages.values())) if p.startswith(under)}
         if payload.get("run_key") == run_key:
             manifest.previous, manifest.ingest = stages, payload.get("ingest")
         return manifest
@@ -376,8 +380,7 @@ class RunManifest:
         os.replace(tmp, self.path)
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One step of an experiment: ``run()`` makes its ``outputs`` and returns
     its value, and ``load()`` reads that value back from them.  A stage with
     no ``load`` returns text, which its manifest record keeps as ``text``, so

@@ -14,14 +14,13 @@ A variant file, one JSON line per instance, is read back through ``fields``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import ContextScheme  # the scheme grammar the config parses
-from .fields import STRING, read_records
+from .fields import STRING, Checked, read_records
 from .treebank import (
     ROOT_ID,
     Corpus,
@@ -31,8 +30,7 @@ from .treebank import (
     extract_instances,
 )
 
-@dataclass(frozen=True)
-class RenderedInstance:
+class RenderedInstance(NamedTuple):
     """A classification item with its context already selected."""
 
     instance_id: str
@@ -49,25 +47,28 @@ class RenderedInstance:
         return self.arg1_text
 
 
-@dataclass(frozen=True)
-class VariantDataset:
-    """Every instance of one split rendered under one scheme, in instance_id
-    order: the order of its file, so a dataset read back equals the one built."""
-
+class _Dataset(NamedTuple):
     corpus_name: str
     scheme: ContextScheme
     split: str
     instances: tuple[RenderedInstance, ...]
     label_inventory: tuple[str, ...]
 
-    def __post_init__(self):
-        instances = tuple(sorted(self.instances, key=lambda i: i.instance_id))
-        object.__setattr__(self, "instances", instances)
-        object.__setattr__(self, "label_inventory", tuple(self.label_inventory))
+
+class VariantDataset(Checked, _Dataset):
+    """Every instance of one split rendered under one scheme, in instance_id
+    order: the order of its file, so a dataset read back equals the one built.
+    It has no ``__slots__``: ``_gold`` is cached in its ``__dict__``."""
+
+    def __new__(cls, corpus_name: str, scheme: ContextScheme, split: str,
+                instances: Iterable[RenderedInstance], label_inventory: Iterable[str]):
+        instances = tuple(sorted(instances, key=lambda i: i.instance_id))
         for a, b in zip(instances, instances[1:]):
             if a.instance_id == b.instance_id:
-                raise ValueError(f"{self.corpus_name}/{self.split}: duplicate "
+                raise ValueError(f"{corpus_name}/{split}: duplicate "
                                  f"instance_id {a.instance_id!r}")
+        return super().__new__(cls, corpus_name, scheme, split, instances,
+                               tuple(label_inventory))
 
     def instance_ids(self) -> list[str]:
         return [inst.instance_id for inst in self.instances]
@@ -115,13 +116,8 @@ def _preceding_sentences(tree: DiscourseTree, edu_id: int, n: int) -> list[str]:
 def render_instance(instance: RelationInstance, fragments: Sequence[str]
                     ) -> RenderedInstance:
     """Join fragments with single spaces and attach them to the instance."""
-    return RenderedInstance(
-        instance_id=instance.instance_id,
-        context_text=" ".join(fragments),
-        arg1_text=instance.arg1,
-        arg2_text=instance.arg2,
-        gold_label=instance.gold_label,
-    )
+    return RenderedInstance(instance.instance_id, " ".join(fragments), instance.arg1,
+                            instance.arg2, instance.gold_label)
 
 
 def corpus_label_inventory(corpus: Corpus) -> tuple[str, ...]:

@@ -15,13 +15,12 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import urlsplit
 
 from .context import RenderedInstance, VariantDataset
-from .fields import STRING, check_fields, decode, read_records
+from .fields import STRING, Checked, check_fields, decode, read_records
 from .inference import (
     PredictionSet,
     PromptSpec,
@@ -43,8 +42,7 @@ class EndpointError(Exception):
     """Endpoint unusable after retries; partial results stay on disk."""
 
 
-@dataclass(frozen=True)
-class EndpointConfig:
+class _Endpoint(NamedTuple):
     base_url: str
     model_name: str = "gpt-4"
     timeout: float = 30.0
@@ -53,9 +51,15 @@ class EndpointConfig:
     auth_env: str = "DRCKIT_API_TOKEN"
     backoff: float = 1.0  # seconds, doubles per retry
 
-    def __post_init__(self):
-        if self.parallelism < 1:
+
+class EndpointConfig(Checked, _Endpoint):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if config.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        return config
 
 
 def _post(conn: HTTPConnection, path: str, body: bytes,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import mean, stdev
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -33,16 +32,14 @@ OTHER_COLUMN = "<other>"
 EXACT_ENUMERATION_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class ClassScore:
+class ClassScore(NamedTuple):
     precision: float
     recall: float
     f1: float
     support: int
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     """Gold rows by predicted columns, plus one column for odd predictions."""
 
     labels: tuple[str, ...]
@@ -53,8 +50,7 @@ class ConfusionMatrix:
         return self.labels + (OTHER_COLUMN,)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     condition: str
     run_id: int
     per_class: dict[str, ClassScore]
@@ -72,8 +68,7 @@ class RunScore(NamedTuple):
     macro_f1: float
 
 
-@dataclass(frozen=True)
-class RunAggregate:
+class RunAggregate(NamedTuple):
     condition: str
     mean_macro_f1: float
     stddev: float  # sample standard deviation; 0.0 when n_runs == 1
@@ -81,8 +76,7 @@ class RunAggregate:
     n_runs: int
 
 
-@dataclass(frozen=True)
-class SignificanceResult:
+class SignificanceResult(NamedTuple):
     comparison: tuple[str, str]
     n_pairs: int
     n_effective: int
@@ -258,8 +252,8 @@ def bonferroni(results: Sequence[SignificanceResult], m: int,
     adjusted = []
     for result in results:
         p_adj = min(1.0, result.p_two_sided * m)
-        adjusted.append(replace(result, p_adjusted=p_adj, alpha=alpha,
-                                significant=p_adj < alpha))
+        adjusted.append(result._replace(p_adjusted=p_adj, alpha=alpha,
+                                        significant=p_adj < alpha))
     return adjusted
 
 
@@ -270,11 +264,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "macro_f1": report.macro_f1,
         "accuracy": report.accuracy,
         "n": report.n,
-        "per_class": {
-            label: {"precision": s.precision, "recall": s.recall,
-                    "f1": s.f1, "support": s.support}
-            for label, s in report.per_class.items()
-        },
+        "per_class": {label: s._asdict() for label, s in report.per_class.items()},
         "confusion": {
             "labels": list(report.confusion.labels),
             "columns": list(report.confusion.columns),

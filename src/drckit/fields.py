@@ -1,7 +1,8 @@
 """The one JSON reader: every JSON input is decoded by ``decode`` and checked
 by ``check_fields`` against a table of ``JsonField``s, into a ValueError that
-its caller words as a data, configuration or endpoint error.  It imports
-nothing from drckit, so every module can use it.
+its caller words as a data, configuration or endpoint error; and ``Checked``,
+the base of a record that checks its fields.  It imports nothing from drckit,
+so every module can use it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,18 @@ class JsonField(NamedTuple):
     what: str
     required: bool = True
     parse: Callable[[Any], Any] | None = None
+
+
+class Checked:
+    """Put before the NamedTuple base of a record whose ``__new__`` checks or
+    normalizes its fields, so that ``_make``, and with it ``_replace``, builds
+    through that ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # Exact types: JSON true/false load as bool, a subclass of int.

@@ -11,14 +11,14 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .analysis import first_connective_token
 from .context import RenderedInstance, VariantDataset
-from .fields import INTEGER, STRING, read_records
+from .fields import INTEGER, STRING, Checked, read_records
 
 log = logging.getLogger(__name__)
 
@@ -28,8 +28,7 @@ UNPARSED = "<UNPARSED>"
 
 BASELINE_KINDS = ("majority", "cue")
 
-@dataclass(frozen=True)
-class ICLExample:
+class ICLExample(NamedTuple):
     """One in-context example line: two passages and the label."""
 
     arg1: str
@@ -37,23 +36,26 @@ class ICLExample:
     label: str
 
 
-@dataclass(frozen=True)
-class PromptSpec:
-    """Everything needed to render one classification prompt."""
-
+class _Prompt(NamedTuple):
     label_inventory: tuple[str, ...]
     icl_examples: tuple[ICLExample, ...]
     target: RenderedInstance
 
-    def __post_init__(self):
-        example_labels = [ex.label for ex in self.icl_examples]
-        if example_labels != list(self.label_inventory):
+
+class PromptSpec(Checked, _Prompt):
+    """Everything needed to render one classification prompt."""
+
+    __slots__ = ()
+
+    def __new__(cls, label_inventory: tuple[str, ...],
+                icl_examples: tuple[ICLExample, ...], target: RenderedInstance):
+        if [ex.label for ex in icl_examples] != list(label_inventory):
             raise ValueError("need exactly one example per label, "
                              "in inventory order")
+        return super().__new__(cls, label_inventory, icl_examples, target)
 
 
-@dataclass
-class PredictionSet:
+class PredictionSet(NamedTuple):
     """Per-run model outputs keyed by instance id."""
 
     condition: str
@@ -137,13 +139,12 @@ def parse_llm_output(text: str, label_inventory: Sequence[str]) -> str:
     return best[2] if best else UNPARSED
 
 
-@dataclass(frozen=True)
-class BaselineModel:
+class BaselineModel(NamedTuple):
     """A trained desk-scale classifier (majority or lexical cue)."""
 
     kind: str
     majority_label: str
-    cue_table: Mapping[tuple[str, ...], str] = field(default_factory=dict)
+    cue_table: Mapping[tuple[str, ...], str] = MappingProxyType({})
 
 
 def _cue_key(inst: RenderedInstance) -> tuple[str, ...]:

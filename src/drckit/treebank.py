@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # The run key lists a split's documents as load_split does, from config.
 from .config import DOCUMENT_SUFFIXES, iter_document_files  # noqa: F401
-from .fields import INTEGER, STRING, JsonField, check_fields, decode, list_of, rule
+from .fields import (INTEGER, STRING, Checked, JsonField, check_fields, decode,
+                     list_of, rule)
 
 ROOT_ID = 0
 ROOT_HEAD = -1
@@ -48,8 +48,7 @@ class CorpusError(TreebankError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class EDU:
+class EDU(NamedTuple):
     """One elementary discourse unit plus its edge to the governing EDU."""
 
     id: int
@@ -63,19 +62,21 @@ class EDU:
         return self.head_id == ROOT_HEAD
 
 
-@dataclass(frozen=True)
-class DiscourseTree:
+class _Tree(NamedTuple):
+    doc_id: str
+    edus: tuple[EDU, ...]
+
+
+class DiscourseTree(Checked, _Tree):
     """A single document: EDUs in document order, linked into a tree.
 
     ``validate_tree`` requires ids contiguous from 0 in ascending order, so
     an EDU's id is its position in ``edus`` and ``edu`` looks it up by index.
+    It has no ``__slots__``: ``sentence_texts`` is cached in its ``__dict__``.
     """
 
-    doc_id: str
-    edus: tuple[EDU, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edus", tuple(self.edus))
+    def __new__(cls, doc_id: str, edus: Iterable[EDU]):
+        return super().__new__(cls, doc_id, tuple(edus))
 
     def edu(self, edu_id: int) -> EDU:
         if 0 <= edu_id < len(self.edus) and self.edus[edu_id].id == edu_id:
@@ -95,20 +96,22 @@ class DiscourseTree:
         return {i: " ".join(texts) for i, texts in sentences.items()}
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """One split of a treebank."""
-
+class _Corpus(NamedTuple):
     name: str
     split: str
     trees: tuple[DiscourseTree, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
+
+class Corpus(Checked, _Corpus):
+    """One split of a treebank."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, split: str, trees: Iterable[DiscourseTree]):
+        return super().__new__(cls, name, split, tuple(trees))
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(NamedTuple):
     """One classification item: a labelled head/dependent EDU pair.
 
     ``arg1`` is the text of the head EDU, ``arg2`` the text of the dependent
@@ -124,8 +127,7 @@ class RelationInstance:
     gold_label: str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed invariant, locatable by document."""
 
     doc_id: str
@@ -136,8 +138,7 @@ class Violation:
         return f"{self.doc_id}\t{self.code}\t{self.detail}"
 
 
-@dataclass(frozen=True)
-class GapStats:
+class GapStats(NamedTuple):
     """Distance histogram for one gap unit (EDUs or sentences)."""
 
     histogram: dict[int, int]
@@ -146,8 +147,7 @@ class GapStats:
     total: int
 
 
-@dataclass(frozen=True)
-class DistanceStats:
+class DistanceStats(NamedTuple):
     """Head/dependent distance statistics in both gap units."""
 
     edu: GapStats
@@ -201,8 +201,7 @@ def parse_tree_document(data: bytes | str, doc_id: str) -> DiscourseTree:
             own = 0
         elif ends_sentence(text):
             sentence += 1
-        edus.append(EDU(id=rec["id"], text=text, head_id=rec["parent"],
-                        relation=rec["relation"], sentence_index=own))
+        edus.append(EDU(rec["id"], text, rec["parent"], rec["relation"], own))
 
     tree = DiscourseTree(doc_id, tuple(edus))
     violations = validate_tree(tree)
@@ -318,15 +317,9 @@ def extract_instances(tree: DiscourseTree) -> list[RelationInstance]:
         if e.head_id == ROOT_ID or e.head_id == ROOT_HEAD:
             continue
         head = tree.edu(e.head_id)
-        instances.append(RelationInstance(
-            instance_id=make_instance_id(tree.doc_id, e.id),
-            doc_id=tree.doc_id,
-            arg1=head.text,
-            arg2=e.text,
-            arg1_edu_id=head.id,
-            arg2_edu_id=e.id,
-            gold_label=e.relation,
-        ))
+        instances.append(RelationInstance(make_instance_id(tree.doc_id, e.id),
+                                          tree.doc_id, head.text, e.text, head.id,
+                                          e.id, e.relation))
     return instances
 
 

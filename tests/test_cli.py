@@ -1204,6 +1204,26 @@ def test_experiment_in_a_copied_run_dir_checks_its_own_outputs(small_corpus_dir,
     assert outputs(copy) == outputs(tmp_path / "a" / "out")
 
 
+def test_experiment_in_a_copied_run_dir_forgets_the_old_outputs(small_corpus_dir,
+                                                                tmp_path):
+    # The copy's manifest first lists the old run dir's outputs, which no run
+    # in the copy may remove; once the copy has run it lists only its own.
+    (tmp_path / "a").mkdir()
+    config = patch_config(experiment_config(
+        tmp_path / "a", small_corpus_dir, backends=[{"kind": "cue"}],
+        seeds=[1, 2]), out_dir="out")
+    assert run_cli("experiment", "--config", config) == 0
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    for _ in range(2):
+        assert run_cli("experiment", "--config", tmp_path / "b" / "experiment.json") == 0
+    copy = (tmp_path / "b" / "out").resolve()
+    manifest = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["unrecorded"] == []
+    assert all(Path(p).is_relative_to(copy) for entry in manifest["stages"].values()
+               for p in entry["outputs"])
+    assert outputs(tmp_path / "a" / "out") == outputs(copy)
+
+
 def import_config(tmp_path: Path, corpus_dir: Path) -> tuple[Path, dict]:
     """An import-backend config over the runs of a cue experiment, and its
     ``runs`` map."""
@@ -1313,18 +1333,23 @@ def test_cli_call_imports_only_the_layers_it_runs(small_corpus_dir, tmp_path):
     # http.client (and with it email and ssl) and the thread pool load when
     # an endpoint run starts, and each pipeline layer when one of its stages
     # runs, not with the CLI.  A warm run reuses the summary, so it loads no
-    # scoring code either.
+    # scoring code either.  Records are NamedTuples, so no call loads
+    # dataclasses, nor the inspect it imports.
+    record_code = {"dataclasses", "inspect"}
     loaded = loaded_modules("--version")
     assert {m for m in loaded if m.startswith("drckit")} == \
         {"drckit", "drckit.cli", "drckit.config", "drckit.fields"}
     assert not {"requests", "urllib3", "http.client", "ssl", "email",
                 "concurrent.futures"} & loaded
+    assert not record_code & loaded
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], seeds=[1, 2])
-    assert run_cli("experiment", "--config", config) == 0
+    loaded = loaded_modules("experiment", "--config", config)
+    assert "drckit.evaluation" in loaded and not record_code & loaded
     loaded = loaded_modules("experiment", "--config", config)
     assert stages_run(tmp_path / "out") == []
-    assert not (STAGE_LAYERS | {"drckit.evaluation", "statistics"}) & loaded
+    assert not (STAGE_LAYERS | {"drckit.evaluation", "statistics"} | record_code) \
+        & loaded
 
 
 def test_declaring_the_stages_runs_nothing(small_corpus_dir, tmp_path,

@@ -72,6 +72,14 @@ def test_scheme_invariants():
     assert OR1.tag == "OR1" and AD1.tag == "AD1" and DEFAULT.tag == "default"
 
 
+def test_scheme_invariants_hold_under_replace():
+    with pytest.raises(ValueError, match="requires n >= 1"):
+        ContextScheme("add", 1)._replace(n=0)
+    with pytest.raises(ValueError, match="takes no n"):
+        DEFAULT._replace(n=1)
+    assert AD1._replace(n=2) == ContextScheme("add", 2)
+
+
 def test_worked_example_oracle_context(worked_example_tree):
     inst = instance_by_dependent(worked_example_tree, 4)
     fragments = context_fragments(worked_example_tree, inst.arg1_edu_id, OR1)
@@ -270,6 +278,15 @@ def test_dataset_names_first_repeated_id():
     a, b = (RenderedInstance(iid, "", "x", "y", "cause") for iid in "ab")
     with pytest.raises(ValueError, match="c/test: duplicate instance_id 'a'"):
         VariantDataset("c", OR1, "test", (b, a, b, a), ("cause",))
+
+
+def test_dataset_replace_sorts_and_checks_its_instances():
+    a, b = (RenderedInstance(iid, "", "x", "y", "cause") for iid in "ab")
+    dataset = VariantDataset("c", OR1, "test", (a,), ["cause"])
+    changed = dataset._replace(instances=[b, a])
+    assert changed.instances == (a, b) and changed.label_inventory == ("cause",)
+    with pytest.raises(ValueError, match="c/test: duplicate instance_id 'b'"):
+        dataset._replace(instances=(b, a, b))
 
 
 DROP = object()  # a field value that stands for "field left out"

@@ -327,6 +327,13 @@ def test_parallelism_must_be_positive():
         EndpointConfig(base_url="http://x", model_name="m", parallelism=0)
 
 
+def test_parallelism_stays_positive_under_replace():
+    config = EndpointConfig(base_url="http://x", model_name="m")
+    with pytest.raises(ValueError, match="parallelism"):
+        config._replace(parallelism=0)
+    assert config._replace(parallelism=2).parallelism == 2
+
+
 def test_deterministic_across_runs(tmp_path):
     test, train = fixture_datasets(n=5)
     results = []

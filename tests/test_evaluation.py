@@ -4,7 +4,6 @@ import json
 import random
 import re
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from statistics import mean
 
@@ -182,32 +181,29 @@ def test_aggregate_two_runs():
 
 
 def test_aggregate_sample_stddev():
-    from dataclasses import replace
     dataset = make_dataset(["A", "B"])
     base = score(dataset, make_predictions(dataset, ["A", "B"]))
-    reports = [replace(base, macro_f1=0.75, run_id=0),
-               replace(base, macro_f1=0.76, run_id=1)]
+    reports = [base._replace(macro_f1=0.75, run_id=0),
+               base._replace(macro_f1=0.76, run_id=1)]
     agg = aggregate_runs(reports)
     assert agg.mean_macro_f1 == pytest.approx(0.755)
     assert agg.stddev == pytest.approx(0.0070710678, abs=1e-9)
 
 
 def test_aggregate_equal_scores_zero_stddev():
-    from dataclasses import replace
     dataset = make_dataset(["A"])
     base = score(dataset, make_predictions(dataset, ["A"]))
-    reports = [replace(base, run_id=i) for i in range(10)]
+    reports = [base._replace(run_id=i) for i in range(10)]
     agg = aggregate_runs(reports)
     assert agg.stddev == 0.0
     assert agg.n_runs == 10
 
 
 def test_aggregate_rejects_mixed_conditions():
-    from dataclasses import replace
     dataset = make_dataset(["A"])
     base = score(dataset, make_predictions(dataset, ["A"]))
     with pytest.raises(ValueError, match="mixed"):
-        aggregate_runs([base, replace(base, condition="other")])
+        aggregate_runs([base, base._replace(condition="other")])
 
 
 def test_wilcoxon_all_positive_ten_pairs():
@@ -296,18 +292,17 @@ def test_bonferroni_adjustment():
     [adjusted] = bonferroni([result], m=2, alpha=0.05)
     assert adjusted.p_adjusted == pytest.approx(min(1.0, 2 * result.p_two_sided))
 
-    from dataclasses import replace
-    r = replace(result, p_two_sided=0.01)
+    r = result._replace(p_two_sided=0.01)
     [adj] = bonferroni([r], m=2, alpha=0.05)
     assert adj.p_adjusted == pytest.approx(0.02)
     assert adj.significant is True
 
-    r = replace(result, p_two_sided=0.8)
+    r = result._replace(p_two_sided=0.8)
     [adj] = bonferroni([r], m=3, alpha=0.05)
     assert adj.p_adjusted == 1.0
     assert adj.significant is False
 
-    r = replace(result, p_two_sided=0.0196)
+    r = result._replace(p_two_sided=0.0196)
     [adj] = bonferroni([r], m=2, alpha=0.05)
     assert adj.p_adjusted == pytest.approx(0.0392)
     assert adj.significant is True
@@ -343,7 +338,7 @@ def test_shared_report_texts_give_each_runs_own_report(gold, data, condition,
     with tempfile.TemporaryDirectory() as tmp:
         shared, own = Path(tmp) / "shared", Path(tmp) / "own"
         for run_id in run_ids:
-            seed_report = replace(report, run_id=run_id)
+            seed_report = report._replace(run_id=run_id)
             write_report_json(seed_report, shared, texts)
             assert shared.read_text(encoding="utf-8") == json.dumps(
                 report_to_dict(seed_report), ensure_ascii=False, indent=2,

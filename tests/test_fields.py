@@ -150,3 +150,11 @@ def test_only_the_reader_decodes_json():
     offenders = sorted(path.name for path in SRC.glob("*.py")
                        if path.name != "fields.py" and pattern.search(path.read_text()))
     assert offenders == []
+
+
+def test_no_module_imports_dataclasses():
+    # Records are NamedTuples: a dataclass generates its methods with exec and
+    # loads inspect, a cost every CLI call would pay.
+    pattern = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
+    assert sorted(path.name for path in SRC.glob("*.py")
+                  if pattern.search(path.read_text())) == []

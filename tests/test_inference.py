@@ -116,6 +116,14 @@ def test_prompt_spec_requires_one_example_per_label():
                    target=rendered("t:001", "a", "b", "condition"))
 
 
+def test_prompt_spec_checks_its_labels_under_replace():
+    spec = PromptSpec(label_inventory=("condition", "contrast"),
+                      icl_examples=TWO_LABEL_EXAMPLES,
+                      target=rendered("t:001", "a", "b", "condition"))
+    with pytest.raises(ValueError, match="one example per label"):
+        spec._replace(label_inventory=("contrast", "condition"))
+
+
 def test_prompt_empty_context_passage_equals_arg1():
     spec = PromptSpec(
         label_inventory=("condition", "contrast"),

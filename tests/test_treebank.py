@@ -261,6 +261,17 @@ def test_distance_stats_single_edge():
     assert stats.edu.total == 1
 
 
+def test_tree_and_corpus_built_from_lists_hold_tuples():
+    edus = [EDU(0, "ROOT", -1, "null"), EDU(1, "a .", 0, "ROOT")]
+    tree = DiscourseTree("d", edus)
+    corpus = Corpus("c", "test", [tree])
+    assert type(tree.edus) is tuple and type(corpus.trees) is tuple
+    assert type(tree._replace(edus=edus).edus) is tuple
+    assert type(corpus._replace(trees=[tree]).trees) is tuple
+    # The cached sentence texts live on the tree, not in its fields.
+    assert tree.sentence_texts == {0: "a ."} and tree == ("d", tuple(edus))
+
+
 def test_distance_stats_counted_fixture():
     # chain doc: 5 adjacent edges; star doc: gaps 1..5, one adjacent.
     star = [(0, -1, "null", "ROOT")]
