@@ -16,10 +16,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": (
-        "ConnectiveLexicon", "ConnectiveMatchReport", "PairedOutcome",
-        "RelationMargin", "connective_match_rate", "default_lexicon",
-        "load_connective_lexicon", "margins_by_category", "pair_outcomes",
-        "relation_margins"),
+        "ConnectiveLexicon", "ConnectiveMatchReport", "RelationMargin",
+        "connective_match_rate", "default_lexicon", "load_connective_lexicon",
+        "margins_by_category", "pair_outcomes", "relation_margins"),
     "config": ("ContextScheme",),
     "context": (
         "RenderedInstance", "VariantDataset", "build_variant_dataset",

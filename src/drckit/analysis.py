@@ -32,13 +32,6 @@ TIED = "tied"
 _PUNCT = string.punctuation + "‘’“”«»"
 
 
-class PairedOutcome(NamedTuple):
-    instance_id: str
-    run_id: int
-    outcome: str  # win | loss | tie
-    gold_label: str
-
-
 class RelationMargin(NamedTuple):
     """Win/loss balance of one relation, averaged over runs."""
 
@@ -67,40 +60,13 @@ class ConnectiveMatchReport(NamedTuple):
     by_category: dict[str, CategoryMatch]
 
 
-def _check_coverage(labels: Mapping[str, str], preds_a: PredictionSet,
-                    preds_b: PredictionSet) -> None:
-    for name, preds in (("A", preds_a), ("B", preds_b)):
-        if preds.records.keys() != labels.keys():
-            raise ValueError(f"predictions {name} do not cover the gold instances")
-
-
-def pair_outcomes(labels: Mapping[str, str], preds_a: PredictionSet,
-                  preds_b: PredictionSet, run_id: int) -> list[PairedOutcome]:
-    """One outcome per instance for a single paired run.
+def pair_outcomes(labels: Mapping[str, str],
+                  runs: Iterable[tuple[PredictionSet, PredictionSet]]) -> Counter:
+    """(gold label, outcome) -> count over the paired runs (A, B).
 
     ``labels`` maps instance_id -> gold label (``VariantDataset.gold_labels``);
-    both prediction sets must cover it exactly.
+    both prediction sets of every run must cover it exactly.
     """
-    _check_coverage(labels, preds_a, preds_b)
-    outcomes = []
-    for instance_id in sorted(labels):
-        gold_label = labels[instance_id]
-        a_correct = preds_a.records[instance_id] == gold_label
-        b_correct = preds_b.records[instance_id] == gold_label
-        if b_correct and not a_correct:
-            outcome = WIN
-        elif a_correct and not b_correct:
-            outcome = LOSS
-        else:
-            outcome = TIE
-        outcomes.append(PairedOutcome(instance_id, run_id, outcome, gold_label))
-    return outcomes
-
-
-def outcome_counts(labels: Mapping[str, str],
-                   runs: Iterable[tuple[PredictionSet, PredictionSet]]) -> Counter:
-    """(gold label, outcome) -> count over the paired runs (A, B), as
-    ``pair_outcomes`` would give them, without an object per instance."""
     ids = list(labels)
     gold = [labels[i] for i in ids]
     # Runs sharing A's and B's dicts (a baseline's seeds) count once, weighted.
@@ -110,7 +76,9 @@ def outcome_counts(labels: Mapping[str, str],
                             [preds_a, preds_b, 0])[2] += 1
     signs: Counter = Counter()
     for preds_a, preds_b, n_runs in distinct.values():
-        _check_coverage(labels, preds_a, preds_b)
+        for name, preds in (("A", preds_a), ("B", preds_b)):
+            if preds.records.keys() != labels.keys():
+                raise ValueError(f"predictions {name} do not cover the gold instances")
         correct_a = map(eq, gold, map(preds_a.records.__getitem__, ids))
         correct_b = map(eq, gold, map(preds_b.records.__getitem__, ids))
         # B correct minus A correct: 1 is a win, -1 a loss, 0 a tie.
@@ -120,22 +88,16 @@ def outcome_counts(labels: Mapping[str, str],
                     for (relation, sign), n in signs.items()})
 
 
-def relation_margins(outcomes: Iterable[PairedOutcome], num_runs: int,
+def relation_margins(counts: Counter, num_runs: int,
                      normalizer: str = "runs") -> list[RelationMargin]:
-    """Aggregate outcomes from all runs into per-relation margins.
+    """Per-relation margins from ``pair_outcomes``' (gold label, outcome)
+    counts over all runs.
 
     The default delta is (wins - losses) / num_runs; ``normalizer="support"``
     divides by the relation's outcome count instead, giving a per-instance
     margin.  Sorted by absolute delta descending (relation name breaks
     ties), the order the win/loss tables are usually presented in.
     """
-    return margins_from_counts(Counter((o.gold_label, o.outcome) for o in outcomes),
-                               num_runs, normalizer)
-
-
-def margins_from_counts(counts: Counter, num_runs: int,
-                        normalizer: str = "runs") -> list[RelationMargin]:
-    """``relation_margins`` from (gold label, outcome) counts."""
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
     if normalizer not in ("runs", "support"):
@@ -162,20 +124,26 @@ def margins_by_category(margins: Sequence[RelationMargin]
 
 
 def _parse_lexicon(text: str, source: str) -> ConnectiveLexicon:
-    entries = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.add(line.lower())
+    # A line with no word (such as "--") would match every arg2 without one.
+    entries = frozenset(" ".join(_normalized_tokens(line)) for line in text.splitlines()
+                        if not line.lstrip().startswith("#")) - {""}
     if not entries:
         raise ValueError(f"empty connective lexicon: {source}")
-    return ConnectiveLexicon(entries=frozenset(entries))
+    return ConnectiveLexicon(entries=entries)
 
 
 def load_connective_lexicon(path: Path | str) -> ConnectiveLexicon:
-    """One connective per line, '#' comments allowed; lowercased, deduped."""
+    """One connective per line, '#' comments allowed, deduped.  Each entry is
+    read by the rule that reads arg2 text: lowercased, split into words and
+    stripped of punctuation, so "However," is "however" and "as  a result"
+    is "as a result".  A file that is not UTF-8 raises ``ValueError`` naming
+    it."""
     path = Path(path)
-    return _parse_lexicon(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return _parse_lexicon(text, str(path))
 
 
 def default_lexicon() -> ConnectiveLexicon:

@@ -246,13 +246,13 @@ def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
     """Pair A and B runs by run id, then write ``margins.tsv`` and
     ``connectives.tsv`` of B against A under ``out_dir``."""
     from .analysis import (connective_match_rate, margins_by_category,
-                           margins_from_counts, outcome_counts,
+                           pair_outcomes, relation_margins,
                            write_connective_report_tsv, write_margins_tsv)
     pairs = _pair_by_run_id([(p.run_id, p) for p in runs_a],
                             [(p.run_id, p) for p in runs_b])
-    counts = outcome_counts(dataset.gold_labels(),
-                            [(preds_a, preds_b) for _, preds_a, preds_b in pairs])
-    margins = margins_from_counts(counts, len(pairs), normalizer=normalizer)
+    counts = pair_outcomes(dataset.gold_labels(),
+                           [(preds_a, preds_b) for _, preds_a, preds_b in pairs])
+    margins = relation_margins(counts, len(pairs), normalizer=normalizer)
     match_report = connective_match_rate(dataset.instances,
                                          margins_by_category(margins), lexicon,
                                          level=level, multiword=multiword,

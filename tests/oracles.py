@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: scoring
 is direct tally counting, the signed-rank p-value is a naive walk over
-every sign assignment, and tree traversals work straight off the raw
-(id, parent, relation, text) records.
+every sign assignment, tree traversals work straight off the raw
+(id, parent, relation, text) records, and paired outcomes are decided one
+instance at a time.
 """
 
 from __future__ import annotations
@@ -139,3 +140,40 @@ def category_match_rates(rows: list[tuple[str, bool]],
             percentage = sum(rates) / len(rates) if rates else 0.0
         out[category] = (matched, total, percentage)
     return out
+
+
+def paired_outcomes(gold: dict[str, str], runs: list[tuple[dict, dict]]
+                    ) -> list[tuple[str, str]]:
+    """(gold relation, outcome) per instance of each paired run, given as
+    (A, B) dicts of instance id -> predicted label: B alone right is a win,
+    A alone right a loss, anything else a tie."""
+    rows = []
+    for preds_a, preds_b in runs:
+        for instance_id, relation in gold.items():
+            a_right = preds_a[instance_id] == relation
+            b_right = preds_b[instance_id] == relation
+            if b_right and not a_right:
+                rows.append((relation, "win"))
+            elif a_right and not b_right:
+                rows.append((relation, "loss"))
+            else:
+                rows.append((relation, "tie"))
+    return rows
+
+
+def relation_tallies(rows: list[tuple[str, str]], num_runs: int,
+                     normalizer: str = "runs"
+                     ) -> list[tuple[str, int, int, int, float, str]]:
+    """(relation, wins, losses, ties, delta, category) per relation of
+    ``paired_outcomes`` rows, largest absolute delta first (then by name).
+    Delta is (wins - losses) over the number of runs, or over the relation's
+    rows for ``normalizer`` "support"."""
+    out = []
+    for relation in sorted({relation for relation, _ in rows}):
+        outcomes = [outcome for r, outcome in rows if r == relation]
+        wins, losses = outcomes.count("win"), outcomes.count("loss")
+        ties = len(outcomes) - wins - losses
+        delta = (wins - losses) / (num_runs if normalizer == "runs" else len(outcomes))
+        category = "winning" if delta > 0 else "losing" if delta < 0 else "tied"
+        out.append((relation, wins, losses, ties, delta, category))
+    return sorted(out, key=lambda row: (-abs(row[4]), row[0]))

@@ -268,13 +268,11 @@ def test_c7_paired_analysis_exactness():
                 {"e1": "elaboration", "e2": "elaboration",
                  "c1": "elaboration", "b1": "background"}),
         }
-        outcomes = []
-        swapped = []
-        for run_id, (rec_a, rec_b) in run_preds.items():
-            preds_a = PredictionSet("default+plm", run_id, dict(rec_a))
-            preds_b = PredictionSet("OR1+plm", run_id, dict(rec_b))
-            outcomes.extend(pair_outcomes(gold, preds_a, preds_b, run_id))
-            swapped.extend(pair_outcomes(gold, preds_b, preds_a, run_id))
+        runs = [(PredictionSet("default+plm", run_id, dict(rec_a)),
+                 PredictionSet("OR1+plm", run_id, dict(rec_b)))
+                for run_id, (rec_a, rec_b) in run_preds.items()]
+        outcomes = pair_outcomes(gold, runs)
+        swapped = pair_outcomes(gold, [(b, a) for a, b in runs])
 
         margins = {m.relation: m for m in relation_margins(outcomes, num_runs=2)}
         assert (margins["elaboration"].wins,

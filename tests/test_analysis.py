@@ -15,7 +15,6 @@ from drckit.analysis import (
     WIN,
     WINNING,
     ConnectiveLexicon,
-    PairedOutcome,
     _PUNCT,
     _matches,
     _normalized_tokens,
@@ -24,14 +23,13 @@ from drckit.analysis import (
     first_connective_token,
     load_connective_lexicon,
     margins_by_category,
-    outcome_counts,
     pair_outcomes,
     relation_margins,
 )
 from drckit.context import ContextScheme, RenderedInstance, VariantDataset
 from drckit.inference import PredictionSet
 
-from oracles import category_match_rates
+from oracles import category_match_rates, paired_outcomes
 
 DEFAULT = ContextScheme("default")
 
@@ -41,15 +39,13 @@ def predictions(records, condition="c", run_id=0):
 
 
 def test_pair_outcomes_definitions():
-    gold = {"i1": "cause", "i2": "cause", "i3": "cause", "i4": "cause"}
-    preds_a = predictions({"i1": "cause", "i2": "joint", "i3": "cause",
-                           "i4": "joint"})
-    preds_b = predictions({"i1": "cause", "i2": "cause", "i3": "joint",
-                           "i4": "joint"})
-    outcomes = {o.instance_id: o.outcome
-                for o in pair_outcomes(gold, preds_a, preds_b, run_id=0)}
+    # One relation per instance, so each count names one instance's outcome.
+    gold = {"i1": "r1", "i2": "r2", "i3": "r3", "i4": "r4"}
+    preds_a = predictions({"i1": "r1", "i2": "x", "i3": "r3", "i4": "x"})
+    preds_b = predictions({"i1": "r1", "i2": "r2", "i3": "x", "i4": "x"})
     # both right -> tie; B only -> win; A only -> loss; both wrong -> tie
-    assert outcomes == {"i1": TIE, "i2": WIN, "i3": LOSS, "i4": TIE}
+    assert pair_outcomes(gold, [(preds_a, preds_b)]) == Counter({
+        ("r1", TIE): 1, ("r2", WIN): 1, ("r3", LOSS): 1, ("r4", TIE): 1})
 
 
 def test_pair_outcomes_requires_coverage():
@@ -57,73 +53,62 @@ def test_pair_outcomes_requires_coverage():
     full = predictions({"i1": "cause", "i2": "cause"})
     short = predictions({"i1": "cause"})
     with pytest.raises(ValueError, match="cover"):
-        pair_outcomes(gold, short, full, run_id=0)
+        pair_outcomes(gold, [(short, full)])
     with pytest.raises(ValueError, match="cover"):
-        pair_outcomes(gold, full, short, run_id=0)
+        pair_outcomes(gold, [(full, short)])
 
 
 def test_pair_outcomes_accepts_dataset():
     instances = (RenderedInstance("i1", "", "a", "b", "cause"),)
     dataset = VariantDataset("c", DEFAULT, "test", instances, ("cause",))
-    outcomes = pair_outcomes(dataset.gold_labels(), predictions({"i1": "joint"}),
-                             predictions({"i1": "cause"}), run_id=2)
-    assert outcomes[0].outcome == WIN
-    assert outcomes[0].run_id == 2
-    assert outcomes[0].gold_label == "cause"
+    counts = pair_outcomes(dataset.gold_labels(), [
+        (predictions({"i1": "joint"}, run_id=2), predictions({"i1": "cause"}, run_id=2))])
+    assert counts == Counter({("cause", WIN): 1})
 
 
-def single_relation_outcomes(relation, wins, losses, ties, runs=1):
-    out = []
-    k = 0
-    for run in range(runs):
-        for _ in range(wins // runs):
-            out.append(PairedOutcome(f"i{k}", run, WIN, relation)); k += 1
-        for _ in range(losses // runs):
-            out.append(PairedOutcome(f"i{k}", run, LOSS, relation)); k += 1
-        for _ in range(ties // runs):
-            out.append(PairedOutcome(f"i{k}", run, TIE, relation)); k += 1
-    return out
+def single_relation_counts(relation, wins, losses, ties):
+    return Counter({(relation, WIN): wins, (relation, LOSS): losses,
+                    (relation, TIE): ties})
 
 
 def test_margins_single_run():
-    outcomes = single_relation_outcomes("elaboration", wins=3, losses=1, ties=0)
-    [margin] = relation_margins(outcomes, num_runs=1)
+    counts = single_relation_counts("elaboration", wins=3, losses=1, ties=0)
+    [margin] = relation_margins(counts, num_runs=1)
     assert margin.delta == 2.0
     assert margin.category == WINNING
     assert (margin.wins, margin.losses, margin.ties) == (3, 1, 0)
 
 
 def test_margins_all_ties():
-    outcomes = single_relation_outcomes("joint", wins=0, losses=0, ties=8)
-    [margin] = relation_margins(outcomes, num_runs=1)
+    counts = single_relation_counts("joint", wins=0, losses=0, ties=8)
+    [margin] = relation_margins(counts, num_runs=1)
     assert margin.delta == 0.0
     assert margin.category == TIED
 
 
 def test_margins_published_delta_shape():
     # 60 wins and 3 losses over 10 runs average out to 5.7
-    outcomes = single_relation_outcomes("elaboration", wins=60, losses=3,
-                                        ties=0, runs=1)
-    [margin] = relation_margins(outcomes, num_runs=10)
+    counts = single_relation_counts("elaboration", wins=60, losses=3, ties=0)
+    [margin] = relation_margins(counts, num_runs=10)
     assert margin.delta == pytest.approx(5.7)
     assert margin.category == WINNING
 
 
 def test_margins_support_normalizer():
-    outcomes = single_relation_outcomes("cause", wins=6, losses=2, ties=2)
-    [by_runs] = relation_margins(outcomes, num_runs=2)
+    counts = single_relation_counts("cause", wins=6, losses=2, ties=2)
+    [by_runs] = relation_margins(counts, num_runs=2)
     assert by_runs.delta == 2.0
-    [by_support] = relation_margins(outcomes, num_runs=2, normalizer="support")
+    [by_support] = relation_margins(counts, num_runs=2, normalizer="support")
     assert by_support.delta == pytest.approx(0.4)
     with pytest.raises(ValueError, match="normalizer"):
-        relation_margins(outcomes, num_runs=2, normalizer="weird")
+        relation_margins(counts, num_runs=2, normalizer="weird")
 
 
 def test_margins_sorted_by_absolute_delta():
-    outcomes = (single_relation_outcomes("small", 2, 1, 0)
-                + single_relation_outcomes("big", 9, 0, 0)
-                + single_relation_outcomes("negative", 0, 5, 0))
-    margins = relation_margins(outcomes, num_runs=1)
+    counts = (single_relation_counts("small", 2, 1, 0)
+              + single_relation_counts("big", 9, 0, 0)
+              + single_relation_counts("negative", 0, 5, 0))
+    margins = relation_margins(counts, num_runs=1)
     assert [m.relation for m in margins] == ["big", "negative", "small"]
     categories = margins_by_category(margins)
     assert categories[WINNING] == ["big", "small"]
@@ -136,16 +121,12 @@ def test_margins_conservation_and_swap():
     preds_a = predictions({f"i{k}": "cause" for k in range(10)})
     preds_b = predictions({f"i{k}": "joint" if k % 3 == 0 else "cause"
                            for k in range(10)})
-    outcomes = []
-    for run in range(4):
-        outcomes.extend(pair_outcomes(gold, preds_a, preds_b, run_id=run))
-    margins = relation_margins(outcomes, num_runs=4)
+    margins = relation_margins(pair_outcomes(gold, [(preds_a, preds_b)] * 4),
+                               num_runs=4)
     total = sum(m.wins + m.losses + m.ties for m in margins)
     assert total == len(gold) * 4
 
-    swapped = []
-    for run in range(4):
-        swapped.extend(pair_outcomes(gold, preds_b, preds_a, run_id=run))
+    swapped = pair_outcomes(gold, [(preds_b, preds_a)] * 4)
     swapped_margins = {m.relation: m for m in relation_margins(swapped, num_runs=4)}
     for m in margins:
         other = swapped_margins[m.relation]
@@ -162,6 +143,20 @@ def test_lexicon_dedup(tmp_path):
     path.write_text("Because\nbecause\n", encoding="utf-8")
     lexicon = load_connective_lexicon(path)
     assert lexicon.entries == frozenset({"because"})
+
+
+@pytest.mark.parametrize("multiword", [False, True])
+def test_lexicon_entries_read_like_arg2_text(tmp_path, multiword):
+    # Entries lose case and punctuation, and "--", which has no word, is no
+    # entry: as "" it would match every arg2 that has no word either.
+    path = tmp_path / "lex.txt"
+    path.write_text("However,\ne.g.\nas  a result\n--\n", encoding="utf-8")
+    lexicon = load_connective_lexicon(path)
+    assert lexicon.entries == frozenset({"however", "e.g", "as a result"})
+    texts = ["However, the parser fails .", "e.g. a tree", "as a result we win",
+             "-- ."]
+    assert [_matches(text, lexicon, multiword) for text in texts] == \
+        [True, True, multiword, False]
 
 
 def test_lexicon_comments_only_is_empty(tmp_path):
@@ -331,10 +326,10 @@ def test_outcome_counts_weight_shared_runs_as_pair_outcomes_counts(data):
             records = pool[index] if shared else dict(pool[index])
             sets.append(PredictionSet(name, run_id, records))
         runs.append(tuple(sets))
-    expected = Counter((o.gold_label, o.outcome) for a, b in runs
-                       for o in pair_outcomes(gold, a, b, a.run_id))
-    assert outcome_counts(gold, runs) == expected
-    assert outcome_counts(gold, iter(runs)) == expected
+    expected = Counter(paired_outcomes(gold, [(a.records, b.records)
+                                              for a, b in runs]))
+    assert pair_outcomes(gold, runs) == expected
+    assert pair_outcomes(gold, iter(runs)) == expected
 
 
 ARG2_WORDS = ["because", "as", "a", "result", "however,", "(but", "the",

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,12 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drckit import (cli, config as config_module, context, evaluation, inference,
                     treebank)
-from drckit.analysis import (
-    default_lexicon,
-    pair_outcomes,
-    relation_margins,
-    write_margins_tsv,
-)
+from drckit.analysis import RelationMargin, default_lexicon, write_margins_tsv
 from drckit.cli import main
 from drckit.config import RunManifest, Stage, StageRunner
 from drckit.context import (
@@ -40,6 +36,7 @@ from conftest import (
     write_corpus_dir,
     write_doc,
 )
+from oracles import paired_outcomes, relation_tallies
 
 
 @pytest.fixture
@@ -350,11 +347,10 @@ def paired_runs(draw):
 @given(paired_runs(), st.sampled_from(["runs", "support"]))
 def test_analyze_pair_margins_equal_relation_margins(tmp_path, runs, normalizer):
     dataset, runs_a, runs_b = runs
-    gold = dataset.gold_labels()
-    expected = relation_margins(
-        [outcome for a, b in zip(runs_a, runs_b)
-         for outcome in pair_outcomes(gold, a, b, a.run_id)],
-        len(runs_a), normalizer=normalizer)
+    rows = paired_outcomes(dataset.gold_labels(),
+                           [(a.records, b.records) for a, b in zip(runs_a, runs_b)])
+    expected = [RelationMargin(*row)
+                for row in relation_tallies(rows, len(runs_a), normalizer)]
     margins, _ = cli._analyze_pair(dataset, runs_a, runs_b, default_lexicon(),
                                    tmp_path / "analysis", normalizer=normalizer)
     assert margins == expected
@@ -1100,6 +1096,24 @@ def test_manifest_removes_only_dropped_outputs_under_out_dir(tmp_path):
     assert not dropped.exists() and not (out / "analysis").exists()
 
 
+def test_lexicon_that_is_not_utf8_is_an_error_naming_it(small_corpus_dir,
+                                                        tmp_path, capsys):
+    lexicon = tmp_path / "bad.txt"
+    lexicon.write_bytes(b"because\n\xff\n")
+    config = patch_config(experiment_config(
+        tmp_path, small_corpus_dir, backends=[{"kind": "cue"}], seeds=[1, 2]),
+        lexicon=str(lexicon))
+    error = f"error: {lexicon}: 'utf-8' codec can't decode byte 0xff in position 8"
+    assert run_cli("experiment", "--config", config) == 1
+    assert capsys.readouterr().err.startswith(error)
+    out = tmp_path / "out"
+    assert run_cli("analyze", "--dataset", out / "variants" / "disamb.default.test.jsonl",
+                   "--preds-a", *(out / "predictions").glob("default+cue.*.jsonl"),
+                   "--preds-b", *(out / "predictions").glob("OR1+cue.*.jsonl"),
+                   "--lexicon", lexicon, "--out", tmp_path / "analysis") == 1
+    assert capsys.readouterr().err.startswith(error)
+
+
 @pytest.mark.parametrize("edit, rerun", [
     (lambda out, lexicon:
         (out / "predictions" / "OR1+cue.run2.jsonl").unlink(),
@@ -1299,17 +1313,36 @@ def test_subcommands_reproduce_experiment_outputs(small_corpus_dir, tmp_path):
         files(out / "analysis" / "cue.default-vs-OR1")
 
 
-def test_traced_benchmark_finds_every_hook(tmp_path):
-    # A renamed stage function would leave the traced benchmark blind to
-    # its layer.  The tracer rebinds drckit functions for the life of its
-    # process, so it runs in a child process.
+def traced_call(tmp_path: Path, *argv) -> dict:
+    """The spans, counts and missing hooks of one CLI call under the traced
+    benchmark.  The tracer rebinds drckit functions for the life of its
+    process, so it runs in a child process."""
     root = Path(__file__).resolve().parents[1]
     spans = tmp_path / "spans.json"
     subprocess.run([sys.executable, root / "perfbench" / "traced_cli.py",
-                    spans, "--version"], cwd=root, check=True,
+                    spans, *map(str, argv)], cwd=root, check=True,
                    capture_output=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": str(root / "src")})
-    assert json.loads(spans.read_text(encoding="utf-8"))["missing"] == []
+    return json.loads(spans.read_text(encoding="utf-8"))
+
+
+def test_traced_benchmark_finds_every_hook(tmp_path):
+    # A renamed stage function would leave the traced benchmark blind to
+    # its layer.
+    assert traced_call(tmp_path, "--version")["missing"] == []
+
+
+def test_traced_cold_experiment_calls_the_pairing_hooks(small_corpus_dir,
+                                                        tmp_path):
+    # A hook that exists but is never called reads as a layer that got free.
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    trace = traced_call(tmp_path, "experiment", "--config", config)
+    calls = Counter(name for name, *_ in trace["spans"])
+    analyses = [s for s in stages_run(tmp_path / "out") if s.startswith("analysis:")]
+    assert analyses == ["analysis:cue:default-vs-OR1"]
+    assert calls["analysis.pair_outcomes"] == len(analyses)
+    assert calls["analysis.relation_margins"] == len(analyses)
 
 
 def loaded_modules(*argv) -> set[str]:
