@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 from . import __version__
 from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, TAG, ConfigError, ContextScheme,
                      ExperimentConfig, RunManifest, Stage, StageRunner, check_config,
-                     endpoint_config, file_key, load_experiment_config)
+                     endpoint_config, file_key, load_experiment_config, sweep)
 
 # Each layer is imported where one of its stages, subcommands or error
 # branches runs, so a call loads only the layers it uses: a rerun with
@@ -393,8 +393,6 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                     f"\t{result.significant}")
             (out_dir / "significance.tsv").write_text("\n".join(sig_lines) + "\n",
                                                       encoding="utf-8")
-        else:  # a manifest written before this stage existed does not list it
-            (out_dir / "significance.tsv").unlink(missing_ok=True)
         table = format_results_table(list(aggregates.values()), significance)
         (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")
         return "\n".join([*map(_mean_line, aggregates.values()), table])
@@ -505,7 +503,7 @@ def cmd_experiment(args) -> int:
                 if all(name in manifest.stages for name in names):
                     print(_mean_line(aggregate_runs([runner.value(name)
                                                      for name in names])))
-    manifest.remove_dropped(out_dir)  # the outputs of conditions the config dropped
+    sweep(out_dir, stages)  # the outputs of conditions the config dropped
     print(runner.value("summary"))
     return EXIT_OK
 

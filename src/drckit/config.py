@@ -234,12 +234,16 @@ def _backend(entry: dict, where: str, base: Path,
     return BackendSpec(kind=kind, tag=tag, options=options)
 
 
+#: The directories under ``out_dir`` that hold only what the stages write.
+OUTPUT_DIRS = ("variants", "predictions", "reports", "analysis")
+
+
 def load_experiment_config(path: Path | str) -> ExperimentConfig:
     """Load and check a declarative experiment configuration.
 
     The file is JSON with a mandatory ``schema_version`` field; each object
-    may hold only the keys of its table, every referenced path must exist at
-    load time, and no two conditions may share a name.
+    may hold only the keys of its table, every path it reads must exist and
+    lie outside ``OUTPUT_DIRS``, and no two conditions may share a name.
     """
     path = Path(path)
     try:
@@ -275,7 +279,7 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         raise ConfigError(f"{path}: the experiment makes {comparisons} "
                           f"comparisons, so bonferroni_m must be >= {comparisons}")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         corpus_name=payload["corpus"].get("name", corpus_dir.name),
         corpus_dir=corpus_dir, schemes=schemes, backends=backends,
         seeds=seeds, out_dir=(path.parent / payload["out_dir"]).resolve(),
@@ -283,14 +287,21 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         # A key left out keeps its ExperimentConfig default.
         **{key: payload[key] for key in ("train_split", "eval_split",
                                          "bonferroni_m", "alpha") if key in payload})
+    splits = (cfg.train_split, cfg.eval_split)
+    inputs = [lexicon, *((corpus_dir / split).resolve() for split in splits),
+              *(Path(ref) for backend in backends if backend.kind == "import"
+                for refs in backend.options["runs"].values() for ref in refs)]
+    for source in filter(None, inputs):
+        if any(source.is_relative_to(cfg.out_dir / name) for name in OUTPUT_DIRS):
+            raise ConfigError(f"{path}: {source} lies inside an output directory of "
+                              f"{cfg.out_dir}, which a completed run sweeps")
+    return cfg
 
 
 _MANIFEST_FIELDS = {"stages": map_of(JsonField(
-    (dict,), "a stage record", parse=lambda entry: check_fields(entry, {
-        "outputs": list_of(STRING, "a list of paths"),
-        "completed_at": OPTIONAL_STRING, "text": OPTIONAL_STRING})),
+    (dict,), "a stage record", parse=lambda entry: check_fields(
+        entry, {"completed_at": OPTIONAL_STRING, "text": OPTIONAL_STRING})),
         "a map of stage records"),
-    "unrecorded": list_of(STRING, "a list of paths")._replace(required=False),
     # What ingest found, which the run key vouches for: the corpus's counts
     # and its train label inventory, as a tuple.
     "ingest": JsonField((dict,), "an ingest summary", False, lambda s: check_fields(s, {
@@ -305,10 +316,8 @@ class RunManifest:
     (see ``ExperimentConfig.run_key``), and ``stages`` those recorded in
     this run, the only ones ``save`` writes: a run cut short leaves no
     record of a stage it did not reach, whose outputs may have been made
-    from inputs that have since been made again.  ``found`` holds every
-    output the loaded manifest lists under its own directory, whatever its
-    run key: a run dir copied from elsewhere lists the old one's.  ``ingest``
-    holds the ingest summary loaded under this run key, or set in this run.
+    from inputs that have since been made again.  ``ingest`` holds the
+    ingest summary loaded under this run key, or set in this run.
     """
 
     def __init__(self, path: Path, run_key: str, tool_version: str):
@@ -317,7 +326,6 @@ class RunManifest:
         self.tool_version = tool_version
         self.previous: dict[str, dict] = {}
         self.stages: dict[str, dict] = {}
-        self.found: set[str] = set()
         self.ingest: dict | None = None
 
     @classmethod
@@ -334,41 +342,16 @@ class RunManifest:
             log.warning("%s is not a run manifest, so every stage runs "
                         "again: %s", manifest.path, exc)
             return manifest
-        stages = payload["stages"]
-        # Outputs are listed as absolute paths, so a prefix tells where they are.
-        under = os.path.join(manifest.path.parent.resolve(), "")
-        manifest.found = {p for p in set(payload.get("unrecorded", ())).union(
-            *(entry["outputs"] for entry in stages.values())) if p.startswith(under)}
         if payload.get("run_key") == run_key:
-            manifest.previous, manifest.ingest = stages, payload.get("ingest")
+            manifest.previous, manifest.ingest = payload["stages"], payload.get("ingest")
         return manifest
-
-    def remove_dropped(self, out_dir: Path) -> None:
-        """Unlink each output under ``out_dir`` that the loaded manifest lists
-        and no stage of this run does, then each directory left empty.  Only
-        a completed run calls this: one cut short has not recorded them all."""
-        dropped = [Path(p) for p in self.unrecorded()
-                   if Path(p).resolve().is_relative_to(out_dir)]
-        for path in dropped:
-            path.unlink(missing_ok=True)
-        for directory in sorted({d for p in dropped for d in p.parents
-                                 if out_dir in d.parents}, reverse=True):
-            if not any(directory.iterdir()):
-                directory.rmdir()
-
-    def unrecorded(self) -> list[str]:
-        """The outputs in ``found`` that exist and no stage of this run lists;
-        ``save`` keeps them listed, so a run cut short leaves them for the
-        next run to remove."""
-        return sorted(p for p in self.found.difference(
-            *(entry["outputs"] for entry in self.stages.values())) if Path(p).exists())
 
     def save(self) -> None:
         """Write the stages recorded in this run to a temporary file, flush
         it to disk and rename it into place, so a crash leaves the old
         manifest or the new one, never a torn one."""
         payload = {"run_key": self.run_key, "tool_version": self.tool_version,
-                   "stages": self.stages, "unrecorded": self.unrecorded()}
+                   "stages": self.stages}
         if self.ingest is not None:
             payload["ingest"] = self.ingest
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -431,7 +414,6 @@ class StageRunner:
             else:
                 self._loads[stage.name] = stage.load
             recorded[stage.name] = {
-                "outputs": [str(p) for p in stage.outputs],
                 # A reused stage keeps the time it was first completed.
                 "completed_at": reused and entry.get("completed_at")
                 or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -439,3 +421,21 @@ class StageRunner:
                 **({"text": self._values[stage.name]} if stage.load is None else {})}
             if stage.checkpoint and not reused:
                 self.manifest.save()
+
+
+def sweep(out_dir: Path, stages: Iterable[Stage]) -> None:
+    """Unlink each file under the ``OUTPUT_DIRS`` of ``out_dir``, and each of
+    its summary files, that no stage in ``stages`` lists, then each directory
+    this leaves empty.  Only a completed run sweeps: one cut short has not
+    made all that its stages list."""
+    keep = {str(path) for stage in stages for path in stage.outputs}
+    for path in (out_dir / "results_table.txt", out_dir / "significance.tsv"):
+        if str(path) not in keep:
+            path.unlink(missing_ok=True)
+    for name in OUTPUT_DIRS:  # bottom-up, so a directory goes after its contents
+        for directory, _, files in os.walk(out_dir / name, topdown=False):
+            stray = {os.path.join(directory, f) for f in files} - keep
+            for path in stray:
+                os.unlink(path)
+            if len(stray) == len(files) and not os.listdir(directory):
+                os.rmdir(directory)

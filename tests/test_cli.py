@@ -1007,18 +1007,18 @@ def test_experiment_torn_manifest_recomputes_every_stage(
 
 
 @pytest.mark.parametrize("text", [
-    b"[" * 100_000, b'{"stages": {"a": {"outputs": "out/x"}}}',
-    b'{"stages": {"a": {"outputs": []}}, "unrecorded": [1]}',
+    b"[" * 100_000, b'{"run_key": "key", "stages": {"a": []}}',
+    b'{"run_key": "key", "stages": {"a": {"completed_at": 1}}}',
     b'{"stages": {}, "ingest": {"train_instances": 1.0, "eval_instances": 1, '
     b'"label_inventory": []}}'],
-    ids=["nested_too_deeply", "outputs_not_list", "unrecorded_not_paths",
+    ids=["nested_too_deeply", "stage_not_object", "completed_at_not_string",
          "ingest_count_not_integer"])
 def test_manifest_that_is_no_manifest_is_ignored(tmp_path, caplog, text):
     path = tmp_path / "manifest.json"
     path.write_bytes(text)
     with caplog.at_level(logging.WARNING):
         manifest = RunManifest.load_or_create(path, "key", "1.0")
-    assert manifest.previous == {} and manifest.found == set()
+    assert manifest.previous == {} and manifest.ingest is None
     assert f"{path} is not a run manifest" in caplog.text
 
 
@@ -1075,25 +1075,24 @@ def test_stage_without_load_is_reused_from_its_recorded_text(tmp_path):
     assert walk() == "made"
 
 
-def test_manifest_removes_only_dropped_outputs_under_out_dir(tmp_path):
+def test_sweep_removes_only_unlisted_files_in_drckit_directories(tmp_path):
     out = tmp_path / "out"
-    kept = out / "reports" / "kept.tsv"
-    dropped = out / "analysis" / "cue.default-vs-OR1" / "margins.tsv"
-    outside = tmp_path / "elsewhere.tsv"
-    for path in (kept, dropped, outside):
+    kept = [out / "reports" / "kept.tsv", out / "results_table.txt",
+            out / "manifest.json", out / "logs" / "cue.log.jsonl", out / "notes.txt",
+            tmp_path / "elsewhere.tsv"]
+    swept = [out / "analysis" / "cue.default-vs-OR1" / "margins.tsv",
+             out / "analysis" / "cue.default-vs-OR1" / "deeper" / "stray",
+             out / "predictions" / "stray.jsonl", out / "significance.tsv"]
+    for path in kept + swept:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("x", encoding="utf-8")
-    first = RunManifest(out / "manifest.json", "old key", "1.0")
-    for name, outputs_ in (("a", [kept, dropped]), ("b", [outside])):
-        run_stage(first, name, outputs=outputs_)
-    first.save()
-    # Another run key: the config changed, and no stage is reused.
-    second = RunManifest.load_or_create(out / "manifest.json", "new key", "1.0")
-    assert second.previous == {}
-    run_stage(second, "a", outputs=[kept])
-    second.remove_dropped(out)
-    assert kept.exists() and outside.exists()
-    assert not dropped.exists() and not (out / "analysis").exists()
+    (out / "variants").mkdir()  # an empty directory drckit owns
+    config_module.sweep(out, [Stage("a", (kept[0],), run=lambda: None),
+                              Stage("summary", (kept[1],), run=lambda: None)])
+    assert all(path.exists() for path in kept)
+    assert not any(path.exists() for path in swept)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "logs", "manifest.json", "notes.txt", "reports", "results_table.txt"]
 
 
 def test_lexicon_that_is_not_utf8_is_an_error_naming_it(small_corpus_dir,
@@ -1220,8 +1219,8 @@ def test_experiment_in_a_copied_run_dir_checks_its_own_outputs(small_corpus_dir,
 
 def test_experiment_in_a_copied_run_dir_forgets_the_old_outputs(small_corpus_dir,
                                                                 tmp_path):
-    # The copy's manifest first lists the old run dir's outputs, which no run
-    # in the copy may remove; once the copy has run it lists only its own.
+    # The copy's manifest names no path, so it cannot point back at the old
+    # run dir; once the copy has run, its outputs equal the old dir's.
     (tmp_path / "a").mkdir()
     config = patch_config(experiment_config(
         tmp_path / "a", small_corpus_dir, backends=[{"kind": "cue"}],
@@ -1230,12 +1229,91 @@ def test_experiment_in_a_copied_run_dir_forgets_the_old_outputs(small_corpus_dir
     shutil.copytree(tmp_path / "a", tmp_path / "b")
     for _ in range(2):
         assert run_cli("experiment", "--config", tmp_path / "b" / "experiment.json") == 0
-    copy = (tmp_path / "b" / "out").resolve()
-    manifest = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["unrecorded"] == []
-    assert all(Path(p).is_relative_to(copy) for entry in manifest["stages"].values()
-               for p in entry["outputs"])
+    copy = tmp_path / "b" / "out"
+    manifest = (copy / "manifest.json").read_text(encoding="utf-8")
+    assert str(tmp_path) not in manifest and "outputs" not in manifest
     assert outputs(tmp_path / "a" / "out") == outputs(copy)
+
+
+def test_experiment_in_a_copied_run_dir_drops_a_scheme_as_a_fresh_run(
+        small_corpus_dir, tmp_path):
+    # The copy's manifest came from another run dir, yet a completed run in
+    # the copy leaves no output of the scheme its config dropped.
+    (tmp_path / "a").mkdir()
+    config = patch_config(experiment_config(
+        tmp_path / "a", small_corpus_dir, backends=[{"kind": "cue"}],
+        seeds=[1, 2]), out_dir="out")
+    assert run_cli("experiment", "--config", config) == 0
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    copy = patch_config(tmp_path / "b" / "experiment.json", schemes=["default"])
+    assert run_cli("experiment", "--config", copy) == 0
+    (tmp_path / "fresh").mkdir()
+    assert run_cli("experiment", "--config", shutil.copy(copy, tmp_path / "fresh")) == 0
+
+    def directories(out_dir: Path) -> list[str]:
+        return sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*")
+                      if p.is_dir() and p.name != "logs")
+
+    for listing in (outputs, directories):
+        assert listing(tmp_path / "b" / "out") == listing(tmp_path / "fresh" / "out")
+
+
+def test_experiment_sweeps_a_stray_output_only_when_it_completes(
+        small_corpus_dir, tmp_path):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    stray = tmp_path / "out" / "predictions" / "stray.jsonl"
+    stray.write_text("{}\n", encoding="utf-8")
+    dead = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m",
+            "max_retries": 0, "backoff": 0.001}
+    patch_config(config, backends=[{"kind": "cue"}, dead], bonferroni_m=2)
+    assert run_cli("experiment", "--config", config) == 3
+    assert stray.exists()  # a run cut short sweeps nothing
+    assert run_cli("experiment", "--config",
+                   patch_config(config, backends=[{"kind": "cue"}])) == 0
+    assert not stray.exists()
+
+
+@pytest.mark.parametrize("field", ["lexicon", "import"])
+def test_config_input_inside_an_output_directory_is_an_error(
+        small_corpus_dir, tmp_path, capsys, field):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    source = tmp_path / "out" / "predictions" / "default+cue.run1.jsonl"
+    if field == "lexicon":
+        patch_config(config, lexicon=str(source))
+    else:
+        runs = {scheme: [str(source)] * 2 for scheme in ("default", "OR1")}
+        patch_config(config, backends=[{"kind": "import", "runs": runs}])
+    capsys.readouterr()
+    assert run_cli("experiment", "--config", config) == 2
+    assert f"{source} lies inside an output directory" in capsys.readouterr().err
+
+
+def test_manifest_listing_outputs_and_unrecorded_paths_is_reused(
+        small_corpus_dir, tmp_path, caplog, capsys):
+    # Earlier manifests listed each stage's outputs as absolute paths and
+    # kept an "unrecorded" list; such a manifest stays warm.
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold, cold_stdout = outputs(out), capsys.readouterr().out
+    manifest = out / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    cfg = config_module.load_experiment_config(config)
+    for stage in cli.experiment_stages(cfg, payload["ingest"]["label_inventory"],
+                                       None, None):
+        payload["stages"][stage.name]["outputs"] = [str(p) for p in stage.outputs]
+    payload["unrecorded"] = [str(out / "predictions" / "AD1+cue.run1.jsonl")]
+    manifest.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert run_cli("experiment", "--config", config) == 0
+    assert caplog.text == ""
+    assert stages_run(out) == []
+    assert outputs(out) == cold and capsys.readouterr().out == cold_stdout
 
 
 def import_config(tmp_path: Path, corpus_dir: Path) -> tuple[Path, dict]:

@@ -7,11 +7,13 @@ Usage, from the root of a git checkout:
 BASE_REF (a commit, branch or tag) is checked out in a temporary `git
 worktree`.  The benchmark's scidtb_like and long_docs corpora are written at
 seeds 1 and 3 with perfbench/corpus.py, under the workload's config from
-perfbench/run.py.  Each is run through a cold, a warm and a partial-warm
-`drckit experiment`, once with the base's src/ and once with this
-checkout's; the partial-warm run follows the deletion of one prediction file
-and one eval variant file (PARTIAL), so it rebuilds a variant from the
-corpus and reads the others back.  A fourth phase, warm-from-base, reruns
+perfbench/run.py.  Each is run through a cold, a warm, a partial-warm and a
+dropped-scheme `drckit experiment`, once with the base's src/ and once with
+this checkout's; the partial-warm run follows the deletion of one
+prediction file and one eval variant file (PARTIAL), so it rebuilds a
+variant from the corpus and reads the others back, and the dropped-scheme
+run follows a rewrite of the config without its last scheme, so each tree
+must remove that scheme's outputs alike.  A fifth phase, warm-from-base, reruns
 this checkout on the base's cold out/, restored from a copy to where the
 base wrote it: it must reuse every stage and give the base's warm exit
 code, stdout, stderr and out/ files, so an out/ the base wrote stays warm.
@@ -85,16 +87,22 @@ def run_phase(src: Path, run_dir: Path) -> dict[str, object]:
 
 def run_tree(src: Path, run_dir: Path, config: str, deleted: tuple[str, ...],
              cold_copy: Path | None = None) -> dict[str, object]:
-    """A cold, a warm and, once ``deleted`` (paths under out/) are gone, a
-    partial-warm experiment with ``src``: what each left behind.  The run
-    directory as the cold run left it is copied to ``cold_copy``."""
+    """A cold, a warm, once ``deleted`` (paths under out/) are gone a
+    partial-warm, and once the config drops its last scheme a dropped-scheme
+    experiment with ``src``: what each left behind.  The run directory as
+    the cold run left it is copied to ``cold_copy``."""
     run_dir.mkdir(parents=True)
     (run_dir / "experiment.json").write_text(config, encoding="utf-8")
     seen: dict[str, object] = {}
-    for phase in ("cold", "warm", "partial-warm"):
+    for phase in ("cold", "warm", "partial-warm", "dropped-scheme"):
         if phase == "partial-warm":
             for rel in deleted:
                 (run_dir / "out" / rel).unlink()
+        if phase == "dropped-scheme":
+            payload = json.loads(config)
+            payload["schemes"] = payload["schemes"][:-1]
+            (run_dir / "experiment.json").write_text(json.dumps(payload, indent=2),
+                                                     encoding="utf-8")
         seen.update((f"{phase} {key}", value)
                     for key, value in run_phase(src, run_dir).items())
         if phase == "cold" and cold_copy is not None:
@@ -112,8 +120,9 @@ def compare(base_src: Path, head_src: Path, work: Path,
         base_dir, cold_copy = case_dir / "base", case_dir / "base-cold"
         base = run_tree(base_src, base_dir, config, PARTIAL[name], cold_copy)
         head = run_tree(head_src, case_dir / "head", config, PARTIAL[name])
-        # The head on the base's cold out/, back where the base wrote it (the
-        # manifest lists absolute paths), must do what the base's warm run did.
+        # The head on the base's cold out/, back in the run dir where the base
+        # wrote it, as an upgrade in place finds it, must do what the base's
+        # warm run did.
         shutil.rmtree(base_dir)
         cold_copy.rename(base_dir)
         head.update((f"warm-from-base {key}", value)
