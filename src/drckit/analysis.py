@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from importlib import resources
 from itertools import islice
 from operator import eq, sub
 from pathlib import Path
@@ -148,7 +147,8 @@ def load_connective_lexicon(path: Path | str) -> ConnectiveLexicon:
 
 def default_lexicon() -> ConnectiveLexicon:
     """The lexicon shipped with the package."""
-    text = (resources.files("drckit.data") / "connectives.txt").read_text("utf-8")
+    # Read by path: from Python 3.12 on, importlib.resources imports inspect.
+    text = (Path(__file__).parent / "data" / "connectives.txt").read_text("utf-8")
     return _parse_lexicon(text, "builtin")
 
 

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from . import __version__
 from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, TAG, ConfigError, ContextScheme,
-                     ExperimentConfig, RunManifest, Stage, StageRunner, check_config,
-                     endpoint_config, file_key, load_experiment_config, sweep)
+                     ExperimentConfig, RunManifest, Stage, check_config, endpoint_config,
+                     file_key, load_experiment_config, sweep)
 
 # Each layer is imported where one of its stages, subcommands or error
 # branches runs, so a call loads only the layers it uses: a rerun with
@@ -347,6 +347,11 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
         return _predictor(backend.kind, backend.options, value(train), value(test),
                           condition, out_dir / "logs")
 
+    def read_source(source):  # the format only: running the stage checks the ids
+        from .inference import PREDICTION_FIELDS, read_records
+        for _ in read_records(Path(source), PREDICTION_FIELDS):
+            pass
+
     def read_run(path, condition, seed, test):
         from .inference import import_predictions
         return import_predictions(path, value(test), condition=condition, run_id=seed)
@@ -402,8 +407,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
     comparisons = []  # (condition, its default condition), as the analyses pair them
     for scheme in cfg.schemes:
         for split in splits:
-            path = out_dir / "variants" / \
-                f"{cfg.corpus_name}.{scheme.tag}.{split}.jsonl"
+            path = out_dir / "variants" / f"{cfg.corpus_name}.{scheme.tag}.{split}.jsonl"
             name = variants[(scheme.tag, split)] = f"variants:{scheme.tag}:{split}"
             stages.append(Stage(name, (path,),
                                 partial(build_variant, path, scheme, split),
@@ -427,6 +431,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                     partial(predict, path, condition, seed, test, source, predictor),
                     partial(read_run, path, condition, seed, test),
                     key=file_key(source) if source else "",
+                    check=partial(read_source, source) if source else None,
                     checkpoint=backend.kind == "endpoint"))
             conditions[condition] = [f"score:{condition}:{seed}" for seed in cfg.seeds]
             for seed, predict_name, name in zip(cfg.seeds, runs[scheme.tag],
@@ -447,7 +452,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                 partial(analyze, analysis_dir, runs["default"], runs[scheme.tag]),
                 lambda: None,  # nothing reads an analysis back
                 inputs=(variants[("default", cfg.eval_split)], *runs["default"],
-                        *runs[scheme.tag]), key=lexicon_key))
+                        *runs[scheme.tag]), key=lexicon_key, check=lexicon))
             comparisons.append((f"{scheme.tag}+{backend.tag}",
                                 f"default+{backend.tag}"))
     summary = [out_dir / "results_table.txt"]
@@ -462,9 +467,8 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
 
 def cmd_experiment(args) -> int:
     cfg = load_experiment_config(args.config)
-    out_dir = cfg.out_dir
     for directory in ("variants", "predictions", "reports"):
-        (out_dir / directory).mkdir(parents=True, exist_ok=True)
+        (cfg.out_dir / directory).mkdir(parents=True, exist_ok=True)
 
     # A split is parsed only when a variants stage builds from it, or to make
     # the ingest summary that a manifest under this run key lacks.
@@ -473,7 +477,7 @@ def cmd_experiment(args) -> int:
         from .treebank import load_corpus
         return load_corpus(cfg.corpus_dir, split, cfg.corpus_name)
 
-    manifest = RunManifest.load_or_create(out_dir / "manifest.json",
+    manifest = RunManifest.load_or_create(cfg.out_dir / "manifest.json",
                                           cfg.run_key(__version__), __version__)
     if manifest.ingest is None:
         from .context import corpus_label_inventory
@@ -486,25 +490,21 @@ def cmd_experiment(args) -> int:
           f"{cfg.train_split} {manifest.ingest['train_instances']} instances, "
           f"{cfg.eval_split} {manifest.ingest['eval_instances']} instances")
 
-    runner = StageRunner(manifest)
     stages = experiment_stages(cfg, manifest.ingest["label_inventory"], corpus,
-                               runner.value)
+                               manifest.value)
     try:
-        runner.walk(stages)
-    finally:
-        # A run cut short keeps the stages it completed, and prints the
-        # conditions it scored.
-        manifest.save()
+        manifest.walk(stages)
+    finally:  # a run cut short prints the conditions it scored
         if "summary" not in manifest.stages:
             from .evaluation import aggregate_runs
             for condition in (f"{scheme.tag}+{backend.tag}" for backend in cfg.backends
                               for scheme in cfg.schemes):
                 names = [f"score:{condition}:{seed}" for seed in cfg.seeds]
                 if all(name in manifest.stages for name in names):
-                    print(_mean_line(aggregate_runs([runner.value(name)
+                    print(_mean_line(aggregate_runs([manifest.value(name)
                                                      for name in names])))
-    sweep(out_dir, stages)  # the outputs of conditions the config dropped
-    print(runner.value("summary"))
+    sweep(cfg.out_dir, stages)  # the outputs of conditions the config dropped
+    print(manifest.value("summary"))
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ import math
 import os
 import re
 import time
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
@@ -202,11 +203,10 @@ def endpoint_config(options: dict) -> EndpointConfig:
     """Endpoint settings from an endpoint backend's options or ``infer``'s flags."""
     from .endpoint import EndpointConfig
     try:
-        fields = check_fields(dict(options), ENDPOINT_FIELDS, closed=True)
+        return EndpointConfig(**{{"model": "model_name"}.get(key, key): value
+                                 for key, value in options.items()})
     except ValueError as exc:
         raise ConfigError(f"endpoint option {exc}") from exc
-    return EndpointConfig(**{{"model": "model_name"}.get(key, key): value
-                             for key, value in fields.items()})
 
 
 def _backend(entry: dict, where: str, base: Path,
@@ -310,15 +310,14 @@ _MANIFEST_FIELDS = {"stages": map_of(JsonField(
 
 
 class RunManifest:
-    """Tracks which pipeline stages already produced their outputs.
+    """A run dir's stage records and values, and the walk that makes them.
 
     ``previous`` holds the stages of the manifest loaded under this run key
     (see ``ExperimentConfig.run_key``), and ``stages`` those recorded in
     this run, the only ones ``save`` writes: a run cut short leaves no
     record of a stage it did not reach, whose outputs may have been made
     from inputs that have since been made again.  ``ingest`` holds the
-    ingest summary loaded under this run key, or set in this run.
-    """
+    ingest summary loaded under this run key, or set in this run."""
 
     def __init__(self, path: Path, run_key: str, tool_version: str):
         self.path = path
@@ -327,6 +326,8 @@ class RunManifest:
         self.previous: dict[str, dict] = {}
         self.stages: dict[str, dict] = {}
         self.ingest: dict | None = None
+        self._values: dict[str, Any] = {}
+        self._loads: dict[str, Callable[[], Any]] = {}
 
     @classmethod
     def load_or_create(cls, path: Path | str, run_key: str,
@@ -362,15 +363,55 @@ class RunManifest:
             os.fsync(sink.fileno())
         os.replace(tmp, self.path)
 
+    def value(self, name: str) -> Any:
+        """What stage ``name`` returned, or what it loads on first use."""
+        if name not in self._values:
+            self._values[name] = self._loads.pop(name)()
+        return self._values[name]
+
+    def walk(self, stages: list[Stage]) -> None:
+        """Decide every stage, checking each stale one, then run each stale
+        stage and load each reused one, in order, recording each.  A stage is
+        reused when ``previous`` has it under the same key (and text, if it
+        has no ``load``), its ``outputs`` exist and no stage in its ``inputs``
+        is stale.  A failed check leaves the manifest file as it was; once
+        stages run, the walk saves it when it ends, even cut short."""
+        reused: dict[str, bool] = {}
+        for stage in stages:
+            entry = self.previous.get(stage.name, {})
+            reused[stage.name] = bool(entry) and entry.get("key", "") == stage.key \
+                and (stage.load is not None or "text" in entry) \
+                and all(reused[name] for name in stage.inputs) \
+                and all(p.exists() for p in stage.outputs)
+            if stage.check and not reused[stage.name]:
+                stage.check()
+        try:
+            for stage in stages:
+                entry, hit = self.previous.get(stage.name, {}), reused[stage.name]
+                if hit:  # a stage with no load is reused from its recorded text
+                    self._loads[stage.name] = stage.load or partial(entry.get, "text")
+                else:
+                    self._values[stage.name] = stage.run()
+                self.stages[stage.name] = {
+                    # A reused stage keeps the time it was first completed.
+                    "completed_at": hit and entry.get("completed_at")
+                    or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                    "reused": hit, **({"key": stage.key} if stage.key else {}),
+                    **({"text": self.value(stage.name)} if stage.load is None else {})}
+                if stage.checkpoint and not hit:
+                    self.save()
+        finally:
+            self.save()
+
 
 class Stage(NamedTuple):
     """One step of an experiment: ``run()`` makes its ``outputs`` and returns
-    its value, and ``load()`` reads that value back from them.  A stage with
-    no ``load`` returns text, which its manifest record keeps as ``text``, so
-    reusing it reads no file.  ``inputs`` names the earlier stages its value
-    is made from, ``key`` digests an input file only it reads, and
-    ``checkpoint`` saves the manifest once it has run, so a killed process
-    keeps the work it paid for."""
+    its value, and ``load()`` reads that value back from them; with no
+    ``load``, its value is text that its manifest record keeps.  ``inputs``
+    names the earlier stages its value is made from, ``key`` digests an input
+    file only it reads, ``check`` reads what it takes from outside the run
+    before any stage runs, and ``checkpoint`` saves the manifest once it has
+    run, so a killed process keeps the work it paid for."""
 
     name: str
     outputs: tuple[Path, ...]
@@ -378,49 +419,8 @@ class Stage(NamedTuple):
     load: Callable[[], Any] | None = None
     inputs: tuple[str, ...] = ()
     key: str = ""
+    check: Callable[[], Any] | None = None
     checkpoint: bool = False
-
-
-class StageRunner:
-    """Walks stages in their declared order and records each in ``manifest``:
-    a stage is reused when the loaded manifest has it under the same key
-    (with its text, if it has no ``load``), its ``outputs`` exist and every
-    stage in its ``inputs`` was reused in this run; any other stage runs."""
-
-    def __init__(self, manifest: RunManifest):
-        self.manifest = manifest
-        self._values: dict[str, Any] = {}
-        self._loads: dict[str, Callable[[], Any]] = {}
-
-    def value(self, name: str) -> Any:
-        """What the stage ``name`` returned when it ran; for a reused stage,
-        what its ``load`` reads back on first use."""
-        if name not in self._values:
-            self._values[name] = self._loads.pop(name)()
-        return self._values[name]
-
-    def walk(self, stages: Iterable[Stage]) -> None:
-        previous, recorded = self.manifest.previous, self.manifest.stages
-        for stage in stages:
-            entry = previous.get(stage.name, {})
-            reused = bool(entry) and entry.get("key", "") == stage.key \
-                and (stage.load is not None or "text" in entry) \
-                and all(recorded[name]["reused"] for name in stage.inputs) \
-                and all(p.exists() for p in stage.outputs)
-            if not reused:
-                self._values[stage.name] = stage.run()
-            elif stage.load is None:
-                self._values[stage.name] = entry["text"]
-            else:
-                self._loads[stage.name] = stage.load
-            recorded[stage.name] = {
-                # A reused stage keeps the time it was first completed.
-                "completed_at": reused and entry.get("completed_at")
-                or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "reused": reused, **({"key": stage.key} if stage.key else {}),
-                **({"text": self._values[stage.name]} if stage.load is None else {})}
-            if stage.checkpoint and not reused:
-                self.manifest.save()
 
 
 def sweep(out_dir: Path, stages: Iterable[Stage]) -> None:

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import urlsplit
 
+from .config import ENDPOINT_FIELDS
 from .context import RenderedInstance, VariantDataset
 from .fields import STRING, Checked, check_fields, decode, read_records
 from .inference import (
@@ -53,12 +54,16 @@ class _Endpoint(NamedTuple):
 
 
 class EndpointConfig(Checked, _Endpoint):
+    """Endpoint settings, checked by the rules of the config's endpoint
+    options, which name ``model_name`` ``model``: a ValueError names the
+    first option that breaks its rule."""
+
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         config = super().__new__(cls, *args, **kwargs)
-        if config.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        check_fields({{"model_name": "model"}.get(key, key): value
+                      for key, value in config._asdict().items()}, ENDPOINT_FIELDS)
         return config
 
 

@@ -27,8 +27,8 @@ if TYPE_CHECKING:
 #: (unparsed output, unknown labels from imported files).
 OTHER_COLUMN = "<other>"
 
-#: Largest effective sample size for which the exact Wilcoxon null
-#: distribution is enumerated; 2**20 states stay well under a second.
+#: Largest effective sample size for which the signed-rank test gives the
+#: exact p; above it, the test switches to the normal approximation.
 EXACT_ENUMERATION_LIMIT = 20
 
 

@@ -211,9 +211,9 @@ def write_predictions(predictions: PredictionSet, path: Path | str,
     Path(path).write_text(end.join(lines) + end if lines else "\n", encoding="utf-8")
 
 
-_PREDICTION_FIELDS = {"instance_id": STRING, "predicted_label": STRING,
-                      "condition": STRING._replace(required=False),
-                      "run_id": INTEGER._replace(required=False)}
+PREDICTION_FIELDS = {"instance_id": STRING, "predicted_label": STRING,
+                     "condition": STRING._replace(required=False),
+                     "run_id": INTEGER._replace(required=False)}
 
 
 def import_predictions(path: Path | str, dataset: VariantDataset,
@@ -232,7 +232,7 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
     known = {lbl: lbl for lbl in (*dataset.label_inventory, UNPARSED)}
     records: dict[str, str] = {}
     in_file: dict[str, str | int] = {}  # the file's condition and run_id
-    for lineno, rec in read_records(path, _PREDICTION_FIELDS):
+    for lineno, rec in read_records(path, PREDICTION_FIELDS):
         instance_id = dataset_ids.get(rec["instance_id"])
         if instance_id is None:
             raise ValueError(f"{path}:{lineno}: unknown instance_id "

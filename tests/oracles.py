@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: scoring
 is direct tally counting, the signed-rank p-value is a naive walk over
 every sign assignment, tree traversals work straight off the raw
-(id, parent, relation, text) records, and paired outcomes are decided one
-instance at a time.
+(id, parent, relation, text) records, paired outcomes are decided one
+instance at a time, and stage reuse is decided one stage at a time, just
+before the stage would run.
 """
 
 from __future__ import annotations
@@ -177,3 +178,23 @@ def relation_tallies(rows: list[tuple[str, str]], num_runs: int,
         category = "winning" if delta > 0 else "losing" if delta < 0 else "tied"
         out.append((relation, wins, losses, ties, delta, category))
     return sorted(out, key=lambda row: (-abs(row[4]), row[0]))
+
+
+def one_pass_walk(stages, previous: dict) -> tuple[list[str], dict[str, bool]]:
+    """(names of the stages run, in order; ``reused`` flag by stage) of a walk
+    that decides each stage just before it would run it, from the flags of
+    the stages before it and the files on disk at that moment.  A stage is
+    reused when ``previous`` has it under the same key (with its text, if it
+    has no ``load``), every stage in its ``inputs`` was reused and each of
+    its ``outputs`` exists; any other stage runs."""
+    ran, reused = [], {}
+    for stage in stages:
+        entry = previous.get(stage.name, {})
+        reused[stage.name] = bool(entry) and entry.get("key", "") == stage.key \
+            and (stage.load is not None or "text" in entry) \
+            and all(reused[name] for name in stage.inputs) \
+            and all(path.exists() for path in stage.outputs)
+        if not reused[stage.name]:
+            stage.run()
+            ran.append(stage.name)
+    return ran, reused

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from drckit import (cli, config as config_module, context, evaluation, inference
                     treebank)
 from drckit.analysis import RelationMargin, default_lexicon, write_margins_tsv
 from drckit.cli import main
-from drckit.config import RunManifest, Stage, StageRunner
+from drckit.config import RunManifest, Stage
 from drckit.context import (
     ContextScheme,
     RenderedInstance,
@@ -36,7 +37,7 @@ from conftest import (
     write_corpus_dir,
     write_doc,
 )
-from oracles import paired_outcomes, relation_tallies
+from oracles import one_pass_walk, paired_outcomes, relation_tallies
 
 
 @pytest.fixture
@@ -1026,9 +1027,8 @@ def run_stage(manifest: RunManifest, name: str, key: str = "",
               outputs=()) -> bool:
     """Walk the one stage ``name`` through ``manifest``; True if it ran."""
     ran = []
-    StageRunner(manifest).walk([Stage(name, tuple(outputs),
-                                      run=lambda: ran.append(name),
-                                      load=lambda: None, key=key)])
+    manifest.walk([Stage(name, tuple(outputs), run=lambda: ran.append(name),
+                         load=lambda: None, key=key)])
     return bool(ran)
 
 
@@ -1036,17 +1036,15 @@ def test_manifest_save_leaves_old_manifest_if_interrupted(tmp_path,
                                                           monkeypatch):
     path = tmp_path / "manifest.json"
     manifest = RunManifest(path, "key", "1.0")
-    run_stage(manifest, "first")
-    manifest.save()
+    run_stage(manifest, "first")  # a walk saves the manifest when it ends
     saved = path.read_bytes()
-    run_stage(manifest, "second")
 
     def crash(*args):
         raise OSError("crashed before the rename")
     monkeypatch.setattr(config_module.os, "replace", crash)
     with pytest.raises(OSError):
-        manifest.save()
-    assert path.read_bytes() == saved
+        run_stage(manifest, "second")
+    assert "second" in manifest.stages and path.read_bytes() == saved
 
 
 def test_manifest_reuse_keeps_first_completed_at(tmp_path):
@@ -1061,18 +1059,73 @@ def test_manifest_reuse_keeps_first_completed_at(tmp_path):
 
 
 def test_stage_without_load_is_reused_from_its_recorded_text(tmp_path):
-    manifest = RunManifest(tmp_path / "manifest.json", "key", "1.0")
-    manifest.previous = {"summary": {"outputs": [], "text": "kept"}}
+    previous = {"summary": {"outputs": [], "text": "kept"}}
 
     def walk() -> str:
-        runner = StageRunner(manifest)
-        runner.walk([Stage("summary", (), run=lambda: "made")])
-        assert manifest.stages["summary"]["text"] == runner.value("summary")
-        return runner.value("summary")
+        manifest = RunManifest(tmp_path / "manifest.json", "key", "1.0")
+        manifest.previous = previous
+        manifest.walk([Stage("summary", (), run=lambda: "made")])
+        assert manifest.stages["summary"]["text"] == manifest.value("summary")
+        return manifest.value("summary")
 
     assert walk() == "kept"
-    del manifest.previous["summary"]["text"]  # a record without its text reruns
+    del previous["summary"]["text"]  # a record without its text reruns
     assert walk() == "made"
+
+
+# One declared stage: the earlier stages it reads, its loaded record, whether
+# it has a load, its key, and whether each of its outputs exists beforehand.
+STAGE_SPECS = st.lists(st.tuples(
+    st.sets(st.integers(0, 7)), st.sampled_from(["none", "same", "other", "textless"]),
+    st.booleans(), st.sampled_from(["", "k"]), st.lists(st.booleans(), max_size=2)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=STAGE_SPECS)
+def test_walk_decides_every_stage_as_a_one_pass_walk_would(specs):
+    # Decided before any stage runs, a walk runs the same stages in the same
+    # order, and records the same reused flags, as one that decides each
+    # stage just before it would run it: each stage writes only its own
+    # outputs, so no run changes a later decision.
+    def declare(root: Path, ran: list[str]):
+        stages, previous = [], {}
+        for i, (inputs, record, has_load, key, present) in enumerate(specs):
+            name = f"s{i}"
+            outputs = tuple(root / f"{name}.{j}" for j in range(len(present)))
+            for path, exists in zip(outputs, present):
+                if exists:
+                    path.write_text("old", encoding="utf-8")
+
+            def run(name=name, outputs=outputs):
+                ran.append(name)
+                for path in outputs:
+                    path.write_text("new", encoding="utf-8")
+                return f"made {name}"
+            entry = {"completed_at": "2000-01-01T00:00:00Z", "reused": False,
+                     "text": f"kept {name}", "key": key}
+            if record == "other":
+                entry["key"] = "other"
+            elif record == "textless":
+                del entry["text"]
+            if record != "none":
+                previous[name] = entry
+            stages.append(Stage(name, outputs, run,
+                                (lambda: "loaded") if has_load else None,
+                                tuple(f"s{k}" for k in sorted(inputs) if k < i), key))
+        return stages, previous
+
+    with tempfile.TemporaryDirectory() as one, tempfile.TemporaryDirectory() as two:
+        expected_ran: list[str] = []
+        expected = one_pass_walk(*declare(Path(one), expected_ran))
+        ran: list[str] = []
+        stages, previous = declare(Path(two), ran)
+        manifest = RunManifest(Path(two) / "manifest.json", "key", "1.0")
+        manifest.previous = previous
+        manifest.walk(stages)
+    assert ran == expected_ran == expected[0]
+    assert {name: entry["reused"] for name, entry in manifest.stages.items()} \
+        == expected[1]
 
 
 def test_sweep_removes_only_unlisted_files_in_drckit_directories(tmp_path):
@@ -1105,7 +1158,14 @@ def test_lexicon_that_is_not_utf8_is_an_error_naming_it(small_corpus_dir,
     error = f"error: {lexicon}: 'utf-8' codec can't decode byte 0xff in position 8"
     assert run_cli("experiment", "--config", config) == 1
     assert capsys.readouterr().err.startswith(error)
-    out = tmp_path / "out"
+    out = tmp_path / "out"  # the lexicon is read before any stage runs
+    assert not (out / "manifest.json").exists() and not any(out.rglob("*.*"))
+    healthy = tmp_path / "healthy"  # a run without the lexicon gives analyze its inputs
+    healthy.mkdir()
+    assert run_cli("experiment", "--config", experiment_config(
+        healthy, small_corpus_dir, backends=[{"kind": "cue"}], seeds=[1, 2])) == 0
+    capsys.readouterr()
+    out = healthy / "out"
     assert run_cli("analyze", "--dataset", out / "variants" / "disamb.default.test.jsonl",
                    "--preds-a", *(out / "predictions").glob("default+cue.*.jsonl"),
                    "--preds-b", *(out / "predictions").glob("OR1+cue.*.jsonl"),
@@ -1664,6 +1724,57 @@ def test_experiment_abort_forgets_stages_it_did_not_reach(echo_corpus_dir,
     for name in ("margins.tsv", "connectives.tsv"):
         assert (tmp_path / "analysis" / name).read_bytes() == \
             (out / "analysis" / "mock.default-vs-OR1" / name).read_bytes()
+
+
+def test_experiment_reads_a_bad_lexicon_before_any_request(echo_corpus_dir,
+                                                           tmp_path, capsys):
+    lexicon = tmp_path / "bad.txt"
+    lexicon.write_bytes(b"because\n\xff\n")
+    gold, _ = gold_echo(echo_corpus_dir)
+    with MockChatServer(gold) as server:
+        config = patch_config(mock_config(tmp_path, echo_corpus_dir, server),
+                              lexicon=str(lexicon))
+        assert run_cli("experiment", "--config", config) == 1
+        assert server.payloads == []
+    assert capsys.readouterr().err.startswith(
+        f"error: {lexicon}: 'utf-8' codec can't decode byte 0xff in position 8")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("first", ["endpoint", "cue"])
+def test_experiment_reads_a_bad_import_source_before_any_stage_runs(
+        echo_corpus_dir, tmp_path, capsys, first):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"instance_id": 3}\n', encoding="utf-8")
+    gold, _ = gold_echo(echo_corpus_dir)
+    with MockChatServer(gold) as server:
+        config = mock_config(tmp_path, echo_corpus_dir, server, seeds=[1])
+        backends = json.loads(config.read_text(encoding="utf-8"))["backends"]
+        patch_config(config, bonferroni_m=2, backends=[
+            *(backends if first == "endpoint" else [{"kind": "cue"}]),
+            {"kind": "import", "runs": {"default": [str(bad)], "OR1": [str(bad)]}}])
+        assert run_cli("experiment", "--config", config) == 1
+        assert server.payloads == []
+    assert capsys.readouterr().err == \
+        f"error: {bad}:1: malformed record: instance_id 3 is not a string\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_experiment_failed_check_leaves_the_manifest_as_it_was(echo_corpus_dir,
+                                                               tmp_path):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("because\n", encoding="utf-8")
+    gold, _ = gold_echo(echo_corpus_dir)
+    manifest = tmp_path / "out" / "manifest.json"
+    with MockChatServer(gold) as server:
+        config = patch_config(mock_config(tmp_path, echo_corpus_dir, server),
+                              lexicon=str(lexicon))
+        assert run_cli("experiment", "--config", config) == 0
+        healthy, requested = manifest.read_bytes(), len(server.payloads)
+        lexicon.write_bytes(b"because\n\xff\n")
+        assert run_cli("experiment", "--config", config) == 1
+        assert len(server.payloads) == requested
+    assert manifest.read_bytes() == healthy
 
 
 def test_rerun_on_reused_variants_samples_the_cold_run_icl_examples(tmp_path):
