@@ -16,6 +16,8 @@ from operator import eq, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .fields import write_atomic
+
 if TYPE_CHECKING:
     from .context import RenderedInstance
     from .inference import PredictionSet
@@ -223,7 +225,7 @@ def write_margins_tsv(margins: Sequence[RelationMargin], path: Path | str) -> No
     for m in margins:
         lines.append(f"{m.relation}\t{m.wins}\t{m.losses}\t{m.ties}"
                      f"\t{m.delta:.6g}\t{m.category}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_connective_report_tsv(report: ConnectiveMatchReport,
@@ -232,4 +234,4 @@ def write_connective_report_tsv(report: ConnectiveMatchReport,
     for category in sorted(report.by_category):
         c = report.by_category[category]
         lines.append(f"{category}\t{c.matched}\t{c.total}\t{c.percentage:.1f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -18,6 +18,7 @@ from . import __version__
 from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, TAG, ConfigError, ContextScheme,
                      ExperimentConfig, RunManifest, Stage, check_config, endpoint_config,
                      file_key, load_experiment_config, sweep)
+from .fields import write_atomic
 
 # Each layer is imported where one of its stages, subcommands or error
 # branches runs, so a call loads only the layers it uses: a rerun with
@@ -58,18 +59,14 @@ def cmd_ingest(args) -> int:
         corpus, violations = load_split(corpus_dir, split, name)
         all_violations.extend(violations)
         if out_dir is not None:
-            store = out_dir / name / split
-            store.mkdir(parents=True, exist_ok=True)
             for tree in corpus.trees:
-                (store / f"{tree.doc_id}.dep").write_bytes(
-                    serialize_tree_document(tree))
+                write_atomic(out_dir / name / split / f"{tree.doc_id}.dep",
+                             serialize_tree_document(tree))
         print(f"{name}/{split}: {len(corpus.trees)} documents, "
               f"{count_instances(corpus)} instances, "
               f"{len(violations)} violations")
     if out_dir is not None:
-        report = out_dir / name / "validation.tsv"
-        report.parent.mkdir(parents=True, exist_ok=True)
-        write_validation_report(all_violations, report)
+        write_validation_report(all_violations, out_dir / name / "validation.tsv")
     for v in all_violations:
         print(v.report_line(), file=sys.stderr)
     print(f"{len(all_violations)} violations")
@@ -128,7 +125,6 @@ def cmd_variants(args) -> int:
     dataset = build_variant_dataset(corpus, scheme,
                                     include_relations=args.include_relations)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_variant_dataset(dataset, out)
     print(f"wrote {len(dataset.instances)} instances "
           f"({scheme.tag}, {args.split}) to {out}")
@@ -169,7 +165,6 @@ def cmd_infer(args) -> int:
              if key in ENDPOINT_FIELDS and value is not None}
     predict = _predictor(args.backend, flags, train, dataset, condition,
                          out_dir / "logs")
-    out_dir.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
         preds = predict(seed)
         path = out_dir / f"{condition}.run{seed}.jsonl"
@@ -198,12 +193,10 @@ def cmd_evaluate(args) -> int:
     from .evaluation import aggregate_runs
     from .inference import import_predictions
     dataset = read_variant_dataset(args.dataset)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     by_condition: dict[str, list[EvalReport]] = {}
     for pred_path in args.predictions:
         preds = import_predictions(pred_path, dataset)
-        report = _score_run(dataset, preds, out_dir, Path(pred_path).stem, {})
+        report = _score_run(dataset, preds, Path(args.out), Path(pred_path).stem, {})
         print(f"{report.condition} run {report.run_id}: "
               f"macro-F1 {report.macro_f1:.4f}, accuracy {report.accuracy:.4f}")
         by_condition.setdefault(report.condition, []).append(report)
@@ -257,7 +250,6 @@ def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
                                          margins_by_category(margins), lexicon,
                                          level=level, multiword=multiword,
                                          shared=shared)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_margins_tsv(margins, out_dir / "margins.tsv")
     write_connective_report_tsv(match_report, out_dir / "connectives.tsv")
     return margins, match_report
@@ -311,31 +303,29 @@ def cmd_analyze(args) -> int:
 
 
 def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
-                      corpus: Callable[[str], Corpus],
+                      corpus: Callable[[str, bool], Corpus],
                       value: Callable[[str], object]) -> list[Stage]:
     """The stages of the experiment ``cfg``, in the order they run.
 
-    ``inventory`` is the train split's labels, ``corpus(split)`` parses a
-    split, and ``value(name)`` is the value of a stage that has run or been
-    reused.  Declaring runs no stage and reads only the files that stage
-    keys digest: the lexicon and imported prediction files.
+    ``inventory`` is the train split's labels, ``corpus(split, last)``
+    parses a split once (``last`` releases it), and ``value(name)`` is the
+    value of a stage that has run or been reused.  Declaring runs no stage
+    and reads only the files that stage keys digest: the lexicon and
+    imported prediction files.
     """
     out_dir, splits = cfg.out_dir, (cfg.train_split, cfg.eval_split)
     # Only the analysis stages read the lexicon; the tool version covers the
     # packaged one.
     lexicon = cache(lambda: _lexicon(cfg.lexicon))
     lexicon_key = file_key(cfg.lexicon) if cfg.lexicon else ""
-    extracted: dict = {}  # each split's instances, until its last variant is built
     written: dict = {}  # the last predictions' file lines, for the seeds sharing them
     hits: dict = {}  # connective hits: all analyses read one eval variant, lexicon
 
     # What each stage kind does, given the arguments its declaration binds.
     def build_variant(path, scheme, split):
         from .context import build_variant_dataset, write_variant_dataset
-        dataset = build_variant_dataset(corpus(split), scheme, inventory,
-                                        shared=extracted)
-        if scheme == cfg.schemes[-1]:
-            extracted.pop(id(corpus(split)))
+        dataset = build_variant_dataset(corpus(split, scheme == cfg.schemes[-1]),
+                                        scheme, inventory)
         write_variant_dataset(dataset, path)
         return dataset
 
@@ -396,10 +386,9 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                     f"\t{result.n_effective}\t{result.w_plus:g}"
                     f"\t{result.p_two_sided:.6g}\t{result.p_adjusted:.6g}"
                     f"\t{result.significant}")
-            (out_dir / "significance.tsv").write_text("\n".join(sig_lines) + "\n",
-                                                      encoding="utf-8")
+            write_atomic(out_dir / "significance.tsv", "\n".join(sig_lines) + "\n")
         table = format_results_table(list(aggregates.values()), significance)
-        (out_dir / "results_table.txt").write_text(table + "\n", encoding="utf-8")
+        write_atomic(out_dir / "results_table.txt", table + "\n")
         return "\n".join([*map(_mean_line, aggregates.values()), table])
 
     stages, variants = [], {}
@@ -467,15 +456,17 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
 
 def cmd_experiment(args) -> int:
     cfg = load_experiment_config(args.config)
-    for directory in ("variants", "predictions", "reports"):
-        (cfg.out_dir / directory).mkdir(parents=True, exist_ok=True)
 
     # A split is parsed only when a variants stage builds from it, or to make
-    # the ingest summary that a manifest under this run key lacks.
-    @cache
-    def corpus(split: str) -> Corpus:
-        from .treebank import load_corpus
-        return load_corpus(cfg.corpus_dir, split, cfg.corpus_name)
+    # the ingest summary that a manifest under this run key lacks, and kept,
+    # with its trees' instances, until its last variants stage has built.
+    parsed: dict[str, Corpus] = {}
+
+    def corpus(split: str, last: bool = False) -> Corpus:
+        if split not in parsed:
+            from .treebank import load_corpus
+            parsed[split] = load_corpus(cfg.corpus_dir, split, cfg.corpus_name)
+        return parsed.pop(split) if last else parsed[split]
 
     manifest = RunManifest.load_or_create(cfg.out_dir / "manifest.json",
                                           cfg.run_key(__version__), __version__)

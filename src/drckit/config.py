@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from .fields import (INTEGER, NUMBER, STRING, Checked, JsonField, check_fields,
-                     decode, list_of, map_of, rule)
+                     decode, list_of, map_of, rule, write_atomic)
 
 if TYPE_CHECKING:
     from .endpoint import EndpointConfig
@@ -203,8 +203,7 @@ def endpoint_config(options: dict) -> EndpointConfig:
     """Endpoint settings from an endpoint backend's options or ``infer``'s flags."""
     from .endpoint import EndpointConfig
     try:
-        return EndpointConfig(**{{"model": "model_name"}.get(key, key): value
-                                 for key, value in options.items()})
+        return EndpointConfig(**options)
     except ValueError as exc:
         raise ConfigError(f"endpoint option {exc}") from exc
 
@@ -348,20 +347,14 @@ class RunManifest:
         return manifest
 
     def save(self) -> None:
-        """Write the stages recorded in this run to a temporary file, flush
-        it to disk and rename it into place, so a crash leaves the old
-        manifest or the new one, never a torn one."""
+        """Write the stages recorded in this run, flushed to disk before the
+        rename, so even a power loss leaves the old manifest or the new one."""
         payload = {"run_key": self.run_key, "tool_version": self.tool_version,
                    "stages": self.stages}
         if self.ingest is not None:
             payload["ingest"] = self.ingest
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as sink:
-            sink.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            sink.flush()
-            os.fsync(sink.fileno())
-        os.replace(tmp, self.path)
+        write_atomic(self.path, json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                     fsync=True)
 
     def value(self, name: str) -> Any:
         """What stage ``name`` returned, or what it loads on first use."""
@@ -425,13 +418,14 @@ class Stage(NamedTuple):
 
 def sweep(out_dir: Path, stages: Iterable[Stage]) -> None:
     """Unlink each file under the ``OUTPUT_DIRS`` of ``out_dir``, and each of
-    its summary files, that no stage in ``stages`` lists, then each directory
-    this leaves empty.  Only a completed run sweeps: one cut short has not
-    made all that its stages list."""
+    its summary files and their ``.tmp``, that no stage in ``stages`` lists,
+    then each directory this leaves empty.  Only a completed run sweeps: one
+    cut short has not made all that its stages list."""
     keep = {str(path) for stage in stages for path in stage.outputs}
-    for path in (out_dir / "results_table.txt", out_dir / "significance.tsv"):
-        if str(path) not in keep:
-            path.unlink(missing_ok=True)
+    for name in ("results_table.txt", "significance.tsv"):
+        for path in (out_dir / name, out_dir / f"{name}.tmp"):
+            if str(path) not in keep:
+                path.unlink(missing_ok=True)
     for name in OUTPUT_DIRS:  # bottom-up, so a directory goes after its contents
         for directory, _, files in os.walk(out_dir / name, topdown=False):
             stray = {os.path.join(directory, f) for f in files} - keep

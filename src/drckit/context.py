@@ -20,15 +20,8 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import ContextScheme  # the scheme grammar the config parses
-from .fields import STRING, Checked, read_records
-from .treebank import (
-    ROOT_ID,
-    Corpus,
-    DiscourseTree,
-    RelationInstance,
-    ancestors,
-    extract_instances,
-)
+from .fields import STRING, Checked, read_records, write_atomic
+from .treebank import Corpus, DiscourseTree, RelationInstance, ancestors
 
 class RenderedInstance(NamedTuple):
     """A classification item with its context already selected."""
@@ -122,29 +115,24 @@ def render_instance(instance: RelationInstance, fragments: Sequence[str]
 
 def corpus_label_inventory(corpus: Corpus) -> tuple[str, ...]:
     """Sorted distinct relation labels over all instances of a corpus."""
-    return tuple(sorted({e.relation for tree in corpus.trees
-                         for e in tree.edus if e.head_id > ROOT_ID}))
+    return tuple(sorted({inst.gold_label for tree in corpus.trees
+                         for inst in tree.instances}))
 
 
 def build_variant_dataset(corpus: Corpus, scheme: ContextScheme,
                           label_inventory: Sequence[str] | None = None,
-                          include_relations: bool = False,
-                          shared: dict | None = None) -> VariantDataset:
+                          include_relations: bool = False) -> VariantDataset:
     """Render every instance of the corpus split under one scheme.
 
     ``label_inventory`` should be the training-split inventory when
     rendering dev or test data; it defaults to the labels of this corpus,
-    which is only correct for the training split itself.  ``shared`` keeps
-    each corpus's extracted instances, for its builds under other schemes.
+    which is only correct for the training split itself.
     """
     if label_inventory is None:
         label_inventory = corpus_label_inventory(corpus)
-    shared = {} if shared is None else shared
-    if id(corpus) not in shared:  # an entry holds the corpus it is keyed by
-        shared[id(corpus)] = corpus, [(t, extract_instances(t)) for t in corpus.trees]
     rendered = [render_instance(inst, context_fragments(
                     tree, inst.arg1_edu_id, scheme, include_relations))
-                for tree, insts in shared[id(corpus)][1] for inst in insts]
+                for tree in corpus.trees for inst in tree.instances]
     return VariantDataset(corpus.name, scheme, corpus.split, rendered,
                           label_inventory)
 
@@ -164,7 +152,7 @@ def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
              f'{q(i.context_text)}, "arg1": {q(i.arg1_text)}, "arg2": '
              f'{q(i.arg2_text)}, "label": {q(i.gold_label)}{tail}'
              for i in dataset.instances]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # Each spelling of a scheme is parsed once; "OR1" and "or1" parse to equal

@@ -45,7 +45,7 @@ class EndpointError(Exception):
 
 class _Endpoint(NamedTuple):
     base_url: str
-    model_name: str = "gpt-4"
+    model: str = "gpt-4"
     timeout: float = 30.0
     max_retries: int = 3
     parallelism: int = 1
@@ -55,16 +55,14 @@ class _Endpoint(NamedTuple):
 
 class EndpointConfig(Checked, _Endpoint):
     """Endpoint settings, checked by the rules of the config's endpoint
-    options, which name ``model_name`` ``model``: a ValueError names the
-    first option that breaks its rule."""
+    options: a ValueError names the first option that is missing or breaks
+    its rule."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        config = super().__new__(cls, *args, **kwargs)
-        check_fields({{"model_name": "model"}.get(key, key): value
-                      for key, value in config._asdict().items()}, ENDPOINT_FIELDS)
-        return config
+        check_fields({**dict(zip(cls._fields, args)), **kwargs}, ENDPOINT_FIELDS)
+        return super().__new__(cls, *args, **kwargs)
 
 
 def _post(conn: HTTPConnection, path: str, body: bytes,
@@ -94,7 +92,7 @@ def request_completion(config: EndpointConfig, prompt: str,
         kind = HTTPSConnection if split.scheme == "https" else HTTPConnection
         session.conn = kind(split.hostname, split.port, timeout=config.timeout)
     body = json.dumps({
-        "model": config.model_name,
+        "model": config.model,
         "temperature": 0.0,
         "messages": [{"role": "user", "content": prompt}],
     }).encode("utf-8")

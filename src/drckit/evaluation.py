@@ -17,7 +17,7 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .fields import INTEGER, NUMBER, STRING, check_fields, decode
+from .fields import INTEGER, NUMBER, STRING, check_fields, decode, write_atomic
 
 if TYPE_CHECKING:
     from .context import VariantDataset
@@ -291,8 +291,7 @@ def report_texts(report: EvalReport) -> tuple[str, str]:
 def write_report_json(report: EvalReport, path: Path | str,
                       texts: tuple[str, str] | None = None) -> None:
     body = (texts or report_texts(report))[0]
-    Path(path).write_text(f'{body}"run_id": {json.dumps(report.run_id)}\n}}\n',
-                          encoding="utf-8")
+    write_atomic(path, f'{body}"run_id": {json.dumps(report.run_id)}\n}}\n')
 
 
 def read_report_scores(path: Path | str) -> RunScore:
@@ -309,7 +308,7 @@ def read_report_scores(path: Path | str) -> RunScore:
 
 def write_report_tsv(report: EvalReport, path: Path | str,
                      texts: tuple[str, str] | None = None) -> None:
-    Path(path).write_text((texts or report_texts(report))[1], encoding="utf-8")
+    write_atomic(path, (texts or report_texts(report))[1])
 
 
 def format_results_table(aggregates: Sequence[RunAggregate],

@@ -1,13 +1,14 @@
 """The one JSON reader: every JSON input is decoded by ``decode`` and checked
 by ``check_fields`` against a table of ``JsonField``s, into a ValueError that
-its caller words as a data, configuration or endpoint error; and ``Checked``,
-the base of a record that checks its fields.  It imports nothing from drckit,
-so every module can use it.
+its caller words as a data, configuration or endpoint error; ``Checked``,
+the base of a record that checks its fields; and ``write_atomic``, the one
+file writer.  It imports nothing from drckit, so every module can use it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
@@ -115,3 +116,19 @@ def read_records(path: Path, fields: Mapping[str, JsonField],
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
         yield lineno, record
+
+
+def write_atomic(path: Path | str, data: str | bytes, fsync: bool = False) -> None:
+    """Write ``data`` (text as UTF-8) to ``<path>.tmp``, making its directory,
+    and rename it over ``path``: a killed process leaves the old file or none,
+    never a torn one, and at most a ``.tmp`` that the next write replaces.
+    ``fsync`` flushes the data to disk first, so a power loss cannot tear it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as sink:
+        sink.write(data.encode("utf-8") if isinstance(data, str) else data)
+        if fsync:
+            sink.flush()
+            os.fsync(sink.fileno())
+    os.replace(tmp, path)

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .analysis import first_connective_token
 from .context import RenderedInstance, VariantDataset
-from .fields import INTEGER, STRING, Checked, read_records
+from .fields import INTEGER, STRING, Checked, read_records, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -208,7 +208,7 @@ def write_predictions(predictions: PredictionSet, path: Path | str,
             f'{{"instance_id": {encode_basestring(i)}{tails[label]}'
             for i, label in sorted(records.items())]
     lines, end = shared[id(records)][1], f"{int(predictions.run_id)}}}\n"
-    Path(path).write_text(end.join(lines) + end if lines else "\n", encoding="utf-8")
+    write_atomic(path, end.join(lines) + end if lines else "\n")
 
 
 PREDICTION_FIELDS = {"instance_id": STRING, "predicted_label": STRING,

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 # The run key lists a split's documents as load_split does, from config.
 from .config import DOCUMENT_SUFFIXES, iter_document_files  # noqa: F401
 from .fields import (INTEGER, STRING, Checked, JsonField, check_fields, decode,
-                     list_of, rule)
+                     list_of, rule, write_atomic)
 
 ROOT_ID = 0
 ROOT_HEAD = -1
@@ -72,7 +72,8 @@ class DiscourseTree(Checked, _Tree):
 
     ``validate_tree`` requires ids contiguous from 0 in ascending order, so
     an EDU's id is its position in ``edus`` and ``edu`` looks it up by index.
-    It has no ``__slots__``: ``sentence_texts`` is cached in its ``__dict__``.
+    It has no ``__slots__``: ``sentence_texts`` and ``instances`` are cached
+    in its ``__dict__``.
     """
 
     def __new__(cls, doc_id: str, edus: Iterable[EDU]):
@@ -94,6 +95,11 @@ class DiscourseTree(Checked, _Tree):
         for e in self.real_edus:
             sentences.setdefault(e.sentence_index, []).append(e.text)
         return {i: " ".join(texts) for i, texts in sentences.items()}
+
+    @cached_property
+    def instances(self) -> tuple[RelationInstance, ...]:
+        """Its relation instances, extracted once (see ``extract_instances``)."""
+        return tuple(extract_instances(self))
 
 
 class _Corpus(NamedTuple):
@@ -353,7 +359,7 @@ def dependency_distance_stats(corpus: Corpus) -> DistanceStats:
     edu_hist: Counter[int] = Counter()
     sent_hist: Counter[int] = Counter()
     for tree in corpus.trees:
-        for inst in extract_instances(tree):
+        for inst in tree.instances:
             edu_hist[inst.arg2_edu_id - inst.arg1_edu_id] += 1
             head = tree.edu(inst.arg1_edu_id)
             dep = tree.edu(inst.arg2_edu_id)
@@ -374,8 +380,7 @@ def _gap_stats(hist: Counter) -> GapStats:
 
 
 def count_instances(corpus: Corpus) -> int:
-    # Every EDU headed by a real EDU is one instance (see extract_instances).
-    return sum(1 for t in corpus.trees for e in t.edus if e.head_id > ROOT_ID)
+    return sum(len(tree.instances) for tree in corpus.trees)
 
 
 def load_split(corpus_dir: Path | str, split: str, name: str | None = None
@@ -417,5 +422,4 @@ def load_corpus(corpus_dir: Path | str, split: str, name: str | None = None
 
 def write_validation_report(violations: Iterable[Violation], path: Path | str) -> None:
     lines = [v.report_line() for v in violations]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))

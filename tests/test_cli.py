@@ -267,6 +267,15 @@ def test_infer_base_url_without_scheme_exits_2(small_corpus_dir, tmp_path,
     assert not (tmp_path / "preds").exists()
 
 
+def test_infer_endpoint_without_base_url_exits_2(small_corpus_dir, tmp_path,
+                                                  capsys):
+    # It once ended in a TypeError traceback from EndpointConfig (exit 1).
+    assert infer_endpoint(small_corpus_dir, tmp_path) == 2
+    assert "config error: endpoint option missing field 'base_url'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "preds").exists()
+
+
 def test_infer_condition_with_slash_exits_2(small_corpus_dir, tmp_path, capsys):
     variants = tmp_path / "variants"
     for split in ("train", "test"):
@@ -663,7 +672,7 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
     counted(inference, "predict_baseline")
     counted(context, "read_variant_dataset")
     counted(evaluation, "score")
-    counted(context, "extract_instances")
+    counted(treebank, "extract_instances")
     counted(treebank, "load_corpus")
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], m=1)
@@ -1135,7 +1144,10 @@ def test_sweep_removes_only_unlisted_files_in_drckit_directories(tmp_path):
             tmp_path / "elsewhere.tsv"]
     swept = [out / "analysis" / "cue.default-vs-OR1" / "margins.tsv",
              out / "analysis" / "cue.default-vs-OR1" / "deeper" / "stray",
-             out / "predictions" / "stray.jsonl", out / "significance.tsv"]
+             out / "predictions" / "stray.jsonl", out / "significance.tsv",
+             # what a killed write leaves, beside a kept output too
+             out / "reports" / "kept.tsv.tmp", out / "results_table.txt.tmp",
+             out / "significance.tsv.tmp"]
     for path in kept + swept:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("x", encoding="utf-8")

@@ -41,7 +41,7 @@ def fixture_datasets(n=8):
 
 
 def config_for(server, **overrides):
-    options = dict(base_url=server.base_url, model_name="mock-model",
+    options = dict(base_url=server.base_url, model="mock-model",
                    timeout=5.0, max_retries=3, parallelism=2,
                    auth_env="DRCKIT_TEST_TOKEN", backoff=0.001)
     options.update(overrides)
@@ -212,7 +212,7 @@ def test_resume_rejects_malformed_middle_log_line(tmp_path):
     with pytest.raises(ValueError, match="run.log.jsonl:1: malformed record"):
         run_endpoint_inference(test, train,
                                EndpointConfig(base_url="http://127.0.0.1:9",
-                                              model_name="m"),
+                                              model="m"),
                                seed=1, log_path=log_path, condition="c")
 
 
@@ -225,7 +225,7 @@ def test_resume_rejects_log_record_without_label(tmp_path):
                                          "missing field 'predicted_label'"):
         run_endpoint_inference(test, train,
                                EndpointConfig(base_url="http://127.0.0.1:9",
-                                              model_name="m"),
+                                              model="m"),
                                seed=1, log_path=log_path, condition="c")
 
 
@@ -247,7 +247,7 @@ def test_resume_rejects_log_record_of_wrong_type(tmp_path, record, detail):
                        match=rf"run.log.jsonl:1: malformed record: {detail}"):
         run_endpoint_inference(test, train,
                                EndpointConfig(base_url="http://127.0.0.1:9",
-                                              model_name="m"),
+                                              model="m"),
                                seed=1, log_path=log_path, condition="c")
 
 
@@ -265,7 +265,7 @@ def test_resume_reads_replies_holding_unicode_line_separators(tmp_path):
     # Every instance is in the log, so no request is sent.
     preds = run_endpoint_inference(test, train,
                                    EndpointConfig(base_url="http://127.0.0.1:9",
-                                                  model_name="m"),
+                                                  model="m"),
                                    seed=1, log_path=log_path, condition="c")
     assert preds.records == test.gold_labels()
 
@@ -314,7 +314,7 @@ def test_auth_failure_aborts_without_retry(tmp_path):
 
 def test_unreachable_endpoint_raises(tmp_path):
     test, train = fixture_datasets(n=1)
-    config = EndpointConfig(base_url="http://127.0.0.1:9", model_name="m",
+    config = EndpointConfig(base_url="http://127.0.0.1:9", model="m",
                             max_retries=1, backoff=0.001)
     with pytest.raises(EndpointError, match="resume"):
         run_endpoint_inference(test, train, config, seed=1,
@@ -324,7 +324,7 @@ def test_unreachable_endpoint_raises(tmp_path):
 
 def test_parallelism_must_be_positive():
     with pytest.raises(ValueError, match="parallelism"):
-        EndpointConfig(base_url="http://x", model_name="m", parallelism=0)
+        EndpointConfig(base_url="http://x", model="m", parallelism=0)
 
 
 @pytest.mark.parametrize("option, value", [
@@ -338,8 +338,14 @@ def test_endpoint_config_checks_each_option_by_the_config_rules(option, value):
         EndpointConfig(**{"base_url": "http://127.0.0.1:9/v1", option: value})
 
 
+def test_endpoint_config_without_base_url_names_it():
+    # It once raised a TypeError from the NamedTuple's __new__.
+    with pytest.raises(ValueError, match="^missing field 'base_url'$"):
+        EndpointConfig(model="m")
+
+
 def test_parallelism_stays_positive_under_replace():
-    config = EndpointConfig(base_url="http://x", model_name="m")
+    config = EndpointConfig(base_url="http://x", model="m")
     with pytest.raises(ValueError, match="parallelism"):
         config._replace(parallelism=0)
     assert config._replace(parallelism=2).parallelism == 2
