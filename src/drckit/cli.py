@@ -391,6 +391,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
         write_atomic(out_dir / "results_table.txt", table + "\n")
         return "\n".join([*map(_mean_line, aggregates.values()), table])
 
+    # Under one run key a rebuilt variant equals its file: no inputs list a variant.
     stages, variants = [], {}
     conditions = {}  # the score stages of each condition, in seed order
     comparisons = []  # (condition, its default condition), as the analyses pair them
@@ -430,7 +431,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                                 for suffix in ("json", "tsv"))
                 stages.append(Stage(
                     name, reports, partial(score, stem, predict_name, test, scored),
-                    partial(read_score, reports[0]), inputs=(predict_name, test)))
+                    partial(read_score, reports[0]), inputs=(predict_name,)))
         for scheme in [s for s in cfg.schemes
                        if "default" in runs and s.kind != "default"]:
             analysis_dir = out_dir / "analysis" / \
@@ -440,8 +441,8 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                 (analysis_dir / "margins.tsv", analysis_dir / "connectives.tsv"),
                 partial(analyze, analysis_dir, runs["default"], runs[scheme.tag]),
                 lambda: None,  # nothing reads an analysis back
-                inputs=(variants[("default", cfg.eval_split)], *runs["default"],
-                        *runs[scheme.tag]), key=lexicon_key, check=lexicon))
+                inputs=(*runs["default"], *runs[scheme.tag]), key=lexicon_key,
+                check=lexicon))
             comparisons.append((f"{scheme.tag}+{backend.tag}",
                                 f"default+{backend.tag}"))
     summary = [out_dir / "results_table.txt"]

@@ -401,10 +401,10 @@ class Stage(NamedTuple):
     """One step of an experiment: ``run()`` makes its ``outputs`` and returns
     its value, and ``load()`` reads that value back from them; with no
     ``load``, its value is text that its manifest record keeps.  ``inputs``
-    names the earlier stages its value is made from, ``key`` digests an input
-    file only it reads, ``check`` reads what it takes from outside the run
-    before any stage runs, and ``checkpoint`` saves the manifest once it has
-    run, so a killed process keeps the work it paid for."""
+    names the earlier stages whose rerun can change its value, ``key``
+    digests an input file only it reads, ``check`` reads what it takes from
+    outside the run before any stage runs, and ``checkpoint`` saves the
+    manifest once it has run, so a killed process keeps the work it paid for."""
 
     name: str
     outputs: tuple[Path, ...]

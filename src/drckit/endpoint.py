@@ -132,7 +132,7 @@ def request_completion(config: EndpointConfig, prompt: str,
 
 
 def _load_results_log(path: Path) -> dict[str, str]:
-    """Completed instances of a results log, by instance_id.
+    """The raw replies of a results log, by instance_id.
 
     A crash can cut the final line off mid-write.  That unterminated line is
     dropped and the file truncated back to its last newline, so the next
@@ -147,9 +147,8 @@ def _load_results_log(path: Path) -> dict[str, str]:
                     path, len(data) - complete)
         with open(path, "r+b") as f:
             f.truncate(complete)
-    fields = {"instance_id": STRING, "predicted_label": STRING}
-    return {rec["instance_id"]: rec["predicted_label"] for _, rec in
-            read_records(path, fields, data[:complete])}
+    return {rec["instance_id"]: rec["raw"] for _, rec in read_records(
+        path, {"instance_id": STRING, "raw": STRING}, data[:complete])}
 
 
 def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDataset,
@@ -158,9 +157,10 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
     """Classify every dataset instance through the endpoint.
 
     The seed samples the ICL examples from the training variant and is the
-    run id of the predictions.  The results log at ``log_path`` is append-only and the single piece of
-    shared state: instances already present there are not re-requested, and
-    on failure the run aborts with everything completed so far persisted.
+    run id of the predictions.  The results log at ``log_path`` is append-only
+    and the single piece of shared state: a logged instance is not requested
+    again, and its label too is parsed from its logged reply with this run's
+    inventory.  On failure the run aborts with all completed so far persisted.
     """
     # Imported per call, like http.client: a run without an endpoint needs
     # no thread pool.
@@ -211,14 +211,13 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
                     continue
                 if raw is None:
                     continue
-                label = parse_llm_output(raw, dataset.label_inventory)
-                sink.write(json.dumps({
+                sink.write(json.dumps({  # the label for people who read the log
                     "instance_id": inst.instance_id,
-                    "predicted_label": label,
+                    "predicted_label": parse_llm_output(raw, dataset.label_inventory),
                     "raw": raw,
                 }, ensure_ascii=False) + "\n")
                 sink.flush()
-                done[inst.instance_id] = label
+                done[inst.instance_id] = raw
     finally:
         for conn in opened:
             conn.close()
@@ -227,6 +226,6 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
             f"aborted with {len(done)}/{len(dataset.instances)} instances "
             f"completed; rerun to resume from {log_path}") from failure
 
-    records = {inst.instance_id: done[inst.instance_id]
-               for inst in dataset.instances}
+    records = {iid: parse_llm_output(done[iid], dataset.label_inventory)
+               for iid in dataset.instance_ids()}
     return PredictionSet(condition=condition, run_id=seed, records=records)

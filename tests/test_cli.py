@@ -1195,7 +1195,13 @@ def test_lexicon_that_is_not_utf8_is_an_error_naming_it(small_corpus_dir,
      ["score:OR1+cue:2", "summary"]),
     (lambda out, lexicon: lexicon.write_text("because\n", encoding="utf-8"),
      ["analysis:cue:default-vs-AD1", "analysis:cue:default-vs-OR1"]),
-], ids=["prediction_deleted", "report_deleted", "lexicon_edited"])
+    # A variant built again equals its file, so none of its readers reruns.
+    (lambda out, lexicon: (out / "variants" / "disamb.OR1.test.jsonl").unlink(),
+     ["variants:OR1:test"]),
+    (lambda out, lexicon: (out / "variants" / "disamb.default.test.jsonl").unlink(),
+     ["variants:default:test"]),
+], ids=["prediction_deleted", "report_deleted", "lexicon_edited", "variant_deleted",
+        "default_variant_deleted"])
 def test_experiment_rerun_redoes_only_stale_stages(small_corpus_dir, tmp_path,
                                                    monkeypatch, edit, rerun):
     lexicon = tmp_path / "lexicon.txt"

@@ -161,7 +161,7 @@ def test_resume_skips_completed_instances(tmp_path):
         for inst in done:
             sink.write(json.dumps({"instance_id": inst.instance_id,
                                    "predicted_label": inst.gold_label,
-                                   "raw": "prefilled"}) + "\n")
+                                   "raw": inst.gold_label}) + "\n")
     with MockChatServer(gold_echo_behavior(test)) as server:
         preds = run_endpoint_inference(test, train, config_for(server), seed=1,
                                        log_path=log_path,
@@ -183,7 +183,7 @@ def test_resume_drops_torn_final_log_line(tmp_path):
     log_path = tmp_path / "run.log.jsonl"
     lines = [json.dumps({"instance_id": inst.instance_id,
                          "predicted_label": inst.gold_label,
-                         "raw": "prefilled"}, ensure_ascii=False) + "\n"
+                         "raw": inst.gold_label}, ensure_ascii=False) + "\n"
              for inst in test.instances[:4]]
     # A crash cut the fourth record off mid-write.
     log_path.write_text("".join(lines[:3]) + lines[3][:25], encoding="utf-8")
@@ -216,13 +216,14 @@ def test_resume_rejects_malformed_middle_log_line(tmp_path):
                                seed=1, log_path=log_path, condition="c")
 
 
-def test_resume_rejects_log_record_without_label(tmp_path):
+def test_resume_rejects_log_record_without_raw(tmp_path):
     test, train = fixture_datasets(n=3)
     log_path = tmp_path / "run.log.jsonl"
     log_path.write_text(json.dumps({"instance_id": test.instances[0].instance_id,
-                                    "raw": "x"}) + "\n", encoding="utf-8")
+                                    "predicted_label": "condition"}) + "\n",
+                        encoding="utf-8")
     with pytest.raises(ValueError, match="run.log.jsonl:1: malformed record: "
-                                         "missing field 'predicted_label'"):
+                                         "missing field 'raw'"):
         run_endpoint_inference(test, train,
                                EndpointConfig(base_url="http://127.0.0.1:9",
                                               model="m"),
@@ -230,13 +231,12 @@ def test_resume_rejects_log_record_without_label(tmp_path):
 
 
 @pytest.mark.parametrize("record, detail", [
-    ({"instance_id": ["x"], "predicted_label": "condition"},
+    ({"instance_id": ["x"], "raw": "condition"},
      r"instance_id \['x'\] is not a string"),
-    ({"instance_id": "t:0", "predicted_label": None},
-     "predicted_label None is not a string"),
-    ({"instance_id": "t:0", "predicted_label": "\udcff"},
+    ({"instance_id": "t:0", "raw": None}, "raw None is not a string"),
+    ({"instance_id": "t:0", "raw": "\udcff"},
      "'utf-8' codec can't decode byte 0xff"),
-], ids=["instance_id_list", "label_null", "not_utf8"])
+], ids=["instance_id_list", "raw_null", "not_utf8"])
 def test_resume_rejects_log_record_of_wrong_type(tmp_path, record, detail):
     test, train = fixture_datasets(n=3)
     log_path = tmp_path / "run.log.jsonl"
@@ -249,6 +249,24 @@ def test_resume_rejects_log_record_of_wrong_type(tmp_path, record, detail):
                                EndpointConfig(base_url="http://127.0.0.1:9",
                                               model="m"),
                                seed=1, log_path=log_path, condition="c")
+
+
+def test_resume_labels_each_logged_reply_by_todays_rule(tmp_path):
+    # The log keeps what was paid for, the reply; a label stored beside it
+    # by an earlier rule or inventory is not read.
+    test, train = fixture_datasets(n=4)
+    log_path = tmp_path / "run.log.jsonl"
+    replies = ["contrast", "Condition.", "no idea", "a contrast"]
+    log_path.write_text("".join(
+        json.dumps({"instance_id": inst.instance_id, "predicted_label": "cause",
+                    "raw": raw}) + "\n"
+        for inst, raw in zip(test.instances, replies)), encoding="utf-8")
+    with MockChatServer(gold_echo_behavior(test)) as server:
+        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
+                                       log_path=log_path, condition="default+mock")
+        assert server.payloads == []
+    assert preds.records == dict(zip(test.instance_ids(),
+                                     ["contrast", "condition", UNPARSED, "contrast"]))
 
 
 def test_resume_reads_replies_holding_unicode_line_separators(tmp_path):

@@ -22,7 +22,8 @@ The script exits 1 and lists what differs unless both give the same exit
 codes, stdout, stderr and out/ files in every phase, and the same stages in
 out/manifest.json, each reused or run alike.  Of the manifest only the stage
 names and their `reused` flags are compared (it holds timestamps), and
-out/logs/ is left out.
+out/logs/ is left out.  After each case it prints how many stages each tree
+ran in each phase, so a change to the reuse rules reads as counts.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from corpus import Shape, write_corpus  # noqa: E402
 from run import ENTRY, WORKLOADS  # noqa: E402
 
+PHASES = ("cold", "warm", "partial-warm", "dropped-scheme")
 CASES = [("scidtb_like", 1), ("scidtb_like", 3), ("long_docs", 1), ("long_docs", 3)]
 # The out/ files each workload's partial-warm phase deletes before it reruns.
 PARTIAL = {
@@ -94,7 +96,7 @@ def run_tree(src: Path, run_dir: Path, config: str, deleted: tuple[str, ...],
     run_dir.mkdir(parents=True)
     (run_dir / "experiment.json").write_text(config, encoding="utf-8")
     seen: dict[str, object] = {}
-    for phase in ("cold", "warm", "partial-warm", "dropped-scheme"):
+    for phase in PHASES:
         if phase == "partial-warm":
             for rel in deleted:
                 (run_dir / "out" / rel).unlink()
@@ -108,6 +110,12 @@ def run_tree(src: Path, run_dir: Path, config: str, deleted: tuple[str, ...],
         if phase == "cold" and cold_copy is not None:
             shutil.copytree(run_dir, cold_copy)
     return seen
+
+
+def stages_run(seen: dict[str, object], phase: str) -> int:
+    """How many stages the manifest of ``phase`` records as run, not reused."""
+    return sum(value is False for key, value in seen.items()
+               if key.startswith(f"{phase} stage "))
 
 
 def compare(base_src: Path, head_src: Path, work: Path,
@@ -136,7 +144,10 @@ def compare(base_src: Path, head_src: Path, work: Path,
             f"{name} seed {seed}: {key} is {value}, not True"
             for key, value in sorted(head.items())
             if key.startswith("warm-from-base stage ") and value is not True)
-        print(f"{name} seed {seed}: {len(head)} outputs compared", flush=True)
+        print(f"{name} seed {seed}: {len(head)} outputs compared; stages run, "
+              "base/head: " + ", ".join(
+                  f"{phase} {stages_run(base, phase)}/{stages_run(head, phase)}"
+                  for phase in (*PHASES, "warm-from-base")), flush=True)
     return differences
 
 
