@@ -154,23 +154,31 @@ def default_lexicon() -> ConnectiveLexicon:
     return _parse_lexicon(text, "builtin")
 
 
-def _normalized_tokens(text: str) -> Iterator[str]:
-    """The whitespace tokens of ``text``, lowercased and stripped of
-    punctuation, less those that were only punctuation.  The text is split
-    one token at a time, as the cue baseline keys every instance, context
-    included, by the first."""
+def _first_word(text: str) -> tuple[str, str]:
+    """The one rule drckit reads words by: the first whitespace token of ``text``
+    that is not only punctuation, lowercased and stripped of punctuation, and
+    the text after it; ("", "") if there is none."""
     parts = text.split(None, 1)
     while parts:
-        token = parts[0].lower().strip(_PUNCT)
-        if token:
-            yield token
-        parts = parts[1].split(None, 1) if len(parts) > 1 else []
+        word = parts[0].lower().strip(_PUNCT)
+        if word:
+            return word, parts[1] if len(parts) > 1 else ""
+        parts = parts[1].split(None, 1) if len(parts) > 1 else ()
+    return "", ""
+
+
+def _normalized_tokens(text: str) -> Iterator[str]:
+    """The words of ``text`` by ``_first_word``'s rule, split one at a time."""
+    word, rest = _first_word(text)
+    while word:
+        yield word
+        word, rest = _first_word(rest)
 
 
 def first_connective_token(text: str) -> str:
     """First token of ``text`` after lowercasing and punctuation stripping,
     so "( CC )" yields "cc"; "" if there is none."""
-    return next(_normalized_tokens(text), "")
+    return _first_word(text)[0]
 
 
 def _matches(arg2_text: str, lexicon: ConnectiveLexicon, multiword: bool) -> bool:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
+from contextlib import contextmanager, nullcontext
 from functools import cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 from . import __version__
 from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, TAG, ConfigError, ContextScheme,
@@ -37,6 +39,24 @@ EXIT_CONFIG = 2
 EXIT_ENDPOINT = 3
 
 T = TypeVar("T")
+
+
+@contextmanager
+def _one_run(run_dir: Path) -> Iterator[None]:
+    """Hold ``run_dir`` (made if missing) for the block, or raise a ValueError
+    naming it if another run holds it: two would pay each endpoint request twice
+    and race on the manifest.  A directory flock leaves no file, nor outlives a kill."""
+    import fcntl  # only a run that writes its directory pays for it
+    run_dir.mkdir(parents=True, exist_ok=True)
+    fd = os.open(run_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ValueError(f"{run_dir} is in use by another drckit run") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def _detect_splits(corpus_dir: Path) -> list[str]:
@@ -165,11 +185,13 @@ def cmd_infer(args) -> int:
              if key in ENDPOINT_FIELDS and value is not None}
     predict = _predictor(args.backend, flags, train, dataset, condition,
                          out_dir / "logs")
-    for seed in args.seeds:
-        preds = predict(seed)
-        path = out_dir / f"{condition}.run{seed}.jsonl"
-        write_predictions(preds, path)
-        print(f"wrote {path} ({preds.unparsed_count} unparsed)")
+    # An endpoint run appends to its log under out_dir, so it runs alone there.
+    with _one_run(out_dir) if args.backend == "endpoint" else nullcontext():
+        for seed in args.seeds:
+            preds = predict(seed)
+            path = out_dir / f"{condition}.run{seed}.jsonl"
+            write_predictions(preds, path)
+            print(f"wrote {path} ({preds.unparsed_count} unparsed)")
     return EXIT_OK
 
 
@@ -457,7 +479,11 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
 
 def cmd_experiment(args) -> int:
     cfg = load_experiment_config(args.config)
+    with _one_run(cfg.out_dir):
+        return _experiment(cfg)
 
+
+def _experiment(cfg: ExperimentConfig) -> int:
     # A split is parsed only when a variants stage builds from it, or to make
     # the ingest summary that a manifest under this run key lacks, and kept,
     # with its trees' instances, until its last variants stage has built.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -55,7 +56,7 @@ class VariantDataset(Checked, _Dataset):
 
     def __new__(cls, corpus_name: str, scheme: ContextScheme, split: str,
                 instances: Iterable[RenderedInstance], label_inventory: Iterable[str]):
-        instances = tuple(sorted(instances, key=lambda i: i.instance_id))
+        instances = tuple(sorted(instances, key=itemgetter(0)))
         for a, b in zip(instances, instances[1:]):
             if a.instance_id == b.instance_id:
                 raise ValueError(f"{corpus_name}/{split}: duplicate "
@@ -88,15 +89,11 @@ def context_fragments(tree: DiscourseTree, arg1_edu_id: int, scheme: ContextSche
         return []
     if scheme.kind == "add":
         return _preceding_sentences(tree, arg1_edu_id, scheme.n)
-    ancestor_ids = ancestors(tree, arg1_edu_id, scheme.n)
-    fragments = []
-    for edu_id in reversed(ancestor_ids):
-        edu = tree.edu(edu_id)
-        if include_relations:
-            fragments.append(f"({edu.relation}) {edu.text}")
-        else:
-            fragments.append(edu.text)
-    return fragments
+    # ancestors has looked each id up: it is the EDU's position.
+    edus = [tree.edus[i] for i in reversed(ancestors(tree, arg1_edu_id, scheme.n))]
+    if include_relations:
+        return [f"({edu.relation}) {edu.text}" for edu in edus]
+    return [edu.text for edu in edus]
 
 
 def _preceding_sentences(tree: DiscourseTree, edu_id: int, n: int) -> list[str]:
@@ -130,9 +127,20 @@ def build_variant_dataset(corpus: Corpus, scheme: ContextScheme,
     """
     if label_inventory is None:
         label_inventory = corpus_label_inventory(corpus)
-    rendered = [render_instance(inst, context_fragments(
-                    tree, inst.arg1_edu_id, scheme, include_relations))
-                for tree in corpus.trees for inst in tree.instances]
+    rendered, oracle = [], scheme.kind == "oracle"
+    for tree in corpus.trees:
+        # A context is rendered once per tree for what its scheme reads: the
+        # first argument under ORn, and its sentence otherwise.
+        contexts: dict[int, str] = {}
+        for inst in tree.instances:
+            arg1 = inst.arg1_edu_id
+            key = arg1 if oracle else tree.edus[arg1].sentence_index
+            context = contexts.get(key)
+            if context is None:
+                context = contexts[key] = " ".join(context_fragments(
+                    tree, arg1, scheme, include_relations))
+            rendered.append(RenderedInstance(inst.instance_id, context, inst.arg1,
+                                             inst.arg2, inst.gold_label))
     return VariantDataset(corpus.name, scheme, corpus.split, rendered,
                           label_inventory)
 
@@ -148,8 +156,10 @@ def write_variant_dataset(dataset: VariantDataset, path: Path | str) -> None:
     q = encode_basestring
     tail = (f', "scheme": {q(dataset.scheme.tag)}, '
             f'"split": {q(dataset.split)}}}')
+    # Instances share contexts, so each distinct one is escaped once per call.
+    contexts = {c: q(c) for c in {i.context_text for i in dataset.instances}}
     lines = [f'{{"instance_id": {q(i.instance_id)}, "context": '
-             f'{q(i.context_text)}, "arg1": {q(i.arg1_text)}, "arg2": '
+             f'{contexts[i.context_text]}, "arg1": {q(i.arg1_text)}, "arg2": '
              f'{q(i.arg2_text)}, "label": {q(i.gold_label)}{tail}'
              for i in dataset.instances]
     write_atomic(path, "\n".join(lines) + "\n")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
@@ -91,10 +92,18 @@ def map_of(item: JsonField, what: str) -> JsonField:
 
 
 def list_of(item: JsonField, what: str = "a list") -> JsonField:
-    """A JSON list of ``item``s, named ``[0]``, ``[1]``..., as a tuple."""
-    each = map_of(item, what).parse
-    return JsonField((list,), what, parse=lambda values: tuple(
-        each({f"[{i}]": value for i, value in enumerate(values)}).values()))
+    """A JSON list of ``item``s, as a tuple; an error names an element ``[i]``."""
+    def parse(values):
+        parsed = []
+        for i, value in enumerate(values):
+            if type(value) not in item.types:
+                raise ValueError(f"[{i}] {value!r} is not {item.what}")
+            try:
+                parsed.append(item.parse(value) if item.parse else value)
+            except ValueError as exc:
+                raise ValueError(f"[{i}]: {exc}") from exc
+        return tuple(parsed)
+    return JsonField((list,), what, parse=parse)
 
 
 def read_records(path: Path, fields: Mapping[str, JsonField],
@@ -121,13 +130,19 @@ def read_records(path: Path, fields: Mapping[str, JsonField],
 def write_atomic(path: Path | str, data: str | bytes, fsync: bool = False) -> None:
     """Write ``data`` (text as UTF-8) to ``<path>.tmp``, making its directory,
     and rename it over ``path``: a killed process leaves the old file or none,
-    never a torn one, and at most a ``.tmp`` that the next write replaces.
-    ``fsync`` flushes the data to disk first, so a power loss cannot tear it."""
+    never a torn one, and at most a ``.tmp`` that the next change replaces.
+    ``fsync`` flushes the data to disk first, so a power loss cannot tear it.
+    A file that already holds ``data`` is not written, so it keeps its mtime:
+    its size is compared first, and its bytes only when the sizes match."""
     path = Path(path)
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    with suppress(OSError):  # no such file, or none that reads: write it
+        if path.stat().st_size == len(data) and path.read_bytes() == data:
+            return
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as sink:
-        sink.write(data.encode("utf-8") if isinstance(data, str) else data)
+        sink.write(data)
         if fsync:
             sink.flush()
             os.fsync(sink.fileno())

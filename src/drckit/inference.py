@@ -14,7 +14,7 @@ from collections import Counter
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .analysis import first_connective_token
 from .context import RenderedInstance, VariantDataset
@@ -147,19 +147,20 @@ class BaselineModel(NamedTuple):
     cue_table: Mapping[tuple[str, ...], str] = MappingProxyType({})
 
 
-def _cue_key(inst: RenderedInstance) -> tuple[str, ...]:
+def _cue_keys(instances: Sequence[RenderedInstance]) -> Iterator[tuple[str, ...]]:
     # The cue is the first word of arg2, joined by the first word of the
-    # context when the instance carries context, each read by the one rule
-    # the connective analysis reads words by: "However," is "however".
-    if inst.context_text:
-        return (first_connective_token(inst.arg2_text),
-                first_connective_token(inst.context_text))
-    return (first_connective_token(inst.arg2_text),)
+    # context when the instance carries context (each distinct context is read
+    # once per call), by the connective analysis's rule: "However," is "however".
+    contexts = {text: (first_connective_token(text),)
+                for text in {inst.context_text for inst in instances} if text}
+    contexts[""] = ()
+    return ((first_connective_token(inst.arg2_text),) + contexts[inst.context_text]
+            for inst in instances)
 
 
-def _most_frequent(counter: Counter) -> str:
-    # Ties break lexicographically.
-    return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+def _most_frequent(counts: Mapping[str, int]) -> str:
+    # Ties break lexicographically: max keeps the first of equal counts.
+    return max(sorted(counts), key=counts.__getitem__)
 
 
 def train_baseline(train_dataset: VariantDataset, kind: str) -> BaselineModel:
@@ -168,26 +169,25 @@ def train_baseline(train_dataset: VariantDataset, kind: str) -> BaselineModel:
         raise ValueError(f"unknown baseline kind {kind!r}; known: {BASELINE_KINDS}")
     if not train_dataset.instances:
         raise ValueError("empty training data")
-    label_counts = Counter(i.gold_label for i in train_dataset.instances)
-    majority = _most_frequent(label_counts)
+    majority = _most_frequent(Counter(i.gold_label for i in train_dataset.instances))
     if kind == "majority":
         return BaselineModel(kind="majority", majority_label=majority)
-    cue_counts: dict[tuple[str, ...], Counter] = {}
-    for inst in train_dataset.instances:
-        cue_counts.setdefault(_cue_key(inst), Counter())[inst.gold_label] += 1
+    cue_counts: dict[tuple[str, ...], dict[str, int]] = {}
+    for key, inst in zip(_cue_keys(train_dataset.instances), train_dataset.instances):
+        counts = cue_counts.setdefault(key, {})
+        counts[inst.gold_label] = counts.get(inst.gold_label, 0) + 1
     cue_table = {key: _most_frequent(c) for key, c in cue_counts.items()}
     return BaselineModel(kind="cue", majority_label=majority, cue_table=cue_table)
 
 
 def predict_baseline(model: BaselineModel, dataset: VariantDataset,
                      condition: str, run_id: int = 0) -> PredictionSet:
-    records = {}
-    for inst in dataset.instances:
-        if model.kind == "majority":
-            records[inst.instance_id] = model.majority_label
-        else:
-            records[inst.instance_id] = model.cue_table.get(
-                _cue_key(inst), model.majority_label)
+    if model.kind == "majority":
+        records = dict.fromkeys(dataset.instance_ids(), model.majority_label)
+    else:
+        cue, default = model.cue_table.get, model.majority_label
+        records = {inst.instance_id: cue(key, default) for inst, key
+                   in zip(dataset.instances, _cue_keys(dataset.instances))}
     return PredictionSet(condition=condition, run_id=run_id, records=records)
 
 

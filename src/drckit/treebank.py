@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -165,7 +165,8 @@ _SENTENCE_END = re.compile(r"[.!?][\"'”’»)\]}]*$")
 
 
 def ends_sentence(text: str) -> bool:
-    return bool(_SENTENCE_END.search(text.rstrip()))
+    """Whether ``text``, stripped as an EDU's text is, ends a sentence."""
+    return _SENTENCE_END.search(text) is not None
 
 
 def make_instance_id(doc_id: str, dependent_id: int) -> str:
@@ -177,8 +178,8 @@ def make_instance_id(doc_id: str, dependent_id: int) -> str:
 
 
 # A tree record; ``validate_tree`` checks how the records link up.
-_RECORD = JsonField((dict,), "an EDU record", parse=lambda record: check_fields(
-    record, {"id": INTEGER, "parent": INTEGER, "relation": STRING, "text": STRING}))
+_RECORD = JsonField((dict,), "an EDU record", parse=partial(check_fields, fields={
+    "id": INTEGER, "parent": INTEGER, "relation": STRING, "text": STRING}))
 _DOCUMENT_FIELDS = {"root": rule(list_of(_RECORD), "a non-empty array of records", bool)}
 
 
@@ -318,15 +319,11 @@ def extract_instances(tree: DiscourseTree) -> list[RelationInstance]:
     The edge to the virtual ROOT yields no instance, so a legal tree with
     n real EDUs produces exactly n - 1 instances, ordered by dependent id.
     """
-    instances = []
-    for e in tree.real_edus:
-        if e.head_id == ROOT_ID or e.head_id == ROOT_HEAD:
-            continue
-        head = tree.edu(e.head_id)
-        instances.append(RelationInstance(make_instance_id(tree.doc_id, e.id),
-                                          tree.doc_id, head.text, e.text, head.id,
-                                          e.id, e.relation))
-    return instances
+    doc_id = tree.doc_id
+    return [RelationInstance(make_instance_id(doc_id, e.id), doc_id,
+                             tree.edu(e.head_id).text, e.text, e.head_id, e.id,
+                             e.relation)
+            for e in tree.edus if e.head_id != ROOT_ID and e.head_id != ROOT_HEAD]
 
 
 def ancestors(tree: DiscourseTree, edu_id: int, max_n: int) -> list[int]:

@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's own code paths: scoring
 is direct tally counting, the signed-rank p-value is a naive walk over
 every sign assignment, tree traversals work straight off the raw
 (id, parent, relation, text) records, paired outcomes are decided one
-instance at a time, and stage reuse is decided one stage at a time, just
-before the stage would run.
+instance at a time, stage reuse is decided one stage at a time, just
+before the stage would run, and the cue baseline counts with a Counter per
+cue and reads its words off the whole lowercased text.
 """
 
 from __future__ import annotations
 
+import string
+from collections import Counter
 from itertools import product
 
 
@@ -198,3 +201,31 @@ def one_pass_walk(stages, previous: dict) -> tuple[list[str], dict[str, bool]]:
             stage.run()
             ran.append(stage.name)
     return ran, reused
+
+
+def cue_baseline(train: list, evaluate: list) -> tuple[str, dict, dict]:
+    """(majority label, cue table, predictions) of the cue baseline, fitted by
+    a Counter per cue.  A word is the first of the lowercased text, split at
+    whitespace and stripped of punctuation, that is not empty."""
+    punctuation = string.punctuation + "‘’“”«»"
+
+    def first_word(text):
+        words = [word.strip(punctuation) for word in text.lower().split()]
+        return next(filter(None, words), "")
+
+    def cue_key(inst):
+        if inst.context_text:
+            return (first_word(inst.arg2_text), first_word(inst.context_text))
+        return (first_word(inst.arg2_text),)
+
+    def most_frequent(counter):
+        return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+
+    majority = most_frequent(Counter(i.gold_label for i in train))
+    cue_counts = {}
+    for inst in train:
+        cue_counts.setdefault(cue_key(inst), Counter())[inst.gold_label] += 1
+    cue_table = {key: most_frequent(c) for key, c in cue_counts.items()}
+    records = {inst.instance_id: cue_table.get(cue_key(inst), majority)
+               for inst in evaluate}
+    return majority, cue_table, records

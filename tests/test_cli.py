@@ -1835,3 +1835,84 @@ def test_rerun_on_reused_variants_samples_the_cold_run_icl_examples(tmp_path):
 def test_data_error_exits_1(tmp_path, capsys):
     assert run_cli("validate", tmp_path / "nowhere") == 1
     assert "error" in capsys.readouterr().err
+
+
+# Holds an exclusive flock on the directory argv[1], as a drckit run holds its
+# run directory, until its stdin closes or it is killed.
+HOLD_LOCK = """\
+import fcntl, os, sys
+fd = os.open(sys.argv[1], os.O_RDONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("held", flush=True)
+sys.stdin.read()
+"""
+
+
+def hold_lock(directory: Path) -> subprocess.Popen:
+    holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(directory)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    assert holder.stdout.readline() == b"held\n"
+    return holder
+
+
+def release(holder: subprocess.Popen, how: str) -> None:
+    if how == "killed":
+        holder.kill()
+    holder.stdin.close()
+    holder.wait(timeout=30)
+    holder.stdout.close()
+
+
+@pytest.mark.parametrize("how", ["exits", "killed"])
+def test_experiment_on_a_run_dir_in_use_exits_1_before_any_stage(
+        small_corpus_dir, tmp_path, capsys, how):
+    out = tmp_path / "out"
+    with MockChatServer(lambda payload, index: (200, "cause")) as server:
+        config = experiment_config(
+            tmp_path, small_corpus_dir, schemes=["default"], seeds=[1],
+            backends=[{"kind": "endpoint", "base_url": server.base_url,
+                       "model": "mock"}])
+        assert run_cli("experiment", "--config", config) == 0
+        # A rerun now has requests to send.
+        (out / "predictions" / "default+mock.run1.jsonl").unlink()
+        (out / "logs" / "default+mock.run1.log.jsonl").unlink()
+        manifest = (out / "manifest.json").read_bytes()
+        sent = len(server.payloads)
+        capsys.readouterr()
+        holder = hold_lock(out)
+        try:
+            assert run_cli("experiment", "--config", config) == 1
+        finally:
+            release(holder, how)
+        assert capsys.readouterr().err == \
+            f"error: {out} is in use by another drckit run\n"
+        assert len(server.payloads) == sent
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert run_cli("experiment", "--config", config) == 0
+        assert len(server.payloads) > sent
+    assert stages_run(out) == ["predict:default+mock:1", "score:default+mock:1",
+                               "summary"]
+    # The lock leaves no file behind.
+    assert sorted(p.name for p in out.iterdir()) == [
+        "logs", "manifest.json", "predictions", "reports", "results_table.txt",
+        "variants"]
+
+
+def test_endpoint_infer_into_a_dir_in_use_exits_1_without_a_request(
+        small_corpus_dir, tmp_path, capsys):
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    with MockChatServer(lambda payload, index: (200, "cause")) as server:
+        holder = hold_lock(preds)
+        try:
+            assert infer_endpoint(small_corpus_dir, tmp_path,
+                                  "--base-url", server.base_url) == 1
+        finally:
+            release(holder, "exits")
+        assert server.payloads == []
+        assert f"error: {preds} is in use by another drckit run" \
+            in capsys.readouterr().err
+        assert os.listdir(preds) == []
+        assert infer_endpoint(small_corpus_dir, tmp_path,
+                              "--base-url", server.base_url) == 0
+        assert server.payloads

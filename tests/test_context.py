@@ -490,6 +490,69 @@ def test_context_matches_oracles_on_random_trees(records):
             assert rendered.context_text == " ".join(expected)
 
 
+REFERENCE_SCHEMES = [DEFAULT] + [ContextScheme(kind, n) for kind in ("add", "oracle")
+                                  for n in (1, 2, 3)]
+
+
+def reference_rendering(corpus, scheme, include_relations):
+    """Each instance rendered on its own from its context fragments."""
+    return sorted((render_instance(inst, context_fragments(
+                       tree, inst.arg1_edu_id, scheme, include_relations))
+                   for tree in corpus.trees for inst in extract_instances(tree)),
+                  key=lambda inst: inst.instance_id)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(legal_records(), min_size=1, max_size=3), st.booleans())
+def test_build_variant_dataset_equals_rendering_each_instance(docs, include_relations):
+    corpus = Corpus("prop", "test", tuple(
+        tree_from(records, f"prop-{i}") for i, records in enumerate(docs)))
+    for scheme in REFERENCE_SCHEMES:
+        dataset = build_variant_dataset(corpus, scheme,
+                                        include_relations=include_relations)
+        assert list(dataset.instances) == \
+            reference_rendering(corpus, scheme, include_relations)
+
+
+# Sentence 0 is EDUs 1-2 and sentence 1 is EDUs 3-5, each the first argument
+# of an instance; EDU 3 heads three dependents and EDU 1 attaches to ROOT.
+SHARED_CONTEXT_RECORDS = [
+    (0, -1, "null", "ROOT"),
+    (1, 0, "ROOT", "first sentence opens ,"),
+    (2, 1, "elaboration", "and ends here ."),
+    (3, 1, "joint", "second one starts ,"),
+    (4, 3, "elaboration", "goes on ,"),
+    (5, 4, "condition", "and ends ."),
+    (6, 3, "contrast", "third sentence ."),
+    (7, 4, "temporal", "fourth one ."),
+    (8, 5, "joint", "fifth one ."),
+    (9, 3, "attribution", "sixth ."),
+]
+
+
+@pytest.mark.parametrize("include_relations", [False, True])
+def test_instances_that_share_a_context_render_it_alike(include_relations):
+    corpus = Corpus("fix", "test", (tree_from(SHARED_CONTEXT_RECORDS, "doc"),))
+    first = "first sentence opens , and ends here ."
+    ancestor = {1: "", 3: "(ROOT) first sentence opens ,",
+                4: "(joint) second one starts ,", 5: "(elaboration) goes on ,"}
+    if not include_relations:
+        ancestor = {k: v.partition(") ")[2] for k, v in ancestor.items()}
+    heads = {2: 1, 3: 1, 4: 3, 5: 4, 6: 3, 7: 4, 8: 5, 9: 3}
+    expected = {
+        AD1: {dep: "" if head == 1 else first for dep, head in heads.items()},
+        OR1: {dep: ancestor[head] for dep, head in heads.items()},
+    }
+    for scheme in REFERENCE_SCHEMES:
+        dataset = build_variant_dataset(corpus, scheme,
+                                        include_relations=include_relations)
+        assert list(dataset.instances) == \
+            reference_rendering(corpus, scheme, include_relations)
+        if scheme in expected:
+            assert {int(inst.instance_id.split(":")[1]): inst.context_text
+                    for inst in dataset.instances} == expected[scheme]
+
+
 def json_dumps_variant_lines(dataset):
     """The variant file as one json.dumps call per record wrote it."""
     lines = [json.dumps({

@@ -7,6 +7,7 @@ Each killed run is a child process; the rerun after it runs in this one.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
@@ -31,10 +32,12 @@ from corpus import Shape, write_corpus  # noqa: E402
 def test_only_write_atomic_writes_a_file():
     # A writer of its own would overwrite in place, where a kill tears the
     # file.  The endpoint log is appended to, so it opens and makes its own.
+    # The run-directory lock makes its directory and opens it read-only.
     pattern = re.compile(r"\.write_(?:text|bytes)\(|os\.replace\(|\.mkdir\(|\bopen\(")
     found = {path.name: pattern.findall(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "drckit").glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {
+        "cli.py": [".mkdir(", "open("],
         "endpoint.py": ["open(", ".mkdir(", "open("],
         "fields.py": [".mkdir(", "open(", "os.replace("]}
 
@@ -47,6 +50,44 @@ def test_write_atomic_makes_its_directory_and_replaces_a_leftover(tmp_path):
     write_atomic(path, b"new", fsync=True)
     assert path.read_bytes() == b"new"
     assert os.listdir(tmp_path / "made") == ["out.txt"]
+
+
+def test_write_atomic_leaves_a_file_that_holds_its_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    replaced = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (
+        replaced.append((Path(src).name, Path(dst).name)), real_replace(src, dst)))
+    write_atomic(path, "old\n")
+    os.utime(path, ns=(0, 0))
+    write_atomic(path, b"old\n")
+    assert (path.stat().st_mtime_ns, path.read_bytes()) == (0, b"old\n")
+    # Bytes of the same size, and bytes of another size, are both replaced.
+    for data in (b"new\n", b"newer\n"):
+        write_atomic(path, data)
+        assert path.read_bytes() == data
+    assert replaced == [("out.txt.tmp", "out.txt")] * 3
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_rerun_that_gives_the_same_bytes_keeps_every_mtime(tmp_path):
+    corpus = write_corpus_dir(tmp_path / "corpus", {
+        "train": disambiguation_split(3, "tr"), "test": disambiguation_split(2, "te")})
+    config = experiment_config(tmp_path, corpus, backends=[{"kind": "cue"}],
+                               seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    out = tmp_path / "out"
+    cold = outputs(out)
+    for name in cold:  # a rewrite would set them to now
+        os.utime(out / name, ns=(0, 0))
+    # A blank line changes the config text, so the run key, so every stage.
+    config.write_text(config.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    assert run_cli("experiment", "--config", config) == 0
+    stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert not any(stage["reused"] for stage in stages.values())
+    assert outputs(out) == cold
+    assert {name: (out / name).stat().st_mtime_ns for name in cold} == \
+        dict.fromkeys(cold, 0)
 
 
 def run_child(code: str, *argv) -> int:

@@ -158,3 +158,30 @@ def test_no_module_imports_dataclasses():
     pattern = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
     assert sorted(path.name for path in SRC.glob("*.py")
                   if pattern.search(path.read_text())) == []
+
+
+@pytest.mark.parametrize("records, detail", [
+    ([{"id": 0, "parent": -1, "relation": "null", "text": "R"},
+      {"id": 1, "parent": 0, "relation": "ROOT", "text": "a ."},
+      {"id": 2, "relation": "joint", "text": "b ."}],
+     "root: [2]: missing field 'parent'"),
+    ([{"id": 0, "parent": -1, "relation": "null", "text": "R"}, "x"],
+     "root: [1] 'x' is not an EDU record"),
+    ([{"id": 0, "parent": -1, "relation": "null", "text": "R"},
+      {"id": 1, "parent": True, "relation": "ROOT", "text": "a ."}],
+     "root: [1]: parent True is not an integer"),
+])
+def test_a_list_element_is_named_by_its_index(records, detail):
+    from drckit.treebank import TreeValidationError, parse_tree_document
+    with pytest.raises(TreeValidationError) as info:
+        parse_tree_document(json.dumps({"root": records}), "doc")
+    [violation] = info.value.violations
+    assert (violation.code, violation.detail) == \
+        ("parse-error", f"malformed document: {detail}")
+
+
+def test_a_config_list_element_is_named_by_its_index():
+    from drckit.config import CONFIG_FIELDS, ConfigError, check_config
+    with pytest.raises(ConfigError) as info:
+        check_config({"seeds": [1, "2"]}, {"seeds": CONFIG_FIELDS["seeds"]}, "cfg")
+    assert str(info.value) == "cfg: seeds: [1] '2' is not an integer"

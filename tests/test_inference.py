@@ -26,6 +26,8 @@ from drckit.inference import (
 from drckit.treebank import Corpus
 
 from conftest import tree_from
+from oracles import cue_baseline
+from test_analysis import TEXTS as CONNECTIVE_TEXTS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -253,6 +255,35 @@ def test_cue_baseline_uses_context_token():
     ], inventory=train_ctx.label_inventory, scheme=OR1, split="test")
     preds = predict_baseline(model, test, "OR1+cue")
     assert preds.records == {"t:001": "condition", "t:002": "contrast"}
+
+
+# Texts that share words, so cues repeat, tie and back off, beside texts
+# with Unicode spaces, words that are only punctuation, and no word at all.
+CUE_TEXTS = st.one_of(st.sampled_from(["However, it", "however", "( CC )", "...",
+                                       "but\u3000then", "", "\u2028so ."]),
+                      CONNECTIVE_TEXTS)
+CUE_ROWS = st.lists(st.tuples(CUE_TEXTS, CUE_TEXTS,
+                              st.sampled_from(["cause", "contrast", "joint"])),
+                    min_size=1, max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CUE_ROWS, CUE_ROWS, st.sampled_from([DEFAULT, OR1]))
+def test_cue_baseline_equals_the_counter_oracle(train_rows, test_rows, scheme):
+    def dataset(rows, split):
+        # The default scheme renders no context.
+        return dataset_of([rendered(f"{split}:{k:03d}", "arg1", arg2, label,
+                                    context if scheme.kind != "default" else "")
+                           for k, (arg2, context, label) in enumerate(rows)],
+                          inventory=("cause", "contrast", "joint"),
+                          scheme=scheme, split=split)
+    train, test = dataset(train_rows, "train"), dataset(test_rows, "test")
+    majority, cue_table, records = cue_baseline(train.instances, test.instances)
+    model = train_baseline(train, "cue")
+    assert (model.majority_label, model.cue_table) == (majority, cue_table)
+    assert predict_baseline(model, test, "c").records == records
+    assert predict_baseline(train_baseline(train, "majority"), test, "m").records \
+        == dict.fromkeys(records, majority)
 
 
 def test_cue_baseline_reads_however_with_and_without_comma_as_one_cue():
