@@ -195,24 +195,21 @@ def connective_match_rate(instances: Iterable[RenderedInstance],
                           relation_categories: Mapping[str, Sequence[str]],
                           lexicon: ConnectiveLexicon,
                           level: str = "instance",
-                          multiword: bool = False, shared: dict | None = None
-                          ) -> ConnectiveMatchReport:
+                          multiword: bool = False) -> ConnectiveMatchReport:
     """Fraction of instances whose arg2 opens with a known connective.
 
     ``relation_categories`` maps category names (e.g. winning/losing) to
     the relations they contain, as produced by margins_by_category.  At
     ``level="type"`` the percentage is the unweighted mean of per-relation
-    match rates instead of the instance-level pool.  ``shared`` keeps [matched,
-    total] per gold relation for calls on one instance set, lexicon and mode.
+    match rates instead of the instance-level pool.
     """
     if level not in ("instance", "type"):
         raise ValueError(f"unknown level {level!r}")
-    hits = {} if shared is None else shared
-    if not hits:
-        for inst in instances:
-            counts = hits.setdefault(inst.gold_label, [0, 0])
-            counts[0] += _matches(inst.arg2_text, lexicon, multiword)
-            counts[1] += 1
+    hits: dict[str, list[int]] = {}  # gold relation -> [matched, total]
+    for inst in instances:
+        counts = hits.setdefault(inst.gold_label, [0, 0])
+        counts[0] += _matches(inst.arg2_text, lexicon, multiword)
+        counts[1] += 1
     by_category = {}
     for category, relations in relation_categories.items():
         counts = [hits[r] for r in relations if r in hits]

@@ -234,18 +234,23 @@ def _mean_line(agg: RunAggregate) -> str:
             f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
 
 
-def _pair_by_run_id(runs_a: list[tuple[int, T]], runs_b: list[tuple[int, T]]
-                    ) -> list[tuple[int, T, T]]:
-    """(run_id, a, b) per run id; raise unless A and B pair one to one."""
-    by_id_a, by_id_b = dict(runs_a), dict(runs_b)
-    for name, runs, by_id in (("A", runs_a, by_id_a), ("B", runs_b, by_id_b)):
-        if len(by_id) != len(runs):
+def _pair_by_run_id(runs_a: list[T], runs_b: list[T], what: str
+                    ) -> list[tuple[T, T]]:
+    """(a, b) per run id, in run id order; raise unless each set holds one
+    condition's runs and A and B pair one to one."""
+    by_id = {}  # set name -> its runs by run id
+    for name, runs in (("A", runs_a), ("B", runs_b)):
+        conditions = sorted({run.condition for run in runs})
+        if len(conditions) != 1:
+            raise ValueError(f"mixed conditions in {what} set: {conditions}")
+        by_id[name] = {run.run_id: run for run in runs}
+        if len(by_id[name]) != len(runs):
             raise ValueError(f"duplicate run ids in set {name}: "
-                             f"{sorted(run_id for run_id, _ in runs)}")
-    if by_id_a.keys() != by_id_b.keys():
-        raise ValueError(f"runs do not pair by run id: A has {sorted(by_id_a)}, "
-                         f"B has {sorted(by_id_b)}")
-    return [(run_id, by_id_a[run_id], by_id_b[run_id]) for run_id in sorted(by_id_a)]
+                             f"{sorted(run.run_id for run in runs)}")
+    if by_id["A"].keys() != by_id["B"].keys():
+        raise ValueError(f"runs do not pair by run id: A has {sorted(by_id['A'])}, "
+                         f"B has {sorted(by_id['B'])}")
+    return [(by_id["A"][run_id], by_id["B"][run_id]) for run_id in sorted(by_id["A"])]
 
 
 def _lexicon(path: Path | str | None) -> ConnectiveLexicon:
@@ -256,22 +261,19 @@ def _lexicon(path: Path | str | None) -> ConnectiveLexicon:
 def _analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
                   runs_b: list[PredictionSet], lexicon: ConnectiveLexicon,
                   out_dir: Path, normalizer: str = "runs", level: str = "instance",
-                  multiword: bool = False, shared: dict | None = None
+                  multiword: bool = False
                   ) -> tuple[list[RelationMargin], ConnectiveMatchReport]:
     """Pair A and B runs by run id, then write ``margins.tsv`` and
     ``connectives.tsv`` of B against A under ``out_dir``."""
     from .analysis import (connective_match_rate, margins_by_category,
                            pair_outcomes, relation_margins,
                            write_connective_report_tsv, write_margins_tsv)
-    pairs = _pair_by_run_id([(p.run_id, p) for p in runs_a],
-                            [(p.run_id, p) for p in runs_b])
-    counts = pair_outcomes(dataset.gold_labels(),
-                           [(preds_a, preds_b) for _, preds_a, preds_b in pairs])
+    pairs = _pair_by_run_id(runs_a, runs_b, "prediction")
+    counts = pair_outcomes(dataset.gold_labels(), pairs)
     margins = relation_margins(counts, len(pairs), normalizer=normalizer)
     match_report = connective_match_rate(dataset.instances,
                                          margins_by_category(margins), lexicon,
-                                         level=level, multiword=multiword,
-                                         shared=shared)
+                                         level=level, multiword=multiword)
     write_margins_tsv(margins, out_dir / "margins.tsv")
     write_connective_report_tsv(match_report, out_dir / "connectives.tsv")
     return margins, match_report
@@ -281,17 +283,12 @@ def cmd_compare(args) -> int:
     from .evaluation import bonferroni, read_report_scores, wilcoxon_signed_rank
     rules = {"--m": CONFIG_FIELDS["bonferroni_m"], "--alpha": CONFIG_FIELDS["alpha"]}
     check_config({"--m": args.m, "--alpha": args.alpha}, rules, "compare")
-    def read_scores(paths):
-        triples = [read_report_scores(p) for p in paths]
-        conditions = {t[0] for t in triples}
-        if len(conditions) != 1:
-            raise ValueError(f"mixed conditions in report set: {sorted(conditions)}")
-        return conditions.pop(), [(run_id, f1) for _, run_id, f1 in triples]
-
-    cond_a, runs_a = read_scores(args.reports_a)
-    cond_b, runs_b = read_scores(args.reports_b)
-    pairs = _pair_by_run_id(runs_a, runs_b)
-    result = wilcoxon_signed_rank([a for _, a, _ in pairs], [b for _, _, b in pairs],
+    runs_a = [read_report_scores(path) for path in args.reports_a]
+    runs_b = [read_report_scores(path) for path in args.reports_b]
+    pairs = _pair_by_run_id(runs_a, runs_b, "report")
+    cond_a, cond_b = runs_a[0].condition, runs_b[0].condition
+    result = wilcoxon_signed_rank([a.macro_f1 for a, _ in pairs],
+                                  [b.macro_f1 for _, b in pairs],
                                   comparison=(cond_a, cond_b))
     [result] = bonferroni([result], m=args.m, alpha=args.alpha)
     print(f"{cond_a} vs {cond_b}: n={result.n_pairs} "
@@ -333,15 +330,14 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
     parses a split once (``last`` releases it), and ``value(name)`` is the
     value of a stage that has run or been reused.  Declaring runs no stage
     and reads only the files that stage keys digest: the lexicon and
-    imported prediction files.
+    imported prediction files.  One stage predicts all of a condition's
+    seeds and one scores them, so what the seeds share is done once in each.
     """
     out_dir, splits = cfg.out_dir, (cfg.train_split, cfg.eval_split)
     # Only the analysis stages read the lexicon; the tool version covers the
     # packaged one.
     lexicon = cache(lambda: _lexicon(cfg.lexicon))
     lexicon_key = file_key(cfg.lexicon) if cfg.lexicon else ""
-    written: dict = {}  # the last predictions' file lines, for the seeds sharing them
-    hits: dict = {}  # connective hits: all analyses read one eval variant, lexicon
 
     # What each stage kind does, given the arguments its declaration binds.
     def build_variant(path, scheme, split):
@@ -355,44 +351,48 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
         from .context import read_variant_dataset
         return read_variant_dataset(path, cfg.corpus_name, inventory)
 
-    def make_predictor(backend, condition, train, test):
-        return _predictor(backend.kind, backend.options, value(train), value(test),
-                          condition, out_dir / "logs")
-
-    def read_source(source):  # the format only: running the stage checks the ids
+    def read_sources(sources):  # the format only: running the stage checks the ids
         from .inference import PREDICTION_FIELDS, read_records
-        for _ in read_records(Path(source), PREDICTION_FIELDS):
-            pass
+        for source in sources:
+            for _ in read_records(Path(source), PREDICTION_FIELDS):
+                pass
 
-    def read_run(path, condition, seed, test):
+    def read_runs(paths, condition, test):
         from .inference import import_predictions
-        return import_predictions(path, value(test), condition=condition, run_id=seed)
+        return [import_predictions(path, value(test), condition=condition, run_id=seed)
+                for seed, path in zip(cfg.seeds, paths)]
 
-    def predict(path, condition, seed, test, source, predictor):
+    def predict(paths, backend, condition, train, test, sources):
         from .inference import write_predictions
-        preds = read_run(source, condition, seed, test) if source \
-            else predictor()(seed)
-        write_predictions(preds, path, written)
-        return preds
+        if sources:  # imported runs are read from their sources
+            runs = read_runs(sources, condition, test)
+        else:  # lazily: each seed's file is written once it has run, and kept on abort
+            runs = map(_predictor(backend.kind, backend.options, value(train),
+                                  value(test), condition, out_dir / "logs"), cfg.seeds)
+        written, kept = {}, []  # written: the file lines of a dict the seeds share
+        for preds, path in zip(runs, paths):
+            write_predictions(preds, path, written)
+            kept.append(preds)
+        return kept
 
-    def score(stem, preds, test, scored):
-        return _score_run(value(test), value(preds), out_dir / "reports", stem, scored)
+    def score(stems, predict_name, test):
+        scored = {}  # the report of each records dict the seeds share
+        return [_score_run(value(test), preds, out_dir / "reports", stem, scored)
+                for stem, preds in zip(stems, value(predict_name))]
 
-    def read_score(path):
+    def read_scores(paths):
         from .evaluation import read_report_scores
-        return read_report_scores(path)
+        return [read_report_scores(path) for path in paths]
 
-    def analyze(analysis_dir, runs_a, runs_b):
-        _analyze_pair(value(variants[("default", cfg.eval_split)]),
-                      [value(name) for name in runs_a],
-                      [value(name) for name in runs_b], lexicon(), analysis_dir,
-                      shared=hits)
+    def analyze(analysis_dir, predict_a, predict_b):
+        _analyze_pair(value(variants[("default", cfg.eval_split)]), value(predict_a),
+                      value(predict_b), lexicon(), analysis_dir)
 
     def summarize(conditions, comparisons):
         from .evaluation import (aggregate_runs, bonferroni, format_results_table,
                                  wilcoxon_signed_rank)
-        aggregates = {condition: aggregate_runs([value(name) for name in names])
-                      for condition, names in conditions.items()}
+        aggregates = {condition: aggregate_runs(value(name))
+                      for condition, name in conditions.items()}
         significance = {}
         if comparisons:  # load_experiment_config has checked bonferroni_m
             results = [wilcoxon_signed_rank(aggregates[a].per_run_scores,
@@ -415,7 +415,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
 
     # Under one run key a rebuilt variant equals its file: no inputs list a variant.
     stages, variants = [], {}
-    conditions = {}  # the score stages of each condition, in seed order
+    conditions = {}  # the score stage of each condition
     comparisons = []  # (condition, its default condition), as the analyses pair them
     for scheme in cfg.schemes:
         for split in splits:
@@ -425,35 +425,30 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                                 partial(build_variant, path, scheme, split),
                                 partial(read_variant, path)))
     for backend in cfg.backends:
-        runs = {}  # the predict stages of each scheme, in seed order
+        runs = {}  # the predict stage of each scheme
         for scheme in cfg.schemes:
             condition = f"{scheme.tag}+{backend.tag}"
             train, test = (variants[(scheme.tag, split)] for split in splits)
-            sources = dict(zip(cfg.seeds, backend.options["runs"][scheme.tag])) \
-                if backend.kind == "import" else {}
-            predictor = cache(partial(make_predictor, backend, condition, train, test))
-            scored = {}  # the reports of the predictions this condition's seeds share
-            runs[scheme.tag] = [f"predict:{condition}:{seed}" for seed in cfg.seeds]
-            for seed, name in zip(cfg.seeds, runs[scheme.tag]):
-                path = out_dir / "predictions" / f"{condition}.run{seed}.jsonl"
-                # An imported run is read from its source, keyed by the source's bytes.
-                source = sources.get(seed)
-                stages.append(Stage(
-                    name, (path,),
-                    partial(predict, path, condition, seed, test, source, predictor),
-                    partial(read_run, path, condition, seed, test),
-                    key=file_key(source) if source else "",
-                    check=partial(read_source, source) if source else None,
-                    checkpoint=backend.kind == "endpoint"))
-            conditions[condition] = [f"score:{condition}:{seed}" for seed in cfg.seeds]
-            for seed, predict_name, name in zip(cfg.seeds, runs[scheme.tag],
-                                                conditions[condition]):
-                stem = f"{condition}.run{seed}"
-                reports = tuple(out_dir / "reports" / f"{stem}.report.{suffix}"
-                                for suffix in ("json", "tsv"))
-                stages.append(Stage(
-                    name, reports, partial(score, stem, predict_name, test, scored),
-                    partial(read_score, reports[0]), inputs=(predict_name,)))
+            stems = [f"{condition}.run{seed}" for seed in cfg.seeds]
+            paths = [out_dir / "predictions" / f"{stem}.jsonl" for stem in stems]
+            # Imported runs are read from their sources, keyed by the sources' bytes.
+            sources = backend.options["runs"][scheme.tag] \
+                if backend.kind == "import" else []
+            name = runs[scheme.tag] = f"predict:{condition}"
+            stages.append(Stage(
+                name, tuple(paths),
+                partial(predict, paths, backend, condition, train, test, sources),
+                partial(read_runs, paths, condition, test),
+                key=" ".join(file_key(source) for source in sources),
+                check=partial(read_sources, sources) if sources else None,
+                checkpoint=backend.kind == "endpoint"))
+            reports = {suffix: [out_dir / "reports" / f"{stem}.report.{suffix}"
+                                for stem in stems] for suffix in ("json", "tsv")}
+            conditions[condition] = f"score:{condition}"
+            stages.append(Stage(
+                conditions[condition], (*reports["json"], *reports["tsv"]),
+                partial(score, stems, name, test), partial(read_scores, reports["json"]),
+                inputs=(name,)))
         for scheme in [s for s in cfg.schemes
                        if "default" in runs and s.kind != "default"]:
             analysis_dir = out_dir / "analysis" / \
@@ -463,7 +458,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                 (analysis_dir / "margins.tsv", analysis_dir / "connectives.tsv"),
                 partial(analyze, analysis_dir, runs["default"], runs[scheme.tag]),
                 lambda: None,  # nothing reads an analysis back
-                inputs=(*runs["default"], *runs[scheme.tag]), key=lexicon_key,
+                inputs=(runs["default"], runs[scheme.tag]), key=lexicon_key,
                 check=lexicon))
             comparisons.append((f"{scheme.tag}+{backend.tag}",
                                 f"default+{backend.tag}"))
@@ -473,7 +468,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
     # The run key covers alpha and bonferroni_m, the only settings it reads.
     stages.append(Stage(
         "summary", tuple(summary), partial(summarize, conditions, comparisons),
-        inputs=tuple(name for names in conditions.values() for name in names)))
+        inputs=tuple(conditions.values())))
     return stages
 
 
@@ -515,12 +510,9 @@ def _experiment(cfg: ExperimentConfig) -> int:
     finally:  # a run cut short prints the conditions it scored
         if "summary" not in manifest.stages:
             from .evaluation import aggregate_runs
-            for condition in (f"{scheme.tag}+{backend.tag}" for backend in cfg.backends
-                              for scheme in cfg.schemes):
-                names = [f"score:{condition}:{seed}" for seed in cfg.seeds]
-                if all(name in manifest.stages for name in names):
-                    print(_mean_line(aggregate_runs([manifest.value(name)
-                                                     for name in names])))
+            for name in manifest.stages:
+                if name.startswith("score:"):
+                    print(_mean_line(aggregate_runs(manifest.value(name))))
     sweep(cfg.out_dir, stages)  # the outputs of conditions the config dropped
     print(manifest.value("summary"))
     return EXIT_OK

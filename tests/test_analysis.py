@@ -345,21 +345,17 @@ ARG2_WORDS = ["because", "as", "a", "result", "however,", "(but", "the",
            st.lists(st.sampled_from(RELATIONS + ["unseen"]), max_size=4)),
            min_size=1, max_size=3),
        multiword=st.booleans())
-def test_shared_connective_hits_equal_per_call_rates(rows, category_maps,
-                                                     multiword):
+def test_connective_match_rate_equals_the_oracle(rows, category_maps, multiword):
     instances = [RenderedInstance(f"i{k:03d}", "", "arg1", " ".join(words), label)
                  for k, (label, words) in enumerate(rows)]
     lexicon = ConnectiveLexicon(frozenset({"because", "as a result", "however",
                                            "but", "in addition", "since"}))
     hit_rows = [(i.gold_label, _matches(i.arg2_text, lexicon, multiword))
                 for i in instances]
-    shared: dict = {}
     for categories in category_maps:
         for level in ("instance", "type"):
             report = connective_match_rate(instances, categories, lexicon,
-                                           level, multiword, shared=shared)
-            assert report == connective_match_rate(instances, categories,
-                                                   lexicon, level, multiword)
+                                           level, multiword)
             assert {c: (m.matched, m.total, m.percentage)
                     for c, m in report.by_category.items()} == \
                 category_match_rates(hit_rows, categories, level)

@@ -332,6 +332,41 @@ def test_analyze_pairs_runs_by_run_id(small_corpus_dir, tmp_path, capsys):
     assert "A has [1, 2], B has [1, 3]" in capsys.readouterr().err
 
 
+def mixed_run_sets(corpus_dir: Path, tmp_path: Path, directory: str,
+                   suffix: str) -> tuple[list[Path], list[Path]]:
+    """Set A holds a run of default+cue and one of default+majority, set B
+    OR1+cue's two runs: files an experiment wrote under ``out/<directory>``."""
+    config = experiment_config(tmp_path, corpus_dir, seeds=[1, 2], m=2,
+                               backends=[{"kind": "cue"}, {"kind": "majority"}])
+    assert run_cli("experiment", "--config", config) == 0
+    files = tmp_path / "out" / directory
+    set_a = [files / f"default+cue.run1{suffix}",
+             files / f"default+majority.run2{suffix}"]
+    return set_a, [files / f"OR1+cue.run{seed}{suffix}" for seed in (1, 2)]
+
+
+def test_analyze_rejects_a_prediction_set_of_two_conditions(small_corpus_dir,
+                                                            tmp_path, capsys):
+    set_a, set_b = mixed_run_sets(small_corpus_dir, tmp_path, "predictions", ".jsonl")
+    capsys.readouterr()
+    dataset = tmp_path / "out" / "variants" / "disamb.default.test.jsonl"
+    assert run_cli("analyze", "--dataset", dataset, "--preds-a", *set_a,
+                   "--preds-b", *set_b, "--out", tmp_path / "analysis") == 1
+    assert capsys.readouterr() == ("", "error: mixed conditions in prediction set: "
+                                       "['default+cue', 'default+majority']\n")
+    assert not (tmp_path / "analysis").exists()
+
+
+def test_compare_rejects_a_report_set_of_two_conditions(small_corpus_dir,
+                                                        tmp_path, capsys):
+    set_a, set_b = mixed_run_sets(small_corpus_dir, tmp_path, "reports", ".report.json")
+    capsys.readouterr()
+    assert run_cli("compare", "--reports-a", *set_a, "--reports-b", *set_b,
+                   "--m", "1") == 1
+    assert capsys.readouterr() == ("", "error: mixed conditions in report set: "
+                                       "['default+cue', 'default+majority']\n")
+
+
 LABELS = ("cause", "contrast", "joint")
 
 
@@ -703,6 +738,24 @@ def test_experiment_hands_predictions_over_in_memory(small_corpus_dir,
         assert run_id == int(path.name.split(".run")[1].split(".")[0]), path
 
 
+def test_experiment_fits_predicts_and_scores_once_per_condition(
+        small_corpus_dir, tmp_path, monkeypatch):
+    # A baseline's seeds share its predictions, and their one predict stage
+    # and one score stage do the shared work once.
+    calls: Counter = Counter()
+    for module, name in ((inference, "train_baseline"), (inference, "predict_baseline"),
+                         (evaluation, "score")):
+        def wrapper(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    config = experiment_config(
+        tmp_path, small_corpus_dir, backends=[{"kind": "cue"}, {"kind": "majority"}],
+        schemes=("default", "AD1", "OR1"), seeds=[1, 2, 3], m=4)
+    assert run_cli("experiment", "--config", config) == 0
+    assert calls == {"train_baseline": 6, "predict_baseline": 6, "score": 6}
+
+
 def record_calls(monkeypatch, *names: str) -> dict[str, list[tuple]]:
     """The positional arguments of each call of the named functions, each
     patched on the module that defines it, which the CLI imports from."""
@@ -865,14 +918,13 @@ def test_experiment_corpus_fault_names_the_first_five_violations(
 
 def test_experiment_scores_a_reloaded_run_on_its_own(small_corpus_dir, tmp_path,
                                                      monkeypatch):
-    # Seeds 1 and 3 are read back from their files, each into a dict of its
-    # own; seed 2 is predicted again.  The cue baseline's seeds predict alike,
-    # so each report still equals a fresh run's.
+    # The reused predict stage reads each seed's file back into a dict of its
+    # own, so the score stage scores each seed.  The cue baseline's seeds
+    # predict alike, so each report still equals a fresh run's.
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], seeds=[1, 2, 3])
     assert run_cli("experiment", "--config", config) == 0
     out = tmp_path / "out"
-    (out / "predictions" / "OR1+cue.run2.jsonl").unlink()
     for path in (out / "reports").glob("OR1+cue.*"):
         path.unlink()
     scored = []
@@ -1188,11 +1240,10 @@ def test_lexicon_that_is_not_utf8_is_an_error_naming_it(small_corpus_dir,
 @pytest.mark.parametrize("edit, rerun", [
     (lambda out, lexicon:
         (out / "predictions" / "OR1+cue.run2.jsonl").unlink(),
-     ["analysis:cue:default-vs-OR1", "predict:OR1+cue:2", "score:OR1+cue:2",
-      "summary"]),
+     ["analysis:cue:default-vs-OR1", "predict:OR1+cue", "score:OR1+cue", "summary"]),
     (lambda out, lexicon:
         (out / "reports" / "OR1+cue.run2.report.json").unlink(),
-     ["score:OR1+cue:2", "summary"]),
+     ["score:OR1+cue", "summary"]),
     (lambda out, lexicon: lexicon.write_text("because\n", encoding="utf-8"),
      ["analysis:cue:default-vs-AD1", "analysis:cue:default-vs-OR1"]),
     # A variant built again equals its file, so none of its readers reruns.
@@ -1290,8 +1341,8 @@ def test_experiment_in_a_copied_run_dir_checks_its_own_outputs(small_corpus_dir,
     copy = tmp_path / "b" / "out"
     (copy / "predictions" / "OR1+cue.run3.jsonl").unlink()
     assert run_cli("experiment", "--config", tmp_path / "b" / "experiment.json") == 0
-    assert stages_run(copy) == ["analysis:cue:default-vs-OR1", "predict:OR1+cue:3",
-                                "score:OR1+cue:3", "summary"]
+    assert stages_run(copy) == ["analysis:cue:default-vs-OR1", "predict:OR1+cue",
+                                "score:OR1+cue", "summary"]
     assert outputs(copy) == outputs(tmp_path / "a" / "out")
 
 
@@ -1431,8 +1482,7 @@ def test_experiment_rescores_edited_import_source(small_corpus_dir, tmp_path):
         r["instance_id"]: "condition" for r in records}), source)
     assert run_cli("experiment", "--config", config) == 0
     assert stages_run(tmp_path / "out") == [
-        "analysis:plm:default-vs-OR1", "predict:OR1+plm:1", "score:OR1+plm:1",
-        "summary"]
+        "analysis:plm:default-vs-OR1", "predict:OR1+plm", "score:OR1+plm", "summary"]
     after = outputs(tmp_path / "out")
     assert {name for name in after if after[name] != before[name]} >= {
         "reports/OR1+plm.run1.report.json", "reports/OR1+plm.run1.report.tsv"}
@@ -1573,9 +1623,9 @@ def test_declaring_the_stages_runs_nothing(small_corpus_dir, tmp_path,
     assert walked == declared
     assert sorted(json.loads((tmp_path / "out" / "manifest.json").read_text(
         encoding="utf-8"))["stages"]) == sorted(declared)
-    # 3 schemes x 2 splits of variants; per backend, 3 schemes x 2 seeds of
-    # predict and of score stages, and 2 analyses; the summary.
-    assert len(declared) == 3 * 2 + 2 * (3 * 2 * 2 + 2) + 1
+    # 3 schemes x 2 splits of variants; per backend, a predict and a score
+    # stage per scheme, and 2 analyses; the summary.
+    assert len(declared) == 3 * 2 + 2 * (3 * 2 + 2) + 1
 
 
 def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,
@@ -1683,6 +1733,87 @@ def test_experiment_endpoint_reuses_and_resumes(echo_corpus_dir, tmp_path):
             assert resumed_outputs[name] == content, name
 
 
+def test_experiment_resumes_a_condition_cut_short_from_its_logs(echo_corpus_dir,
+                                                                tmp_path):
+    # A 401 partway through seed 2 leaves seed 1's file and log complete.
+    # The rerun of the condition's predict stage answers seed 1 from its log
+    # and sends only seed 2's missing requests.
+    gold, n_instances = gold_echo(echo_corpus_dir)
+
+    def heads(payloads):
+        """The prompts less their last line, the target: one per seed."""
+        return {p["messages"][0]["content"].rsplit("\n", 1)[0] for p in payloads}
+
+    def config(directory, server):
+        return patch_config(mock_config(directory, echo_corpus_dir, server,
+                                        schemes=["default"]), bonferroni_m=1)
+
+    with MockChatServer(gold) as server:
+        assert run_cli("experiment", "--config", config(tmp_path / "fresh", server)) == 0
+    answers = n_instances + 2
+    with MockChatServer(lambda payload, index: (401, None) if index >= answers
+                        else gold(payload, index)) as server:
+        cut = config(tmp_path / "cut", server)
+        assert run_cli("experiment", "--config", cut) == 3
+        out = tmp_path / "cut" / "out"
+        assert sorted(p.name for p in (out / "predictions").iterdir()) == \
+            ["default+mock.run1.jsonl"]
+        seed_1, seed_2 = heads(server.payloads[:n_instances]), \
+            heads(server.payloads[n_instances:])
+        assert len(seed_1) == len(seed_2) == 1 and seed_1 != seed_2
+        server.behavior = gold
+        requested = len(server.payloads)
+        assert run_cli("experiment", "--config", cut) == 0
+        rerun = server.payloads[requested:]
+    assert len(rerun) == n_instances - 2 and heads(rerun) == seed_2
+    resumed, fresh = outputs(out), outputs(tmp_path / "fresh" / "out")
+    assert resumed.keys() == fresh.keys()
+    for name, content in fresh.items():
+        if name.startswith("logs/"):  # a log holds records in completion order
+            assert sorted(resumed[name].splitlines()) == sorted(content.splitlines())
+        else:
+            assert resumed[name] == content, name
+
+
+def test_experiment_upgrades_an_out_dir_of_per_seed_stages_in_place(
+        echo_corpus_dir, tmp_path, capsys):
+    # drckit once recorded a predict and a score stage per (condition, seed).
+    # An out/ whose manifest names those reruns its predict, score, analysis
+    # and summary stages once: no request is sent and no output rewritten.
+    gold, _ = gold_echo(echo_corpus_dir)
+    out, manifest = tmp_path / "out", tmp_path / "out" / "manifest.json"
+
+    def mtimes():
+        return {path: path.stat().st_mtime_ns for path in out.rglob("*")
+                if path.is_file() and path != manifest}
+
+    with MockChatServer(gold) as server:
+        config = mock_config(tmp_path, echo_corpus_dir, server, seeds=(1, 2))
+        endpoint = json.loads(config.read_text(encoding="utf-8"))["backends"]
+        patch_config(config, bonferroni_m=2, backends=[{"kind": "cue"}, *endpoint])
+        assert run_cli("experiment", "--config", config) == 0
+        cold_stdout = capsys.readouterr().out
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        per_seed = {}
+        for name, entry in payload["stages"].items():
+            if name.startswith(("predict:", "score:")):
+                per_seed.update((f"{name}:{seed}", entry) for seed in (1, 2))
+            else:
+                per_seed[name] = entry
+        manifest.write_text(json.dumps({**payload, "stages": per_seed}),
+                            encoding="utf-8")
+        before, sent = mtimes(), len(server.payloads)
+        assert run_cli("experiment", "--config", config) == 0
+        assert capsys.readouterr().out == cold_stdout
+        assert len(server.payloads) == sent
+        assert mtimes() == before
+        assert stages_run(out) == sorted(name for name in payload["stages"]
+                                         if not name.startswith("variants:"))
+        assert run_cli("experiment", "--config", config) == 0
+    assert stages_run(out) == []
+    assert capsys.readouterr().out == cold_stdout
+
+
 def test_experiment_saves_manifest_after_each_endpoint_predict_stage(
         echo_corpus_dir, tmp_path):
     # A process killed inside the second condition keeps the first one's
@@ -1700,8 +1831,8 @@ def test_experiment_saves_manifest_after_each_endpoint_predict_stage(
     with MockChatServer(gold_and_look) as server:
         config = mock_config(tmp_path, echo_corpus_dir, server, seeds=[1])
         assert run_cli("experiment", "--config", config) == 0
-    assert "predict:default+mock:1" in seen["stages"]
-    assert "predict:OR1+mock:1" not in seen["stages"]
+    assert "predict:default+mock" in seen["stages"]
+    assert "predict:OR1+mock" not in seen["stages"]
 
 
 def test_experiment_abort_forgets_stages_it_did_not_reach(echo_corpus_dir,
@@ -1821,8 +1952,7 @@ def test_rerun_on_reused_variants_samples_the_cold_run_icl_examples(tmp_path):
         (out / "logs" / "default+mock.run1.log.jsonl").unlink()
         assert run_cli("experiment", "--config", config) == 0
         rerun = server.payloads[len(cold):]
-    assert stages_run(out) == ["predict:default+mock:1", "score:default+mock:1",
-                               "summary"]
+    assert stages_run(out) == ["predict:default+mock", "score:default+mock", "summary"]
 
     def heads(payloads):
         """Each prompt less its last line, the target."""
@@ -1890,8 +2020,7 @@ def test_experiment_on_a_run_dir_in_use_exits_1_before_any_stage(
         assert (out / "manifest.json").read_bytes() == manifest
         assert run_cli("experiment", "--config", config) == 0
         assert len(server.payloads) > sent
-    assert stages_run(out) == ["predict:default+mock:1", "score:default+mock:1",
-                               "summary"]
+    assert stages_run(out) == ["predict:default+mock", "score:default+mock", "summary"]
     # The lock leaves no file behind.
     assert sorted(p.name for p in out.iterdir()) == [
         "logs", "manifest.json", "predictions", "reports", "results_table.txt",

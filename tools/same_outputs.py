@@ -22,8 +22,11 @@ The script exits 1 and lists what differs unless both give the same exit
 codes, stdout, stderr and out/ files in every phase, and the same stages in
 out/manifest.json, each reused or run alike.  Of the manifest only the stage
 names and their `reused` flags are compared (it holds timestamps), and
-out/logs/ is left out.  After each case it prints how many stages each tree
-ran in each phase, so a change to the reuse rules reads as counts.
+out/logs/ is left out.  After each case it prints how many differences are
+not manifest stage lines (out/ files, stdout, stderr and exit codes), how
+many are, and how many stages each tree ran in each phase, so a change that
+regroups stages on purpose reads as "0 output differences" and counts.  Any
+difference, a stage line too, still makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -137,15 +140,18 @@ def compare(base_src: Path, head_src: Path, work: Path,
                     for key, value in run_phase(head_src, base_dir).items())
         base.update((f"warm-from-base {key[len('warm '):]}", value)
                     for key, value in list(base.items()) if key.startswith("warm "))
-        for key in sorted(base.keys() | head.keys()):
-            if base.get(key) != head.get(key):
-                differences.append(f"{name} seed {seed}: {key} differs")
-        differences.extend(
-            f"{name} seed {seed}: {key} is {value}, not True"
-            for key, value in sorted(head.items())
-            if key.startswith("warm-from-base stage ") and value is not True)
-        print(f"{name} seed {seed}: {len(head)} outputs compared; stages run, "
-              "base/head: " + ", ".join(
+        differ = [key for key in sorted(base.keys() | head.keys())
+                  if base.get(key) != head.get(key)]
+        not_reused = [key for key, value in sorted(head.items())
+                      if key.startswith("warm-from-base stage ") and value is not True]
+        differences.extend(f"{name} seed {seed}: {key} differs" for key in differ)
+        differences.extend(f"{name} seed {seed}: {key} is {head[key]}, not True"
+                           for key in not_reused)
+        # Each key is "<phase> <what>"; a manifest stage line's what is "stage ...".
+        n_outputs = sum(not key.split(" ", 1)[1].startswith("stage ") for key in differ)
+        print(f"{name} seed {seed}: {len(head)} outputs compared; {n_outputs} output "
+              f"differences, {len(differ) - n_outputs + len(not_reused)} manifest stage "
+              "differences; stages run, base/head: " + ", ".join(
                   f"{phase} {stages_run(base, phase)}/{stages_run(head, phase)}"
                   for phase in (*PHASES, "warm-from-base")), flush=True)
     return differences
