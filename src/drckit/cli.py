@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 from . import __version__
 from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, TAG, ConfigError, ContextScheme,
                      ExperimentConfig, RunManifest, Stage, check_config, endpoint_config,
-                     file_key, load_experiment_config, sweep)
+                     load_experiment_config, stage_key, sweep)
 from .fields import write_atomic
 
 # Each layer is imported where one of its stages, subcommands or error
@@ -73,6 +73,7 @@ def cmd_ingest(args) -> int:
     corpus_dir = Path(args.corpus_dir)
     splits = args.splits or _detect_splits(corpus_dir)
     name = args.name or corpus_dir.name
+    check_config({"--name": name}, {"--name": TAG}, "ingest")  # it names a directory
     out_dir = Path(args.out) if args.out else None
     all_violations = []
     for split in splits:
@@ -321,23 +322,23 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
-                      corpus: Callable[[str, bool], Corpus],
+def experiment_stages(cfg: ExperimentConfig, keys: dict[str, str],
+                      inventory: Sequence[str], corpus: Callable[[str, bool], Corpus],
                       value: Callable[[str], object]) -> list[Stage]:
     """The stages of the experiment ``cfg``, in the order they run.
 
-    ``inventory`` is the train split's labels, ``corpus(split, last)``
-    parses a split once (``last`` releases it), and ``value(name)`` is the
-    value of a stage that has run or been reused.  Declaring runs no stage
-    and reads only the files that stage keys digest: the lexicon and
-    imported prediction files.  One stage predicts all of a condition's
-    seeds and one scores them, so what the seeds share is done once in each.
+    ``keys`` is ``cfg.variant_keys()``, ``inventory`` the train split's
+    labels; ``corpus(split, last)`` parses a split once (``last`` releases it),
+    and ``value(name)`` is the value of a stage that has run or been reused.
+    Declaring runs no stage and reads only the files that stage keys digest:
+    the lexicon and imported prediction files.  One stage predicts all of a
+    condition's seeds and one scores them, so what they share is done once.
     """
     out_dir, splits = cfg.out_dir, (cfg.train_split, cfg.eval_split)
     # Only the analysis stages read the lexicon; the tool version covers the
     # packaged one.
     lexicon = cache(lambda: _lexicon(cfg.lexicon))
-    lexicon_key = file_key(cfg.lexicon) if cfg.lexicon else ""
+    lexicon_key = stage_key([cfg.lexicon]) if cfg.lexicon else ""
 
     # What each stage kind does, given the arguments its declaration binds.
     def build_variant(path, scheme, split):
@@ -413,7 +414,7 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
         write_atomic(out_dir / "results_table.txt", table + "\n")
         return "\n".join([*map(_mean_line, aggregates.values()), table])
 
-    # Under one run key a rebuilt variant equals its file: no inputs list a variant.
+    # Readers' keys digest what a variant's key does, so no inputs list a variant.
     stages, variants = [], {}
     conditions = {}  # the score stage of each condition
     comparisons = []  # (condition, its default condition), as the analyses pair them
@@ -423,15 +424,17 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
             name = variants[(scheme.tag, split)] = f"variants:{scheme.tag}:{split}"
             stages.append(Stage(name, (path,),
                                 partial(build_variant, path, scheme, split),
-                                partial(read_variant, path)))
+                                partial(read_variant, path), key=keys[split]))
     for backend in cfg.backends:
         runs = {}  # the predict stage of each scheme
+        # Imported runs are keyed by their sources' bytes, not by their paths.
+        options = {field: setting for field, setting in backend.options.items()
+                   if field != "runs"}
         for scheme in cfg.schemes:
             condition = f"{scheme.tag}+{backend.tag}"
             train, test = (variants[(scheme.tag, split)] for split in splits)
             stems = [f"{condition}.run{seed}" for seed in cfg.seeds]
             paths = [out_dir / "predictions" / f"{stem}.jsonl" for stem in stems]
-            # Imported runs are read from their sources, keyed by the sources' bytes.
             sources = backend.options["runs"][scheme.tag] \
                 if backend.kind == "import" else []
             name = runs[scheme.tag] = f"predict:{condition}"
@@ -439,7 +442,8 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
                 name, tuple(paths),
                 partial(predict, paths, backend, condition, train, test, sources),
                 partial(read_runs, paths, condition, test),
-                key=" ".join(file_key(source) for source in sources),
+                key=stage_key([keys[cfg.eval_split], backend.kind, options, cfg.seeds,
+                               *map(Path, sources)]),
                 check=partial(read_sources, sources) if sources else None,
                 checkpoint=backend.kind == "endpoint"))
             reports = {suffix: [out_dir / "reports" / f"{stem}.report.{suffix}"
@@ -465,10 +469,10 @@ def experiment_stages(cfg: ExperimentConfig, inventory: Sequence[str],
     summary = [out_dir / "results_table.txt"]
     if comparisons:
         summary.append(out_dir / "significance.tsv")
-    # The run key covers alpha and bonferroni_m, the only settings it reads.
     stages.append(Stage(
         "summary", tuple(summary), partial(summarize, conditions, comparisons),
-        inputs=tuple(conditions.values())))
+        inputs=tuple(conditions.values()),
+        key=stage_key([cfg.alpha, cfg.bonferroni_m, list(conditions), comparisons])))
     return stages
 
 
@@ -480,7 +484,7 @@ def cmd_experiment(args) -> int:
 
 def _experiment(cfg: ExperimentConfig) -> int:
     # A split is parsed only when a variants stage builds from it, or to make
-    # the ingest summary that a manifest under this run key lacks, and kept,
+    # an ingest summary the manifest lacks for these documents, and kept,
     # with its trees' instances, until its last variants stage has built.
     parsed: dict[str, Corpus] = {}
 
@@ -490,12 +494,13 @@ def _experiment(cfg: ExperimentConfig) -> int:
             parsed[split] = load_corpus(cfg.corpus_dir, split, cfg.corpus_name)
         return parsed.pop(split) if last else parsed[split]
 
-    manifest = RunManifest.load_or_create(cfg.out_dir / "manifest.json",
-                                          cfg.run_key(__version__), __version__)
-    if manifest.ingest is None:
+    keys = cfg.variant_keys()
+    manifest = RunManifest.load_or_create(cfg.out_dir / "manifest.json", __version__)
+    if (manifest.ingest or {}).get("key") != keys[cfg.eval_split]:
         from .context import corpus_label_inventory
         from .treebank import count_instances
         manifest.ingest = {
+            "key": keys[cfg.eval_split],
             "train_instances": count_instances(corpus(cfg.train_split)),
             "eval_instances": count_instances(corpus(cfg.eval_split)),
             "label_inventory": corpus_label_inventory(corpus(cfg.train_split))}
@@ -503,7 +508,7 @@ def _experiment(cfg: ExperimentConfig) -> int:
           f"{cfg.train_split} {manifest.ingest['train_instances']} instances, "
           f"{cfg.eval_split} {manifest.ingest['eval_instances']} instances")
 
-    stages = experiment_stages(cfg, manifest.ingest["label_inventory"], corpus,
+    stages = experiment_stages(cfg, keys, manifest.ingest["label_inventory"], corpus,
                                manifest.value)
     try:
         manifest.walk(stages)

@@ -1,7 +1,7 @@
 """Experiment configuration file and the reuse manifest it drives.
 
 The context scheme grammar and the listing of a split's documents live here
-too: the config parses schemes, and the run key reads the documents.
+too: the config parses schemes, and the variants stages' keys read the documents.
 """
 
 from __future__ import annotations
@@ -110,32 +110,29 @@ class ExperimentConfig(NamedTuple):
     bonferroni_m: int | None = None
     alpha: float = 0.05
     lexicon: Path | None = None
-    raw_text: str = ""
 
-    def run_key(self, tool_version: str) -> str:
-        """Digest of what every stage depends on: the tool version, the
-        config text, and the name and bytes of each document of the train
-        and eval splits."""
-        digest = hashlib.sha256()
-
-        def add(part: bytes) -> None:
-            # Length-prefixed, so no two different inputs give one stream.
-            digest.update(len(part).to_bytes(8, "big"))
-            digest.update(part)
-
-        add(tool_version.encode("utf-8"))
-        add(self.raw_text.encode("utf-8"))
-        for split in (self.train_split, self.eval_split):
-            for path in iter_document_files(self.corpus_dir / split):
-                add(f"{split}/{path.name}".encode("utf-8"))
-                add(path.read_bytes())
-        return digest.hexdigest()
+    def variant_keys(self) -> dict[str, str]:
+        """The key of each split's variants stages.  A train variant reads its
+        split's documents, by name and bytes; an eval variant, each predict
+        stage and the ingest summary read both splits' (train gives the labels)."""
+        train, test = (stage_key(part for path in iter_document_files(self.corpus_dir / s)
+                                 for part in (path.name, path))
+                       for s in (self.train_split, self.eval_split))
+        return {self.train_split: train, self.eval_split: stage_key([train, test])}
 
 
-def file_key(path: Path | str) -> str:
-    """sha256 of a file's bytes: the stage key of an input file that only
-    that stage reads."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def stage_key(parts: Iterable[Any]) -> str:
+    """sha256 of ``parts``, each length-prefixed so no two lists of parts give
+    one stream: bytes, a path's bytes (read as its turn comes), or else JSON."""
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, Path):
+            part = part.read_bytes()
+        data = part if isinstance(part, bytes) else \
+            json.dumps(part, sort_keys=True).encode("utf-8")
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def check_config(record: Any, fields: dict[str, JsonField], where: str) -> dict:
@@ -148,18 +145,24 @@ def check_config(record: Any, fields: dict[str, JsonField], where: str) -> dict:
 
 def _http_url(value: str) -> bool:
     url = urlsplit(value)  # a ValueError names a port that is no number in range
-    return url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+    # Requests go to <base_url>/chat/completions, which a query or fragment
+    # would swallow, and credentials in the URL would never be sent.
+    return url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0 \
+        and "@" not in url.netloc and not {"?", "#"} & set(value)
 
 
 OPTIONAL_STRING, OPTIONAL_NUMBER, OPTIONAL_INTEGER = (
     field._replace(required=False) for field in (STRING, NUMBER, INTEGER))
-# A tag names output files and directories, so it holds no "/" or NUL.
-TAG = rule(STRING, "a non-empty string with no / or NUL",
-           lambda tag: tag and "/" not in tag and "\0" not in tag)
+# A tag names output files and directories, so it holds no "/" or NUL and
+# is not "." or "..".
+TAG = rule(STRING, "a non-empty string with no / or NUL, and not . or ..",
+           lambda tag: tag not in ("", ".", "..") and "/" not in tag
+           and "\0" not in tag)
 
 # Endpoint options, named as the ``infer`` flags; one left out keeps its default.
 ENDPOINT_FIELDS = {
-    "base_url": rule(STRING, "an http or https URL with a host", _http_url),
+    "base_url": rule(STRING, "an http or https URL with a host and no user info, "
+                     "query or fragment", _http_url),
     "model": OPTIONAL_STRING,
     "auth_env": OPTIONAL_STRING,
     "timeout": rule(OPTIONAL_NUMBER, "a number > 0", lambda v: 0 < v < math.inf),
@@ -177,10 +180,11 @@ _BACKEND_FIELDS = {
         list_of(STRING, "a list of files"), "a map of scheme tag -> files")},
 }
 
+CORPUS_FIELDS = {"dir": STRING, "name": OPTIONAL_STRING}
 CONFIG_FIELDS = {
     "schema_version": rule(INTEGER, str(SCHEMA_VERSION), SCHEMA_VERSION.__eq__),
     "corpus": JsonField((dict,), "an object", parse=lambda corpus: check_fields(
-        corpus, {"dir": STRING, "name": OPTIONAL_STRING}, closed=True)),
+        corpus, CORPUS_FIELDS, closed=True)),
     "schemes": rule(
         list_of(STRING._replace(what="a scheme name", parse=ContextScheme.parse)),
         "a non-empty list of scheme names, no two naming one scheme",
@@ -246,8 +250,7 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
     """
     path = Path(path)
     try:
-        raw_text = path.read_text(encoding="utf-8")
-        payload = decode(raw_text)
+        payload = decode(path.read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -278,11 +281,14 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         raise ConfigError(f"{path}: the experiment makes {comparisons} "
                           f"comparisons, so bonferroni_m must be >= {comparisons}")
 
+    # The corpus name, given or the directory's, names the variant files.
+    corpus_name = payload["corpus"].get("name", corpus_dir.name)
+    check_config({"name": corpus_name}, {"name": TAG}, f"{path}: corpus")
+
     cfg = ExperimentConfig(
-        corpus_name=payload["corpus"].get("name", corpus_dir.name),
-        corpus_dir=corpus_dir, schemes=schemes, backends=backends,
-        seeds=seeds, out_dir=(path.parent / payload["out_dir"]).resolve(),
-        lexicon=lexicon, raw_text=raw_text,
+        corpus_name=corpus_name, corpus_dir=corpus_dir, schemes=schemes,
+        backends=backends, seeds=seeds,
+        out_dir=(path.parent / payload["out_dir"]).resolve(), lexicon=lexicon,
         # A key left out keeps its ExperimentConfig default.
         **{key: payload[key] for key in ("train_split", "eval_split",
                                          "bonferroni_m", "alpha") if key in payload})
@@ -301,26 +307,25 @@ _MANIFEST_FIELDS = {"stages": map_of(JsonField(
     (dict,), "a stage record", parse=lambda entry: check_fields(
         entry, {"completed_at": OPTIONAL_STRING, "text": OPTIONAL_STRING})),
         "a map of stage records"),
-    # What ingest found, which the run key vouches for: the corpus's counts
-    # and its train label inventory, as a tuple.
+    # What ingest found: the corpus's counts and its train label inventory,
+    # as a tuple, under the key of the two splits' documents it was found in.
     "ingest": JsonField((dict,), "an ingest summary", False, lambda s: check_fields(s, {
-        "train_instances": INTEGER, "eval_instances": INTEGER,
+        "key": OPTIONAL_STRING, "train_instances": INTEGER, "eval_instances": INTEGER,
         "label_inventory": list_of(STRING, "a list of labels")}))}
 
 
 class RunManifest:
     """A run dir's stage records and values, and the walk that makes them.
 
-    ``previous`` holds the stages of the manifest loaded under this run key
-    (see ``ExperimentConfig.run_key``), and ``stages`` those recorded in
-    this run, the only ones ``save`` writes: a run cut short leaves no
-    record of a stage it did not reach, whose outputs may have been made
-    from inputs that have since been made again.  ``ingest`` holds the
-    ingest summary loaded under this run key, or set in this run."""
+    ``previous`` holds the stages of the manifest loaded under this drckit
+    version, each with the key it was recorded under, and ``stages`` those
+    recorded in this run, the only ones ``save`` writes: a run cut short
+    leaves no record of a stage it did not reach, whose outputs may have been
+    made from inputs that have since been made again.  ``ingest`` holds the
+    ingest summary loaded under this version, or set in this run."""
 
-    def __init__(self, path: Path, run_key: str, tool_version: str):
+    def __init__(self, path: Path, tool_version: str):
         self.path = path
-        self.run_key = run_key
         self.tool_version = tool_version
         self.previous: dict[str, dict] = {}
         self.stages: dict[str, dict] = {}
@@ -329,11 +334,10 @@ class RunManifest:
         self._loads: dict[str, Callable[[], Any]] = {}
 
     @classmethod
-    def load_or_create(cls, path: Path | str, run_key: str,
-                       tool_version: str) -> "RunManifest":
-        """The manifest at ``path``; one without stages when the file is
-        missing, is not a manifest (a torn write) or has another run key."""
-        manifest = cls(Path(path), run_key, tool_version)
+    def load_or_create(cls, path: Path | str, tool_version: str) -> "RunManifest":
+        """The manifest at ``path``; one without stages when the file is missing,
+        is not a manifest (a torn write) or is another drckit version's."""
+        manifest = cls(Path(path), tool_version)
         try:
             payload = check_fields(decode(manifest.path.read_bytes()), _MANIFEST_FIELDS)
         except FileNotFoundError:
@@ -342,15 +346,14 @@ class RunManifest:
             log.warning("%s is not a run manifest, so every stage runs "
                         "again: %s", manifest.path, exc)
             return manifest
-        if payload.get("run_key") == run_key:
+        if payload.get("tool_version") == tool_version:
             manifest.previous, manifest.ingest = payload["stages"], payload.get("ingest")
         return manifest
 
     def save(self) -> None:
         """Write the stages recorded in this run, flushed to disk before the
         rename, so even a power loss leaves the old manifest or the new one."""
-        payload = {"run_key": self.run_key, "tool_version": self.tool_version,
-                   "stages": self.stages}
+        payload = {"tool_version": self.tool_version, "stages": self.stages}
         if self.ingest is not None:
             payload["ingest"] = self.ingest
         write_atomic(self.path, json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -402,9 +405,9 @@ class Stage(NamedTuple):
     its value, and ``load()`` reads that value back from them; with no
     ``load``, its value is text that its manifest record keeps.  ``inputs``
     names the earlier stages whose rerun can change its value, ``key``
-    digests an input file only it reads, ``check`` reads what it takes from
-    outside the run before any stage runs, and ``checkpoint`` saves the
-    manifest once it has run, so a killed process keeps the work it paid for."""
+    digests all else that can (see ``stage_key``), ``check`` reads what it
+    takes from outside the run before any stage runs, and ``checkpoint`` saves
+    the manifest once it has run, so a killed process keeps the work it paid for."""
 
     name: str
     outputs: tuple[Path, ...]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -11,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from drckit import (cli, config as config_module, context, evaluation, inference,
                     treebank)
@@ -79,6 +81,15 @@ def test_ingest_valid_corpus(small_corpus_dir, tmp_path, capsys):
     assert (tmp_path / "store" / "corpus" / "train").is_dir()
     report = tmp_path / "store" / "corpus" / "validation.tsv"
     assert report.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("name", ["../escaped", ".."])
+def test_ingest_name_that_leaves_its_out_dir_exits_2(small_corpus_dir, tmp_path,
+                                                     capsys, name):
+    store = tmp_path / "store" / "nested"
+    assert run_cli("ingest", small_corpus_dir, "--name", name, "--out", store) == 2
+    assert f"config error: ingest: --name: {name!r} is not" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [small_corpus_dir]
 
 
 def test_ingest_reports_cyclic_document(tmp_path, capsys):
@@ -263,6 +274,17 @@ def test_infer_base_url_without_scheme_exits_2(small_corpus_dir, tmp_path,
                                                capsys):
     assert infer_endpoint(small_corpus_dir, tmp_path,
                           "--base-url", "127.0.0.1:9") == 2
+    assert "config error: endpoint option base_url" in capsys.readouterr().err
+    assert not (tmp_path / "preds").exists()
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:9/v1?api-version=1",
+                                 "http://127.0.0.1:9/v1#frag",
+                                 "http://user:pw@127.0.0.1:9/v1"])
+def test_infer_base_url_with_query_fragment_or_user_info_exits_2(
+        small_corpus_dir, tmp_path, capsys, url):
+    # Each was once accepted, and then posted to /v1 or sent no credentials.
+    assert infer_endpoint(small_corpus_dir, tmp_path, "--base-url", url) == 2
     assert "config error: endpoint option base_url" in capsys.readouterr().err
     assert not (tmp_path / "preds").exists()
 
@@ -613,6 +635,11 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     {"backends": [{"kind": "cue"}, {"kind": "majority", "tag": "cue"}],
      "bonferroni_m": 2},
     {"schemes": ["OR1", "or"]},
+    {"corpus": {"dir": "corpus", "name": "../escaped"}},
+    {"corpus": {"dir": "corpus", "name": ".."}},
+    {"backends": [{**ENDPOINT, "base_url": "http://127.0.0.1:9/v1?api-version=1"}]},
+    {"backends": [{**ENDPOINT, "base_url": "http://127.0.0.1:9/v1#frag"}]},
+    {"backends": [{**ENDPOINT, "base_url": "http://user:pw@127.0.0.1:9/v1"}]},
 ], ids=["schema_version", "backend_not_object", "backends_not_list",
         "alpha_not_number", "alpha_above_1", "alpha_negative", "alpha_0",
         "alpha_1", "alpha_nan", "alpha_inf", "bonferroni_m_not_number", "bonferroni_m_float",
@@ -632,7 +659,9 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
         "schema_version_float", "unknown_top_level_key",
         "endpoint_unknown_option", "cue_model", "tag_not_string", "tag_empty",
         "endpoint_default_tag_with_slash", "two_backends_one_tag",
-        "two_schemes_one_tag"])
+        "two_schemes_one_tag", "corpus_name_with_slash", "corpus_name_dot_dot",
+        "endpoint_base_url_with_query", "endpoint_base_url_with_fragment",
+        "endpoint_base_url_with_user_info"])
 def test_experiment_bad_config_exits_2(small_corpus_dir, tmp_path, capsys,
                                        override):
     path = experiment_config(tmp_path, small_corpus_dir,
@@ -826,7 +855,7 @@ def test_experiment_rerun_after_an_added_edu_parses_and_counts_it(
     assert ingested_line(capsys) == \
         "ingested disamb: train 21 instances, test 12 instances"
     warm = json.loads(manifest.read_text(encoding="utf-8"))
-    assert warm["run_key"] != cold["run_key"]
+    assert warm["ingest"].pop("key") != cold["ingest"].pop("key")
     labels = ["condition", "contrast", "elaboration"]
     assert cold["ingest"] == {"train_instances": 20, "eval_instances": 12,
                               "label_inventory": labels}
@@ -1069,8 +1098,8 @@ def test_experiment_torn_manifest_recomputes_every_stage(
 
 
 @pytest.mark.parametrize("text", [
-    b"[" * 100_000, b'{"run_key": "key", "stages": {"a": []}}',
-    b'{"run_key": "key", "stages": {"a": {"completed_at": 1}}}',
+    b"[" * 100_000, b'{"tool_version": "1.0", "stages": {"a": []}}',
+    b'{"tool_version": "1.0", "stages": {"a": {"completed_at": 1}}}',
     b'{"stages": {}, "ingest": {"train_instances": 1.0, "eval_instances": 1, '
     b'"label_inventory": []}}'],
     ids=["nested_too_deeply", "stage_not_object", "completed_at_not_string",
@@ -1079,7 +1108,7 @@ def test_manifest_that_is_no_manifest_is_ignored(tmp_path, caplog, text):
     path = tmp_path / "manifest.json"
     path.write_bytes(text)
     with caplog.at_level(logging.WARNING):
-        manifest = RunManifest.load_or_create(path, "key", "1.0")
+        manifest = RunManifest.load_or_create(path, "1.0")
     assert manifest.previous == {} and manifest.ingest is None
     assert f"{path} is not a run manifest" in caplog.text
 
@@ -1096,7 +1125,7 @@ def run_stage(manifest: RunManifest, name: str, key: str = "",
 def test_manifest_save_leaves_old_manifest_if_interrupted(tmp_path,
                                                           monkeypatch):
     path = tmp_path / "manifest.json"
-    manifest = RunManifest(path, "key", "1.0")
+    manifest = RunManifest(path, "1.0")
     run_stage(manifest, "first")  # a walk saves the manifest when it ends
     saved = path.read_bytes()
 
@@ -1110,7 +1139,7 @@ def test_manifest_save_leaves_old_manifest_if_interrupted(tmp_path,
 
 def test_manifest_reuse_keeps_first_completed_at(tmp_path):
     first = "2000-01-01T00:00:00Z"
-    manifest = RunManifest(tmp_path / "manifest.json", "key", "1.0")
+    manifest = RunManifest(tmp_path / "manifest.json", "1.0")
     manifest.previous = {
         "stage": {"outputs": [], "completed_at": first, "reused": False}}
     assert not run_stage(manifest, "stage")
@@ -1123,7 +1152,7 @@ def test_stage_without_load_is_reused_from_its_recorded_text(tmp_path):
     previous = {"summary": {"outputs": [], "text": "kept"}}
 
     def walk() -> str:
-        manifest = RunManifest(tmp_path / "manifest.json", "key", "1.0")
+        manifest = RunManifest(tmp_path / "manifest.json", "1.0")
         manifest.previous = previous
         manifest.walk([Stage("summary", (), run=lambda: "made")])
         assert manifest.stages["summary"]["text"] == manifest.value("summary")
@@ -1181,7 +1210,7 @@ def test_walk_decides_every_stage_as_a_one_pass_walk_would(specs):
         expected = one_pass_walk(*declare(Path(one), expected_ran))
         ran: list[str] = []
         stages, previous = declare(Path(two), ran)
-        manifest = RunManifest(Path(two) / "manifest.json", "key", "1.0")
+        manifest = RunManifest(Path(two) / "manifest.json", "1.0")
         manifest.previous = previous
         manifest.walk(stages)
     assert ran == expected_ran == expected[0]
@@ -1433,8 +1462,8 @@ def test_manifest_listing_outputs_and_unrecorded_paths_is_reused(
     manifest = out / "manifest.json"
     payload = json.loads(manifest.read_text(encoding="utf-8"))
     cfg = config_module.load_experiment_config(config)
-    for stage in cli.experiment_stages(cfg, payload["ingest"]["label_inventory"],
-                                       None, None):
+    for stage in cli.experiment_stages(cfg, {"train": "", "test": ""},
+                                       payload["ingest"]["label_inventory"], None, None):
         payload["stages"][stage.name]["outputs"] = [str(p) for p in stage.outputs]
     payload["unrecorded"] = [str(out / "predictions" / "AD1+cue.run1.jsonl")]
     manifest.write_text(json.dumps(payload, indent=2), encoding="utf-8")
@@ -1492,6 +1521,176 @@ def test_experiment_rescores_edited_import_source(small_corpus_dir, tmp_path):
         backends=[{"kind": "import", "tag": "plm", "runs": runs}])
     assert run_cli("experiment", "--config", fresh) == 0
     assert after == outputs(tmp_path / "fresh" / "out")
+
+
+# A config field reaches the outputs through the stage key that digests it,
+# given with an edit that must change that key and no other kind, or through
+# the stage names and file paths it is part of; or it cannot change an output.
+FIELD_COVERAGE = {
+    "schema_version": "nothing: 1 is its only value",
+    "corpus.dir": "the variants and predict keys digest its splits' documents",
+    "corpus.name": "the variant file names",
+    "schemes": "stage names and output paths; the summary key orders the conditions",
+    "backends": "stage names and output paths; the summary key orders the conditions",
+    "seeds": ("predict", lambda c: c.update(seeds=[1, 2, 3])),
+    "out_dir": "nothing: another out_dir holds another run and its own manifest",
+    "train_split": "variant stage names and paths; the variants and predict keys "
+                   "digest its documents",
+    "eval_split": "variant stage names and paths; the variants and predict keys "
+                  "digest its documents",
+    "lexicon": ("analysis", lambda c: c.update(lexicon="lexicon.txt")),
+    "alpha": ("summary", lambda c: c.update(alpha=0.01)),
+    "bonferroni_m": ("summary", lambda c: c.update(bonferroni_m=3)),
+    "kind": ("predict", lambda c: c["backends"][1].update(kind="majority", tag="cue")),
+    "tag": "the predict, score and analysis stage names and output paths",
+    "runs": "the predict key digests each of its scheme's sources, in seed order "
+            "(test_experiment_rescores_edited_import_source)",
+    "base_url": ("predict", lambda c: c["backends"][0].update(base_url="http://h/v2")),
+    "model": ("predict", lambda c: c["backends"][0].update(model="other")),
+    "auth_env": ("predict", lambda c: c["backends"][0].update(auth_env="OTHER")),
+    "timeout": ("predict", lambda c: c["backends"][0].update(timeout=9.5)),
+    "backoff": ("predict", lambda c: c["backends"][0].update(backoff=0.5)),
+    "max_retries": ("predict", lambda c: c["backends"][0].update(max_retries=7)),
+    "parallelism": ("predict", lambda c: c["backends"][0].update(parallelism=3)),
+}
+
+
+def test_every_config_field_is_covered_by_a_stage_key_or_an_output_name(
+        small_corpus_dir, tmp_path):
+    fields = {*config_module.CONFIG_FIELDS.keys() - {"corpus"},
+              *(f"corpus.{field}" for field in config_module.CORPUS_FIELDS),
+              *(field for table in config_module._BACKEND_FIELDS.values()
+                for field in table), *config_module.ENDPOINT_FIELDS}
+    assert FIELD_COVERAGE.keys() == fields
+    (tmp_path / "lexicon.txt").write_text("without\n", encoding="utf-8")
+    base = json.loads(experiment_config(tmp_path, small_corpus_dir, m=2, backends=[
+        {**ENDPOINT, "tag": "m"}, {"kind": "cue"}]).read_text(encoding="utf-8"))
+
+    def keys(config: dict) -> dict[str, str]:
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        stages = cli.experiment_stages(config_module.load_experiment_config(path),
+                                       {"train": "t", "test": "e"}, [], None, None)
+        return {stage.name: stage.key for stage in stages}
+
+    before = keys(base)
+    for field, cover in FIELD_COVERAGE.items():
+        if isinstance(cover, tuple):
+            edited = json.loads(json.dumps(base))
+            cover[1](edited)
+            after = keys(edited)
+            assert after.keys() == before.keys(), field
+            assert {name.split(":")[0] for name in before
+                    if after[name] != before[name]} == {cover[0]}, field
+
+
+def reuse_case(root: Path, spec: dict, suffix: str = "") -> Path:
+    """Write the config of ``spec`` into the run dir ``root``, and return its
+    path: the corpus, lexicon and import sources beside ``root``, the cue
+    baseline, an import backend whose runs follow the spec's schemes and
+    seeds, the spec's other backends, and ``suffix`` after the JSON text."""
+    runs = {scheme: [str(root.parent / "runs" / f"{scheme}.run{seed}.jsonl")
+                     for seed in spec["seeds"]] for scheme in spec["schemes"]}
+    config = {"schema_version": 1,
+              "corpus": {"name": "disamb", "dir": str(root.parent / "corpus")},
+              "backends": [{"kind": "cue"}, {"kind": "import", "tag": "plm", "runs": runs},
+                           *spec["more_backends"]],
+              "lexicon": str(root.parent / "lexicon.txt"), "out_dir": "out",
+              **{key: spec[key] for key in ("schemes", "seeds", "alpha", "bonferroni_m")}}
+    root.mkdir(exist_ok=True)
+    path = root / "experiment.json"
+    path.write_text(json.dumps(config, indent=2) + suffix, encoding="utf-8")
+    return path
+
+
+REUSE_SCHEMES = ("default", "AD1", "OR1", "OR2")
+REUSE_SEEDS = (1, 2, 3, 4)
+# One edit of the input, with what it is drawn with: of the config's seeds,
+# schemes, backends, alpha or bonferroni_m, of the lexicon's text, of the
+# whitespace after the config text, or of one document of a split (relabel
+# its last EDU or reword its second).
+REUSE_EDITS = st.one_of(
+    st.tuples(st.just("add_seed"), st.sampled_from(REUSE_SEEDS[2:])),
+    st.tuples(st.just("remove_seed"), st.integers(0, 1)),
+    st.tuples(st.just("add_scheme"), st.tuples(st.sampled_from(["AD1", "OR2"]),
+                                               st.integers(0, 2))),
+    st.tuples(st.just("drop_scheme"), st.integers(0, 1)),
+    st.tuples(st.just("reorder_schemes"), st.none()),
+    st.tuples(st.just("add_backend"), st.sampled_from(["majority", "cue"])),
+    st.tuples(st.just("alpha"), st.floats(0.001, 0.5)),
+    st.tuples(st.just("bonferroni_m"), st.integers(6, 12)),
+    st.tuples(st.just("lexicon"), st.sampled_from(["because\n", "without\nsince\n"])),
+    st.tuples(st.just("whitespace"), st.sampled_from(["\n", "\n\n", " \t\n"])),
+    st.tuples(st.just("document"), st.tuples(st.sampled_from(["train", "test"]),
+                                             st.integers(0, 5), st.booleans())))
+
+
+def apply_reuse_edit(top: Path, spec: dict, kind: str, value) -> str:
+    """Apply one ``REUSE_EDITS`` edit to ``spec`` or to the files under
+    ``top``; what to append to the config text."""
+    seeds, schemes = spec["seeds"], spec["schemes"]
+    if kind == "add_seed":
+        seeds.append(value)
+    elif kind == "remove_seed":
+        del seeds[value]
+    elif kind == "add_scheme":
+        schemes.insert(value[1], value[0])
+    elif kind == "drop_scheme":
+        del schemes[value]
+    elif kind == "reorder_schemes":
+        schemes.reverse()
+    elif kind == "add_backend":  # a second cue backend needs a tag of its own
+        spec["more_backends"] = [{"kind": value, "tag": f"{value}2"}]
+    elif kind in ("alpha", "bonferroni_m"):
+        spec[kind] = value
+    elif kind == "lexicon":
+        (top / "lexicon.txt").write_text(value, encoding="utf-8")
+    elif kind == "document":
+        split, index, relabel = value
+        doc = sorted((top / "corpus" / split).glob("*.dep"))[index]
+        payload = json.loads(doc.read_text(encoding="utf-8"))
+        edu = payload["root"][-1 if relabel else 2]
+        if relabel:
+            edu["relation"] = "contrast" if edu["relation"] == "condition" else "condition"
+        else:
+            edu["text"] += " again"
+        doc.write_text(json.dumps(payload), encoding="utf-8")
+    return value if kind == "whitespace" else ""
+
+
+@settings(max_examples=25, deadline=None)
+@given(edit=REUSE_EDITS)
+@example(edit=("remove_seed", 1))  # a predict key without the seeds would miss it
+def test_rerun_after_an_edit_equals_a_cold_run_of_the_edited_input(edit):
+    # Each stage is keyed by what it reads, so a rerun after any one edit
+    # redoes what the edit reaches and gives what a cold run of it gives.
+    with tempfile.TemporaryDirectory() as tmp:
+        top = Path(tmp)
+        corpus = write_corpus_dir(top / "corpus", {
+            "train": disambiguation_split(5, "tr"), "test": disambiguation_split(3, "te")})
+        (top / "lexicon.txt").write_text("without\n", encoding="utf-8")
+        gold = build_variant_dataset(load_corpus(corpus, "test"),
+                                     ContextScheme("default")).gold_labels()
+        labels = ("condition", "contrast", "elaboration")
+        for s, scheme in enumerate(REUSE_SCHEMES):  # each seed scores apart
+            for seed in REUSE_SEEDS:
+                write_predictions(PredictionSet(f"{scheme}+plm", seed, {
+                    iid: labels[(labels.index(label) + ((i + s + seed) % 3 == 0)) % 3]
+                    for i, (iid, label) in enumerate(sorted(gold.items()))}),
+                    top / "runs" / f"{scheme}.run{seed}.jsonl")
+        spec = {"schemes": ["default", "OR1"], "seeds": [1, 2], "alpha": 0.05,
+                "bonferroni_m": 6, "more_backends": []}
+
+        def run(root: Path, suffix: str = "") -> str:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert run_cli("experiment", "--config", reuse_case(root, spec, suffix)) == 0
+            return stdout.getvalue()
+
+        run(top / "warm")
+        suffix = apply_reuse_edit(top, spec, *edit)
+        assert run(top / "warm", suffix) == run(top / "fresh", suffix)
+        assert outputs(top / "warm" / "out") == outputs(top / "fresh" / "out")
 
 
 def test_subcommands_reproduce_experiment_outputs(small_corpus_dir, tmp_path):
@@ -1602,8 +1801,8 @@ def test_declaring_the_stages_runs_nothing(small_corpus_dir, tmp_path,
     code = ("import json, sys\n"
             "from drckit.cli import experiment_stages\n"
             "from drckit.config import load_experiment_config\n"
-            "stages = experiment_stages(load_experiment_config(sys.argv[1]), [],\n"
-            "                           corpus=None, value=None)\n"
+            "stages = experiment_stages(load_experiment_config(sys.argv[1]),\n"
+            "                           {'train': '', 'test': ''}, [], None, None)\n"
             "print(json.dumps([[s.name for s in stages], sorted(sys.modules)]))\n")
     proc = subprocess.run([sys.executable, "-c", code, str(config)], check=True,
                           capture_output=True, text=True, timeout=120,
@@ -1809,6 +2008,40 @@ def test_experiment_upgrades_an_out_dir_of_per_seed_stages_in_place(
         assert mtimes() == before
         assert stages_run(out) == sorted(name for name in payload["stages"]
                                          if not name.startswith("variants:"))
+        assert run_cli("experiment", "--config", config) == 0
+    assert stages_run(out) == []
+    assert capsys.readouterr().out == cold_stdout
+
+
+def test_experiment_upgrades_an_out_dir_under_one_run_key_in_place(
+        echo_corpus_dir, tmp_path, capsys):
+    # drckit once keyed every stage by one run key, recorded beside the stages,
+    # which themselves held no key.  Such an out/ reruns each stage once: no
+    # request is sent and no output rewritten.
+    gold, _ = gold_echo(echo_corpus_dir)
+    out, manifest = tmp_path / "out", tmp_path / "out" / "manifest.json"
+
+    def mtimes():
+        return {path: path.stat().st_mtime_ns for path in out.rglob("*")
+                if path.is_file() and path != manifest}
+
+    with MockChatServer(gold) as server:
+        config = mock_config(tmp_path, echo_corpus_dir, server, seeds=(1, 2))
+        endpoint = json.loads(config.read_text(encoding="utf-8"))["backends"]
+        patch_config(config, bonferroni_m=2, backends=[{"kind": "cue"}, *endpoint])
+        assert run_cli("experiment", "--config", config) == 0
+        cold_stdout = capsys.readouterr().out
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        for entry in (*payload["stages"].values(), payload["ingest"]):
+            entry.pop("key", None)  # a score stage has none
+        manifest.write_text(json.dumps({**payload, "run_key": "0" * 64}),
+                            encoding="utf-8")
+        before, sent = mtimes(), len(server.payloads)
+        assert run_cli("experiment", "--config", config) == 0
+        assert capsys.readouterr().out == cold_stdout
+        assert len(server.payloads) == sent
+        assert mtimes() == before
+        assert stages_run(out) == sorted(payload["stages"])
         assert run_cli("experiment", "--config", config) == 0
     assert stages_run(out) == []
     assert capsys.readouterr().out == cold_stdout

@@ -348,7 +348,9 @@ def test_parallelism_must_be_positive():
 @pytest.mark.parametrize("option, value", [
     ("base_url", "http://127.0.0.1:99999/v1"), ("base_url", "ftp://127.0.0.1/v1"),
     ("base_url", "http:///v1"), ("timeout", 0.0), ("backoff", -1.0),
-    ("max_retries", -1), ("parallelism", 0), ("timeout", "5")])
+    ("max_retries", -1), ("parallelism", 0), ("timeout", "5"),
+    ("base_url", "http://127.0.0.1:9/v1?api-version=1"),
+    ("base_url", "http://127.0.0.1:9/v1#frag"), ("base_url", "http://user:pw@127.0.0.1:9/v1")])
 def test_endpoint_config_checks_each_option_by_the_config_rules(option, value):
     # A port out of range once surfaced only as an AttributeError from a
     # worker thread of run_endpoint_inference.

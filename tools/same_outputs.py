@@ -7,13 +7,15 @@ Usage, from the root of a git checkout:
 BASE_REF (a commit, branch or tag) is checked out in a temporary `git
 worktree`.  The benchmark's scidtb_like and long_docs corpora are written at
 seeds 1 and 3 with perfbench/corpus.py, under the workload's config from
-perfbench/run.py.  Each is run through a cold, a warm, a partial-warm and a
-dropped-scheme `drckit experiment`, once with the base's src/ and once with
-this checkout's; the partial-warm run follows the deletion of one
-prediction file and one eval variant file (PARTIAL), so it rebuilds a
-variant from the corpus and reads the others back, and the dropped-scheme
-run follows a rewrite of the config without its last scheme, so each tree
-must remove that scheme's outputs alike.  A fifth phase, warm-from-base, reruns
+perfbench/run.py.  Each is run through a cold, a warm, a partial-warm, a
+dropped-scheme and an edited-config `drckit experiment`, once with the
+base's src/ and once with this checkout's; the partial-warm run follows the
+deletion of one prediction file and one eval variant file (PARTIAL), so it
+rebuilds a variant from the corpus and reads the others back; the
+dropped-scheme run follows a rewrite of the config without its last scheme,
+so each tree must remove that scheme's outputs alike; and the edited-config
+run follows a rewrite of that config with one more seed and a trailing blank
+line, so each tree must add the seed's outputs alike.  A sixth phase, warm-from-base, reruns
 this checkout on the base's cold out/, restored from a copy to where the
 base wrote it: it must reuse every stage and give the base's warm exit
 code, stdout, stderr and out/ files, so an out/ the base wrote stays warm.
@@ -45,7 +47,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from corpus import Shape, write_corpus  # noqa: E402
 from run import ENTRY, WORKLOADS  # noqa: E402
 
-PHASES = ("cold", "warm", "partial-warm", "dropped-scheme")
+PHASES = ("cold", "warm", "partial-warm", "dropped-scheme", "edited-config")
 CASES = [("scidtb_like", 1), ("scidtb_like", 3), ("long_docs", 1), ("long_docs", 3)]
 # The out/ files each workload's partial-warm phase deletes before it reruns.
 PARTIAL = {
@@ -93,9 +95,10 @@ def run_phase(src: Path, run_dir: Path) -> dict[str, object]:
 def run_tree(src: Path, run_dir: Path, config: str, deleted: tuple[str, ...],
              cold_copy: Path | None = None) -> dict[str, object]:
     """A cold, a warm, once ``deleted`` (paths under out/) are gone a
-    partial-warm, and once the config drops its last scheme a dropped-scheme
-    experiment with ``src``: what each left behind.  The run directory as
-    the cold run left it is copied to ``cold_copy``."""
+    partial-warm, once the config drops its last scheme a dropped-scheme, and
+    once it also gains a seed and a blank line an edited-config experiment
+    with ``src``: what each left behind.  The run directory as the cold run
+    left it is copied to ``cold_copy``."""
     run_dir.mkdir(parents=True)
     (run_dir / "experiment.json").write_text(config, encoding="utf-8")
     seen: dict[str, object] = {}
@@ -108,6 +111,10 @@ def run_tree(src: Path, run_dir: Path, config: str, deleted: tuple[str, ...],
             payload["schemes"] = payload["schemes"][:-1]
             (run_dir / "experiment.json").write_text(json.dumps(payload, indent=2),
                                                      encoding="utf-8")
+        if phase == "edited-config":
+            payload["seeds"].append(max(payload["seeds"]) + 1)
+            (run_dir / "experiment.json").write_text(
+                json.dumps(payload, indent=2) + "\n\n", encoding="utf-8")
         seen.update((f"{phase} {key}", value)
                     for key, value in run_phase(src, run_dir).items())
         if phase == "cold" and cold_copy is not None:
