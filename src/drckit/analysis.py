@@ -14,13 +14,16 @@ from collections import Counter
 from itertools import islice
 from operator import eq, sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+                    TypeVar)
 
 from .fields import write_atomic
 
 if TYPE_CHECKING:
-    from .context import RenderedInstance
+    from .context import RenderedInstance, VariantDataset
     from .inference import PredictionSet
+
+T = TypeVar("T")
 
 WIN = "win"
 LOSS = "loss"
@@ -133,15 +136,16 @@ def _parse_lexicon(text: str, source: str) -> ConnectiveLexicon:
     return ConnectiveLexicon(entries=entries)
 
 
-def load_connective_lexicon(path: Path | str) -> ConnectiveLexicon:
+def load_connective_lexicon(path: Path | str, data: bytes | None = None
+                            ) -> ConnectiveLexicon:
     """One connective per line, '#' comments allowed, deduped.  Each entry is
     read by the rule that reads arg2 text: lowercased, split into words and
     stripped of punctuation, so "However," is "however" and "as  a result"
-    is "as a result".  A file that is not UTF-8 raises ``ValueError`` naming
-    it."""
+    is "as a result".  ``data``, if given, is the file's bytes.  A file that
+    is not UTF-8 raises ``ValueError`` naming it."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = (path.read_bytes() if data is None else data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return _parse_lexicon(text, str(path))
@@ -240,3 +244,39 @@ def write_connective_report_tsv(report: ConnectiveMatchReport,
         c = report.by_category[category]
         lines.append(f"{category}\t{c.matched}\t{c.total}\t{c.percentage:.1f}")
     write_atomic(path, "\n".join(lines) + "\n")
+
+
+def pair_by_run_id(runs_a: list[T], runs_b: list[T], what: str) -> list[tuple[T, T]]:
+    """(a, b) per run id, in run id order; raise unless each set holds one
+    condition's runs and A and B pair one to one."""
+    by_id = {}  # set name -> its runs by run id
+    for name, runs in (("A", runs_a), ("B", runs_b)):
+        conditions = sorted({run.condition for run in runs})
+        if len(conditions) != 1:
+            raise ValueError(f"mixed conditions in {what} set: {conditions}")
+        by_id[name] = {run.run_id: run for run in runs}
+        if len(by_id[name]) != len(runs):
+            raise ValueError(f"duplicate run ids in set {name}: "
+                             f"{sorted(run.run_id for run in runs)}")
+    if by_id["A"].keys() != by_id["B"].keys():
+        raise ValueError(f"runs do not pair by run id: A has {sorted(by_id['A'])}, "
+                         f"B has {sorted(by_id['B'])}")
+    return [(by_id["A"][run_id], by_id["B"][run_id]) for run_id in sorted(by_id["A"])]
+
+
+def analyze_pair(dataset: VariantDataset, runs_a: list[PredictionSet],
+                 runs_b: list[PredictionSet], lexicon: ConnectiveLexicon,
+                 out_dir: Path, normalizer: str = "runs", level: str = "instance",
+                 multiword: bool = False
+                 ) -> tuple[list[RelationMargin], ConnectiveMatchReport]:
+    """Pair A and B runs by run id, then write ``margins.tsv`` and
+    ``connectives.tsv`` of B against A under ``out_dir``."""
+    pairs = pair_by_run_id(runs_a, runs_b, "prediction")
+    counts = pair_outcomes(dataset.gold_labels(), pairs)
+    margins = relation_margins(counts, len(pairs), normalizer=normalizer)
+    match_report = connective_match_rate(dataset.instances,
+                                         margins_by_category(margins), lexicon,
+                                         level=level, multiword=multiword)
+    write_margins_tsv(margins, out_dir / "margins.tsv")
+    write_connective_report_tsv(match_report, out_dir / "connectives.tsv")
+    return margins, match_report

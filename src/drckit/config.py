@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import os
 import re
@@ -18,13 +17,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
-from .fields import (INTEGER, NUMBER, STRING, Checked, JsonField, check_fields,
-                     decode, list_of, map_of, rule, write_atomic)
+from .fields import (INTEGER, NUMBER, STRING, WARNING, Checked, JsonField,
+                     check_fields, decode, list_of, log, map_of, rule, write_atomic)
 
 if TYPE_CHECKING:
     from .endpoint import EndpointConfig
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -343,8 +340,8 @@ class RunManifest:
         except FileNotFoundError:
             return manifest
         except ValueError as exc:  # not JSON, or no manifest
-            log.warning("%s is not a run manifest, so every stage runs "
-                        "again: %s", manifest.path, exc)
+            log(__name__, WARNING, "%s is not a run manifest, so every stage "
+                "runs again: %s", manifest.path, exc)
             return manifest
         if payload.get("tool_version") == tool_version:
             manifest.previous, manifest.ingest = payload["stages"], payload.get("ingest")

@@ -11,7 +11,6 @@ still missing.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
 import time
@@ -21,7 +20,8 @@ from urllib.parse import urlsplit
 
 from .config import ENDPOINT_FIELDS
 from .context import RenderedInstance, VariantDataset
-from .fields import STRING, Checked, check_fields, decode, read_records
+from .fields import (INFO, STRING, WARNING, Checked, check_fields, decode, log,
+                     read_records)
 from .inference import (
     PredictionSet,
     PromptSpec,
@@ -32,8 +32,6 @@ from .inference import (
 
 if TYPE_CHECKING:
     from http.client import HTTPConnection
-
-log = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 AUTH_STATUS = (401, 403)
@@ -103,8 +101,8 @@ def request_completion(config: EndpointConfig, prompt: str,
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt:
-            log.warning("retrying request (attempt %d/%d) after %s",
-                        attempt, config.max_retries, last_error)
+            log(__name__, WARNING, "retrying request (attempt %d/%d) after %s",
+                attempt, config.max_retries, last_error)
             time.sleep(config.backoff * 2 ** (attempt - 1))
         try:
             status, data = _post(session.conn, split.path, body, headers)
@@ -143,8 +141,8 @@ def _load_results_log(path: Path) -> dict[str, str]:
     data = path.read_bytes()
     complete = data.rfind(b"\n") + 1
     if complete < len(data):
-        log.warning("%s: dropping a torn final line of %d bytes",
-                    path, len(data) - complete)
+        log(__name__, WARNING, "%s: dropping a torn final line of %d bytes",
+            path, len(data) - complete)
         with open(path, "r+b") as f:
             f.truncate(complete)
     return {rec["instance_id"]: rec["raw"] for _, rec in read_records(
@@ -174,7 +172,8 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
     done = _load_results_log(log_path)
     todo = [inst for inst in dataset.instances if inst.instance_id not in done]
     if done:
-        log.info("resuming %s: %d done, %d to go", log_path, len(done), len(todo))
+        log(__name__, INFO, "resuming %s: %d done, %d to go", log_path, len(done),
+            len(todo))
 
     session = threading.local()  # one kept-alive connection per thread
     opened: set[HTTPConnection] = set()  # each closed when the run ends

@@ -311,6 +311,26 @@ def write_report_tsv(report: EvalReport, path: Path | str,
     write_atomic(path, (texts or report_texts(report))[1])
 
 
+def score_run(dataset: VariantDataset, preds: PredictionSet, report_dir: Path,
+              stem: str, shared: dict) -> EvalReport:
+    """Score one run and write ``<stem>.report.json`` and ``.report.tsv``;
+    ``shared`` keeps each records dict's score and texts for one condition."""
+    if id(preds.records) not in shared:  # an entry holds the dict it is keyed by
+        report = score(dataset, preds)
+        shared[id(preds.records)] = preds.records, report, report_texts(report)
+    _, report, texts = shared[id(preds.records)]
+    report = report._replace(run_id=preds.run_id)
+    write_report_json(report, report_dir / f"{stem}.report.json", texts)
+    write_report_tsv(report, report_dir / f"{stem}.report.tsv", texts)
+    return report
+
+
+def mean_line(agg: RunAggregate) -> str:
+    """The line ``evaluate`` and ``experiment`` print for a condition's runs."""
+    return (f"{agg.condition}: mean macro-F1 {100 * agg.mean_macro_f1:.2f} "
+            f"({100 * agg.stddev:.2f}) over {agg.n_runs} runs")
+
+
 def format_results_table(aggregates: Sequence[RunAggregate],
                          significance: dict[str, SignificanceResult] | None = None
                          ) -> str:
@@ -332,3 +352,29 @@ def format_results_table(aggregates: Sequence[RunAggregate],
             cell += " [n=1]"
         lines.append(f"{agg.condition:<{width}}  {cell}")
     return "\n".join(lines)
+
+
+def write_summary(aggregates: dict[str, RunAggregate],
+                  comparisons: Sequence[tuple[str, str]], alpha: float,
+                  m: int | None, out_dir: Path) -> str:
+    """Write ``results_table.txt`` under ``out_dir``, and ``significance.tsv``
+    when there are ``comparisons`` (condition, its baseline), tested and
+    Bonferroni-adjusted over ``m``; return each condition's mean line and the
+    table, as ``experiment`` prints them."""
+    significance = {}
+    if comparisons:  # load_experiment_config has checked m
+        results = [wilcoxon_signed_rank(aggregates[a].per_run_scores,
+                                        aggregates[b].per_run_scores, comparison=(a, b))
+                   for a, b in comparisons]
+        sig_lines = ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted\tsignificant"]
+        for result in bonferroni(results, m, alpha):
+            significance[result.comparison[0]] = result
+            sig_lines.append(
+                f"{result.comparison[0]}\t{result.comparison[1]}"
+                f"\t{result.n_effective}\t{result.w_plus:g}"
+                f"\t{result.p_two_sided:.6g}\t{result.p_adjusted:.6g}"
+                f"\t{result.significant}")
+        write_atomic(out_dir / "significance.tsv", "\n".join(sig_lines) + "\n")
+    table = format_results_table(list(aggregates.values()), significance)
+    write_atomic(out_dir / "results_table.txt", table + "\n")
+    return "\n".join([*map(mean_line, aggregates.values()), table])

@@ -1,8 +1,9 @@
 """The one JSON reader: every JSON input is decoded by ``decode`` and checked
 by ``check_fields`` against a table of ``JsonField``s, into a ValueError that
 its caller words as a data, configuration or endpoint error; ``Checked``,
-the base of a record that checks its fields; and ``write_atomic``, the one
-file writer.  It imports nothing from drckit, so every module can use it.
+the base of a record that checks its fields; ``write_atomic``, the one file
+writer; and ``log``, through which every module logs.  It imports
+nothing from drckit, so every module can use it.
 """
 
 from __future__ import annotations
@@ -125,6 +126,25 @@ def read_records(path: Path, fields: Mapping[str, JsonField],
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
         yield lineno, record
+
+
+# logging's levels, named here so that naming one does not import it.
+INFO, WARNING = 20, 30
+#: The level of the stderr handler a CLI call asks for; the first record
+#: installs it with ``logging.basicConfig``.  Logging is configured per
+#: process, so this is process state too.
+cli_log_level: int | None = None
+
+
+def log(name: str, level: int, msg: str, *args: Any) -> None:
+    """Record ``msg % args`` at ``level`` on the logger ``name``.  ``logging``
+    is imported here, so a call that records nothing never loads it."""
+    global cli_log_level
+    import logging
+    if cli_log_level is not None:
+        logging.basicConfig(level=cli_log_level)
+        cli_log_level = None
+    logging.getLogger(name).log(level, msg, *args, stacklevel=2)
 
 
 def write_atomic(path: Path | str, data: str | bytes, fsync: bool = False) -> None:

@@ -8,19 +8,18 @@ yield a PredictionSet, the unit that evaluation and pairing consume.
 
 from __future__ import annotations
 
-import logging
 import random
 from collections import Counter
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .analysis import first_connective_token
+from .config import endpoint_config
 from .context import RenderedInstance, VariantDataset
-from .fields import INTEGER, STRING, Checked, read_records, write_atomic
-
-log = logging.getLogger(__name__)
+from .fields import (INTEGER, STRING, WARNING, Checked, log, read_records,
+                     write_atomic)
 
 #: Sentinel for model output that names no known label.  It is a value,
 #: not an error: unparsed predictions are counted and scored as wrong.
@@ -191,6 +190,25 @@ def predict_baseline(model: BaselineModel, dataset: VariantDataset,
     return PredictionSet(condition=condition, run_id=run_id, records=records)
 
 
+def predictor(kind: str, options: dict, train_ds: VariantDataset,
+              eval_ds: VariantDataset, condition: str, log_dir: Path
+              ) -> Callable[[int], PredictionSet]:
+    """Seed -> PredictionSet for a baseline or endpoint condition.
+
+    A baseline is fit and predicts here, once: its predictions do not depend
+    on the seed, so every seed's set shares one read-only records dict.
+    """
+    if kind in BASELINE_KINDS:
+        records = predict_baseline(train_baseline(train_ds, kind), eval_ds,
+                                   condition).records
+        return lambda seed: PredictionSet(condition, seed, records)
+    from .endpoint import run_endpoint_inference  # it imports this module
+    endpoint_cfg = endpoint_config(options)
+    return lambda seed: run_endpoint_inference(
+        eval_ds, train_ds, endpoint_cfg, seed,
+        log_dir / f"{condition}.run{seed}.log.jsonl", condition)
+
+
 def write_predictions(predictions: PredictionSet, path: Path | str,
                       shared: dict | None = None) -> None:
     """Write the line-delimited prediction file format: in id order, one
@@ -217,22 +235,23 @@ PREDICTION_FIELDS = {"instance_id": STRING, "predicted_label": STRING,
 
 
 def import_predictions(path: Path | str, dataset: VariantDataset,
-                       condition: str | None = None,
-                       run_id: int | None = None) -> PredictionSet:
+                       condition: str | None = None, run_id: int | None = None,
+                       data: bytes | None = None) -> PredictionSet:
     """Load an external prediction file against a dataset.
 
     The file must cover the dataset exactly: unknown or missing instance
     ids are errors.  Labels outside the inventory are kept (they will score
     as wrong) but logged as a warning.  Records are keyed by the dataset's
     own id strings and inventory labels map to the inventory's own strings,
-    so a loaded set shares them instead of holding copies.
+    so a loaded set shares them instead of holding copies.  ``data``, if
+    given, is the file's bytes.
     """
     path = Path(path)
     dataset_ids = {i: i for i in dataset.instance_ids()}
     known = {lbl: lbl for lbl in (*dataset.label_inventory, UNPARSED)}
     records: dict[str, str] = {}
     in_file: dict[str, str | int] = {}  # the file's condition and run_id
-    for lineno, rec in read_records(path, PREDICTION_FIELDS):
+    for lineno, rec in read_records(path, PREDICTION_FIELDS, data):
         instance_id = dataset_ids.get(rec["instance_id"])
         if instance_id is None:
             raise ValueError(f"{path}:{lineno}: unknown instance_id "
@@ -250,9 +269,8 @@ def import_predictions(path: Path | str, dataset: VariantDataset,
                          f"instance(s): {shown}")
     strange = sorted({lbl for lbl in records.values() if lbl not in known})
     if strange:
-        log.warning("%s: %d label(s) outside the inventory "
-                    "(kept, will score as wrong): %s",
-                    path, len(strange), ", ".join(strange[:5]))
+        log(__name__, WARNING, "%s: %d label(s) outside the inventory (kept, will "
+            "score as wrong): %s", path, len(strange), ", ".join(strange[:5]))
     return PredictionSet(
         condition=in_file.get("condition", "") if condition is None else condition,
         run_id=in_file.get("run_id", 0) if run_id is None else run_id,

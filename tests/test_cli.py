@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from drckit import (cli, config as config_module, context, evaluation, inference,
                     treebank)
-from drckit.analysis import RelationMargin, default_lexicon, write_margins_tsv
+from drckit.analysis import (RelationMargin, analyze_pair, default_lexicon,
+                             write_margins_tsv)
 from drckit.cli import main
 from drckit.config import RunManifest, Stage
 from drckit.context import (
@@ -418,8 +419,8 @@ def test_analyze_pair_margins_equal_relation_margins(tmp_path, runs, normalizer)
                            [(a.records, b.records) for a, b in zip(runs_a, runs_b)])
     expected = [RelationMargin(*row)
                 for row in relation_tallies(rows, len(runs_a), normalizer)]
-    margins, _ = cli._analyze_pair(dataset, runs_a, runs_b, default_lexicon(),
-                                   tmp_path / "analysis", normalizer=normalizer)
+    margins, _ = analyze_pair(dataset, runs_a, runs_b, default_lexicon(),
+                              tmp_path / "analysis", normalizer=normalizer)
     assert margins == expected
     write_margins_tsv(expected, tmp_path / "expected.tsv")
     assert (tmp_path / "analysis" / "margins.tsv").read_bytes() == \
@@ -439,8 +440,8 @@ def test_analyze_pair_requires_coverage(tmp_path, side):
     runs[side][1] = PredictionSet(side, 2, short)
     with pytest.raises(ValueError,
                        match=f"predictions {side} do not cover the gold instances"):
-        cli._analyze_pair(dataset, runs["A"], runs["B"], default_lexicon(),
-                          tmp_path / "analysis")
+        analyze_pair(dataset, runs["A"], runs["B"], default_lexicon(),
+                     tmp_path / "analysis")
 
 
 def test_compare_pairs_reports_by_run_id(tmp_path, capsys):
@@ -1523,6 +1524,29 @@ def test_experiment_rescores_edited_import_source(small_corpus_dir, tmp_path):
     assert after == outputs(tmp_path / "fresh" / "out")
 
 
+def test_experiment_reads_each_import_source_and_the_lexicon_once(
+        small_corpus_dir, tmp_path, monkeypatch):
+    # Each was once read for its stage key and read again to be checked and
+    # parsed, so bytes edited in between were kept under the old bytes' key.
+    config, runs = import_config(tmp_path, small_corpus_dir)
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("without\n", encoding="utf-8")
+    patch_config(config, lexicon=str(lexicon))
+    reads = Counter()
+    for name in ("read_bytes", "read_text"):
+        def counted(path, *args, _read=getattr(Path, name), **kwargs):
+            reads[path.resolve()] += 1
+            return _read(path, *args, **kwargs)
+        monkeypatch.setattr(Path, name, counted)
+    inputs = [Path(source).resolve() for sources in runs.values() for source in sources]
+    inputs.append(lexicon.resolve())
+    for run in ("cold", "warm"):
+        reads.clear()
+        assert run_cli("experiment", "--config", config) == 0
+        assert {path: reads[path] for path in inputs} == dict.fromkeys(inputs, 1), run
+    assert stages_run(tmp_path / "out") == []
+
+
 # A config field reaches the outputs through the stage key that digests it,
 # given with an edit that must change that key and no other kind, or through
 # the stage names and file paths it is part of; or it cannot change an output.
@@ -1825,6 +1849,61 @@ def test_declaring_the_stages_runs_nothing(small_corpus_dir, tmp_path,
     # 3 schemes x 2 splits of variants; per backend, a predict and a score
     # stage per scheme, and 2 analyses; the summary.
     assert len(declared) == 3 * 2 + 2 * (3 * 2 + 2) + 1
+
+
+def drckit_child(*argv) -> subprocess.CompletedProcess:
+    """One CLI call in a fresh interpreter, with its output as text."""
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys; from drckit.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+
+
+def test_call_that_records_nothing_loads_no_logging_nor_single_step_code(
+        small_corpus_dir, tmp_path):
+    # logging is loaded at a call's first record, and the single-step
+    # subcommands' module when one of them runs.
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    for argv in (["--version"], ["experiment", "--config", config]):
+        assert not {"logging", "drckit.commands"} & loaded_modules(*argv), argv
+    assert stages_run(tmp_path / "out") == []
+    assert "drckit.commands" in loaded_modules("validate", small_corpus_dir)
+
+
+@pytest.mark.parametrize("verbose", [[], ["-v"]], ids=["quiet", "verbose"])
+def test_torn_manifest_warns_in_logging_s_basic_format(small_corpus_dir, tmp_path,
+                                                        verbose):
+    config = experiment_config(tmp_path, small_corpus_dir,
+                               backends=[{"kind": "cue"}], seeds=[1, 2])
+    assert run_cli("experiment", "--config", config) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    manifest.write_text("{", encoding="utf-8")
+    with pytest.raises(ValueError) as torn:
+        json.loads("{")
+    proc = drckit_child(*verbose, "experiment", "--config", config)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        f"WARNING:drckit.config:{manifest} is not a run manifest, so every stage "
+        f"runs again: {torn.value}"]
+
+
+def test_verbose_shows_the_endpoint_s_resuming_line(small_corpus_dir, tmp_path):
+    with MockChatServer(lambda payload, index: (200, "condition")) as server:
+        assert infer_endpoint(small_corpus_dir, tmp_path,
+                              "--base-url", server.base_url) == 0
+        infer = ["infer", "--dataset", tmp_path / "variants" / "test.jsonl",
+                 "--train", tmp_path / "variants" / "train.jsonl",
+                 "--backend", "endpoint", "--out", tmp_path / "preds",
+                 "--base-url", server.base_url]
+        quiet, verbose = drckit_child(*infer), drckit_child("-v", *infer)
+    log = tmp_path / "preds" / "logs" / "default+endpoint.run0.log.jsonl"
+    done = len(log.read_text(encoding="utf-8").splitlines())
+    assert (quiet.returncode, verbose.returncode, quiet.stderr) == (0, 0, "")
+    assert f"INFO:drckit.endpoint:resuming {log}: {done} done, 0 to go" in \
+        verbose.stderr.splitlines()
 
 
 def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,
