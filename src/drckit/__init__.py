@@ -30,7 +30,7 @@ _EXPORTS = {
         "bonferroni", "score", "wilcoxon_signed_rank"),
     "inference": (
         "UNPARSED", "BaselineModel", "ICLExample", "PredictionSet", "PromptSpec",
-        "build_prompt", "import_predictions", "parse_llm_output",
+        "build_prompt", "endpoint_predictions", "import_predictions", "parse_llm_output",
         "predict_baseline", "sample_icl_examples", "train_baseline",
         "write_predictions"),
     "treebank": (

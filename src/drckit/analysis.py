@@ -136,13 +136,15 @@ def _parse_lexicon(text: str, source: str) -> ConnectiveLexicon:
     return ConnectiveLexicon(entries=entries)
 
 
-def load_connective_lexicon(path: Path | str, data: bytes | None = None
+def load_connective_lexicon(path: Path | str | None, data: bytes | None = None
                             ) -> ConnectiveLexicon:
     """One connective per line, '#' comments allowed, deduped.  Each entry is
     read by the rule that reads arg2 text: lowercased, split into words and
     stripped of punctuation, so "However," is "however" and "as  a result"
     is "as a result".  ``data``, if given, is the file's bytes.  A file that
-    is not UTF-8 raises ``ValueError`` naming it."""
+    is not UTF-8 raises ``ValueError`` naming it.  No path reads the packaged one."""
+    if not path:
+        return default_lexicon()
     path = Path(path)
     try:
         text = (path.read_bytes() if data is None else data).decode("utf-8")

@@ -1,60 +1,31 @@
-"""Command line entry points for the full experiment pipeline.
+"""Command line entry point and the experiment pipeline.
 
 Subcommands: ingest, validate, stats, variants, infer, evaluate, compare,
-analyze (all in ``commands``), experiment.  Exit codes: 0 success, 1 data or
-validation error, 2 configuration error, 3 endpoint failure.
+analyze (all in ``commands``), experiment.  Exit codes (``config.EXIT_*``):
+0 success, 1 data or validation error, 2 configuration error, 3 endpoint
+failure.  This module is the top of the stack: no drckit module imports it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__, fields
-from .config import (ENDPOINT_FIELDS, ConfigError, ExperimentConfig, RunManifest, Stage,
-                     load_experiment_config, stage_key, sweep)
+from .config import (ENDPOINT_FIELDS, EXIT_CONFIG, EXIT_DATA, EXIT_ENDPOINT, EXIT_OK,
+                     ConfigError, ExperimentConfig, RunManifest, Stage,
+                     load_experiment_config, one_run, stage_key, sweep)
 
-# Each layer is imported where one of its stages, subcommands or error
-# branches runs, so a call loads only the layers it uses: a rerun with
-# nothing changed loads none of treebank, context, inference, endpoint,
-# evaluation and analysis.  What a stale stage does is in the layer it
-# drives, so a warm run compiles only the parser, the stages and the walk.
+# Each layer is imported where one of its stages or subcommands runs, and an
+# error is sorted by the layers already loaded: a rerun with nothing changed
+# loads none of treebank, context, inference, endpoint, evaluation and
+# analysis.  What a stale stage does is in the layer it drives, so a warm run
+# compiles only the parser, the stages and the walk.
 if TYPE_CHECKING:
-    from .analysis import ConnectiveLexicon
     from .treebank import Corpus
-
-EXIT_OK = 0
-EXIT_DATA = 1
-EXIT_CONFIG = 2
-EXIT_ENDPOINT = 3
-
-
-@contextmanager
-def _one_run(run_dir: Path) -> Iterator[None]:
-    """Hold ``run_dir`` (made if missing) for the block, or raise a ValueError
-    naming it if another run holds it: two would pay each endpoint request twice
-    and race on the manifest.  A directory flock leaves no file, nor outlives a kill."""
-    import fcntl  # only a run that writes its directory pays for it
-    run_dir.mkdir(parents=True, exist_ok=True)
-    fd = os.open(run_dir, os.O_RDONLY)
-    try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise ValueError(f"{run_dir} is in use by another drckit run") from None
-        yield
-    finally:
-        os.close(fd)
-
-
-def _lexicon(path: Path | str | None, data: bytes | None = None) -> ConnectiveLexicon:
-    from .analysis import default_lexicon, load_connective_lexicon
-    return load_connective_lexicon(path, data) if path else default_lexicon()
 
 
 def experiment_stages(cfg: ExperimentConfig, keys: dict[str, str],
@@ -74,8 +45,12 @@ def experiment_stages(cfg: ExperimentConfig, keys: dict[str, str],
     # Only the analysis stages read the lexicon; the tool version covers the
     # packaged one.
     lexicon_data = cfg.lexicon.read_bytes() if cfg.lexicon else None
-    lexicon = cache(lambda: _lexicon(cfg.lexicon, lexicon_data))
     lexicon_key = stage_key([lexicon_data]) if cfg.lexicon else ""
+
+    @cache
+    def lexicon():
+        from .analysis import load_connective_lexicon
+        return load_connective_lexicon(cfg.lexicon, lexicon_data)
 
     # What each stage kind does, given the arguments its declaration binds.
     def build_variant(path, scheme, split):
@@ -201,7 +176,7 @@ def experiment_stages(cfg: ExperimentConfig, keys: dict[str, str],
 
 def cmd_experiment(args) -> int:
     cfg = load_experiment_config(args.config)
-    with _one_run(cfg.out_dir):
+    with one_run(cfg.out_dir):
         return _experiment(cfg)
 
 
@@ -361,17 +336,17 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
-        # These classes are imported once an error occurs, so a run that
-        # needs neither layer loads neither module.
-        from .endpoint import EndpointError
-        from .treebank import CorpusError, TreebankError
-        if isinstance(exc, EndpointError):
+        # Only a layer this call loaded can have raised one of its error classes.
+        endpoint = sys.modules.get(f"{__package__}.endpoint")
+        if endpoint and isinstance(exc, endpoint.EndpointError):
             print(f"endpoint error: {exc}", file=sys.stderr)
             return EXIT_ENDPOINT
-        if not isinstance(exc, (TreebankError, ValueError, OSError)):
+        treebank = sys.modules.get(f"{__package__}.treebank")
+        treebank_error = treebank.TreebankError if treebank else ()  # () matches nothing
+        if not isinstance(exc, (treebank_error, ValueError, OSError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CorpusError):  # name the documents at fault
+        if treebank and isinstance(exc, treebank.CorpusError):  # name the documents
             for violation in exc.violations[:5]:
                 print(violation.report_line(), file=sys.stderr)
         return EXIT_DATA

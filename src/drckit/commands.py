@@ -1,6 +1,6 @@
 """The single-step subcommands: ingest, validate, stats, variants, infer,
 evaluate, compare and analyze.  ``cli.main`` imports this module only when
-one of them runs, so an ``experiment`` call neither reads nor compiles it.
+one of them runs, and it imports nothing from ``cli``, which sits above it.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .cli import EXIT_DATA, EXIT_OK, _lexicon, _one_run
-from .config import CONFIG_FIELDS, ENDPOINT_FIELDS, TAG, ContextScheme, check_config
+from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, EXIT_DATA, EXIT_OK, TAG,
+                     ContextScheme, check_config, one_run)
 from .fields import write_atomic
 
 if TYPE_CHECKING:
@@ -125,7 +125,7 @@ def cmd_infer(args) -> int:
     predict = predictor(args.backend, flags, train, dataset, condition,
                          out_dir / "logs")
     # An endpoint run appends to its log under out_dir, so it runs alone there.
-    with _one_run(out_dir) if args.backend == "endpoint" else nullcontext():
+    with one_run(out_dir) if args.backend == "endpoint" else nullcontext():
         for seed in args.seeds:
             preds = predict(seed)
             path = out_dir / f"{condition}.run{seed}.jsonl"
@@ -174,11 +174,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import analyze_pair
+    from .analysis import analyze_pair, load_connective_lexicon
     from .context import read_variant_dataset
     from .inference import import_predictions
     dataset = read_variant_dataset(args.dataset)
-    lexicon = _lexicon(args.lexicon)
+    lexicon = load_connective_lexicon(args.lexicon)
 
     def read_runs(paths):
         return [import_predictions(path, dataset) for path in paths]

@@ -1,4 +1,5 @@
-"""Experiment configuration file and the reuse manifest it drives.
+"""Experiment configuration file, the reuse manifest it drives and the lock
+that guards a run directory's manifest and logs; the CLI's exit statuses.
 
 The context scheme grammar and the listing of a split's documents live here
 too: the config parses schemes, and the variants stages' keys read the documents.
@@ -12,16 +13,14 @@ import math
 import os
 import re
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from .fields import (INTEGER, NUMBER, STRING, WARNING, Checked, JsonField,
                      check_fields, decode, list_of, log, map_of, rule, write_atomic)
-
-if TYPE_CHECKING:
-    from .endpoint import EndpointConfig
 
 SCHEMA_VERSION = 1
 
@@ -31,6 +30,11 @@ BACKEND_KINDS = ("majority", "cue", "endpoint", "import")
 class ConfigError(Exception):
     """The experiment configuration is unusable."""
 
+
+EXIT_OK = 0
+EXIT_DATA = 1
+EXIT_CONFIG = 2
+EXIT_ENDPOINT = 3
 
 # n is optional in scheme names and defaults to 1 ("OR" means "OR1").
 _SCHEME_RE = re.compile(r"^(?:(default)|(?:ad|add)(\d*)|(?:or|oracle)(\d*))$",
@@ -200,15 +204,6 @@ CONFIG_FIELDS = {
 }
 
 
-def endpoint_config(options: dict) -> EndpointConfig:
-    """Endpoint settings from an endpoint backend's options or ``infer``'s flags."""
-    from .endpoint import EndpointConfig
-    try:
-        return EndpointConfig(**options)
-    except ValueError as exc:
-        raise ConfigError(f"endpoint option {exc}") from exc
-
-
 def _backend(entry: dict, where: str, base: Path,
              schemes: tuple[ContextScheme, ...], n_seeds: int) -> BackendSpec:
     """The backend ``entry``, checked against the table of its kind."""
@@ -309,6 +304,24 @@ _MANIFEST_FIELDS = {"stages": map_of(JsonField(
     "ingest": JsonField((dict,), "an ingest summary", False, lambda s: check_fields(s, {
         "key": OPTIONAL_STRING, "train_instances": INTEGER, "eval_instances": INTEGER,
         "label_inventory": list_of(STRING, "a list of labels")}))}
+
+
+@contextmanager
+def one_run(run_dir: Path) -> Iterator[None]:
+    """Hold ``run_dir`` (made if missing) for the block, or raise a ValueError
+    naming it if another run holds it: two would pay each endpoint request twice
+    and race on the manifest.  A directory flock leaves no file, nor outlives a kill."""
+    import fcntl  # only a run that writes its directory pays for it
+    run_dir.mkdir(parents=True, exist_ok=True)
+    fd = os.open(run_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ValueError(f"{run_dir} is in use by another drckit run") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 class RunManifest:

@@ -1,11 +1,12 @@
-"""Chat-completion client: concurrent requests, retries, resumable runs.
+"""Chat-completion transport: concurrent requests, retries, resumable runs.
 
 Requests go to ``<base_url>/chat/completions`` at temperature 0 with a
 single user message holding the prompt; the reply text is read from the
-first choice, over one kept-alive connection per worker thread.  Every
-completed instance is appended to a results log keyed by instance_id, in
-dataset order, so a rerun after a crash or abort only requests what is
-still missing.
+first choice, over one kept-alive connection per worker thread.  It sends
+the prompts it is given and returns the replies; prompts and labels are
+``inference``'s.  Every reply is appended to a results log keyed by
+instance_id, in the order of the ids given, so a rerun after a crash or
+abort only requests what is still missing.
 """
 
 from __future__ import annotations
@@ -15,20 +16,12 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from .config import ENDPOINT_FIELDS
-from .context import RenderedInstance, VariantDataset
 from .fields import (INFO, STRING, WARNING, Checked, check_fields, decode, log,
                      read_records)
-from .inference import (
-    PredictionSet,
-    PromptSpec,
-    build_prompt,
-    parse_llm_output,
-    sample_icl_examples,
-)
 
 if TYPE_CHECKING:
     from http.client import HTTPConnection
@@ -149,47 +142,40 @@ def _load_results_log(path: Path) -> dict[str, str]:
         path, {"instance_id": STRING, "raw": STRING}, data[:complete])}
 
 
-def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDataset,
-                           config: EndpointConfig, seed: int, log_path: Path | str,
-                           condition: str) -> PredictionSet:
-    """Classify every dataset instance through the endpoint.
+def run_endpoint_inference(ids: Sequence[str], prompt: Callable[[str], str],
+                           label: Callable[[str], str], config: EndpointConfig,
+                           log_path: Path | str) -> dict[str, str]:
+    """The raw reply to every one of ``ids``, by id, from the endpoint.
 
-    The seed samples the ICL examples from the training variant and is the
-    run id of the predictions.  The results log at ``log_path`` is append-only
-    and the single piece of shared state: a logged instance is not requested
-    again, and its label too is parsed from its logged reply with this run's
-    inventory.  On failure the run aborts with all completed so far persisted.
+    The results log at ``log_path`` is append-only and the single piece of
+    shared state: a logged id is not requested again, and ``prompt(id)`` is
+    made on a worker thread only for an id it lacks.  Each new log line holds
+    ``label(raw)`` for people who read the log.  On failure the run aborts
+    with all completed so far persisted.
     """
     # Imported per call, like http.client: a run without an endpoint needs
     # no thread pool.
     from concurrent.futures import ThreadPoolExecutor
 
-    if not dataset.instances:
-        raise ValueError("dataset is empty")
-    icl = sample_icl_examples(train_dataset, seed)
     log_path = Path(log_path)
     log_path.parent.mkdir(parents=True, exist_ok=True)
     done = _load_results_log(log_path)
-    todo = [inst for inst in dataset.instances if inst.instance_id not in done]
+    todo = [iid for iid in ids if iid not in done]
     if done:
         log(__name__, INFO, "resuming %s: %d done, %d to go", log_path, len(done),
             len(todo))
 
     session = threading.local()  # one kept-alive connection per thread
     opened: set[HTTPConnection] = set()  # each closed when the run ends
-    # Set by the first hard failure: queued instances then return None.
+    # Set by the first hard failure: queued requests then return None.
     stop = threading.Event()
 
-    def classify(inst: RenderedInstance) -> str | None:
+    def send(iid: str) -> str | None:
         if stop.is_set():
             return None
-        prompt = build_prompt(PromptSpec(
-            label_inventory=dataset.label_inventory,
-            icl_examples=icl,
-            target=inst,
-        ))
+        text = prompt(iid)
         try:
-            return request_completion(config, prompt, session)
+            return request_completion(config, text, session)
         except EndpointError:
             stop.set()
             raise
@@ -200,9 +186,9 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
     try:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool, \
                 open(log_path, "a", encoding="utf-8") as sink:
-            # In submission order: the log follows the dataset, not the replies.
-            futures = [pool.submit(classify, inst) for inst in todo]
-            for inst, future in zip(todo, futures):
+            # In submission order: the log follows the ids, not the replies.
+            futures = [pool.submit(send, iid) for iid in todo]
+            for iid, future in zip(todo, futures):
                 try:
                     raw = future.result()
                 except EndpointError as exc:
@@ -210,21 +196,15 @@ def run_endpoint_inference(dataset: VariantDataset, train_dataset: VariantDatase
                     continue
                 if raw is None:
                     continue
-                sink.write(json.dumps({  # the label for people who read the log
-                    "instance_id": inst.instance_id,
-                    "predicted_label": parse_llm_output(raw, dataset.label_inventory),
-                    "raw": raw,
-                }, ensure_ascii=False) + "\n")
+                sink.write(json.dumps({"instance_id": iid, "predicted_label": label(raw),
+                                       "raw": raw}, ensure_ascii=False) + "\n")
                 sink.flush()
-                done[inst.instance_id] = raw
+                done[iid] = raw
     finally:
         for conn in opened:
             conn.close()
     if failure is not None:
         raise EndpointError(
-            f"aborted with {len(done)}/{len(dataset.instances)} instances "
+            f"aborted with {len(done)}/{len(ids)} instances "
             f"completed; rerun to resume from {log_path}") from failure
-
-    records = {iid: parse_llm_output(done[iid], dataset.label_inventory)
-               for iid in dataset.instance_ids()}
-    return PredictionSet(condition=condition, run_id=seed, records=records)
+    return {iid: done[iid] for iid in ids}

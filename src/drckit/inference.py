@@ -1,9 +1,10 @@
 """Prompt construction, output parsing, baselines and prediction files.
 
-Predictions come from three places: a chat-completion endpoint (see
-``endpoint``), the deterministic desk-scale baselines below, or external
-prediction files produced by a separate fine-tuning harness.  All three
-yield a PredictionSet, the unit that evaluation and pairing consume.
+Predictions come from three places: a chat-completion endpoint, which the
+``endpoint`` transport sends this module's prompts to, the deterministic
+desk-scale baselines below, or external prediction files produced by a
+separate fine-tuning harness.  All three yield a PredictionSet, the unit
+that evaluation and pairing consume.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ from collections import Counter
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .analysis import first_connective_token
-from .config import endpoint_config
+from .config import ConfigError
 from .context import RenderedInstance, VariantDataset
 from .fields import (INTEGER, STRING, WARNING, Checked, log, read_records,
                      write_atomic)
+
+if TYPE_CHECKING:
+    from .endpoint import EndpointConfig
 
 #: Sentinel for model output that names no known label.  It is a value,
 #: not an error: unparsed predictions are counted and scored as wrong.
@@ -190,6 +194,25 @@ def predict_baseline(model: BaselineModel, dataset: VariantDataset,
     return PredictionSet(condition=condition, run_id=run_id, records=records)
 
 
+def endpoint_predictions(dataset: VariantDataset, train_dataset: VariantDataset,
+                         config: EndpointConfig, seed: int, log_path: Path | str,
+                         condition: str) -> PredictionSet:
+    """Classify every dataset instance through the endpoint.  The seed samples
+    the ICL examples from the training variant and is the run id; an instance
+    the log at ``log_path`` holds is labelled from its logged reply."""
+    from .endpoint import run_endpoint_inference  # a baseline run never imports it
+    if not dataset.instances:
+        raise ValueError("dataset is empty")
+    icl = sample_icl_examples(train_dataset, seed)
+    inventory = dataset.label_inventory
+    targets = {inst.instance_id: inst for inst in dataset.instances}
+    replies = run_endpoint_inference(
+        list(targets), lambda iid: build_prompt(PromptSpec(inventory, icl, targets[iid])),
+        lambda raw: parse_llm_output(raw, inventory), config, log_path)
+    return PredictionSet(condition=condition, run_id=seed, records={
+        iid: parse_llm_output(raw, inventory) for iid, raw in replies.items()})
+
+
 def predictor(kind: str, options: dict, train_ds: VariantDataset,
               eval_ds: VariantDataset, condition: str, log_dir: Path
               ) -> Callable[[int], PredictionSet]:
@@ -202,9 +225,12 @@ def predictor(kind: str, options: dict, train_ds: VariantDataset,
         records = predict_baseline(train_baseline(train_ds, kind), eval_ds,
                                    condition).records
         return lambda seed: PredictionSet(condition, seed, records)
-    from .endpoint import run_endpoint_inference  # it imports this module
-    endpoint_cfg = endpoint_config(options)
-    return lambda seed: run_endpoint_inference(
+    from .endpoint import EndpointConfig  # a baseline run never imports it
+    try:
+        endpoint_cfg = EndpointConfig(**options)
+    except ValueError as exc:
+        raise ConfigError(f"endpoint option {exc}") from exc
+    return lambda seed: endpoint_predictions(
         eval_ds, train_ds, endpoint_cfg, seed,
         log_dir / f"{condition}.run{seed}.log.jsonl", condition)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 # The run key lists a split's documents as load_split does, from config.
-from .config import DOCUMENT_SUFFIXES, iter_document_files  # noqa: F401
+from .config import iter_document_files
 from .fields import (INTEGER, STRING, Checked, JsonField, check_fields, decode,
                      list_of, rule, write_atomic)
 
@@ -92,8 +92,9 @@ class DiscourseTree(Checked, _Tree):
     def sentence_texts(self) -> dict[int, str]:
         """Joined text of the real EDUs of each sentence, by sentence index."""
         sentences: dict[int, list[str]] = {}
-        for e in self.real_edus:
-            sentences.setdefault(e.sentence_index, []).append(e.text)
+        for e in self.edus:
+            if e.head_id != ROOT_HEAD:
+                sentences.setdefault(e.sentence_index, []).append(e.text)
         return {i: " ".join(texts) for i, texts in sentences.items()}
 
     @cached_property
@@ -245,7 +246,7 @@ def validate_tree(tree: DiscourseTree) -> list[Violation]:
         v.append(Violation(doc, "id-order",
                            "ids must be contiguous from 0 in ascending order"))
 
-    roots = [e for e in tree.edus if e.is_root]
+    roots = [e for e in tree.edus if e.head_id == ROOT_HEAD]
     if not roots:
         v.append(Violation(doc, "no-root", "missing ROOT (no EDU with head -1)"))
     elif len(roots) > 1:
@@ -261,7 +262,7 @@ def validate_tree(tree: DiscourseTree) -> list[Violation]:
             v.append(Violation(doc, "root-relation",
                                f'virtual ROOT must carry relation "{ROOT_RELATION}"'))
 
-    attached = [e for e in tree.edus if not e.is_root and e.head_id == ROOT_ID]
+    attached = [e for e in tree.edus if e.head_id == ROOT_ID]
     if len(roots) == 1 and roots[0].id == ROOT_ID:
         if not attached:
             v.append(Violation(doc, "root-attachment",
@@ -272,7 +273,7 @@ def validate_tree(tree: DiscourseTree) -> list[Violation]:
                                + ",".join(str(e.id) for e in attached)))
 
     for e in tree.edus:
-        if e.is_root:
+        if e.head_id == ROOT_HEAD:
             continue
         if not e.text:
             v.append(Violation(doc, "empty-text", f"empty text at id {e.id}"))

@@ -336,7 +336,8 @@ def test_c8_prompt_golden_files():
 
 
 def test_c9_mock_endpoint_inference(tmp_path):
-    from drckit.endpoint import EndpointError, run_endpoint_inference
+    from drckit.endpoint import EndpointError
+    from drckit.inference import endpoint_predictions
     from conftest import ARG2_RE, MockChatServer, gold_echo_behavior
     from test_endpoint import config_for, fixture_datasets
 
@@ -347,7 +348,7 @@ def test_c9_mock_endpoint_inference(tmp_path):
         runs = []
         for attempt in range(2):
             with MockChatServer(gold_echo_behavior(test_ds)) as server:
-                preds = run_endpoint_inference(
+                preds = endpoint_predictions(
                     test_ds, train_ds, config_for(server), seed=5,
                     log_path=tmp_path / f"gold{attempt}.log.jsonl",
                     condition="default+mock")
@@ -357,7 +358,7 @@ def test_c9_mock_endpoint_inference(tmp_path):
 
         # garbage: every record lands on the unparsed sentinel
         with MockChatServer(lambda payload, index: (200, "beats me")) as server:
-            preds = run_endpoint_inference(
+            preds = endpoint_predictions(
                 test_ds, train_ds, config_for(server), seed=5,
                 log_path=tmp_path / "garbage.log.jsonl",
                 condition="default+mock")
@@ -372,7 +373,7 @@ def test_c9_mock_endpoint_inference(tmp_path):
             return gold(payload, index)
 
         with MockChatServer(flaky) as server:
-            preds = run_endpoint_inference(
+            preds = endpoint_predictions(
                 test_ds, train_ds, config_for(server, parallelism=1), seed=5,
                 log_path=tmp_path / "flaky.log.jsonl",
                 condition="default+mock")
@@ -391,14 +392,14 @@ def test_c9_mock_endpoint_inference(tmp_path):
         log_path = tmp_path / "resume.log.jsonl"
         with MockChatServer(failing) as server:
             with pytest.raises(EndpointError):
-                run_endpoint_inference(
+                endpoint_predictions(
                     test_ds, train_ds,
                     config_for(server, parallelism=1, max_retries=1),
                     seed=5, log_path=log_path, condition="default+mock")
         persisted = len(log_path.read_text(encoding="utf-8").splitlines())
         assert 1 <= persisted < len(test_ds.instances)
         with MockChatServer(gold) as server:
-            preds = run_endpoint_inference(
+            preds = endpoint_predictions(
                 test_ds, train_ds, config_for(server), seed=5,
                 log_path=log_path, condition="default+mock")
             assert len(server.payloads) == len(test_ds.instances) - persisted

@@ -37,7 +37,7 @@ def test_only_write_atomic_writes_a_file():
     found = {path.name: pattern.findall(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "drckit").glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {
-        "cli.py": [".mkdir(", "open("],
+        "config.py": [".mkdir(", "open("],
         "endpoint.py": ["open(", ".mkdir(", "open("],
         "fields.py": [".mkdir(", "open(", "os.replace("]}
 

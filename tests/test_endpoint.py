@@ -16,7 +16,7 @@ from drckit.endpoint import (
     run_endpoint_inference,
 )
 from drckit.evaluation import score
-from drckit.inference import UNPARSED
+from drckit.inference import UNPARSED, endpoint_predictions
 
 from conftest import ARG2_RE, MockChatServer, gold_echo_behavior, target_arg2
 
@@ -51,9 +51,9 @@ def config_for(server, **overrides):
 def test_gold_echo_reaches_perfect_score(tmp_path):
     test, train = fixture_datasets()
     with MockChatServer(gold_echo_behavior(test)) as server:
-        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
-                                       log_path=tmp_path / "run.log.jsonl",
-                                       condition="default+mock")
+        preds = endpoint_predictions(test, train, config_for(server), seed=1,
+                                     log_path=tmp_path / "run.log.jsonl",
+                                     condition="default+mock")
     assert preds.records == test.gold_labels()
     report = score(test, preds)
     assert report.macro_f1 == 1.0 and report.accuracy == 1.0
@@ -63,9 +63,9 @@ def test_gold_echo_reaches_perfect_score(tmp_path):
 def test_wire_protocol_payload(tmp_path):
     test, train = fixture_datasets(n=2)
     with MockChatServer(gold_echo_behavior(test)) as server:
-        run_endpoint_inference(test, train, config_for(server), seed=1,
-                               log_path=tmp_path / "run.log.jsonl",
-                               condition="default+mock")
+        endpoint_predictions(test, train, config_for(server), seed=1,
+                             log_path=tmp_path / "run.log.jsonl",
+                             condition="default+mock")
         payload = server.payloads[0]
     assert payload["model"] == "mock-model"
     assert payload["temperature"] == 0
@@ -77,9 +77,9 @@ def test_auth_token_sent_when_env_set(tmp_path, monkeypatch):
     monkeypatch.setenv("DRCKIT_TEST_TOKEN", "sekrit")
     test, train = fixture_datasets(n=1)
     with MockChatServer(gold_echo_behavior(test)) as server:
-        run_endpoint_inference(test, train, config_for(server), seed=1,
-                               log_path=tmp_path / "run.log.jsonl",
-                               condition="default+mock")
+        endpoint_predictions(test, train, config_for(server), seed=1,
+                             log_path=tmp_path / "run.log.jsonl",
+                             condition="default+mock")
         assert server.headers[0].get("Authorization") == "Bearer sekrit"
 
 
@@ -92,18 +92,18 @@ def test_echo_first_icl_label(tmp_path):
         return 200, first_label
 
     with MockChatServer(behavior) as server:
-        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
-                                       log_path=tmp_path / "run.log.jsonl",
-                                       condition="default+mock")
+        preds = endpoint_predictions(test, train, config_for(server), seed=1,
+                                     log_path=tmp_path / "run.log.jsonl",
+                                     condition="default+mock")
     assert set(preds.records.values()) == {test.label_inventory[0]}
 
 
 def test_garbage_output_counts_unparsed(tmp_path):
     test, train = fixture_datasets()
     with MockChatServer(lambda payload, index: (200, "no idea")) as server:
-        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
-                                       log_path=tmp_path / "run.log.jsonl",
-                                       condition="default+mock")
+        preds = endpoint_predictions(test, train, config_for(server), seed=1,
+                                     log_path=tmp_path / "run.log.jsonl",
+                                     condition="default+mock")
     assert preds.unparsed_count == len(test.instances)
     assert all(v == UNPARSED for v in preds.records.values())
     assert score(test, preds).macro_f1 == 0.0
@@ -113,9 +113,9 @@ def test_null_content_is_a_malformed_payload(tmp_path):
     test, train = fixture_datasets(n=1)
     with MockChatServer(lambda payload, index: (200, None)) as server:
         with pytest.raises(EndpointError, match="resume") as raised:
-            run_endpoint_inference(test, train, config_for(server), seed=1,
-                                   log_path=tmp_path / "run.log.jsonl",
-                                   condition="default+mock")
+            endpoint_predictions(test, train, config_for(server), seed=1,
+                                 log_path=tmp_path / "run.log.jsonl",
+                                 condition="default+mock")
     assert "content None is not a string" in str(raised.value.__cause__)
 
 
@@ -141,11 +141,11 @@ def test_flaky_server_retries_then_succeeds(tmp_path, caplog):
 
     with MockChatServer(behavior) as server:
         with caplog.at_level(logging.WARNING, logger="drckit.endpoint"):
-            preds = run_endpoint_inference(test, train,
-                                           config_for(server, parallelism=1),
-                                           seed=1,
-                                           log_path=tmp_path / "run.log.jsonl",
-                                           condition="default+mock")
+            preds = endpoint_predictions(test, train,
+                                         config_for(server, parallelism=1),
+                                         seed=1,
+                                         log_path=tmp_path / "run.log.jsonl",
+                                         condition="default+mock")
         total_requests = len(server.payloads)
     assert preds.records == test.gold_labels()
     assert total_requests == len(test.instances) + 2
@@ -163,17 +163,17 @@ def test_resume_skips_completed_instances(tmp_path):
                                    "predicted_label": inst.gold_label,
                                    "raw": inst.gold_label}) + "\n")
     with MockChatServer(gold_echo_behavior(test)) as server:
-        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
-                                       log_path=log_path,
-                                       condition="default+mock")
+        preds = endpoint_predictions(test, train, config_for(server), seed=1,
+                                     log_path=log_path,
+                                     condition="default+mock")
         assert len(server.payloads) == 3  # only the missing half
     assert preds.records == test.gold_labels()
 
     # a second run is a no-op
     with MockChatServer(gold_echo_behavior(test)) as server:
-        again = run_endpoint_inference(test, train, config_for(server), seed=1,
-                                       log_path=log_path,
-                                       condition="default+mock")
+        again = endpoint_predictions(test, train, config_for(server), seed=1,
+                                     log_path=log_path,
+                                     condition="default+mock")
         assert server.payloads == []
     assert again.records == preds.records
 
@@ -188,9 +188,9 @@ def test_resume_drops_torn_final_log_line(tmp_path):
     # A crash cut the fourth record off mid-write.
     log_path.write_text("".join(lines[:3]) + lines[3][:25], encoding="utf-8")
     with MockChatServer(gold_echo_behavior(test)) as server:
-        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
-                                       log_path=log_path,
-                                       condition="default+mock")
+        preds = endpoint_predictions(test, train, config_for(server), seed=1,
+                                     log_path=log_path,
+                                     condition="default+mock")
         requested = sorted(ARG2_RE.search(p["messages"][0]["content"]
                                           .splitlines()[-1]).group(1)
                            for p in server.payloads)
@@ -210,8 +210,8 @@ def test_resume_rejects_malformed_middle_log_line(tmp_path):
     log_path.write_text('{"instance_id": "t:0\n' + record + "\n",
                         encoding="utf-8")
     with pytest.raises(ValueError, match="run.log.jsonl:1: malformed record"):
-        run_endpoint_inference(test, train,
-                               EndpointConfig(base_url="http://127.0.0.1:9",
+        endpoint_predictions(test, train,
+                             EndpointConfig(base_url="http://127.0.0.1:9",
                                               model="m"),
                                seed=1, log_path=log_path, condition="c")
 
@@ -224,8 +224,8 @@ def test_resume_rejects_log_record_without_raw(tmp_path):
                         encoding="utf-8")
     with pytest.raises(ValueError, match="run.log.jsonl:1: malformed record: "
                                          "missing field 'raw'"):
-        run_endpoint_inference(test, train,
-                               EndpointConfig(base_url="http://127.0.0.1:9",
+        endpoint_predictions(test, train,
+                             EndpointConfig(base_url="http://127.0.0.1:9",
                                               model="m"),
                                seed=1, log_path=log_path, condition="c")
 
@@ -245,8 +245,8 @@ def test_resume_rejects_log_record_of_wrong_type(tmp_path, record, detail):
                         encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ValueError,
                        match=rf"run.log.jsonl:1: malformed record: {detail}"):
-        run_endpoint_inference(test, train,
-                               EndpointConfig(base_url="http://127.0.0.1:9",
+        endpoint_predictions(test, train,
+                             EndpointConfig(base_url="http://127.0.0.1:9",
                                               model="m"),
                                seed=1, log_path=log_path, condition="c")
 
@@ -262,8 +262,8 @@ def test_resume_labels_each_logged_reply_by_todays_rule(tmp_path):
                     "raw": raw}) + "\n"
         for inst, raw in zip(test.instances, replies)), encoding="utf-8")
     with MockChatServer(gold_echo_behavior(test)) as server:
-        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
-                                       log_path=log_path, condition="default+mock")
+        preds = endpoint_predictions(test, train, config_for(server), seed=1,
+                                     log_path=log_path, condition="default+mock")
         assert server.payloads == []
     assert preds.records == dict(zip(test.instance_ids(),
                                      ["contrast", "condition", UNPARSED, "contrast"]))
@@ -281,8 +281,8 @@ def test_resume_reads_replies_holding_unicode_line_separators(tmp_path):
                    ensure_ascii=False) + "\n"
         for inst in test.instances), encoding="utf-8")
     # Every instance is in the log, so no request is sent.
-    preds = run_endpoint_inference(test, train,
-                                   EndpointConfig(base_url="http://127.0.0.1:9",
+    preds = endpoint_predictions(test, train,
+                                 EndpointConfig(base_url="http://127.0.0.1:9",
                                                   model="m"),
                                    seed=1, log_path=log_path, condition="c")
     assert preds.records == test.gold_labels()
@@ -302,8 +302,8 @@ def test_abort_persists_partial_state_then_resumes(tmp_path):
     log_path = tmp_path / "run.log.jsonl"
     with MockChatServer(failing) as server:
         with pytest.raises(EndpointError, match="resume"):
-            run_endpoint_inference(test, train,
-                                   config_for(server, parallelism=1,
+            endpoint_predictions(test, train,
+                                 config_for(server, parallelism=1,
                                               max_retries=1),
                                    seed=1, log_path=log_path,
                                    condition="default+mock")
@@ -311,9 +311,9 @@ def test_abort_persists_partial_state_then_resumes(tmp_path):
     assert 1 <= len(persisted) < len(test.instances)
 
     with MockChatServer(gold) as server:
-        preds = run_endpoint_inference(test, train, config_for(server), seed=1,
-                                       log_path=log_path,
-                                       condition="default+mock")
+        preds = endpoint_predictions(test, train, config_for(server), seed=1,
+                                     log_path=log_path,
+                                     condition="default+mock")
         assert len(server.payloads) == len(test.instances) - len(persisted)
     assert preds.records == test.gold_labels()
 
@@ -322,11 +322,11 @@ def test_auth_failure_aborts_without_retry(tmp_path):
     test, train = fixture_datasets(n=3)
     with MockChatServer(lambda payload, index: (401, None)) as server:
         with pytest.raises(EndpointError):
-            run_endpoint_inference(test, train,
-                                   config_for(server, parallelism=1),
-                                   seed=1,
-                                   log_path=tmp_path / "run.log.jsonl",
-                                   condition="default+mock")
+            endpoint_predictions(test, train,
+                                 config_for(server, parallelism=1),
+                                 seed=1,
+                                 log_path=tmp_path / "run.log.jsonl",
+                                 condition="default+mock")
         assert len(server.payloads) == 1
 
 
@@ -335,9 +335,9 @@ def test_unreachable_endpoint_raises(tmp_path):
     config = EndpointConfig(base_url="http://127.0.0.1:9", model="m",
                             max_retries=1, backoff=0.001)
     with pytest.raises(EndpointError, match="resume"):
-        run_endpoint_inference(test, train, config, seed=1,
-                               log_path=tmp_path / "run.log.jsonl",
-                               condition="default+mock")
+        endpoint_predictions(test, train, config, seed=1,
+                             log_path=tmp_path / "run.log.jsonl",
+                             condition="default+mock")
 
 
 def test_parallelism_must_be_positive():
@@ -376,7 +376,7 @@ def test_deterministic_across_runs(tmp_path):
     results = []
     for attempt in range(2):
         with MockChatServer(gold_echo_behavior(test)) as server:
-            preds = run_endpoint_inference(
+            preds = endpoint_predictions(
                 test, train, config_for(server, parallelism=3), seed=9,
                 log_path=tmp_path / f"run{attempt}.log.jsonl",
                 condition="default+mock")
@@ -391,7 +391,7 @@ def test_dropped_keep_alive_connection_is_reopened(tmp_path):
     # left, only the resend on a fresh connection can finish the run.
     test, train = fixture_datasets(n=6)
     with MockChatServer(gold_echo_behavior(test), drop_reused=True) as server:
-        preds = run_endpoint_inference(
+        preds = endpoint_predictions(
             test, train, config_for(server, max_retries=0, parallelism=1),
             seed=1, log_path=tmp_path / "run.log.jsonl",
             condition="default+mock")
@@ -413,9 +413,9 @@ def test_log_follows_dataset_order(tmp_path):
 
     log_path = tmp_path / "run.log.jsonl"
     with MockChatServer(first_is_slow) as server:
-        run_endpoint_inference(test, train, config_for(server, parallelism=3),
-                               seed=1, log_path=log_path,
-                               condition="default+mock")
+        endpoint_predictions(test, train, config_for(server, parallelism=3),
+                             seed=1, log_path=log_path,
+                             condition="default+mock")
     logged = [json.loads(line)["instance_id"]
               for line in log_path.read_text(encoding="utf-8").splitlines()]
     assert logged == test.instance_ids()
@@ -428,9 +428,42 @@ def test_https_url_speaks_tls(tmp_path):
     with MockChatServer(gold_echo_behavior(test)) as server:
         https_url = server.base_url.replace("http://", "https://", 1)
         with pytest.raises(EndpointError, match="resume"):
-            run_endpoint_inference(
+            endpoint_predictions(
                 test, train,
                 config_for(server, base_url=https_url, max_retries=0),
                 seed=1, log_path=tmp_path / "run.log.jsonl",
                 condition="default+mock")
         assert server.payloads == []
+
+
+def test_transport_sends_only_the_prompts_its_log_lacks(tmp_path):
+    # The transport knows no dataset: it is given ids, a prompt per id and a
+    # label per reply, and returns every id's raw reply, the logged ones too.
+    ids = [f"i:{n}" for n in range(6)]
+    log_path = tmp_path / "run.log.jsonl"
+    logged = {"i:1": "logged one", "i:4": "logged four"}
+    log_path.write_text("".join(json.dumps(
+        {"instance_id": iid, "predicted_label": "old", "raw": raw}) + "\n"
+        for iid, raw in logged.items()), encoding="utf-8")
+    asked = []
+
+    def prompt(iid):
+        asked.append(iid)
+        return f"prompt of {iid}"
+
+    def echo(payload, index):
+        return 200, "reply to " + payload["messages"][0]["content"]
+
+    with MockChatServer(echo) as server:
+        replies = run_endpoint_inference(ids, prompt, str.upper,
+                                         config_for(server, parallelism=3), log_path)
+        sent = sorted(p["messages"][0]["content"] for p in server.payloads)
+    missing = [iid for iid in ids if iid not in logged]
+    assert sorted(asked) == missing
+    assert sent == [f"prompt of {iid}" for iid in missing]
+    assert replies == {iid: logged.get(iid, f"reply to prompt of {iid}") for iid in ids}
+    assert list(replies) == ids
+    lines = [json.loads(line) for line in
+             log_path.read_text(encoding="utf-8").splitlines()[len(logged):]]
+    assert lines == [{"instance_id": iid, "predicted_label": replies[iid].upper(),
+                      "raw": replies[iid]} for iid in missing]
