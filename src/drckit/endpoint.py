@@ -143,15 +143,15 @@ def _load_results_log(path: Path) -> dict[str, str]:
 
 
 def run_endpoint_inference(ids: Sequence[str], prompt: Callable[[str], str],
-                           label: Callable[[str], str], config: EndpointConfig,
-                           log_path: Path | str) -> dict[str, str]:
+                           config: EndpointConfig, log_path: Path | str
+                           ) -> dict[str, str]:
     """The raw reply to every one of ``ids``, by id, from the endpoint.
 
     The results log at ``log_path`` is append-only and the single piece of
     shared state: a logged id is not requested again, and ``prompt(id)`` is
-    made on a worker thread only for an id it lacks.  Each new log line holds
-    ``label(raw)`` for people who read the log.  On failure the run aborts
-    with all completed so far persisted.
+    made on a worker thread only for an id it lacks.  Each new log line is
+    ``{"instance_id", "raw"}``; a logged reply to an id not in ``ids`` is not
+    read.  On failure the run aborts with all completed so far persisted.
     """
     # Imported per call, like http.client: a run without an endpoint needs
     # no thread pool.
@@ -159,7 +159,8 @@ def run_endpoint_inference(ids: Sequence[str], prompt: Callable[[str], str],
 
     log_path = Path(log_path)
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    done = _load_results_log(log_path)
+    logged = _load_results_log(log_path)
+    done = {iid: logged[iid] for iid in ids if iid in logged}
     todo = [iid for iid in ids if iid not in done]
     if done:
         log(__name__, INFO, "resuming %s: %d done, %d to go", log_path, len(done),
@@ -196,8 +197,8 @@ def run_endpoint_inference(ids: Sequence[str], prompt: Callable[[str], str],
                     continue
                 if raw is None:
                     continue
-                sink.write(json.dumps({"instance_id": iid, "predicted_label": label(raw),
-                                       "raw": raw}, ensure_ascii=False) + "\n")
+                sink.write(json.dumps({"instance_id": iid, "raw": raw},
+                                      ensure_ascii=False) + "\n")
                 sink.flush()
                 done[iid] = raw
     finally:

@@ -198,17 +198,16 @@ def endpoint_predictions(dataset: VariantDataset, train_dataset: VariantDataset,
                          config: EndpointConfig, seed: int, log_path: Path | str,
                          condition: str) -> PredictionSet:
     """Classify every dataset instance through the endpoint.  The seed samples
-    the ICL examples from the training variant and is the run id; an instance
-    the log at ``log_path`` holds is labelled from its logged reply."""
+    the ICL examples from the training variant and is the run id; each reply,
+    logged at ``log_path`` or fresh, is parsed once, by this dataset's labels."""
     from .endpoint import run_endpoint_inference  # a baseline run never imports it
     if not dataset.instances:
         raise ValueError("dataset is empty")
     icl = sample_icl_examples(train_dataset, seed)
     inventory = dataset.label_inventory
     targets = {inst.instance_id: inst for inst in dataset.instances}
-    replies = run_endpoint_inference(
-        list(targets), lambda iid: build_prompt(PromptSpec(inventory, icl, targets[iid])),
-        lambda raw: parse_llm_output(raw, inventory), config, log_path)
+    replies = run_endpoint_inference(list(targets), lambda iid: build_prompt(
+        PromptSpec(inventory, icl, targets[iid])), config, log_path)
     return PredictionSet(condition=condition, run_id=seed, records={
         iid: parse_llm_output(raw, inventory) for iid, raw in replies.items()})
 

@@ -237,3 +237,17 @@ def gold_echo_behavior(dataset):
         return 200, f"the answer is {arg2_to_gold[target_arg2(payload)]}"
 
     return behavior
+
+
+def assert_fault_reported(capsys, fault, exit_code: int | None, message: str) -> None:
+    """One row of a table of faults: with ``exit_code`` None, ``fault()`` is a
+    library call that raises ValueError(message); else a CLI call that exits
+    ``exit_code`` and prints ``message`` as a line of its own."""
+    if exit_code is None:
+        with pytest.raises(ValueError) as info:
+            fault()
+        assert str(info.value) == message
+    else:
+        assert fault() == exit_code
+        captured = capsys.readouterr()
+        assert message in (captured.out + captured.err).splitlines()

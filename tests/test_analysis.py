@@ -26,9 +26,12 @@ from drckit.analysis import (
     pair_outcomes,
     relation_margins,
 )
-from drckit.context import ContextScheme, RenderedInstance, VariantDataset
-from drckit.inference import PredictionSet
+from drckit.cli import main
+from drckit.context import (ContextScheme, RenderedInstance, VariantDataset,
+                            write_variant_dataset)
+from drckit.inference import PredictionSet, write_predictions
 
+from conftest import assert_fault_reported
 from oracles import category_match_rates, paired_outcomes
 
 DEFAULT = ContextScheme("default")
@@ -359,3 +362,37 @@ def test_connective_match_rate_equals_the_oracle(rows, category_maps, multiword)
             assert {c: (m.matched, m.total, m.percentage)
                     for c, m in report.by_category.items()} == \
                 category_match_rates(hit_rows, categories, level)
+
+
+def analyze_twice_run_1(tmp_path) -> int:
+    """`drckit analyze` with one prediction file given twice as set A: its
+    exit code."""
+    dataset = VariantDataset("c", DEFAULT, "test", (
+        RenderedInstance("t:001", "", "a", "b", "cause"),), ("cause",))
+    write_variant_dataset(dataset, tmp_path / "variant.jsonl")
+    for condition in ("a", "b"):
+        write_predictions(predictions({"t:001": "cause"}, condition, 1),
+                          tmp_path / f"{condition}.jsonl")
+    return main(["analyze", "--dataset", str(tmp_path / "variant.jsonl"),
+                 "--preds-a", str(tmp_path / "a.jsonl"), str(tmp_path / "a.jsonl"),
+                 "--preds-b", str(tmp_path / "b.jsonl"), "--out", str(tmp_path / "out")])
+
+
+# A fault, the exit code `drckit analyze` gives it (None: a library call that
+# raises ValueError) and its message.
+ANALYSIS_FAULTS = {
+    "no_runs": (lambda tmp: relation_margins(Counter(), 0), None,
+                "num_runs must be >= 1"),
+    "unknown_level": (lambda tmp: connective_match_rate(
+        [], {}, default_lexicon(), level="word"), None, "unknown level 'word'"),
+    "duplicate_run_ids": (analyze_twice_run_1, 1,
+                          "error: duplicate run ids in set A: [1, 1]"),
+}
+
+
+@pytest.mark.parametrize("fault, exit_code, message", ANALYSIS_FAULTS.values(),
+                         ids=ANALYSIS_FAULTS)
+def test_each_analysis_fault_is_reported(tmp_path, capsys, fault, exit_code,
+                                         message):
+    assert_fault_reported(capsys, lambda: fault(tmp_path), exit_code, message)
+    assert not (tmp_path / "out").exists()

@@ -33,6 +33,7 @@ from drckit.treebank import load_corpus
 
 from conftest import (
     MockChatServer,
+    assert_fault_reported,
     chain_records,
     disambiguation_records,
     disambiguation_split,
@@ -697,6 +698,48 @@ def test_experiment_missing_bonferroni_m_exits_2(small_corpus_dir, tmp_path,
     path.write_text(json.dumps(config), encoding="utf-8")
     assert run_cli("experiment", "--config", path) == 2
     assert "bonferroni_m" in capsys.readouterr().err
+
+
+def experiment_with(tmp_path: Path, corpus_dir: Path, **keys) -> int:
+    """`drckit experiment` of a cue config with ``keys`` set: its exit code."""
+    config = experiment_config(tmp_path, corpus_dir, backends=[{"kind": "cue"}],
+                               seeds=[1])
+    return run_cli("experiment", "--config", patch_config(config, **keys))
+
+
+# A fault, the exit code `drckit experiment` gives it (None: a library call
+# that raises ValueError) and its message, "{tmp}" standing for the test's
+# directory: an experiment's config error is prefixed by its config's path.
+CONFIG_FAULTS = {
+    "unknown_scheme_kind": (lambda tmp, corpus: ContextScheme("xyz"), None,
+                            "unknown scheme kind 'xyz'"),
+    "missing_import_source": (lambda tmp, corpus: experiment_with(
+        tmp, corpus, backends=[{"kind": "import", "runs": {
+            "default": ["gone.jsonl"], "OR1": ["gone.jsonl"]}}]), 2,
+        "config error: {tmp}/experiment.json: backends[0] references missing "
+        "prediction file {tmp}/gone.jsonl"),
+    "missing_corpus_dir": (lambda tmp, corpus: experiment_with(
+        tmp, corpus, corpus={"dir": "gone"}), 2,
+        "config error: {tmp}/experiment.json: corpus dir does not exist: {tmp}/gone"),
+    "missing_lexicon": (lambda tmp, corpus: experiment_with(
+        tmp, corpus, lexicon="gone.txt"), 2,
+        "config error: {tmp}/experiment.json: lexicon file does not exist: "
+        "{tmp}/gone.txt"),
+}
+
+
+@pytest.mark.parametrize("fault, exit_code, message", CONFIG_FAULTS.values(),
+                         ids=CONFIG_FAULTS)
+def test_each_config_fault_is_reported(small_corpus_dir, tmp_path, capsys, fault,
+                                       exit_code, message):
+    assert_fault_reported(capsys, lambda: fault(tmp_path, small_corpus_dir), exit_code,
+                          message.format(tmp=tmp_path.resolve()))
+    assert not (tmp_path / "out").exists()
+
+
+def test_corpus_without_split_directories_exits_1(tmp_path, capsys):
+    assert run_cli("validate", tmp_path) == 1
+    assert capsys.readouterr().err == f"error: no split directories under {tmp_path}\n"
 
 
 def test_experiment_too_small_bonferroni_m_exits_2_before_any_work(

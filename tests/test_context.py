@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from drckit.cli import main
 from drckit.context import (
     ContextScheme,
     RenderedInstance,
@@ -382,8 +383,7 @@ LINE_FORMATS = [
       "label": "cause", "scheme": "OR1", "split": "test"}, read_variant_dataset),
     ({"instance_id": "t:001", "predicted_label": "cause", "condition": "c",
       "run_id": 1}, lambda path: import_predictions(path, ONE_INSTANCE)),
-    ({"instance_id": "t:001", "predicted_label": "cause", "raw": "cause"},
-     _load_results_log),
+    ({"instance_id": "t:001", "raw": "cause"}, _load_results_log),
 ]
 
 
@@ -397,9 +397,7 @@ def test_any_json_value_in_any_field_reads_or_is_a_malformed_record(
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps({**record, field: value}, ensure_ascii=False)
                     + "\n", encoding="utf-8")
-    # No reader checks the label an endpoint log stores beside its reply.
-    right_type = type(value) is type(record[field]) \
-        or (read is _load_results_log and field == "predicted_label")
+    right_type = type(value) is type(record[field])
     try:
         read(path)
     except ValueError as exc:
@@ -596,3 +594,23 @@ def test_instance_counts_and_inventory_match_extracted_instances(docs):
     assert count_instances(corpus) == len(instances)
     assert corpus_label_inventory(corpus) == \
         tuple(sorted({inst.gold_label for inst in instances}))
+
+
+def variant_line(**changes) -> str:
+    return json.dumps({**LINE_FORMATS[0][0], **changes}) + "\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    (variant_line() + variant_line(instance_id="t:002", scheme="default"),
+     ":2: mixed scheme or split"),
+    (variant_line() + variant_line(instance_id="t:002", split="train"),
+     ":2: mixed scheme or split"),
+    ("", ": empty dataset file"),
+], ids=["mixed_scheme", "mixed_split", "empty"])
+def test_each_variant_file_fault_exits_1_naming_the_file(tmp_path, capsys, text,
+                                                         error):
+    variant = tmp_path / "variant.jsonl"
+    variant.write_text(text, encoding="utf-8")
+    assert main(["evaluate", "--dataset", str(variant), "--predictions",
+                 str(tmp_path / "preds.jsonl"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {variant}{error}\n"

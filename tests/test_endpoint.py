@@ -8,7 +8,9 @@ import time
 import pytest
 
 from drckit import endpoint
-from drckit.context import ContextScheme, RenderedInstance, VariantDataset
+from drckit.cli import main
+from drckit.context import (ContextScheme, RenderedInstance, VariantDataset,
+                            write_variant_dataset)
 from drckit.endpoint import (
     EndpointConfig,
     EndpointError,
@@ -128,6 +130,32 @@ def test_undecodable_reply_is_a_malformed_payload(monkeypatch, body, detail):
     with pytest.raises(EndpointError, match=f"^malformed completion payload: .*{detail}"):
         request_completion(EndpointConfig("http://127.0.0.1:9"), "prompt",
                            threading.local())
+
+
+def test_status_that_is_not_retried_aborts_quoting_the_reply(tmp_path, monkeypatch,
+                                                             capsys):
+    # A 400 is neither retried nor an auth failure: its error quotes the first
+    # 200 bytes of the reply, and the CLI run it aborts exits 3.
+    body = b"bad request; " * 30
+    posts = []
+    monkeypatch.setattr(endpoint, "_post", lambda *args: posts.append(args) or (400, body))
+    with pytest.raises(EndpointError) as info:
+        request_completion(EndpointConfig("http://127.0.0.1:9"), "prompt",
+                           threading.local())
+    assert str(info.value) == ("HTTP 400 from http://127.0.0.1:9/chat/completions: "
+                               + body[:200].decode())
+    test, train = fixture_datasets(n=3)
+    write_variant_dataset(test, tmp_path / "test.jsonl")
+    write_variant_dataset(train, tmp_path / "train.jsonl")
+    out = tmp_path / "out"
+    assert main(["infer", "--dataset", str(tmp_path / "test.jsonl"), "--train",
+                 str(tmp_path / "train.jsonl"), "--backend", "endpoint", "--base-url",
+                 "http://127.0.0.1:9", "--parallelism", "1", "--seeds", "1",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "endpoint error: aborted with 0/3 instances completed; rerun to resume "
+        f"from {out / 'logs' / 'default+endpoint.run1.log.jsonl'}\n")
+    assert len(posts) == 2
 
 
 def test_flaky_server_retries_then_succeeds(tmp_path, caplog):
@@ -437,14 +465,13 @@ def test_https_url_speaks_tls(tmp_path):
 
 
 def test_transport_sends_only_the_prompts_its_log_lacks(tmp_path):
-    # The transport knows no dataset: it is given ids, a prompt per id and a
-    # label per reply, and returns every id's raw reply, the logged ones too.
+    # The transport knows no dataset and no label: it is given ids and a
+    # prompt per id, and returns every id's raw reply, the logged ones too.
     ids = [f"i:{n}" for n in range(6)]
     log_path = tmp_path / "run.log.jsonl"
     logged = {"i:1": "logged one", "i:4": "logged four"}
-    log_path.write_text("".join(json.dumps(
-        {"instance_id": iid, "predicted_label": "old", "raw": raw}) + "\n"
-        for iid, raw in logged.items()), encoding="utf-8")
+    log_path.write_text("".join(json.dumps({"instance_id": iid, "raw": raw}) + "\n"
+                                for iid, raw in logged.items()), encoding="utf-8")
     asked = []
 
     def prompt(iid):
@@ -455,8 +482,8 @@ def test_transport_sends_only_the_prompts_its_log_lacks(tmp_path):
         return 200, "reply to " + payload["messages"][0]["content"]
 
     with MockChatServer(echo) as server:
-        replies = run_endpoint_inference(ids, prompt, str.upper,
-                                         config_for(server, parallelism=3), log_path)
+        replies = run_endpoint_inference(ids, prompt, config_for(server, parallelism=3),
+                                         log_path)
         sent = sorted(p["messages"][0]["content"] for p in server.payloads)
     missing = [iid for iid in ids if iid not in logged]
     assert sorted(asked) == missing
@@ -465,5 +492,38 @@ def test_transport_sends_only_the_prompts_its_log_lacks(tmp_path):
     assert list(replies) == ids
     lines = [json.loads(line) for line in
              log_path.read_text(encoding="utf-8").splitlines()[len(logged):]]
-    assert lines == [{"instance_id": iid, "predicted_label": replies[iid].upper(),
-                      "raw": replies[iid]} for iid in missing]
+    assert lines == [{"instance_id": iid, "raw": replies[iid]} for iid in missing]
+
+
+def test_transport_resumes_a_log_whose_records_carry_a_label(tmp_path):
+    # Records logged before the log held only replies carry a predicted_label
+    # beside the reply; it is not read, and their ids are not requested again.
+    log_path = tmp_path / "run.log.jsonl"
+    log_path.write_text("".join(json.dumps(
+        {"instance_id": iid, "predicted_label": "cause", "raw": f"logged {iid}"}) + "\n"
+        for iid in ("a", "b")), encoding="utf-8")
+    with MockChatServer(lambda payload, index: (200, "fresh")) as server:
+        replies = run_endpoint_inference(["a", "b", "c"], lambda iid: f"prompt of {iid}",
+                                         config_for(server), log_path)
+        sent = [p["messages"][0]["content"] for p in server.payloads]
+    assert sent == ["prompt of c"]
+    assert replies == {"a": "logged a", "b": "logged b", "c": "fresh"}
+
+
+def test_transport_counts_only_the_ids_it_was_asked_for(tmp_path, caplog):
+    # A corpus edit that drops instances leaves their replies in the log;
+    # they are not "done" for a run that no longer asks for them.
+    log_path = tmp_path / "run.log.jsonl"
+    log_path.write_text("".join(json.dumps({"instance_id": iid, "raw": "x"}) + "\n"
+                                for iid in ("x", "y", "z")), encoding="utf-8")
+    config = EndpointConfig(base_url="http://127.0.0.1:9", max_retries=0)
+    caplog.set_level(logging.INFO, logger="drckit.endpoint")
+    with pytest.raises(EndpointError, match="^aborted with 0/2 instances completed;"):
+        run_endpoint_inference(["a", "b"], str, config, log_path)
+    assert not [m for m in caplog.messages if m.startswith("resuming")]
+    with open(log_path, "a", encoding="utf-8") as sink:
+        sink.write(json.dumps({"instance_id": "a", "raw": "y"}) + "\n")
+    with pytest.raises(EndpointError, match="^aborted with 1/2 instances completed;"):
+        run_endpoint_inference(["a", "b"], str, config, log_path)
+    assert [m for m in caplog.messages if m.startswith("resuming")] == [
+        f"resuming {log_path}: 1 done, 1 to go"]

@@ -15,6 +15,7 @@ from drckit.evaluation import (
     ClassScore,
     ConfusionMatrix,
     EvalReport,
+    _normal_two_sided_p,
     aggregate_runs,
     bonferroni,
     report_texts,
@@ -346,3 +347,24 @@ def test_shared_report_texts_give_each_runs_own_report(gold, data, condition,
             write_report_tsv(seed_report, shared, texts)
             write_report_tsv(seed_report, own)
             assert shared.read_bytes() == own.read_bytes()
+
+
+# A call that no CLI command can make, and the error it raises or the value
+# it returns.
+EVALUATION_FAULTS = {
+    "no_reports": (lambda: aggregate_runs([]), "need at least one report"),
+    "no_pairs": (lambda: wilcoxon_signed_rank([], []), "need at least one pair"),
+    # A normal approximation over no ranks has zero variance: no evidence.
+    "zero_variance": (lambda: _normal_two_sided_p((), 0.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("call, outcome", EVALUATION_FAULTS.values(),
+                         ids=EVALUATION_FAULTS)
+def test_each_degenerate_input_is_reported(call, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == outcome
+    else:
+        assert call() == outcome

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from drckit.cli import main
 from drckit.context import (ContextScheme, RenderedInstance, VariantDataset,
-                            build_variant_dataset)
+                            build_variant_dataset, write_variant_dataset)
+from drckit.endpoint import EndpointConfig
 from drckit.evaluation import score
 from drckit.inference import (
     UNPARSED,
@@ -16,6 +18,7 @@ from drckit.inference import (
     PredictionSet,
     PromptSpec,
     build_prompt,
+    endpoint_predictions,
     import_predictions,
     parse_llm_output,
     predict_baseline,
@@ -25,7 +28,7 @@ from drckit.inference import (
 )
 from drckit.treebank import Corpus
 
-from conftest import tree_from
+from conftest import assert_fault_reported, tree_from
 from oracles import cue_baseline
 from test_analysis import TEXTS as CONNECTIVE_TEXTS
 
@@ -501,3 +504,50 @@ def test_import_ten_run_files(tmp_path):
 def test_unparsed_count():
     preds = PredictionSet("c", 0, {"a": UNPARSED, "b": "cause", "c": UNPARSED})
     assert preds.unparsed_count == 2
+
+
+TWO_INSTANCES = VariantDataset("c", DEFAULT, "test", (
+    RenderedInstance("t:001", "", "a", "b", "cause"),
+    RenderedInstance("t:002", "", "c", "d", "joint")), ("cause", "joint"))
+
+
+def evaluate_predictions(tmp_path: Path, *records: dict) -> int:
+    """`drckit evaluate` of a prediction file holding ``records`` against
+    TWO_INSTANCES: its exit code."""
+    write_variant_dataset(TWO_INSTANCES, tmp_path / "variant.jsonl")
+    (tmp_path / "preds.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return main(["evaluate", "--dataset", str(tmp_path / "variant.jsonl"),
+                 "--predictions", str(tmp_path / "preds.jsonl"),
+                 "--out", str(tmp_path / "out")])
+
+
+def prediction(instance_id: str = "t:001", **fields) -> dict:
+    return {"instance_id": instance_id, "predicted_label": "cause", "condition": "c",
+            "run_id": 1, **fields}
+
+
+# A fault, the exit code `drckit evaluate` gives it (None: a library call
+# that raises ValueError) and its message, "{preds}" standing for the file.
+INFERENCE_FAULTS = {
+    "empty_dataset": (lambda tmp: endpoint_predictions(
+        TWO_INSTANCES._replace(instances=()), TWO_INSTANCES,
+        EndpointConfig("http://127.0.0.1:9"), 1, tmp / "log.jsonl", "c"),
+        None, "dataset is empty"),
+    "duplicate_id": (lambda tmp: evaluate_predictions(tmp, prediction(), prediction()),
+                     1, "error: {preds}:2: duplicate instance_id 't:001'"),
+    "mixed_conditions": (lambda tmp: evaluate_predictions(
+        tmp, prediction(), prediction("t:002", condition="d")),
+        1, "error: {preds}:2: mixed conditions in file"),
+    "mixed_run_ids": (lambda tmp: evaluate_predictions(
+        tmp, prediction(), prediction("t:002", run_id=2)),
+        1, "error: {preds}:2: mixed run_ids in file"),
+}
+
+
+@pytest.mark.parametrize("fault, exit_code, message", INFERENCE_FAULTS.values(),
+                         ids=INFERENCE_FAULTS)
+def test_each_prediction_fault_is_reported(tmp_path, capsys, fault, exit_code,
+                                           message):
+    assert_fault_reported(capsys, lambda: fault(tmp_path), exit_code,
+                          message.format(preds=tmp_path / "preds.jsonl"))

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drckit.cli import main
 from drckit.treebank import (
     Corpus,
     DiscourseTree,
@@ -23,6 +24,7 @@ from drckit.treebank import (
 )
 
 from conftest import (
+    assert_fault_reported,
     chain_records,
     doc_bytes,
     synthetic_corpus,
@@ -376,3 +378,50 @@ def test_random_mutations_never_validate_clean():
             EDU(i, t, p, rel) for i, p, rel, t in
             [(r[0], r[1], r[2], r[3]) for r in records]))
         assert validate_tree(tree) != []
+
+
+ROOT_RECORD = (0, -1, "null", "ROOT")
+
+
+def validate_docs(tmp_path, docs):
+    """`drckit validate` on a corpus whose test split holds ``docs``, file
+    name -> records: its exit code."""
+    for name, records in docs.items():
+        path = tmp_path / "corpus" / "test" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(doc_bytes(records))
+    return main(["validate", str(tmp_path / "corpus")])
+
+
+# A fault, the exit code `drckit validate` reports it with (None: a library
+# call that raises ValueError) and the report line or error it gives.
+TREE_FAULTS = {
+    "id_order": (lambda tmp: validate_docs(tmp, {"d.dep": [
+        ROOT_RECORD, (2, 0, "ROOT", "one .")]}), 1,
+        "d\tid-order\tids must be contiguous from 0 in ascending order"),
+    "root_id": (lambda tmp: validate_docs(tmp, {"d.dep": [
+        (0, 1, "ROOT", "one ."), (1, -1, "null", "ROOT")]}), 1,
+        "d\troot-id\tvirtual ROOT must have id 0, got 1"),
+    "root_relation": (lambda tmp: validate_docs(tmp, {"d.dep": [
+        (0, -1, "ROOT", "ROOT"), (1, 0, "ROOT", "one .")]}), 1,
+        'd\troot-relation\tvirtual ROOT must carry relation "null"'),
+    "two_edus_on_root": (lambda tmp: validate_docs(tmp, {"d.dep": [
+        ROOT_RECORD, (1, 0, "ROOT", "one ."), (2, 0, "ROOT", "two .")]}), 1,
+        "d\troot-attachment\tmultiple EDUs attach to ROOT: ids 1,2"),
+    "empty_text": (lambda tmp: validate_docs(tmp, {"d.dep": [
+        ROOT_RECORD, (1, 0, "ROOT", "  ")]}), 1, "d\tempty-text\tempty text at id 1"),
+    "duplicate_doc": (lambda tmp: validate_docs(tmp, {
+        "d.dep": chain_records(2), "d.json": chain_records(2)}), 1,
+        "d\tduplicate-doc\tdoc_id occurs twice in split test"),
+    "ancestors_max_n": (lambda tmp: ancestors(tree_from(chain_records(2)), 2, 0),
+                        None, "max_n must be >= 1, got 0"),
+    "broken_head_chain": (lambda tmp: ancestors(DiscourseTree("d", (
+        EDU(0, "ROOT", -1, "null"), EDU(1, "one .", 9, "joint"))), 1, 3),
+        None, "d: broken head chain from id 1"),
+}
+
+
+@pytest.mark.parametrize("fault, exit_code, message", TREE_FAULTS.values(),
+                         ids=TREE_FAULTS)
+def test_each_tree_fault_is_reported(tmp_path, capsys, fault, exit_code, message):
+    assert_fault_reported(capsys, lambda: fault(tmp_path), exit_code, message)

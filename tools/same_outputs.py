@@ -6,19 +6,23 @@ Usage, from the root of a git checkout:
 
 BASE_REF (a commit, branch or tag) is checked out in a temporary `git
 worktree`.  The benchmark's scidtb_like and long_docs corpora are written at
-seeds 1 and 3 with perfbench/corpus.py, under the workload's config from
-perfbench/run.py.  Each is run through a cold, a warm, a partial-warm, a
-dropped-scheme and an edited-config `drckit experiment`, once with the
-base's src/ and once with this checkout's; the partial-warm run follows the
-deletion of one prediction file and one eval variant file (PARTIAL), so it
-rebuilds a variant from the corpus and reads the others back; the
-dropped-scheme run follows a rewrite of the config without its last scheme,
-so each tree must remove that scheme's outputs alike; and the edited-config
-run follows a rewrite of that config with one more seed and a trailing blank
-line, so each tree must add the seed's outputs alike.  A sixth phase, warm-from-base, reruns
-this checkout on the base's cold out/, restored from a copy to where the
-base wrote it: it must reuse every stage and give the base's warm exit
-code, stdout, stderr and out/ files, so an out/ the base wrote stays warm.
+seeds 1 and 3, and its endpoint_mock corpus at seed 1, with
+perfbench/corpus.py, under the workload's config from perfbench/run.py; the
+endpoint_mock config's requests go to one perfbench/mockserver.py, which
+serves both trees and is reset before every phase, so that both meet the
+same 503s and log the same retry warnings.  Each is run through a cold, a
+warm, a partial-warm, a dropped-scheme and an edited-config `drckit
+experiment`, once with the base's src/ and once with this checkout's; the
+partial-warm run follows the deletion of one prediction file and one eval
+variant file (PARTIAL), so it rebuilds a variant from the corpus and reads
+the others back; the dropped-scheme run follows a rewrite of the config
+without its last scheme, so each tree must remove that scheme's outputs
+alike; and the edited-config run follows a rewrite of that config with one
+more seed and a trailing blank line, so each tree must add the seed's
+outputs alike.  A sixth phase, warm-from-base, reruns this checkout on the
+base's cold out/, restored from a copy to where the base wrote it: it must
+reuse every stage and give the base's warm exit code, stdout, stderr and
+out/ files, so an out/ the base wrote stays warm.
 
 The script exits 1 and lists what differs unless both give the same exit
 codes, stdout, stderr and out/ files in every phase, and the same stages in
@@ -40,32 +44,35 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from corpus import Shape, write_corpus  # noqa: E402
-from run import ENTRY, WORKLOADS  # noqa: E402
+from run import ENTRY, WORKLOADS, Bench, Mock, Workload  # noqa: E402
 
 PHASES = ("cold", "warm", "partial-warm", "dropped-scheme", "edited-config")
-CASES = [("scidtb_like", 1), ("scidtb_like", 3), ("long_docs", 1), ("long_docs", 3)]
+CASES = [("scidtb_like", 1), ("scidtb_like", 3), ("long_docs", 1), ("long_docs", 3),
+         ("endpoint_mock", 1)]
 # The out/ files each workload's partial-warm phase deletes before it reruns.
 PARTIAL = {
     "scidtb_like": ("predictions/OR1+cue.run3.jsonl", "variants/synth.AD1.test.jsonl"),
     "long_docs": ("predictions/OR2+cue.run2.jsonl", "variants/synth.AD2.test.jsonl"),
+    "endpoint_mock": ("predictions/OR1+mock.run1.jsonl", "variants/synth.OR1.test.jsonl"),
 }
 
 
-def config_text(schemes, backends, n_seeds: int, bonferroni_m: int) -> str:
-    return json.dumps({
-        "schema_version": 1,
-        "corpus": {"name": "synth", "dir": "../corpus"},
-        "schemes": list(schemes),
-        "backends": [{"kind": kind} for kind in backends],
-        "seeds": list(range(1, n_seeds + 1)),
-        "bonferroni_m": bonferroni_m,
-        "out_dir": "out",
-    }, indent=2)
+def config_text(schemes, backends, n_seeds: int, bonferroni_m: int,
+                base_url: str | None = None) -> str:
+    """The benchmark's config of a workload, with its corpus at ../corpus and
+    its endpoint backend, if it has one, at ``base_url``."""
+    bench = SimpleNamespace(workload=Workload(None, schemes, backends, n_seeds,
+                                              bonferroni_m),
+                            mock=SimpleNamespace(url=base_url))
+    payload = json.loads(Bench.config_text(bench))
+    payload["corpus"]["dir"] = "../corpus"
+    return json.dumps(payload, indent=2)
 
 
 def outputs(out_dir: Path) -> dict[str, bytes]:
@@ -75,9 +82,11 @@ def outputs(out_dir: Path) -> dict[str, bytes]:
             if rel != "manifest.json" and not rel.startswith("logs/")}
 
 
-def run_phase(src: Path, run_dir: Path) -> dict[str, object]:
-    """One experiment in ``run_dir`` with ``src``: what it printed and left
-    behind, with each stage the manifest records and whether it was reused."""
+def run_phase(src: Path, run_dir: Path, mock: Mock) -> dict[str, object]:
+    """One experiment in ``run_dir`` with ``src``, ``mock`` reset before it:
+    what it printed and left behind, with each stage the manifest records and
+    whether it was reused."""
+    mock.reset()
     call = subprocess.run(
         [sys.executable, "-c", ENTRY, "experiment", "--config", "experiment.json"],
         cwd=run_dir, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
@@ -93,7 +102,7 @@ def run_phase(src: Path, run_dir: Path) -> dict[str, object]:
 
 
 def run_tree(src: Path, run_dir: Path, config: str, deleted: tuple[str, ...],
-             cold_copy: Path | None = None) -> dict[str, object]:
+             mock: Mock, cold_copy: Path | None = None) -> dict[str, object]:
     """A cold, a warm, once ``deleted`` (paths under out/) are gone a
     partial-warm, once the config drops its last scheme a dropped-scheme, and
     once it also gains a seed and a blank line an edited-config experiment
@@ -116,7 +125,7 @@ def run_tree(src: Path, run_dir: Path, config: str, deleted: tuple[str, ...],
             (run_dir / "experiment.json").write_text(
                 json.dumps(payload, indent=2) + "\n\n", encoding="utf-8")
         seen.update((f"{phase} {key}", value)
-                    for key, value in run_phase(src, run_dir).items())
+                    for key, value in run_phase(src, run_dir, mock).items())
         if phase == "cold" and cold_copy is not None:
             shutil.copytree(run_dir, cold_copy)
     return seen
@@ -129,22 +138,23 @@ def stages_run(seen: dict[str, object], phase: str) -> int:
 
 
 def compare(base_src: Path, head_src: Path, work: Path,
-            cases: list[tuple[str, int, Shape, str]]) -> list[str]:
-    """What differs between the two trees, one line per difference."""
+            cases: list[tuple[str, int, Shape, str]], mock: Mock) -> list[str]:
+    """What differs between the two trees, one line per difference.  An
+    endpoint case's requests go to ``mock``."""
     differences = []
     for name, seed, shape, config in cases:
         case_dir = work / f"{name}-{seed}"
         write_corpus(case_dir / "corpus", seed, shape)
         base_dir, cold_copy = case_dir / "base", case_dir / "base-cold"
-        base = run_tree(base_src, base_dir, config, PARTIAL[name], cold_copy)
-        head = run_tree(head_src, case_dir / "head", config, PARTIAL[name])
+        base = run_tree(base_src, base_dir, config, PARTIAL[name], mock, cold_copy)
+        head = run_tree(head_src, case_dir / "head", config, PARTIAL[name], mock)
         # The head on the base's cold out/, back in the run dir where the base
         # wrote it, as an upgrade in place finds it, must do what the base's
         # warm run did.
         shutil.rmtree(base_dir)
         cold_copy.rename(base_dir)
         head.update((f"warm-from-base {key}", value)
-                    for key, value in run_phase(head_src, base_dir).items())
+                    for key, value in run_phase(head_src, base_dir, mock).items())
         base.update((f"warm-from-base {key[len('warm '):]}", value)
                     for key, value in list(base.items()) if key.startswith("warm "))
         differ = [key for key in sorted(base.keys() | head.keys())
@@ -168,18 +178,22 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    cases = []
-    for name, seed in CASES:
-        w = WORKLOADS[name]
-        cases.append((name, seed, w.shape,
-                      config_text(w.schemes, w.backends, w.seeds, w.bonferroni_m)))
     work = Path(tempfile.mkdtemp(prefix="same_outputs."))
     base = work / "base"
+    mock = None
     try:
+        mock = Mock(work)
+        cases = []
+        for name, seed in CASES:
+            w = WORKLOADS[name]
+            cases.append((name, seed, w.shape, config_text(
+                w.schemes, w.backends, w.seeds, w.bonferroni_m, mock.url)))
         subprocess.run(["git", "worktree", "add", "--detach", str(base), argv[0]],
                        cwd=ROOT, check=True)
-        differences = compare(base / "src", ROOT / "src", work, cases)
+        differences = compare(base / "src", ROOT / "src", work, cases, mock)
     finally:
+        if mock is not None:
+            mock.stop()
         subprocess.run(["git", "worktree", "remove", "--force", str(base)],
                        cwd=ROOT)
         shutil.rmtree(work, ignore_errors=True)
