@@ -340,6 +340,8 @@ def main(argv=None) -> int:
         endpoint = sys.modules.get(f"{__package__}.endpoint")
         if endpoint and isinstance(exc, endpoint.EndpointError):
             print(f"endpoint error: {exc}", file=sys.stderr)
+            if exc.__cause__ is not None:  # an abort names the failure behind it
+                print(f"caused by: {exc.__cause__}", file=sys.stderr)
             return EXIT_ENDPOINT
         treebank = sys.modules.get(f"{__package__}.treebank")
         treebank_error = treebank.TreebankError if treebank else ()  # () matches nothing

@@ -1835,9 +1835,9 @@ STAGE_LAYERS = {f"drckit.{layer}" for layer in
 
 
 def test_cli_call_imports_only_the_layers_it_runs(small_corpus_dir, tmp_path):
-    # http.client (and with it email and ssl) and the thread pool load when
-    # an endpoint run starts, and each pipeline layer when one of its stages
-    # runs, not with the CLI.  A warm run reuses the summary, so it loads no
+    # http.client (and with it email and ssl) loads when an endpoint run
+    # starts, and each pipeline layer when one of its stages runs, not with
+    # the CLI.  A warm run reuses the summary, so it loads no
     # scoring code either.  Records are NamedTuples, so no call loads
     # dataclasses, nor the inspect it imports.
     record_code = {"dataclasses", "inspect"}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 import time
 
@@ -132,10 +133,24 @@ def test_undecodable_reply_is_a_malformed_payload(monkeypatch, body, detail):
                            threading.local())
 
 
+def infer_through_cli(tmp_path, capsys):
+    """Exit code and stderr of `drckit infer --backend endpoint` on three
+    instances, one at a time, and the results log it writes."""
+    test, train = fixture_datasets(n=3)
+    write_variant_dataset(test, tmp_path / "test.jsonl")
+    write_variant_dataset(train, tmp_path / "train.jsonl")
+    out = tmp_path / "out"
+    code = main(["infer", "--dataset", str(tmp_path / "test.jsonl"), "--train",
+                 str(tmp_path / "train.jsonl"), "--backend", "endpoint", "--base-url",
+                 "http://127.0.0.1:9", "--parallelism", "1", "--seeds", "1",
+                 "--out", str(out)])
+    return code, capsys.readouterr().err, out / "logs" / "default+endpoint.run1.log.jsonl"
+
+
 def test_status_that_is_not_retried_aborts_quoting_the_reply(tmp_path, monkeypatch,
                                                              capsys):
     # A 400 is neither retried nor an auth failure: its error quotes the first
-    # 200 bytes of the reply, and the CLI run it aborts exits 3.
+    # 200 bytes of the reply, and the CLI run it aborts exits 3 naming it.
     body = b"bad request; " * 30
     posts = []
     monkeypatch.setattr(endpoint, "_post", lambda *args: posts.append(args) or (400, body))
@@ -144,18 +159,24 @@ def test_status_that_is_not_retried_aborts_quoting_the_reply(tmp_path, monkeypat
                            threading.local())
     assert str(info.value) == ("HTTP 400 from http://127.0.0.1:9/chat/completions: "
                                + body[:200].decode())
-    test, train = fixture_datasets(n=3)
-    write_variant_dataset(test, tmp_path / "test.jsonl")
-    write_variant_dataset(train, tmp_path / "train.jsonl")
-    out = tmp_path / "out"
-    assert main(["infer", "--dataset", str(tmp_path / "test.jsonl"), "--train",
-                 str(tmp_path / "train.jsonl"), "--backend", "endpoint", "--base-url",
-                 "http://127.0.0.1:9", "--parallelism", "1", "--seeds", "1",
-                 "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        "endpoint error: aborted with 0/3 instances completed; rerun to resume "
-        f"from {out / 'logs' / 'default+endpoint.run1.log.jsonl'}\n")
+    code, err, log_path = infer_through_cli(tmp_path, capsys)
+    assert code == 3
+    assert err == (
+        f"endpoint error: aborted with 0/3 instances completed; rerun to resume "
+        f"from {log_path}\ncaused by: {info.value}\n")
     assert len(posts) == 2
+
+
+def test_auth_failure_aborts_the_cli_naming_it(tmp_path, monkeypatch, capsys):
+    posts = []
+    monkeypatch.setattr(endpoint, "_post", lambda *args: posts.append(args) or (401, b""))
+    code, err, log_path = infer_through_cli(tmp_path, capsys)
+    assert code == 3
+    assert err == (
+        f"endpoint error: aborted with 0/3 instances completed; rerun to resume "
+        f"from {log_path}\ncaused by: authentication failed (401) at "
+        "http://127.0.0.1:9/chat/completions; token read from $DRCKIT_API_TOKEN\n")
+    assert len(posts) == 1
 
 
 def test_flaky_server_retries_then_succeeds(tmp_path, caplog):
@@ -179,6 +200,127 @@ def test_flaky_server_retries_then_succeeds(tmp_path, caplog):
     assert total_requests == len(test.instances) + 2
     retries = [m for m in caplog.messages if "retrying" in m]
     assert len(retries) == 2
+
+
+def test_retries_exhausted_abort_after_one_warning_each(tmp_path, caplog):
+    with MockChatServer(lambda payload, index: (503, None)) as server:
+        with caplog.at_level(logging.WARNING, logger="drckit.endpoint"), \
+                pytest.raises(EndpointError, match="^aborted with 0/1") as info:
+            run_endpoint_inference(["a"], str, config_for(server, max_retries=2),
+                                   tmp_path / "run.log.jsonl")
+        sent = len(server.payloads)
+    reason = f"HTTP 503 from {server.base_url}/chat/completions"
+    assert str(info.value.__cause__) == f"request failed after 2 retries: {reason}"
+    assert sent == 3
+    assert caplog.messages == [f"retrying request (attempt {n}/2) after {reason}"
+                               for n in (1, 2)]
+
+
+def logged_ids(log_path):
+    return [json.loads(line)["instance_id"]
+            for line in log_path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_a_retry_holds_no_worker(tmp_path):
+    # The first request's 503 waits out its backoff in the schedule, so the
+    # one worker sends the other requests meanwhile.
+    def first_fails(payload, index):
+        return (503, None) if index == 0 else (200, "reply")
+
+    log_path = tmp_path / "run.log.jsonl"
+    with MockChatServer(first_fails) as server:
+        replies = run_endpoint_inference(
+            ["a", "b", "c"], str, config_for(server, parallelism=1, backoff=0.2),
+            log_path)
+        sent = [p["messages"][0]["content"] for p in server.payloads]
+    assert sent == ["a", "b", "c", "a"]
+    assert replies == {"a": "reply", "b": "reply", "c": "reply"}
+    assert logged_ids(log_path) == ["a", "b", "c"]
+
+
+def test_a_429_pauses_every_worker(tmp_path):
+    arrived = {}  # request index -> arrival time
+    answered_429 = []
+    both_in_flight = threading.Barrier(2, timeout=5)
+
+    def behavior(payload, index):
+        arrived[index] = time.monotonic()
+        if index < 2:
+            both_in_flight.wait()
+            if index == 0:
+                answered_429.append(time.monotonic())
+                return 429, None
+            # The other worker's reply comes once the 429 has paused the run.
+            time.sleep(0.1)
+        return 200, "reply"
+
+    ids = [f"i{n}" for n in range(6)]
+    with MockChatServer(behavior) as server:
+        replies = run_endpoint_inference(
+            ids, str, config_for(server, parallelism=2, backoff=0.3),
+            tmp_path / "run.log.jsonl")
+    assert replies == dict.fromkeys(ids, "reply")
+    later = sorted(t - answered_429[0] for i, t in arrived.items() if i >= 2)
+    assert len(later) == len(ids) - 1
+    assert later[0] >= 0.25
+
+
+def test_concurrency_bound_holds_through_retries(tmp_path):
+    # More workers than cores and a short switch interval: the server never
+    # sees more than `parallelism` requests at once, and every reply is
+    # logged once, in id order.
+    lock = threading.Lock()
+    in_flight, peak, seen = [0], [0], set()
+    ids = [f"i{n:02d}" for n in range(30)]
+
+    def every_third_fails_once(payload, index):
+        iid = payload["messages"][0]["content"]
+        with lock:
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+            first = iid not in seen
+            seen.add(iid)
+        time.sleep(0.005)
+        with lock:
+            in_flight[0] -= 1
+        return (503, None) if first and ids.index(iid) % 3 == 0 else (200, iid)
+
+    log_path = tmp_path / "run.log.jsonl"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with MockChatServer(every_third_fails_once) as server:
+            replies = run_endpoint_inference(ids, str, config_for(server, parallelism=6),
+                                             log_path)
+            sent = len(server.payloads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == {iid: iid for iid in ids}
+    assert sent == len(ids) + len(ids) // 3
+    assert peak[0] <= 6
+    assert logged_ids(log_path) == ids
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_prompt_that_raises_stops_the_run_keeping_paid_replies(tmp_path, parallelism):
+    # No request goes out after the fault but those already taken, and every
+    # reply to them is logged, in id order; the fault itself propagates.
+    ids = [f"i{n}" for n in range(8)]
+
+    def prompt(iid):
+        if iid == "i2":
+            raise KeyError(iid)
+        return iid
+
+    log_path = tmp_path / "run.log.jsonl"
+    with MockChatServer(lambda payload, index: (200, "reply")) as server:
+        with pytest.raises(KeyError, match="i2"):
+            run_endpoint_inference(ids, prompt, config_for(server, parallelism=parallelism),
+                                   log_path)
+        sent = [p["messages"][0]["content"] for p in server.payloads]
+    assert {"i0", "i1"} <= set(sent)
+    assert len(sent) <= 1 + parallelism
+    assert logged_ids(log_path) == [iid for iid in ids if iid in sent]
 
 
 def test_resume_skips_completed_instances(tmp_path):
