@@ -322,11 +322,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
-    if args.verbose:  # else logging is loaded by the first record, if one is made
-        import logging
-        logging.basicConfig(level=logging.DEBUG)
-    else:
-        fields.cli_log_level = fields.WARNING
+    fields.cli_log_level = fields.DEBUG if args.verbose else fields.WARNING
     try:
         if args.command == "experiment":
             return cmd_experiment(args)

@@ -3,11 +3,11 @@
 Requests go to ``<base_url>/chat/completions`` at temperature 0 with a
 single user message holding the prompt; the reply text is read from the
 first choice, over one kept-alive connection per worker thread.  A failed
-request waits out its backoff in the run's schedule, not in a worker.  It
-sends the prompts it is given and returns the replies; prompts and labels
-are ``inference``'s.  Every reply is appended to a results log keyed by
-instance_id, in the order of the ids given, so a rerun after a crash or
-abort only requests what is still missing.
+request waits out its backoff without holding a worker, then goes ahead of
+every later fresh id; a 429 pauses every worker.  Prompts and labels are
+``inference``'s.  Every reply received is appended to a results log keyed
+by instance_id, in the order of the ids given, even when a Ctrl-C stops
+the run, so a rerun only requests what is still missing.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import queue
 import threading
 import time
+from contextlib import closing, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from urllib.parse import urlsplit
@@ -82,22 +84,26 @@ def _post(conn: HTTPConnection, path: str, body: bytes,
                 raise
 
 
+def _connect(config: EndpointConfig) -> HTTPConnection:
+    """A connection to the endpoint's host; its first request opens it."""
+    # Imported here: http.client pulls in email and ssl, needed only by a run.
+    from http.client import HTTPConnection, HTTPSConnection
+    split = urlsplit(config.base_url)
+    kind = HTTPSConnection if split.scheme == "https" else HTTPConnection
+    return kind(split.hostname, split.port, timeout=config.timeout)
+
+
 def request_completion(config: EndpointConfig, prompt: str,
-                       session: threading.local) -> str:
-    """POST one prompt on this thread's ``session.conn``, once.
+                       conn: HTTPConnection) -> str:
+    """POST one prompt on the worker's connection ``conn``, once.
 
     A status worth repeating (429 or a 5xx) or a failed connection raises
     ``_Retryable``; whether and when the prompt is sent again is the run's
-    schedule's to decide.  Any other failure is an ``EndpointError``.
+    to decide.  Any other failure is an ``EndpointError``.
     """
-    # Imported per call: http.client pulls in email and ssl, needed only here.
-    from http.client import HTTPConnection, HTTPException, HTTPSConnection
+    from http.client import HTTPException
 
     url = config.base_url.rstrip("/") + "/chat/completions"
-    split = urlsplit(url)
-    if not hasattr(session, "conn"):
-        kind = HTTPSConnection if split.scheme == "https" else HTTPConnection
-        session.conn = kind(split.hostname, split.port, timeout=config.timeout)
     body = json.dumps({
         "model": config.model,
         "temperature": 0.0,
@@ -108,9 +114,9 @@ def request_completion(config: EndpointConfig, prompt: str,
     if token:
         headers["Authorization"] = f"Bearer {token}"
     try:
-        status, data = _post(session.conn, split.path, body, headers)
+        status, data = _post(conn, urlsplit(url).path, body, headers)
     except (OSError, HTTPException) as exc:
-        session.conn.close()
+        conn.close()
         raise _Retryable(exc) from exc
     if status in AUTH_STATUS:
         raise EndpointError(
@@ -126,83 +132,6 @@ def request_completion(config: EndpointConfig, prompt: str,
         return check_fields(message, {"content": STRING})["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise EndpointError(f"malformed completion payload: {exc}") from exc
-
-
-class _Schedule:
-    """What the workers of one run send next, and the replies they got.
-
-    A job is ``(index in todo, attempt, prompt)``; its prompt is None until a
-    worker first renders it.  A worker takes the earliest retry whose wait is
-    over, else the next fresh id in id order, and waits only when neither
-    exists; a 429 holds every worker until ``paused_until``.  All fields are
-    guarded by ``cond``.
-    """
-
-    def __init__(self, todo: list[str], workers: int):
-        self.todo = todo
-        self.fresh = 0  # index of the next fresh id
-        self.retries: list[tuple[float, int, int, str]] = []  # heap by "not before"
-        self.paused_until = 0.0
-        self.replies: dict[int, str] = {}
-        self.workers = workers  # still running
-        self.stopped = False
-        self.failure: BaseException | None = None
-        self.cond = threading.Condition()
-
-    def take(self) -> tuple[int, int, str | None] | None:
-        """The next job, or None once there is none or the run is stopped.
-        A job handed back later is taken by the worker that hands it back,
-        if no other is left."""
-        with self.cond:
-            while not self.stopped:
-                now = time.monotonic()
-                if now < self.paused_until:
-                    self.cond.wait(self.paused_until - now)
-                elif self.retries and self.retries[0][0] <= now:
-                    return heapq.heappop(self.retries)[1:]
-                elif self.fresh < len(self.todo):
-                    self.fresh += 1
-                    return self.fresh - 1, 0, None
-                elif self.retries:
-                    self.cond.wait(self.retries[0][0] - now)
-                else:
-                    return None
-            return None
-
-    def retry(self, job: tuple[int, int, str], delay: float, pause: bool) -> None:
-        """Hand ``job`` back, to be sent again ``delay`` seconds from now;
-        with ``pause``, no worker sends anything before then."""
-        not_before = time.monotonic() + delay
-        with self.cond:
-            heapq.heappush(self.retries, (not_before, *job))
-            if pause:
-                self.paused_until = max(self.paused_until, not_before)
-            self.cond.notify_all()
-
-    def reply(self, index: int, raw: str) -> None:
-        with self.cond:
-            self.replies[index] = raw
-            self.cond.notify_all()
-
-    def reply_to(self, index: int) -> str | None:
-        """The reply to ``todo[index]`` once it is received; None if no
-        worker is left to receive it."""
-        with self.cond:
-            while index not in self.replies and self.workers:
-                self.cond.wait()
-            return self.replies.pop(index, None)
-
-    def stop(self, failure: BaseException | None = None) -> None:
-        """Send nothing more; the first ``failure`` is the run's."""
-        with self.cond:
-            self.stopped = True
-            self.failure = self.failure or failure
-            self.cond.notify_all()
-
-    def worker_done(self) -> None:
-        with self.cond:
-            self.workers -= 1
-            self.cond.notify_all()
 
 
 def _load_results_log(path: Path) -> dict[str, str]:
@@ -237,12 +166,13 @@ def run_endpoint_inference(ids: Sequence[str], prompt: Callable[[str], str],
     ``ids`` is not read.
 
     ``min(parallelism, ids to send)`` workers send the requests, one at a
-    time each.  A failed attempt waits out ``backoff * 2 ** attempt`` in
-    the run's schedule while its worker sends others; a 429 holds every
-    worker for that wait.  The first other failure, or an exception from
-    ``prompt``, stops the run: no request goes out after it, the replies in
-    flight are still logged, and an ``EndpointError`` is raised as an abort
-    ``from`` it, any other exception as it is.
+    time each.  A failed attempt waits out ``backoff * 2 ** attempt``
+    while its worker sends others, then goes ahead of every later fresh id;
+    a 429 holds every worker for that wait.  The first other failure, or an
+    exception from ``prompt``, stops the run: no request goes out after it,
+    and an ``EndpointError`` is raised as an abort ``from`` it, any other
+    exception as it is.  However the run ends, a Ctrl-C too, every reply
+    received is logged, those in flight included.
     """
     log_path = Path(log_path)
     log_path.parent.mkdir(parents=True, exist_ok=True)
@@ -253,53 +183,97 @@ def run_endpoint_inference(ids: Sequence[str], prompt: Callable[[str], str],
         log(__name__, INFO, "resuming %s: %d done, %d to go", log_path, len(done),
             len(todo))
 
-    schedule = _Schedule(todo, min(config.parallelism, len(todo)))
-    session = threading.local()  # one kept-alive connection per worker
+    # A job is (index in todo, attempt, prompt); its prompt is None until a
+    # worker first renders it.  The lowest index goes first, so a retry put
+    # back goes ahead of every later fresh id.
+    jobs: queue.PriorityQueue = queue.PriorityQueue()
+    for index in range(len(todo)):
+        jobs.put((index, 0, None))
+    # To this thread: a reply (index, raw), a retry (not before, job) and
+    # the failure of a worker.
+    events: queue.SimpleQueue = queue.SimpleQueue()
+    stop = threading.Event()
+    paused_until = 0.0  # a 429 holds every worker until then
+    pause_lock = threading.Lock()
 
     def work() -> None:
+        nonlocal paused_until
         try:
-            while (job := schedule.take()) is not None:
-                index, attempt, text = job
-                if text is None:
-                    text = prompt(todo[index])
-                try:
-                    raw = request_completion(config, text, session)
-                except _Retryable as exc:
-                    if attempt == config.max_retries:
-                        raise EndpointError(f"request failed after {config.max_retries} "
-                                            f"retries: {exc}") from None
-                    log(__name__, WARNING, "retrying request (attempt %d/%d) after %s",
-                        attempt + 1, config.max_retries, exc)
-                    schedule.retry((index, attempt + 1, text),
-                                   config.backoff * 2 ** attempt, exc.pause)
-                else:
-                    schedule.reply(index, raw)
+            with closing(_connect(config)) as conn:
+                while True:
+                    index, attempt, text = jobs.get()
+                    while not stop.is_set() and paused_until > time.monotonic():
+                        stop.wait(paused_until - time.monotonic())
+                    if stop.is_set():
+                        return
+                    if text is None:
+                        text = prompt(todo[index])
+                    try:
+                        events.put((index, request_completion(config, text, conn)))
+                    except _Retryable as exc:
+                        if attempt == config.max_retries:
+                            raise EndpointError(f"request failed after {attempt} "
+                                                f"retries: {exc}") from None
+                        log(__name__, WARNING, "retrying request (attempt %d/%d) "
+                            "after %s", attempt + 1, config.max_retries, exc)
+                        not_before = time.monotonic() + config.backoff * 2 ** attempt
+                        if exc.pause:
+                            with pause_lock:
+                                paused_until = max(paused_until, not_before)
+                        events.put((not_before, (index, attempt + 1, text)))
         except BaseException as exc:  # re-raised by the calling thread
-            schedule.stop(exc)
-        finally:
-            if hasattr(session, "conn"):
-                session.conn.close()
-            schedule.worker_done()
+            stop.set()
+            events.put(exc)
+
+    replies: dict[int, str] = {}
+    retries: list[tuple[float, tuple[int, int, str]]] = []  # heap of those not yet due
+    failure: BaseException | None = None
+
+    def receive(event) -> None:
+        nonlocal failure
+        if isinstance(event, BaseException):
+            failure = failure or event
+        elif isinstance(event[1], str):
+            replies[event[0]] = event[1]
+        else:
+            heapq.heappush(retries, event)
 
     with open(log_path, "a", encoding="utf-8") as sink:
-        workers = [threading.Thread(target=work) for _ in range(schedule.workers)]
-        for worker in workers:
-            worker.start()
+        def write(index: int) -> None:
+            done[todo[index]] = raw = replies.pop(index)
+            sink.write(json.dumps({"instance_id": todo[index], "raw": raw},
+                                  ensure_ascii=False) + "\n")
+            sink.flush()
+
+        workers = [threading.Thread(target=work)
+                   for _ in range(min(config.parallelism, len(todo)))]
         try:
-            # In id order: the log follows the ids, not the replies.
-            for index, iid in enumerate(todo):
-                raw = schedule.reply_to(index)
-                if raw is None:
-                    continue
-                sink.write(json.dumps({"instance_id": iid, "raw": raw},
-                                      ensure_ascii=False) + "\n")
-                sink.flush()
-                done[iid] = raw
-        finally:
-            schedule.stop()
             for worker in workers:
-                worker.join()
-    failure = schedule.failure
+                worker.start()
+            written = 0  # todo[:written] are in the log
+            while written < len(todo) and failure is None:
+                while retries and retries[0][0] <= time.monotonic():
+                    jobs.put(heapq.heappop(retries)[1])
+                # Empty once the first retry is due; clamped, as it may be by now.
+                with suppress(queue.Empty):
+                    receive(events.get(timeout=max(0.0, retries[0][0] - time.monotonic())
+                                       if retries else None))
+                # In id order: the log follows the ids, not the replies.
+                while written in replies:
+                    write(written)
+                    written += 1
+        finally:
+            # A Ctrl-C too: the replies in flight are received, and logged.
+            stop.set()
+            for worker in workers:
+                jobs.put((len(todo), 0, None))  # wakes a worker waiting for a job
+            for worker in workers:
+                if worker.is_alive():  # a Ctrl-C may come before it is started
+                    worker.join()
+            while not events.empty():
+                receive(events.get())
+            for index in sorted(replies):
+                write(index)
     if isinstance(failure, EndpointError):
         raise EndpointError(
             f"aborted with {len(done)}/{len(ids)} instances "

@@ -198,8 +198,6 @@ def _normal_two_sided_p(ranks: Sequence[float], w_plus: float) -> float:
     for r in ranks:
         tie_sizes[r] = tie_sizes.get(r, 0) + 1
     variance -= sum(t ** 3 - t for t in tie_sizes.values()) / 48
-    if variance <= 0:
-        return 1.0
     d = w_plus - mu
     # Continuity correction shrinks |d| by one half step.
     d -= 0.5 * (1 if d > 0 else -1 if d < 0 else 0)

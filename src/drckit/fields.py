@@ -129,7 +129,7 @@ def read_records(path: Path, fields: Mapping[str, JsonField],
 
 
 # logging's levels, named here so that naming one does not import it.
-INFO, WARNING = 20, 30
+DEBUG, INFO, WARNING = 10, 20, 30
 #: The level of the stderr handler a CLI call asks for; the first record
 #: installs it with ``logging.basicConfig``.  Logging is configured per
 #: process, so this is process state too.

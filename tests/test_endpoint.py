@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+from collections import Counter
+from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
@@ -130,7 +136,7 @@ def test_undecodable_reply_is_a_malformed_payload(monkeypatch, body, detail):
     monkeypatch.setattr(endpoint, "_post", lambda *args: (200, body))
     with pytest.raises(EndpointError, match=f"^malformed completion payload: .*{detail}"):
         request_completion(EndpointConfig("http://127.0.0.1:9"), "prompt",
-                           threading.local())
+                           HTTPConnection("127.0.0.1", 9))
 
 
 def infer_through_cli(tmp_path, capsys):
@@ -156,7 +162,7 @@ def test_status_that_is_not_retried_aborts_quoting_the_reply(tmp_path, monkeypat
     monkeypatch.setattr(endpoint, "_post", lambda *args: posts.append(args) or (400, body))
     with pytest.raises(EndpointError) as info:
         request_completion(EndpointConfig("http://127.0.0.1:9"), "prompt",
-                           threading.local())
+                           HTTPConnection("127.0.0.1", 9))
     assert str(info.value) == ("HTTP 400 from http://127.0.0.1:9/chat/completions: "
                                + body[:200].decode())
     code, err, log_path = infer_through_cli(tmp_path, capsys)
@@ -265,6 +271,53 @@ def test_a_429_pauses_every_worker(tmp_path):
     assert later[0] >= 0.25
 
 
+def test_a_retried_id_s_prompt_is_made_once(tmp_path):
+    asked = Counter()
+
+    def prompt(iid):
+        asked[iid] += 1
+        return iid
+
+    def first_three_fail(payload, index):
+        return (500, None) if index < 3 else (200, "reply")
+
+    ids = [f"i{n}" for n in range(4)]
+    with MockChatServer(first_three_fail) as server:
+        replies = run_endpoint_inference(ids, prompt, config_for(server),
+                                         tmp_path / "run.log.jsonl")
+        sent = len(server.payloads)
+    assert replies == dict.fromkeys(ids, "reply")
+    assert sent == len(ids) + 3
+    assert asked == dict.fromkeys(ids, 1)
+
+
+def test_a_hard_failure_during_a_429_pause_aborts_at_once(tmp_path):
+    # The 401 arrives while the 429's 5 s pause holds the other worker: the
+    # run stops within a small part of that pause and sends nothing more.
+    both_in_flight = threading.Barrier(2, timeout=5)
+    answered_401 = []
+
+    def behavior(payload, index):
+        if index < 2:
+            both_in_flight.wait()
+        if index == 0:
+            return 429, None
+        time.sleep(0.2)  # the 429 has paused the run by now
+        answered_401.append(time.monotonic())
+        return 401, None
+
+    with MockChatServer(behavior) as server:
+        with pytest.raises(EndpointError, match="^aborted with 0/4") as info:
+            run_endpoint_inference([f"i{n}" for n in range(4)], str,
+                                   config_for(server, backoff=5.0),
+                                   tmp_path / "run.log.jsonl")
+        aborted = time.monotonic()
+        sent = len(server.payloads)
+    assert "authentication failed (401)" in str(info.value.__cause__)
+    assert aborted - answered_401[0] < 1.0
+    assert sent == 2
+
+
 def test_concurrency_bound_holds_through_retries(tmp_path):
     # More workers than cores and a short switch interval: the server never
     # sees more than `parallelism` requests at once, and every reply is
@@ -321,6 +374,52 @@ def test_prompt_that_raises_stops_the_run_keeping_paid_replies(tmp_path, paralle
     assert {"i0", "i1"} <= set(sent)
     assert len(sent) <= 1 + parallelism
     assert logged_ids(log_path) == [iid for iid in ids if iid in sent]
+
+
+# Runs the endpoint transport on ids a, b and c, one request at a time, and
+# says on stdout when a SIGINT has reached it.
+INTERRUPTED_RUN = """
+import signal, sys
+from drckit.endpoint import EndpointConfig, run_endpoint_inference
+
+def on_sigint(signum, frame):
+    print("interrupted", flush=True)
+    raise KeyboardInterrupt
+
+signal.signal(signal.SIGINT, on_sigint)
+run_endpoint_inference(["a", "b", "c"], str, EndpointConfig(sys.argv[1]), sys.argv[2])
+"""
+
+
+def test_ctrl_c_logs_the_reply_in_flight(tmp_path):
+    # The mock holds the request for a until the run has taken its SIGINT:
+    # the reply that then comes was paid for, so it is logged, and the run
+    # sends nothing after it.
+    held, release = threading.Event(), threading.Event()
+
+    def hold_first(payload, index):
+        held.set()
+        release.wait(10)
+        return 200, "reply"
+
+    log_path = tmp_path / "run.log.jsonl"
+    src = Path(__file__).resolve().parent.parent / "src"
+    with MockChatServer(hold_first) as server:
+        child = subprocess.Popen(
+            [sys.executable, "-c", INTERRUPTED_RUN, server.base_url, str(log_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        try:
+            assert held.wait(10)
+            child.send_signal(signal.SIGINT)
+            assert child.stdout.readline() == "interrupted\n"
+        finally:
+            release.set()
+            err = child.communicate(timeout=20)[1]
+        sent = [p["messages"][0]["content"] for p in server.payloads]
+    assert "KeyboardInterrupt" in err
+    assert sent == ["a"]
+    assert logged_ids(log_path) == ["a"]
 
 
 def test_resume_skips_completed_instances(tmp_path):

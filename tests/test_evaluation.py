@@ -15,7 +15,6 @@ from drckit.evaluation import (
     ClassScore,
     ConfusionMatrix,
     EvalReport,
-    _normal_two_sided_p,
     aggregate_runs,
     bonferroni,
     report_texts,
@@ -354,8 +353,6 @@ def test_shared_report_texts_give_each_runs_own_report(gold, data, condition,
 EVALUATION_FAULTS = {
     "no_reports": (lambda: aggregate_runs([]), "need at least one report"),
     "no_pairs": (lambda: wilcoxon_signed_rank([], []), "need at least one pair"),
-    # A normal approximation over no ranks has zero variance: no evidence.
-    "zero_variance": (lambda: _normal_two_sided_p((), 0.0), 1.0),
 }
 
 
