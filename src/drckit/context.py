@@ -89,7 +89,7 @@ def context_fragments(tree: DiscourseTree, arg1_edu_id: int, scheme: ContextSche
         return []
     if scheme.kind == "add":
         return _preceding_sentences(tree, arg1_edu_id, scheme.n)
-    # ancestors has looked each id up: it is the EDU's position.
+    # A tree's EDU ids are their positions in it.
     edus = [tree.edus[i] for i in reversed(ancestors(tree, arg1_edu_id, scheme.n))]
     if include_relations:
         return [f"({edu.relation}) {edu.text}" for edu in edus]

@@ -70,17 +70,22 @@ class _Tree(NamedTuple):
 class DiscourseTree(Checked, _Tree):
     """A single document: EDUs in document order, linked into a tree.
 
-    ``validate_tree`` requires ids contiguous from 0 in ascending order, so
-    an EDU's id is its position in ``edus`` and ``edu`` looks it up by index.
+    Building one raises TreeValidationError naming each invariant that
+    ``validate_tree`` finds broken, so every tree is legal: an EDU's id is
+    its position in ``edus``, and every head chain ends at the virtual ROOT.
     It has no ``__slots__``: ``sentence_texts`` and ``instances`` are cached
     in its ``__dict__``.
     """
 
     def __new__(cls, doc_id: str, edus: Iterable[EDU]):
-        return super().__new__(cls, doc_id, tuple(edus))
+        edus = tuple(edus)
+        violations = validate_tree(doc_id, edus)
+        if violations:
+            raise TreeValidationError(doc_id, violations)
+        return super().__new__(cls, doc_id, edus)
 
     def edu(self, edu_id: int) -> EDU:
-        if 0 <= edu_id < len(self.edus) and self.edus[edu_id].id == edu_id:
+        if 0 <= edu_id < len(self.edus):
             return self.edus[edu_id]
         raise ValueError(f"{self.doc_id}: unknown EDU id {edu_id}")
 
@@ -178,19 +183,20 @@ def make_instance_id(doc_id: str, dependent_id: int) -> str:
     return f"{doc_id}:{dependent_id:03d}"
 
 
-# A tree record; ``validate_tree`` checks how the records link up.
+# A tree record; building the tree checks how the records link up.
 _RECORD = JsonField((dict,), "an EDU record", parse=partial(check_fields, fields={
     "id": INTEGER, "parent": INTEGER, "relation": STRING, "text": STRING}))
 _DOCUMENT_FIELDS = {"root": rule(list_of(_RECORD), "a non-empty array of records", bool)}
 
 
 def parse_tree_document(data: bytes | str, doc_id: str) -> DiscourseTree:
-    """Decode and validate one canonical tree document.
+    """Decode one canonical tree document into its tree.
 
     The canonical format is a JSON object with key "root" holding an array
     of ``{id, parent, relation, text}`` records in ascending id order.
     Raises TreeValidationError, with one parse-error for input that is not
-    such a document, or with each invariant its records violate.
+    such a document, or, as building the tree does, with each invariant its
+    records violate.
     """
     try:
         records = check_fields(decode(data), _DOCUMENT_FIELDS)["root"]
@@ -211,84 +217,78 @@ def parse_tree_document(data: bytes | str, doc_id: str) -> DiscourseTree:
             sentence += 1
         edus.append(EDU(rec["id"], text, rec["parent"], rec["relation"], own))
 
-    tree = DiscourseTree(doc_id, tuple(edus))
-    violations = validate_tree(tree)
-    if violations:
-        raise TreeValidationError(doc_id, violations)
-    return tree
+    return DiscourseTree(doc_id, edus)
 
 
 def serialize_tree_document(tree: DiscourseTree) -> bytes:
     """Render a tree back into the canonical document format."""
     records = [
         {"id": e.id, "parent": e.head_id, "relation": e.relation, "text": e.text}
-        for e in sorted(tree.edus, key=lambda e: e.id)
+        for e in tree.edus
     ]
     text = json.dumps({"root": records}, ensure_ascii=False, indent=2)
     return (text + "\n").encode("utf-8")
 
 
-def validate_tree(tree: DiscourseTree) -> list[Violation]:
-    """Check every tree invariant; an empty list means the tree is legal.
-
-    Violations are data, not errors: callers decide whether to raise.
-    """
+def validate_tree(doc_id: str, edus: Sequence[EDU]) -> list[Violation]:
+    """Check every tree invariant of the EDUs of document ``doc_id``; an empty
+    list means they make a legal tree.  Violations are data, not errors:
+    ``DiscourseTree`` raises on them."""
     v: list[Violation] = []
-    doc = tree.doc_id
-    ids = [e.id for e in tree.edus]
+    ids = [e.id for e in edus]
     id_set = set(ids)
 
     dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
     if dupes:
-        v.append(Violation(doc, "duplicate-id",
+        v.append(Violation(doc_id, "duplicate-id",
                            "duplicate ids: " + ",".join(map(str, dupes))))
     elif ids != list(range(len(ids))):
-        v.append(Violation(doc, "id-order",
+        v.append(Violation(doc_id, "id-order",
                            "ids must be contiguous from 0 in ascending order"))
 
-    roots = [e for e in tree.edus if e.head_id == ROOT_HEAD]
+    roots = [e for e in edus if e.head_id == ROOT_HEAD]
     if not roots:
-        v.append(Violation(doc, "no-root", "missing ROOT (no EDU with head -1)"))
+        v.append(Violation(doc_id, "no-root", "missing ROOT (no EDU with head -1)"))
     elif len(roots) > 1:
-        v.append(Violation(doc, "multiple-roots",
+        v.append(Violation(doc_id, "multiple-roots",
                            "multiple roots: ids "
                            + ",".join(str(e.id) for e in roots)))
     else:
         root = roots[0]
         if root.id != ROOT_ID:
-            v.append(Violation(doc, "root-id",
+            v.append(Violation(doc_id, "root-id",
                                f"virtual ROOT must have id {ROOT_ID}, got {root.id}"))
         if root.relation != ROOT_RELATION:
-            v.append(Violation(doc, "root-relation",
+            v.append(Violation(doc_id, "root-relation",
                                f'virtual ROOT must carry relation "{ROOT_RELATION}"'))
 
-    attached = [e for e in tree.edus if e.head_id == ROOT_ID]
+    attached = [e for e in edus if e.head_id == ROOT_ID]
     if len(roots) == 1 and roots[0].id == ROOT_ID:
         if not attached:
-            v.append(Violation(doc, "root-attachment",
+            v.append(Violation(doc_id, "root-attachment",
                                "no real EDU attaches to ROOT"))
         elif len(attached) > 1:
-            v.append(Violation(doc, "root-attachment",
+            v.append(Violation(doc_id, "root-attachment",
                                "multiple EDUs attach to ROOT: ids "
                                + ",".join(str(e.id) for e in attached)))
 
-    for e in tree.edus:
+    for e in edus:
         if e.head_id == ROOT_HEAD:
             continue
         if not e.text:
-            v.append(Violation(doc, "empty-text", f"empty text at id {e.id}"))
+            v.append(Violation(doc_id, "empty-text", f"empty text at id {e.id}"))
         if e.head_id == e.id:
-            v.append(Violation(doc, "self-loop", f"self-loop at id {e.id}"))
+            v.append(Violation(doc_id, "self-loop", f"self-loop at id {e.id}"))
         elif e.head_id not in id_set and e.head_id != ROOT_HEAD:
-            v.append(Violation(doc, "dangling-head",
+            v.append(Violation(doc_id, "dangling-head",
                                f"dangling head_id {e.head_id} at id {e.id}"))
 
-    v.extend(_find_cycles(tree))
+    v.extend(_find_cycles(doc_id, edus))
     return v
 
 
-def _find_cycles(tree: DiscourseTree) -> list[Violation]:
-    heads = {e.id: e.head_id for e in tree.edus}
+def _find_cycles(doc_id: str, edus: Sequence[EDU]) -> list[Violation]:
+    heads = {e.id: e.head_id for e in edus}
     state: dict[int, int] = {}  # 0 on current path, 1 done
     cycles = []
     for start in heads:
@@ -308,7 +308,7 @@ def _find_cycles(tree: DiscourseTree) -> list[Violation]:
         for n in path:
             state[n] = 1
     return [
-        Violation(tree.doc_id, "cycle",
+        Violation(doc_id, "cycle",
                   "cycle involving ids " + ",".join(map(str, members)))
         for members in sorted(cycles)
     ]
@@ -320,11 +320,11 @@ def extract_instances(tree: DiscourseTree) -> list[RelationInstance]:
     The edge to the virtual ROOT yields no instance, so a legal tree with
     n real EDUs produces exactly n - 1 instances, ordered by dependent id.
     """
-    doc_id = tree.doc_id
+    doc_id, edus = tree
     return [RelationInstance(make_instance_id(doc_id, e.id), doc_id,
-                             tree.edu(e.head_id).text, e.text, e.head_id, e.id,
+                             edus[e.head_id].text, e.text, e.head_id, e.id,
                              e.relation)
-            for e in tree.edus if e.head_id != ROOT_ID and e.head_id != ROOT_HEAD]
+            for e in edus if e.head_id != ROOT_ID and e.head_id != ROOT_HEAD]
 
 
 def ancestors(tree: DiscourseTree, edu_id: int, max_n: int) -> list[int]:
@@ -338,10 +338,8 @@ def ancestors(tree: DiscourseTree, edu_id: int, max_n: int) -> list[int]:
     out: list[int] = []
     node = tree.edu(edu_id).head_id
     while node != ROOT_HEAD and node != ROOT_ID and len(out) < max_n:
-        if not 0 <= node < len(tree.edus) or len(out) > len(tree.edus):
-            raise ValueError(f"{tree.doc_id}: broken head chain from id {edu_id}")
         out.append(node)
-        node = tree.edu(node).head_id
+        node = tree.edus[node].head_id
     return out
 
 
@@ -359,8 +357,8 @@ def dependency_distance_stats(corpus: Corpus) -> DistanceStats:
     for tree in corpus.trees:
         for inst in tree.instances:
             edu_hist[inst.arg2_edu_id - inst.arg1_edu_id] += 1
-            head = tree.edu(inst.arg1_edu_id)
-            dep = tree.edu(inst.arg2_edu_id)
+            head = tree.edus[inst.arg1_edu_id]
+            dep = tree.edus[inst.arg2_edu_id]
             sent_hist[abs(head.sentence_index - dep.sentence_index)] += 1
     return DistanceStats(edu=_gap_stats(edu_hist), sentence=_gap_stats(sent_hist))
 

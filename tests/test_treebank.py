@@ -91,38 +91,45 @@ def test_parse_rejects_dangling_head():
         parse_tree_document(doc_bytes(records), "dangle")
 
 
+def rejected(doc_id, edus):
+    """The violations ``validate_tree`` finds in ``edus``, which building a
+    tree of them must raise."""
+    violations = validate_tree(doc_id, edus)
+    with pytest.raises(TreeValidationError) as info:
+        DiscourseTree(doc_id, edus)
+    assert info.value.doc_id == doc_id and info.value.violations == violations
+    return violations
+
+
 def test_validate_legal_tree_is_clean():
     tree = tree_from(chain_records(2), "ok")
-    assert validate_tree(tree) == []
+    assert validate_tree(tree.doc_id, tree.edus) == []
 
 
 def test_validate_multiple_roots():
-    tree = DiscourseTree("tworoots", (
+    violations = rejected("tworoots", (
         EDU(0, "ROOT", -1, "null"),
         EDU(1, "one .", -1, "null"),
     ))
-    violations = validate_tree(tree)
     assert len(violations) == 1
     assert "multiple roots" in violations[0].detail
 
 
 def test_validate_cycle_names_members():
-    tree = DiscourseTree("cyclic", (
+    violations = rejected("cyclic", (
         EDU(0, "ROOT", -1, "null"),
         EDU(1, "one .", 2, "joint"),
         EDU(2, "two .", 1, "joint"),
         EDU(3, "three .", 0, "ROOT"),
     ))
-    violations = validate_tree(tree)
     assert any(v.detail == "cycle involving ids 1,2" for v in violations)
 
 
 def test_validate_missing_root():
-    tree = DiscourseTree("noroot", (
+    codes = {v.code for v in rejected("noroot", (
         EDU(0, "zero .", 1, "joint"),
         EDU(1, "one .", 0, "ROOT"),
-    ))
-    codes = {v.code for v in validate_tree(tree)}
+    ))}
     assert "no-root" in codes
 
 
@@ -144,7 +151,7 @@ def test_extract_instances_chain():
 def test_instance_count_tracks_real_edus():
     corpus, _ = synthetic_corpus(seed=11, n_docs=30)
     for tree in corpus.trees:
-        assert validate_tree(tree) == []
+        assert validate_tree(tree.doc_id, tree.edus) == []
         assert len(extract_instances(tree)) == len(tree.real_edus) - 1
 
 
@@ -178,12 +185,10 @@ def test_edu_lookup_out_of_range():
 
 
 def test_edu_lookup_needs_id_at_its_position():
-    tree = DiscourseTree("gap", (EDU(0, "ROOT", -1, "null"),
-                                 EDU(2, "two .", 0, "ROOT")))
-    with pytest.raises(ValueError, match="unknown EDU id 1"):
-        tree.edu(1)
-    with pytest.raises(ValueError, match="unknown EDU id 2"):
-        tree.edu(2)
+    # No tree holds an EDU away from its id's position, so none looks one up.
+    violations = rejected("gap", (EDU(0, "ROOT", -1, "null"),
+                                  EDU(2, "two .", 0, "ROOT")))
+    assert [v.code for v in violations] == ["id-order"]
 
 
 def test_ancestors_negative_id_does_not_wrap():
@@ -357,7 +362,7 @@ def test_parse_trims_whitespace():
 
 
 def test_random_mutations_never_validate_clean():
-    # Break one legal tree in assorted ways; validate_tree must notice.
+    # Break one legal tree in assorted ways; building it must fail.
     rng = random.Random(123)
     base = chain_records(5)
     for _ in range(50):
@@ -374,10 +379,9 @@ def test_random_mutations_never_validate_clean():
             a, b = victim, rng.choice([i for i in range(2, 6) if i != victim])
             records[a][1] = b
             records[b][1] = a
-        tree = DiscourseTree("mut", tuple(
-            EDU(i, t, p, rel) for i, p, rel, t in
-            [(r[0], r[1], r[2], r[3]) for r in records]))
-        assert validate_tree(tree) != []
+        edus = tuple(EDU(i, t, p, rel) for i, p, rel, t in
+                     [(r[0], r[1], r[2], r[3]) for r in records])
+        assert rejected("mut", edus) != []
 
 
 ROOT_RECORD = (0, -1, "null", "ROOT")
@@ -415,9 +419,10 @@ TREE_FAULTS = {
         "d\tduplicate-doc\tdoc_id occurs twice in split test"),
     "ancestors_max_n": (lambda tmp: ancestors(tree_from(chain_records(2)), 2, 0),
                         None, "max_n must be >= 1, got 0"),
-    "broken_head_chain": (lambda tmp: ancestors(DiscourseTree("d", (
-        EDU(0, "ROOT", -1, "null"), EDU(1, "one .", 9, "joint"))), 1, 3),
-        None, "d: broken head chain from id 1"),
+    # Every tree's head chains end at ROOT: one that would not is no tree.
+    "broken_head_chain": (lambda tmp: validate_docs(tmp, {"d.dep": [
+        ROOT_RECORD, (1, 9, "joint", "one .")]}), 1,
+        "d\tdangling-head\tdangling head_id 9 at id 1"),
 }
 
 
@@ -425,3 +430,45 @@ TREE_FAULTS = {
                          ids=TREE_FAULTS)
 def test_each_tree_fault_is_reported(tmp_path, capsys, fault, exit_code, message):
     assert_fault_reported(capsys, lambda: fault(tmp_path), exit_code, message)
+
+
+# Each invalid document above, as records.
+INVALID_RECORDS = {
+    "self_loop": [(0, -1, "null", "ROOT"), (1, 0, "ROOT", "one ."),
+                  (2, 1, "elaboration", "two ."), (3, 3, "joint", "three .")],
+    "duplicate_ids": [(0, -1, "null", "ROOT"), (1, 0, "ROOT", "one ."),
+                      (1, 1, "elaboration", "dupe .")],
+    "dangling_head": [(0, -1, "null", "ROOT"), (1, 0, "ROOT", "one ."),
+                      (2, 9, "elaboration", "two .")],
+    "multiple_roots": [(0, -1, "null", "ROOT"), (1, -1, "null", "one .")],
+    "cycle_with_root": [(0, -1, "null", "ROOT"), (1, 2, "joint", "one ."),
+                        (2, 1, "joint", "two ."), (3, 0, "ROOT", "three .")],
+    "cycle_below_root": [(0, -1, "null", "ROOT"), (1, 0, "ROOT", "one ."),
+                         (2, 3, "joint", "two ."), (3, 2, "joint", "three .")],
+    "missing_root": [(0, 1, "joint", "zero ."), (1, 0, "ROOT", "one .")],
+    "id_order": [ROOT_RECORD, (2, 0, "ROOT", "one .")],
+    "head_off_the_tree": [ROOT_RECORD, (1, 5, "ROOT", "one .")],
+    "root_id": [(0, 1, "ROOT", "one ."), (1, -1, "null", "ROOT")],
+    "root_relation": [(0, -1, "ROOT", "ROOT"), (1, 0, "ROOT", "one .")],
+    "two_edus_on_root": [ROOT_RECORD, (1, 0, "ROOT", "one ."),
+                         (2, 0, "ROOT", "two .")],
+    "empty_text": [ROOT_RECORD, (1, 0, "ROOT", "  ")],
+    "broken_head_chain": [ROOT_RECORD, (1, 9, "joint", "one .")],
+}
+
+
+@pytest.mark.parametrize("records", INVALID_RECORDS.values(), ids=INVALID_RECORDS)
+def test_construction_and_parsing_report_alike(records):
+    with pytest.raises(TreeValidationError) as parsed:
+        parse_tree_document(doc_bytes(records), "d")
+    # Parsing strips each text; it does not affect which invariants break.
+    edus = [EDU(i, text.strip(), parent, relation)
+            for i, parent, relation, text in records]
+    assert parsed.value.violations == rejected("d", edus) != []
+    assert str(parsed.value).startswith("d: ")
+
+
+def test_replace_checks_the_tree_again():
+    tree = tree_from(chain_records(2), "d")
+    with pytest.raises(TreeValidationError, match="self-loop at id 2"):
+        tree._replace(edus=tree.edus[:2] + (EDU(2, "unit 2 .", 2, "joint"),))
