@@ -170,7 +170,9 @@ def experiment_stages(cfg: ExperimentConfig, keys: dict[str, str],
     stages.append(Stage(
         "summary", tuple(summary), partial(summarize, conditions, comparisons),
         inputs=tuple(conditions.values()),
-        key=stage_key([cfg.alpha, cfg.bonferroni_m, list(conditions), comparisons])))
+        # Names the table's dagger rule, so a table marked by another is redone.
+        key=stage_key([cfg.alpha, cfg.bonferroni_m, list(conditions), comparisons,
+                       "dagger: significant improvement"])))
     return stages
 
 

@@ -335,7 +335,8 @@ def format_results_table(aggregates: Sequence[RunAggregate],
     """Render the "mean (stddev)" table with significance daggers.
 
     Scores are scaled to percentage points and rounded to two decimals;
-    a dagger marks conditions whose adjusted p beats alpha.
+    a dagger marks a condition significantly above its baseline: its adjusted
+    p beats alpha and W+ (scheme minus baseline) tops its null mean.
     """
     significance = significance or {}
     width = max((len(a.condition) for a in aggregates), default=9)
@@ -344,7 +345,8 @@ def format_results_table(aggregates: Sequence[RunAggregate],
     for agg in aggregates:
         cell = f"{100 * agg.mean_macro_f1:.2f} ({100 * agg.stddev:.2f})"
         result = significance.get(agg.condition)
-        if result is not None and result.significant:
+        if result is not None and result.significant and \
+                result.w_plus > result.n_effective * (result.n_effective + 1) / 4:
             cell += "†"
         if agg.n_runs == 1:
             cell += " [n=1]"

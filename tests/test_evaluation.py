@@ -15,6 +15,7 @@ from drckit.evaluation import (
     ClassScore,
     ConfusionMatrix,
     EvalReport,
+    RunAggregate,
     aggregate_runs,
     bonferroni,
     report_texts,
@@ -23,6 +24,7 @@ from drckit.evaluation import (
     wilcoxon_signed_rank,
     write_report_json,
     write_report_tsv,
+    write_summary,
 )
 from drckit.inference import UNPARSED, PredictionSet
 
@@ -365,3 +367,21 @@ def test_each_degenerate_input_is_reported(call, outcome):
         assert str(info.value) == outcome
     else:
         assert call() == outcome
+
+
+def test_dagger_marks_only_a_significant_improvement(tmp_path):
+    # Every seed scores below default under AD1 and above it under OR1, so
+    # the two-sided test finds both differences significant.
+    base = [0.40 + seed / 100 for seed in range(10)]
+    scores = {"default+cue": base, "AD1+cue": [s - 0.2 for s in base],
+              "OR1+cue": [s + 0.1 for s in base]}
+    aggregates = {condition: RunAggregate(condition, mean(runs), 0.0, tuple(runs), 10)
+                  for condition, runs in scores.items()}
+    write_summary(aggregates, [("AD1+cue", "default+cue"), ("OR1+cue", "default+cue")],
+                  0.05, 2, tmp_path)
+    table = (tmp_path / "results_table.txt").read_text(encoding="utf-8").splitlines()
+    marked = {line.split()[0]: line.endswith("†") for line in table[1:]}
+    assert marked == {"default+cue": False, "AD1+cue": False, "OR1+cue": True}
+    significance = (tmp_path / "significance.tsv").read_text(encoding="utf-8")
+    assert [row.split("\t")[-1] for row in significance.splitlines()[1:]] == \
+        ["True", "True"]
