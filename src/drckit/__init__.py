@@ -27,7 +27,7 @@ _EXPORTS = {
     "endpoint": ("EndpointConfig", "EndpointError", "run_endpoint_inference"),
     "evaluation": (
         "EvalReport", "RunAggregate", "SignificanceResult", "aggregate_runs",
-        "bonferroni", "score", "wilcoxon_signed_rank"),
+        "bonferroni", "compare_runs", "score", "wilcoxon_signed_rank"),
     "inference": (
         "UNPARSED", "BaselineModel", "ICLExample", "PredictionSet", "PromptSpec",
         "build_prompt", "endpoint_predictions", "import_predictions", "parse_llm_output",

@@ -16,14 +16,14 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__, fields
 from .config import (ENDPOINT_FIELDS, EXIT_CONFIG, EXIT_DATA, EXIT_ENDPOINT, EXIT_OK,
-                     ConfigError, ExperimentConfig, RunManifest, Stage,
-                     load_experiment_config, one_run, stage_key, sweep)
+                     ConfigError, CorpusError, EndpointError, ExperimentConfig,
+                     RunManifest, Stage, TreebankError, load_experiment_config,
+                     one_run, stage_key, sweep)
 
-# Each layer is imported where one of its stages or subcommands runs, and an
-# error is sorted by the layers already loaded: a rerun with nothing changed
-# loads none of treebank, context, inference, endpoint, evaluation and
-# analysis.  What a stale stage does is in the layer it drives, so a warm run
-# compiles only the parser, the stages and the walk.
+# Each layer is imported where one of its stages or subcommands runs: a rerun
+# with nothing changed loads none of treebank, context, inference, endpoint,
+# evaluation and analysis.  What a stale stage does is in the layer it drives,
+# so a warm run compiles only the parser, the stages and the walk.
 if TYPE_CHECKING:
     from .treebank import Corpus
 
@@ -106,8 +106,8 @@ def experiment_stages(cfg: ExperimentConfig, keys: dict[str, str],
                      value(predict_b), lexicon(), analysis_dir)
 
     def summarize(conditions, comparisons):
-        from .evaluation import aggregate_runs, write_summary
-        return write_summary({condition: aggregate_runs(value(name))
+        from .evaluation import write_summary
+        return write_summary({condition: value(name)
                               for condition, name in conditions.items()},
                              comparisons, cfg.alpha, cfg.bonferroni_m, out_dir)
 
@@ -333,20 +333,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:
-        # Only a layer this call loaded can have raised one of its error classes.
-        endpoint = sys.modules.get(f"{__package__}.endpoint")
-        if endpoint and isinstance(exc, endpoint.EndpointError):
-            print(f"endpoint error: {exc}", file=sys.stderr)
-            if exc.__cause__ is not None:  # an abort names the failure behind it
-                print(f"caused by: {exc.__cause__}", file=sys.stderr)
-            return EXIT_ENDPOINT
-        treebank = sys.modules.get(f"{__package__}.treebank")
-        treebank_error = treebank.TreebankError if treebank else ()  # () matches nothing
-        if not isinstance(exc, (treebank_error, ValueError, OSError)):
-            raise
+    except EndpointError as exc:
+        print(f"endpoint error: {exc}", file=sys.stderr)
+        if exc.__cause__ is not None:  # an abort names the failure behind it
+            print(f"caused by: {exc.__cause__}", file=sys.stderr)
+        return EXIT_ENDPOINT
+    except (TreebankError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if treebank and isinstance(exc, treebank.CorpusError):  # name the documents
+        if isinstance(exc, CorpusError):  # name the documents
             for violation in exc.violations[:5]:
                 print(violation.report_line(), file=sys.stderr)
         return EXIT_DATA

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import (CONFIG_FIELDS, ENDPOINT_FIELDS, EXIT_DATA, EXIT_OK, TAG,
-                     ContextScheme, check_config, one_run)
+                     ContextScheme, TreebankError, check_config, one_run)
 from .fields import write_atomic
 
 if TYPE_CHECKING:
@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 def _detect_splits(corpus_dir: Path) -> list[str]:
     splits = [d.name for d in sorted(corpus_dir.iterdir()) if d.is_dir()]
     if not splits:
-        from .treebank import TreebankError
         raise TreebankError(f"no split directories under {corpus_dir}")
     return splits
 
@@ -153,19 +152,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .analysis import pair_by_run_id
-    from .evaluation import bonferroni, read_report_scores, wilcoxon_signed_rank
+    from .evaluation import bonferroni, compare_runs, read_report_scores
     rules = {"--m": CONFIG_FIELDS["bonferroni_m"], "--alpha": CONFIG_FIELDS["alpha"]}
     check_config({"--m": args.m, "--alpha": args.alpha}, rules, "compare")
-    runs_a = [read_report_scores(path) for path in args.reports_a]
-    runs_b = [read_report_scores(path) for path in args.reports_b]
-    pairs = pair_by_run_id(runs_a, runs_b, "report")
-    cond_a, cond_b = runs_a[0].condition, runs_b[0].condition
-    result = wilcoxon_signed_rank([a.macro_f1 for a, _ in pairs],
-                                  [b.macro_f1 for _, b in pairs],
-                                  comparison=(cond_a, cond_b))
+    result = compare_runs([read_report_scores(path) for path in args.reports_a],
+                          [read_report_scores(path) for path in args.reports_b])
     [result] = bonferroni([result], m=args.m, alpha=args.alpha)
-    print(f"{cond_a} vs {cond_b}: n={result.n_pairs} "
+    print(f"{' vs '.join(result.comparison)}: n={result.n_pairs} "
           f"(effective {result.n_effective}), W+={result.w_plus:g}, "
           f"p={result.p_two_sided:.6g}, adjusted p={result.p_adjusted:.6g} "
           f"(m={args.m}), {'significant' if result.significant else 'not significant'} "

@@ -1,5 +1,5 @@
 """Experiment configuration file, the reuse manifest it drives and the lock
-that guards a run directory's manifest and logs; the CLI's exit statuses.
+that guards a run directory's manifest and logs; drckit's errors and exit statuses.
 
 The context scheme grammar and the listing of a split's documents live here
 too: the config parses schemes, and the variants stages' keys read the documents.
@@ -29,6 +29,22 @@ BACKEND_KINDS = ("majority", "cue", "endpoint", "import")
 
 class ConfigError(Exception):
     """The experiment configuration is unusable."""
+
+
+class EndpointError(Exception):
+    """Endpoint unusable after retries; partial results stay on disk."""
+
+
+class TreebankError(Exception):
+    """Base class for treebank ingestion failures."""
+
+
+class CorpusError(TreebankError):
+    """A corpus directory contains invalid documents (``treebank.Violation``s)."""
+
+    def __init__(self, message: str, violations: Iterable):
+        super().__init__(message)
+        self.violations = list(violations)
 
 
 EXIT_OK = 0

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
-from .config import ENDPOINT_FIELDS
+from .config import ENDPOINT_FIELDS, EndpointError
 from .fields import (INFO, STRING, WARNING, Checked, check_fields, decode, log,
                      read_records)
 
@@ -32,10 +32,6 @@ if TYPE_CHECKING:
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 AUTH_STATUS = (401, 403)
-
-
-class EndpointError(Exception):
-    """Endpoint unusable after retries; partial results stay on disk."""
 
 
 class _Retryable(EndpointError):

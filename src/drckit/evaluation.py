@@ -17,6 +17,7 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from .analysis import pair_by_run_id
 from .fields import INTEGER, NUMBER, STRING, check_fields, decode, write_atomic
 
 if TYPE_CHECKING:
@@ -241,6 +242,15 @@ def wilcoxon_signed_rank(scores_a: Sequence[float], scores_b: Sequence[float],
                               p_two_sided=p, method=method)
 
 
+def compare_runs(runs_a: Sequence[EvalReport | RunScore],
+                 runs_b: Sequence[EvalReport | RunScore]) -> SignificanceResult:
+    """Signed-rank test of two conditions' macro-F1, A - B, paired by run id."""
+    pairs = pair_by_run_id(runs_a, runs_b, "report")
+    return wilcoxon_signed_rank([a.macro_f1 for a, _ in pairs],
+                                [b.macro_f1 for _, b in pairs],
+                                comparison=(runs_a[0].condition, runs_b[0].condition))
+
+
 def bonferroni(results: Sequence[SignificanceResult], m: int,
                alpha: float = 0.05) -> list[SignificanceResult]:
     """Adjust each p for a family of m comparisons, capped at 1."""
@@ -354,18 +364,17 @@ def format_results_table(aggregates: Sequence[RunAggregate],
     return "\n".join(lines)
 
 
-def write_summary(aggregates: dict[str, RunAggregate],
+def write_summary(runs: dict[str, Sequence[EvalReport | RunScore]],
                   comparisons: Sequence[tuple[str, str]], alpha: float,
                   m: int | None, out_dir: Path) -> str:
-    """Write ``results_table.txt`` under ``out_dir``, and ``significance.tsv``
-    when there are ``comparisons`` (condition, its baseline), tested and
-    Bonferroni-adjusted over ``m``; return each condition's mean line and the
-    table, as ``experiment`` prints them."""
+    """Write ``results_table.txt`` of each condition's ``runs`` under ``out_dir``,
+    and ``significance.tsv`` if there are ``comparisons`` (condition, baseline),
+    each tested by ``compare_runs`` and Bonferroni-adjusted over ``m``; return
+    each condition's mean line and the table, as ``experiment`` prints them."""
+    aggregates = [aggregate_runs(group) for group in runs.values()]
     significance = {}
     if comparisons:  # load_experiment_config has checked m
-        results = [wilcoxon_signed_rank(aggregates[a].per_run_scores,
-                                        aggregates[b].per_run_scores, comparison=(a, b))
-                   for a, b in comparisons]
+        results = [compare_runs(runs[a], runs[b]) for a, b in comparisons]
         sig_lines = ["condition\tbaseline\tn_eff\tw_plus\tp\tp_adjusted\tsignificant"]
         for result in bonferroni(results, m, alpha):
             significance[result.comparison[0]] = result
@@ -375,6 +384,6 @@ def write_summary(aggregates: dict[str, RunAggregate],
                 f"\t{result.p_two_sided:.6g}\t{result.p_adjusted:.6g}"
                 f"\t{result.significant}")
         write_atomic(out_dir / "significance.tsv", "\n".join(sig_lines) + "\n")
-    table = format_results_table(list(aggregates.values()), significance)
+    table = format_results_table(aggregates, significance)
     write_atomic(out_dir / "results_table.txt", table + "\n")
-    return "\n".join([*map(mean_line, aggregates.values()), table])
+    return "\n".join([*map(mean_line, aggregates), table])

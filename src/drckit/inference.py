@@ -10,7 +10,9 @@ that evaluation and pairing consume.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
+from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
@@ -123,23 +125,23 @@ def build_prompt(spec: PromptSpec) -> str:
     return "\n".join(lines)
 
 
+@cache
+def _label_pattern(inventory: tuple[str, ...]) -> tuple[tuple[str, ...], re.Pattern]:
+    labels = tuple(sorted(inventory, key=len, reverse=True))  # ties keep their order
+    words = "|".join(f"({re.escape(label.lower())})" for label in labels)
+    return labels, re.compile(rf"(?<!\w)(?:{words})(?!\w)" if labels else "(?!)")
+
+
 def parse_llm_output(text: str, label_inventory: Sequence[str]) -> str:
     """Map raw model output onto an inventory label.
 
-    Case-insensitive scan for the earliest label occurrence; on a shared
-    start position the longer label wins so that "elab" cannot shadow
+    Case-insensitive scan for the earliest label standing as a word of its own;
+    at a shared start the longer label wins, so "elab" cannot shadow
     "elab-addition".  Returns UNPARSED when no label occurs at all.
     """
-    haystack = text.lower()
-    best: tuple[int, int, str] | None = None
-    for label in label_inventory:
-        pos = haystack.find(label.lower())
-        if pos < 0:
-            continue
-        key = (pos, -len(label))
-        if best is None or key < best[:2]:
-            best = (pos, -len(label), label)
-    return best[2] if best else UNPARSED
+    labels, pattern = _label_pattern(tuple(label_inventory))
+    match = pattern.search(text.lower())
+    return labels[match.lastindex - 1] if match else UNPARSED
 
 
 class BaselineModel(NamedTuple):

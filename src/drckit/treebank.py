@@ -17,17 +17,13 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 # The run key lists a split's documents as load_split does, from config.
-from .config import iter_document_files
+from .config import CorpusError, TreebankError, iter_document_files
 from .fields import (INTEGER, STRING, Checked, JsonField, check_fields, decode,
                      list_of, rule, write_atomic)
 
 ROOT_ID = 0
 ROOT_HEAD = -1
 ROOT_RELATION = "null"
-
-
-class TreebankError(Exception):
-    """Base class for treebank ingestion failures."""
 
 
 class TreeValidationError(TreebankError):
@@ -37,14 +33,6 @@ class TreeValidationError(TreebankError):
         detail = "; ".join(v.detail for v in violations)
         super().__init__(f"{doc_id}: {detail}")
         self.doc_id = doc_id
-        self.violations = list(violations)
-
-
-class CorpusError(TreebankError):
-    """A corpus directory contains invalid documents."""
-
-    def __init__(self, message: str, violations: Sequence["Violation"]):
-        super().__init__(message)
         self.violations = list(violations)
 
 
@@ -279,7 +267,7 @@ def validate_tree(doc_id: str, edus: Sequence[EDU]) -> list[Violation]:
             v.append(Violation(doc_id, "empty-text", f"empty text at id {e.id}"))
         if e.head_id == e.id:
             v.append(Violation(doc_id, "self-loop", f"self-loop at id {e.id}"))
-        elif e.head_id not in id_set and e.head_id != ROOT_HEAD:
+        elif e.head_id not in id_set:
             v.append(Violation(doc_id, "dangling-head",
                                f"dangling head_id {e.head_id} at id {e.id}"))
 

@@ -1760,7 +1760,7 @@ def test_rerun_after_an_edit_equals_a_cold_run_of_the_edited_input(edit):
         assert outputs(top / "warm" / "out") == outputs(top / "fresh" / "out")
 
 
-def test_subcommands_reproduce_experiment_outputs(small_corpus_dir, tmp_path):
+def test_subcommands_reproduce_experiment_outputs(small_corpus_dir, tmp_path, capsys):
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], m=1)
     assert run_cli("experiment", "--config", config) == 0
@@ -1775,6 +1775,17 @@ def test_subcommands_reproduce_experiment_outputs(small_corpus_dir, tmp_path):
                    "--preds-a", *preds.glob("default+cue.*.jsonl"),
                    "--preds-b", *preds.glob("OR1+cue.*.jsonl"),
                    "--out", tmp_path / "analysis") == 0
+    capsys.readouterr()
+    reports = out / "reports"
+    assert run_cli("compare", "--reports-a", *reports.glob("OR1+cue.run*.report.json"),
+                   "--reports-b", *reports.glob("default+cue.run*.report.json"),
+                   "--m", 1) == 0
+    [row] = [line.split("\t") for line in
+             (out / "significance.tsv").read_text(encoding="utf-8").splitlines()
+             if line.startswith("OR1+cue\t")]
+    n_eff, w_plus, p, p_adjusted = row[2:6]
+    assert f"(effective {n_eff}), W+={w_plus}, p={p}, adjusted p={p_adjusted} (m=1)" \
+        in capsys.readouterr().out
 
     def files(directory):
         return {p.name: p.read_bytes() for p in directory.iterdir()}

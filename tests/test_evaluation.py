@@ -15,9 +15,10 @@ from drckit.evaluation import (
     ClassScore,
     ConfusionMatrix,
     EvalReport,
-    RunAggregate,
+    RunScore,
     aggregate_runs,
     bonferroni,
+    compare_runs,
     report_texts,
     report_to_dict,
     score,
@@ -371,9 +372,9 @@ def test_dagger_marks_only_a_significant_improvement(tmp_path):
     base = [0.40 + seed / 100 for seed in range(10)]
     scores = {"default+cue": base, "AD1+cue": [s - 0.2 for s in base],
               "OR1+cue": [s + 0.1 for s in base]}
-    aggregates = {condition: RunAggregate(condition, mean(runs), 0.0, tuple(runs), 10)
-                  for condition, runs in scores.items()}
-    write_summary(aggregates, [("AD1+cue", "default+cue"), ("OR1+cue", "default+cue")],
+    runs = {condition: [RunScore(condition, seed, s) for seed, s in enumerate(group)]
+            for condition, group in scores.items()}
+    write_summary(runs, [("AD1+cue", "default+cue"), ("OR1+cue", "default+cue")],
                   0.05, 2, tmp_path)
     table = (tmp_path / "results_table.txt").read_text(encoding="utf-8").splitlines()
     marked = {line.split()[0]: line.endswith("†") for line in table[1:]}
@@ -381,3 +382,24 @@ def test_dagger_marks_only_a_significant_improvement(tmp_path):
     significance = (tmp_path / "significance.tsv").read_text(encoding="utf-8")
     assert [row.split("\t")[-1] for row in significance.splitlines()[1:]] == \
         ["True", "True"]
+
+
+def test_compare_runs_pairs_by_run_id_not_by_position():
+    runs_a = [RunScore("OR1+x", seed, 0.5 + seed / 10) for seed in range(6)]
+    runs_b = [RunScore("default+x", seed, 0.45 + (seed % 3) / 10) for seed in range(6)]
+    result = compare_runs(runs_a, runs_b)
+    assert result == compare_runs(runs_a[::-1], runs_b)
+    assert result == wilcoxon_signed_rank([a.macro_f1 for a in runs_a],
+                                          [b.macro_f1 for b in runs_b],
+                                          comparison=("OR1+x", "default+x"))
+
+
+def test_summary_raises_on_runs_that_do_not_pair(tmp_path):
+    # Positional pairs would test seed 1 against seed 2 and write a row.
+    runs = {"OR1+x": [RunScore("OR1+x", seed, 0.4 + seed / 10) for seed in (1, 2, 3)],
+            "default+x": [RunScore("default+x", seed, 0.2 + seed / 10)
+                          for seed in (2, 3, 4)]}
+    with pytest.raises(ValueError, match=re.escape(
+            "runs do not pair by run id: A has [1, 2, 3], B has [2, 3, 4]")):
+        write_summary(runs, [("OR1+x", "default+x")], 0.05, 1, tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -183,6 +183,12 @@ def test_sample_icl_context_rides_in_example():
     assert example.arg1 == "parent text head text"
 
 
+#: A SciDTB-style relation inventory.
+SCIDTB_LABELS = ["attribution", "background", "cause", "comparison", "condition",
+                 "contrast", "elab-addition", "enablement", "evaluation", "joint",
+                 "manner-means", "progression", "result", "summary", "temporal"]
+
+
 @pytest.mark.parametrize("text, inventory, expected", [
     ("condition", ["condition", "contrast"], "condition"),
     ("The relation is elab-addition.", ["elab-addition", "elab-aspect"],
@@ -192,6 +198,10 @@ def test_sample_icl_context_rides_in_example():
     ("elab-addition", ["elab", "elab-addition"], "elab-addition"),
     ("I think contrast, maybe condition", ["condition", "contrast"], "contrast"),
     ("", ["condition"], UNPARSED),
+    ("Because the second passage contrasts, the answer is contrast.",
+     SCIDTB_LABELS, "contrast"),
+    ("unconditional: temporal", SCIDTB_LABELS, "temporal"),
+    ("condition", [], UNPARSED),
 ])
 def test_parse_llm_output(text, inventory, expected):
     assert parse_llm_output(text, inventory) == expected
