@@ -29,9 +29,9 @@ _EXPORTS = {
         "EvalReport", "RunAggregate", "SignificanceResult", "aggregate_runs",
         "bonferroni", "compare_runs", "score", "wilcoxon_signed_rank"),
     "inference": (
-        "UNPARSED", "BaselineModel", "ICLExample", "PredictionSet", "PromptSpec",
-        "build_prompt", "endpoint_predictions", "import_predictions", "parse_llm_output",
-        "predict_baseline", "sample_icl_examples", "train_baseline",
+        "UNPARSED", "BaselineModel", "ICLExample", "PredictionSet", "build_prompt",
+        "endpoint_predictions", "import_predictions", "parse_llm_output",
+        "predict_baseline", "prompt_prefix", "sample_icl_examples", "train_baseline",
         "write_predictions"),
     "treebank": (
         "Corpus", "DiscourseTree", "DistanceStats", "EDU", "RelationInstance",

@@ -7,7 +7,6 @@ too: the config parses schemes, and the variants stages' keys read the documents
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -141,6 +140,7 @@ class ExperimentConfig(NamedTuple):
 def stage_key(parts: Iterable[Any]) -> str:
     """sha256 of ``parts``, each length-prefixed so no two lists of parts give
     one stream: bytes, a path's bytes (read as its turn comes), or else JSON."""
+    import hashlib  # OpenSSL's _hashlib is imported by the calls that key stages
     digest = hashlib.sha256()
     for part in parts:
         if isinstance(part, Path):

@@ -73,7 +73,6 @@ class RunAggregate(NamedTuple):
     condition: str
     mean_macro_f1: float
     stddev: float  # sample standard deviation; 0.0 when n_runs == 1
-    per_run_scores: tuple[float, ...]
     n_runs: int
 
 
@@ -149,12 +148,11 @@ def aggregate_runs(reports: Sequence[EvalReport | RunScore]) -> RunAggregate:
     conditions = {r.condition for r in reports}
     if len(conditions) > 1:
         raise ValueError(f"mixed conditions: {sorted(conditions)}")
-    scores = tuple(r.macro_f1 for r in sorted(reports, key=lambda r: r.run_id))
+    scores = [r.macro_f1 for r in reports]
     return RunAggregate(
         condition=reports[0].condition,
         mean_macro_f1=mean(scores),
         stddev=stdev(scores) if len(scores) > 1 else 0.0,
-        per_run_scores=scores,
         n_runs=len(scores),
     )
 

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Seque
 from .analysis import first_connective_token
 from .config import ConfigError
 from .context import RenderedInstance, VariantDataset
-from .fields import (INTEGER, STRING, WARNING, Checked, log, read_records,
-                     write_atomic)
+from .fields import INTEGER, STRING, WARNING, log, read_records, write_atomic
 
 if TYPE_CHECKING:
     from .endpoint import EndpointConfig
@@ -39,25 +38,6 @@ class ICLExample(NamedTuple):
     arg1: str
     arg2: str
     label: str
-
-
-class _Prompt(NamedTuple):
-    label_inventory: tuple[str, ...]
-    icl_examples: tuple[ICLExample, ...]
-    target: RenderedInstance
-
-
-class PromptSpec(Checked, _Prompt):
-    """Everything needed to render one classification prompt."""
-
-    __slots__ = ()
-
-    def __new__(cls, label_inventory: tuple[str, ...],
-                icl_examples: tuple[ICLExample, ...], target: RenderedInstance):
-        if [ex.label for ex in icl_examples] != list(label_inventory):
-            raise ValueError("need exactly one example per label, "
-                             "in inventory order")
-        return super().__new__(cls, label_inventory, icl_examples, target)
 
 
 class PredictionSet(NamedTuple):
@@ -103,26 +83,30 @@ def _example_line(arg1: str, arg2: str, slot: str) -> str:
             f"connective: <none> | {slot}")
 
 
-def build_prompt(spec: PromptSpec) -> str:
-    """Render the MASK-replacement classification prompt.
+def prompt_prefix(label_inventory: tuple[str, ...],
+                  icl_examples: tuple[ICLExample, ...]) -> str:
+    """The lines a run's MASK-replacement prompts share: line 1 carries the
+    instruction, the bracketed label list and the first example; each
+    remaining example gets its own line.  There must be one example per
+    label, in inventory order."""
+    if not label_inventory:
+        raise ValueError("no label to prompt for: the train split has no "
+                         "relation instance")
+    if [ex.label for ex in icl_examples] != list(label_inventory):
+        raise ValueError("need exactly one example per label, "
+                         "in inventory order")
+    examples = "\n".join(_example_line(ex.arg1, ex.arg2, ex.label)
+                         for ex in icl_examples)
+    return ("Replace the MASK token (a discourse relation) by selecting only one "
+            f"of the following labels: [ {', '.join(label_inventory)}] Examples: "
+            + examples)
 
-    Line 1 carries the instruction, the bracketed label list and the first
-    example; each remaining example gets its own line; the final line holds
-    the target passages with the [MASK] slot.  Context rides inside
-    Passage 1 through the target's model-input string.
-    """
-    labels = ", ".join(spec.label_inventory)
-    first = spec.icl_examples[0]
-    lines = [
-        "Replace the MASK token (a discourse relation) by selecting only one "
-        f"of the following labels: [ {labels}] Examples: "
-        + _example_line(first.arg1, first.arg2, first.label)
-    ]
-    for ex in spec.icl_examples[1:]:
-        lines.append(_example_line(ex.arg1, ex.arg2, ex.label))
-    lines.append(_example_line(spec.target.model_input, spec.target.arg2_text,
-                               "[MASK]"))
-    return "\n".join(lines)
+
+def build_prompt(prefix: str, target: RenderedInstance) -> str:
+    """The prompt for one target: its run's prefix, then the target passages
+    with the [MASK] slot.  Context rides inside Passage 1 through the
+    target's model-input string."""
+    return f"{prefix}\n{_example_line(target.model_input, target.arg2_text, '[MASK]')}"
 
 
 @cache
@@ -205,11 +189,11 @@ def endpoint_predictions(dataset: VariantDataset, train_dataset: VariantDataset,
     from .endpoint import run_endpoint_inference  # a baseline run never imports it
     if not dataset.instances:
         raise ValueError("dataset is empty")
-    icl = sample_icl_examples(train_dataset, seed)
     inventory = dataset.label_inventory
+    prefix = prompt_prefix(inventory, sample_icl_examples(train_dataset, seed))
     targets = {inst.instance_id: inst for inst in dataset.instances}
-    replies = run_endpoint_inference(list(targets), lambda iid: build_prompt(
-        PromptSpec(inventory, icl, targets[iid])), config, log_path)
+    replies = run_endpoint_inference(
+        list(targets), lambda iid: build_prompt(prefix, targets[iid]), config, log_path)
     return PredictionSet(condition=condition, run_id=seed, records={
         iid: parse_llm_output(raw, inventory) for iid, raw in replies.items()})
 

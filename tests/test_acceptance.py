@@ -33,9 +33,9 @@ from drckit.context import (
 from drckit.evaluation import score, wilcoxon_signed_rank
 from drckit.inference import (
     PredictionSet,
-    PromptSpec,
     build_prompt,
     predict_baseline,
+    prompt_prefix,
     train_baseline,
 )
 from drckit.treebank import (
@@ -330,9 +330,8 @@ def test_c8_prompt_golden_files():
                 target = rendered(
                     "t:002", "the model predicts a relation",
                     "for every pair of units .", "background", context=context)
-            spec = PromptSpec(label_inventory=inventory, icl_examples=examples,
-                              target=target)
-            assert build_prompt(spec) == golden(name), name
+            assert build_prompt(prompt_prefix(inventory, examples), target) \
+                == golden(name), name
 
 
 def test_c9_mock_endpoint_inference(tmp_path):

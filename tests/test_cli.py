@@ -1850,13 +1850,14 @@ def test_cli_call_imports_only_the_layers_it_runs(small_corpus_dir, tmp_path):
     # starts, and each pipeline layer when one of its stages runs, not with
     # the CLI.  A warm run reuses the summary, so it loads no
     # scoring code either.  Records are NamedTuples, so no call loads
-    # dataclasses, nor the inspect it imports.
+    # dataclasses, nor the inspect it imports.  OpenSSL's hashes load with
+    # the first stage key.
     record_code = {"dataclasses", "inspect"}
     loaded = loaded_modules("--version")
     assert {m for m in loaded if m.startswith("drckit")} == \
         {"drckit", "drckit.cli", "drckit.config", "drckit.fields"}
     assert not {"requests", "urllib3", "http.client", "ssl", "email",
-                "concurrent.futures"} & loaded
+                "concurrent.futures", "hashlib", "_hashlib"} & loaded
     assert not record_code & loaded
     config = experiment_config(tmp_path, small_corpus_dir,
                                backends=[{"kind": "cue"}], seeds=[1, 2])
@@ -1968,6 +1969,28 @@ def test_experiment_unreachable_endpoint_exits_3(small_corpus_dir, tmp_path,
                    "model": "m", "max_retries": 0, "backoff": 0.001}])
     assert run_cli("experiment", "--config", config) == 3
     assert "endpoint error" in capsys.readouterr().err
+
+
+def test_endpoint_run_without_train_relations_is_a_data_error(tmp_path):
+    # The train split's one EDU hangs off ROOT, so it gives no relation
+    # instance and no label to prompt for; the run once ended in an IndexError
+    # traceback from a worker thread.
+    corpus = write_corpus_dir(tmp_path / "corpus", {
+        "train": {"tr": [(0, -1, "null", "ROOT"), (1, 0, "ROOT", "a lone unit .")]},
+        "test": {"te": disambiguation_records("condition", 0)[:3]},
+    })
+    with MockChatServer(lambda payload, index: (200, "condition")) as server:
+        config = experiment_config(
+            tmp_path, corpus, schemes=("default",), seeds=[1],
+            backends=[{"kind": "endpoint", "base_url": server.base_url,
+                       "model": "m"}])
+        proc = drckit_child("experiment", "--config", config)
+        requests = len(server.payloads)
+    assert "train 0 instances, test 1 instances" in proc.stdout
+    assert proc.returncode == 1
+    assert "error: no label to prompt for" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert requests == 0
 
 
 def test_experiment_abort_saves_completed_stages(small_corpus_dir, tmp_path,

@@ -16,12 +16,12 @@ from drckit.inference import (
     UNPARSED,
     ICLExample,
     PredictionSet,
-    PromptSpec,
     build_prompt,
     endpoint_predictions,
     import_predictions,
     parse_llm_output,
     predict_baseline,
+    prompt_prefix,
     sample_icl_examples,
     train_baseline,
     write_predictions,
@@ -72,70 +72,65 @@ def golden(name: str) -> str:
 
 
 def test_prompt_two_labels_default_matches_golden():
-    spec = PromptSpec(
-        label_inventory=("condition", "contrast"),
-        icl_examples=TWO_LABEL_EXAMPLES,
-        target=rendered("t:001", "because it can compute a single node similarity",
-                        "without having to compute the similarities of the entire graph .",
-                        "condition"),
-    )
-    assert build_prompt(spec) == golden("prompt_two_label_default.txt")
+    target = rendered("t:001", "because it can compute a single node similarity",
+                      "without having to compute the similarities of the entire graph .",
+                      "condition")
+    prefix = prompt_prefix(("condition", "contrast"), TWO_LABEL_EXAMPLES)
+    assert build_prompt(prefix, target) == golden("prompt_two_label_default.txt")
 
 
 def test_prompt_two_labels_context_matches_golden():
-    spec = PromptSpec(
-        label_inventory=("condition", "contrast"),
-        icl_examples=TWO_LABEL_EXAMPLES,
-        target=rendered("t:001", "because it can compute a single node similarity",
-                        "without having to compute the similarities of the entire graph .",
-                        "condition", context="that is efficient ..."),
-    )
-    assert build_prompt(spec) == golden("prompt_two_label_context.txt")
+    target = rendered("t:001", "because it can compute a single node similarity",
+                      "without having to compute the similarities of the entire graph .",
+                      "condition", context="that is efficient ...")
+    prefix = prompt_prefix(("condition", "contrast"), TWO_LABEL_EXAMPLES)
+    assert build_prompt(prefix, target) == golden("prompt_two_label_context.txt")
 
 
 def test_prompt_three_labels_default_matches_golden():
-    spec = PromptSpec(
-        label_inventory=("attribution", "background", "elab-addition"),
-        icl_examples=THREE_LABEL_EXAMPLES,
-        target=rendered("t:002", "the model predicts a relation",
-                        "for every pair of units .", "background"),
-    )
-    assert build_prompt(spec) == golden("prompt_three_label_default.txt")
+    target = rendered("t:002", "the model predicts a relation",
+                      "for every pair of units .", "background")
+    prefix = prompt_prefix(("attribution", "background", "elab-addition"),
+                           THREE_LABEL_EXAMPLES)
+    assert build_prompt(prefix, target) == golden("prompt_three_label_default.txt")
 
 
 def test_prompt_three_labels_context_matches_golden():
-    spec = PromptSpec(
-        label_inventory=("attribution", "background", "elab-addition"),
-        icl_examples=THREE_LABEL_EXAMPLES,
-        target=rendered("t:002", "the model predicts a relation",
-                        "for every pair of units .", "background",
-                        context="we present a toolkit for discourse analysis ."),
-    )
-    assert build_prompt(spec) == golden("prompt_three_label_context.txt")
+    target = rendered("t:002", "the model predicts a relation",
+                      "for every pair of units .", "background",
+                      context="we present a toolkit for discourse analysis .")
+    prefix = prompt_prefix(("attribution", "background", "elab-addition"),
+                           THREE_LABEL_EXAMPLES)
+    assert build_prompt(prefix, target) == golden("prompt_three_label_context.txt")
+
+
+def test_prompt_with_one_label_is_line_1_and_the_target():
+    prefix = prompt_prefix(("cause",), (ICLExample(
+        "we evaluate on two treebanks", "because the data is small .", "cause"),))
+    target = rendered("t:004", "the scores drop", "since the documents are long .",
+                      "cause")
+    assert build_prompt(prefix, target) == (
+        "Replace the MASK token (a discourse relation) by selecting only one of "
+        "the following labels: [ cause] Examples: Passage 1: <we evaluate on two "
+        "treebanks>, Passage 2: <because the data is small .>, connective: <none> "
+        "| cause\n"
+        "Passage 1: <the scores drop>, Passage 2: <since the documents are long .>, "
+        "connective: <none> | [MASK]")
 
 
 def test_prompt_spec_requires_one_example_per_label():
-    with pytest.raises(ValueError, match="one example per label"):
-        PromptSpec(label_inventory=("condition", "contrast"),
-                   icl_examples=TWO_LABEL_EXAMPLES[:1],
-                   target=rendered("t:001", "a", "b", "condition"))
-
-
-def test_prompt_spec_checks_its_labels_under_replace():
-    spec = PromptSpec(label_inventory=("condition", "contrast"),
-                      icl_examples=TWO_LABEL_EXAMPLES,
-                      target=rendered("t:001", "a", "b", "condition"))
-    with pytest.raises(ValueError, match="one example per label"):
-        spec._replace(label_inventory=("contrast", "condition"))
+    for inventory, examples, message in [
+            (("condition", "contrast"), TWO_LABEL_EXAMPLES[:1], "one example per label"),
+            (("contrast", "condition"), TWO_LABEL_EXAMPLES, "in inventory order"),
+            ((), (), "no label to prompt for")]:
+        with pytest.raises(ValueError, match=message):
+            prompt_prefix(inventory, examples)
 
 
 def test_prompt_empty_context_passage_equals_arg1():
-    spec = PromptSpec(
-        label_inventory=("condition", "contrast"),
-        icl_examples=TWO_LABEL_EXAMPLES,
-        target=rendered("t:003", "plain argument one", "arg two .", "contrast"),
-    )
-    last_line = build_prompt(spec).splitlines()[-1]
+    prefix = prompt_prefix(("condition", "contrast"), TWO_LABEL_EXAMPLES)
+    target = rendered("t:003", "plain argument one", "arg two .", "contrast")
+    last_line = build_prompt(prefix, target).splitlines()[-1]
     assert last_line.startswith("Passage 1: <plain argument one>,")
 
 
